@@ -3,8 +3,10 @@
 Each user of the traffic matrix gets one complex entry per beam: the gain of
 the beam's nearest pattern sample, minus free-space loss over the slant
 range, plus the receive antenna gain, rotated by the sub-wavelength remainder
-of the slant range. All beams share one sample grid, so the nearest sample
-is found once per user and reused across beams.
+of the slant range. All beams share one sample grid, so one nearest-sample
+search per distinct user location (NearestSamples) supplies the entries of
+every beam, the interpolated-gain diagnostic, and the association gains in
+traffic.py.
 """
 
 import math
@@ -19,8 +21,9 @@ from .ioutil import fmt_float, write_csv
 
 _TWO_PI = 2.0 * math.pi
 
-# users per block when scanning the sample grid, keeps the angle matrix small
-_CHUNK = 2048
+# angle-matrix elements per block when scanning the sample grid; the rows per
+# block shrink as the grid grows, so memory stays flat in the grid size
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
@@ -41,49 +44,95 @@ def _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
     return t
 
 
-def _idw_gain(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg, gains_db):
-    """Inverse-distance-squared gain over the three nearest samples.
+class NearestSamples:
+    """Nearest pattern samples of query points, searched once per distinct point.
 
-    A user sitting exactly on a sample takes that sample's gain. Distance
-    ties are broken toward the lower sample index by the stable sort.
+    Query rows are deduplicated on the exact bit patterns of (lat, lon), so
+    no two distinct inputs merge, and the sample grid is scanned once per
+    distinct location. The scan keeps two results. `nearest` is the first
+    sample of maximal cosine. The k = min(3, samples) closest samples by
+    central angle (after an exact coordinate hit is set to distance zero)
+    are ranked by (distance, sample index): every sample within the k-th
+    smallest distance is a candidate, and a stable sort orders them.
+
+    All beams share the grid, so one index serves every beam's gain.
     """
-    lat_deg = np.asarray(lat_deg, dtype=float)
-    lon_deg = np.asarray(lon_deg, dtype=float)
-    grid_lat_deg = np.asarray(grid_lat_deg, dtype=float)
-    grid_lon_deg = np.asarray(grid_lon_deg, dtype=float)
-    gains_db = np.asarray(gains_db, dtype=float)
-    mu = len(gains_db)
-    k = min(3, mu)
-    out = np.empty(len(lat_deg))
-    for lo in range(0, len(lat_deg), _CHUNK):
-        hi = min(lo + _CHUNK, len(lat_deg))
-        d = np.arccos(
-            _cos_angles(lat_deg[lo:hi], lon_deg[lo:hi], grid_lat_deg, grid_lon_deg)
+
+    def __init__(self, lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
+        lat = np.ascontiguousarray(lat_deg, dtype=float)
+        lon = np.ascontiguousarray(lon_deg, dtype=float)
+        grid_lat = np.asarray(grid_lat_deg, dtype=float)
+        grid_lon = np.asarray(grid_lon_deg, dtype=float)
+        if grid_lat.size == 0:
+            raise ValueError("nearest-sample search needs at least one sample")
+        keys = np.stack([lat.view(np.int64), lon.view(np.int64)], axis=1)
+        _, first, inverse = np.unique(
+            keys, axis=0, return_index=True, return_inverse=True
         )
-        # an exact coordinate hit short-circuits; the rounded central angle
-        # of a coincident pair is not reliably zero
-        eq = (lat_deg[lo:hi, None] == grid_lat_deg) & (
-            lon_deg[lo:hi, None] == grid_lon_deg
-        )
-        has_eq = eq.any(axis=1)
-        eq_idx = np.argmax(eq, axis=1)
-        d[eq] = 0.0
-        idx = np.argsort(d, axis=1, kind="stable")[:, :k]
-        dk = np.take_along_axis(d, idx, axis=1)
-        gk = gains_db[idx]
+        self.inverse = inverse.reshape(-1)
+        lat, lon = lat[first], lon[first]
+        m = len(lat)
+        k = min(3, grid_lat.size)
+        self._nearest = np.empty(m, dtype=np.int64)
+        self._idx = np.empty((m, k), dtype=np.int64)
+        dk = np.empty((m, k))
+        self._eq_idx = np.empty(m, dtype=np.int64)
+        self._has_eq = np.empty(m, dtype=bool)
+        step = max(1, _BLOCK_ELEMENTS // grid_lat.size)
+        for lo in range(0, m, step):
+            hi = min(lo + step, m)
+            t = _cos_angles(lat[lo:hi], lon[lo:hi], grid_lat, grid_lon)
+            # max cosine = min distance; first occurrence keeps the lowest index
+            self._nearest[lo:hi] = np.argmax(t, axis=1)
+            d = np.arccos(t, out=t)
+            # an exact coordinate hit short-circuits; the rounded central angle
+            # of a coincident pair is not reliably zero
+            eq = (lat[lo:hi, None] == grid_lat) & (lon[lo:hi, None] == grid_lon)
+            self._has_eq[lo:hi] = eq.any(axis=1)
+            self._eq_idx[lo:hi] = np.argmax(eq, axis=1)
+            d[eq] = 0.0
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+            rows, cols = np.nonzero(d <= kth)
+            dc = d[rows, cols]
+            # nonzero lists columns in index order, so the stable sort by
+            # (row, distance) breaks distance ties toward the lower index
+            order = np.lexsort((dc, rows))
+            counts = np.bincount(rows, minlength=hi - lo)
+            pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            self._idx[lo:hi] = cols[pick]
+            dk[lo:hi] = dc[pick]
         # weights normalized by the nearest distance so equal distances get
         # exactly equal weight and near-hits cannot overflow
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = (dk[:, :1] / dk) ** 2
-        vals = np.sum(w * gk, axis=1) / np.sum(w, axis=1)
+            self._w = (dk[:, :1] / dk) ** 2
+        self._w_sum = np.sum(self._w, axis=1)
         # the angle can also round to exactly zero for a non-identical pair,
         # which would make the normalized weights 0/0; both zero flavors take
         # the nearest sample's value, coordinate equality winning
-        zero = dk[:, 0] == 0.0
-        vals[zero] = gk[zero, 0]
-        vals[has_eq] = gains_db[eq_idx[has_eq]]
-        out[lo:hi] = vals
-    return out
+        self._zero = dk[:, 0] == 0.0
+
+    @property
+    def nearest(self):
+        """Per query row, the index of the first sample of maximal cosine."""
+        return self._nearest[self.inverse]
+
+    @property
+    def top_k(self):
+        """Per query row, the k closest sample indices, nearest first."""
+        return self._idx[self.inverse]
+
+    def gain(self, gains_db):
+        """Inverse-distance-squared gain over the k nearest samples, per row.
+
+        gains_db holds one beam's gain at every grid sample. A point sitting
+        exactly on a sample takes that sample's gain.
+        """
+        gains_db = np.asarray(gains_db, dtype=float)
+        gk = gains_db[self._idx]
+        vals = np.sum(self._w * gk, axis=1) / self._w_sum
+        vals[self._zero] = gk[self._zero, 0]
+        vals[self._has_eq] = gains_db[self._eq_idx[self._has_eq]]
+        return vals[self.inverse]
 
 
 def interpolate_gain(user, samples):
@@ -94,15 +143,8 @@ def interpolate_gain(user, samples):
     lat = np.array([s.location.lat_deg for s in samples])
     lon = np.array([s.location.lon_deg for s in samples])
     gain = np.array([s.gain_db for s in samples])
-    return float(
-        _idw_gain(
-            np.array([float(user.lat_deg)]),
-            np.array([float(user.lon_deg)]),
-            lat,
-            lon,
-            gain,
-        )[0]
-    )
+    index = NearestSamples([float(user.lat_deg)], [float(user.lon_deg)], lat, lon)
+    return float(index.gain(gain)[0])
 
 
 @dataclass(frozen=True)
@@ -182,14 +224,13 @@ def build_channel_matrix(T, pattern, cfg=None, *, include_pattern_phase=False):
         loss[i] = path_loss_db(d, lam)
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
 
-    lats = np.array([r.location.lat_deg for r in rows])
-    lons = np.array([r.location.lon_deg for r in rows])
-    nearest = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        t = _cos_angles(lats[lo:hi], lons[lo:hi], pattern.lat_deg, pattern.lon_deg)
-        # max cosine = min distance; first occurrence keeps the lowest index
-        nearest[lo:hi] = np.argmax(t, axis=1)
+    index = NearestSamples(
+        [r.location.lat_deg for r in rows],
+        [r.location.lon_deg for r in rows],
+        pattern.lat_deg,
+        pattern.lon_deg,
+    )
+    nearest = index.nearest
 
     amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)
     amp_db -= loss[:, None]
@@ -201,10 +242,7 @@ def build_channel_matrix(T, pattern, cfg=None, *, include_pattern_phase=False):
     gamma = np.empty(n)
     for j in np.unique(serving):
         sel = serving == j
-        gamma[sel] = _idw_gain(
-            lats[sel], lons[sel], pattern.lat_deg, pattern.lon_deg,
-            pattern.gain_db[:, j - 1],
-        )
+        gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
 
     return ChannelMatrix(
         entries=entries,

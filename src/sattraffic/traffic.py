@@ -14,7 +14,7 @@ from .geo import GeoPoint
 from .geometry import polygon_contains_many
 from .ingest import TrafficType
 from .ioutil import fmt_float, write_csv
-from .linkbudget import _idw_gain
+from .linkbudget import NearestSamples
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
     resolved toward the containing beam with the highest interpolated gain
     at the terminal, ties toward the lowest beam id, so the assignment is a
     pure function of location and the result is shuffle-invariant.
+
+    The grid search behind those gains runs once per distinct location of
+    the contested terminals and serves every beam: each gain blends the
+    three nearest samples, ranked by central angle with distance ties going
+    to the lower sample index.
     """
     footprints = list(footprints)
     if not footprints:
@@ -95,21 +100,21 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
         counts += mask
 
     # gain comparisons are only needed where footprints overlap
-    contested = counts > 1
-    best_gain = np.full(len(terminals), -np.inf)
+    contested = np.flatnonzero(counts > 1)
+    index = NearestSamples(
+        lats[contested], lons[contested], pattern.lat_deg, pattern.lon_deg
+    )
+    best_gain = np.full(len(contested), -np.inf)
     chosen = np.zeros(len(terminals), dtype=np.int64)
     for j in beam_ids:
-        sel = inside[j] & contested
+        sel = inside[j][contested]
         if not sel.any():
             continue
-        gain = _idw_gain(
-            lats[sel], lons[sel], pattern.lat_deg, pattern.lon_deg,
-            pattern.gain_db[:, j - 1],
-        )
+        gain = index.gain(pattern.gain_db[:, j - 1])[sel]
         better = gain > best_gain[sel]
         idx = np.flatnonzero(sel)[better]
         best_gain[idx] = gain[better]
-        chosen[idx] = j
+        chosen[contested[idx]] = j
     for j in beam_ids:
         sole = inside[j] & (counts == 1)
         chosen[sole] = j

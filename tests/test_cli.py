@@ -173,6 +173,37 @@ class TestSimulate:
         assert summary["excluded_terminals"] == T.excluded
         assert summary["users"] == T.n_users
 
+    def test_bbox_excluding_every_terminal(self, tmp_path):
+        # the S scenario with a bounding box that holds none of its terminals
+        inputs = tmp_path / "inputs"
+        for kind, seed, params in (
+            ("pattern", 91, []),
+            ("population", 92, ["cells=1000", "urban_fraction=0.15"]),
+            ("aero", 93, ["flights=800"]),
+            ("maritime", 94, ["ships=600"]),
+        ):
+            extra = [arg for p in params for arg in ("--param", p)]
+            assert cli.main(
+                ["synth", kind, "--seed", str(seed), "--out-dir", str(inputs)]
+                + extra
+            ) == 0
+        config = tmp_path / "bbox.cfg"
+        config.write_text("lat_min = 25\nlat_max = 26\n")
+        out = tmp_path / "out"
+        rc = cli.main(
+            ["simulate",
+             "--pattern", str(inputs / "pattern.csv"),
+             "--population", str(inputs / "population.csv"),
+             "--aero", str(inputs / "aero.csv"),
+             "--maritime", str(inputs / "maritime.csv"),
+             "--config", str(config), "--hour", "9", "--out-dir", str(out)]
+        )
+        assert rc == 0
+        assert (out / "channel.csv").read_text() == "user,beam,magnitude,phase_rad\n"
+        summary = json.loads((out / "channel_summary.json").read_text())
+        assert summary["users"] == 0
+        assert summary["per_user"] == []
+
     def test_hour_25_fails_before_any_io(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = cli.main(

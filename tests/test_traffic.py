@@ -155,6 +155,26 @@ class TestBuildTrafficMatrix:
         assert [r.type for r in T.rows] == [1, 2, 3]
         assert [r.user for r in T.rows] == [1, 2, 3]
 
+    def test_no_contested_terminal(self):
+        # disjoint footprints: every covered terminal has a single candidate
+        # beam, so the gain search runs over no terminals at all
+        pattern = gaussian_pair_pattern()
+        fps = [
+            BeamFootprint(
+                beam_id=j,
+                border=Polygon(((-0.5, lo), (0.5, lo), (0.5, lo + 1.0), (-0.5, lo + 1.0))),
+                peak_gain_db=50.0,
+            )
+            for j, lo in ((1, 0.0), (2, 2.0))
+        ]
+        terms = [fss("a", 0.0, 2.5), fss("b", 0.0, 1.5), fss("c", 0.2, 0.5)]
+        T = build_traffic_matrix(fps, pattern, terms, [], [])
+        assert [r.beam for r in T.rows] == [2, 1]
+        assert T.excluded == 1
+        T = build_traffic_matrix(fps, pattern, [], [], [])
+        assert T.n_users == 0
+        assert T.excluded == 0
+
     def test_empty_footprints_rejected(self):
         with pytest.raises(ValueError):
             build_traffic_matrix([], square_pattern(), [], [], [])
