@@ -1,9 +1,10 @@
 """Hourly demand profiles, beam load classes, and interference sweeps.
 
-Everything here reduces to the traffic and channel primitives: profiles run
-the association once per hour, classification thresholds cut the per-beam
-mean demand, and the sweep averages interference over random or exhaustive
-active-beam sets with the total power split equally across a set.
+Everything here reduces to the traffic and channel primitives: profiles
+associate the hour-independent FSS block once and the movers once per hour,
+classification thresholds cut the per-beam mean demand, and the sweep
+averages interference over random or exhaustive active-beam sets with the
+total power split equally across a set.
 """
 
 import math
@@ -66,18 +67,29 @@ class BeamClassification:
 def hourly_profiles(snapshots, footprints, pattern):
     """Aggregate 24 hourly snapshots into a per-beam demand profile.
 
-    Each snapshot is associated independently; the hour labels must cover
-    0..23 exactly once, in any order.
+    The hour labels must cover 0..23 exactly once, in any order. The FSS
+    block is associated apart from the movers, and again only when it
+    differs from the block associated last, so snapshots that share one
+    FSS block (as the CLI builds them) associate it once. Association is a
+    pure function of location and each (beam, type) total sums its own
+    rows in order, so the result equals associating every snapshot whole.
     """
     snapshots = list(snapshots)
     if sorted(s.hour for s in snapshots) != list(range(HOURS)):
         raise ValueError("profiles need exactly one snapshot per hour 0..23")
     demand = np.zeros((pattern.beams, HOURS, 3))
+    fss = fss_demand = None
     for snap in snapshots:
-        T = build_traffic_matrix(
-            footprints, pattern, snap.fss, snap.aero, snap.maritime
+        if fss_demand is None or snap.fss != fss:
+            fss = snap.fss
+            fss_demand = per_beam_demand(
+                build_traffic_matrix(footprints, pattern, fss, (), ())
+            )
+        movers = per_beam_demand(
+            build_traffic_matrix(footprints, pattern, (), snap.aero, snap.maritime)
         )
-        demand[:, snap.hour, :] = per_beam_demand(T)
+        demand[:, snap.hour, 0] = fss_demand[:, 0]
+        demand[:, snap.hour, 1:] = movers[:, 1:]
     return HourlyProfile(demand_mbps=demand)
 
 

@@ -30,7 +30,9 @@ from .ingest import (
     DemandSnapshot,
     IngestConfig,
     load_aero,
+    load_aero_by_hour,
     load_maritime,
+    load_maritime_by_hour,
     load_population,
     parse_config,
     synth_generate,
@@ -292,23 +294,19 @@ def cmd_profile(args):
                 args.population, icfg.downscale, icfg.urban,
                 demand_mbps=icfg.fss_demand_mbps, bbox=icfg.bbox,
             )
-        snapshots = []
-        for hour in range(24):
-            aero = ()
-            maritime = ()
-            if args.aero:
-                aero = load_aero(
-                    args.aero, hour,
-                    demand_mbps=icfg.aero_demand_mbps, bbox=icfg.bbox,
-                )
-            if args.maritime:
-                maritime = load_maritime(
-                    args.maritime, hour,
-                    demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox,
-                )
-            snapshots.append(
-                DemandSnapshot(hour=hour, fss=fss, aero=aero, maritime=maritime)
+        aero = maritime = [()] * 24
+        if args.aero:
+            aero = load_aero_by_hour(
+                args.aero, demand_mbps=icfg.aero_demand_mbps, bbox=icfg.bbox
             )
+        if args.maritime:
+            maritime = load_maritime_by_hour(
+                args.maritime, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
+            )
+        snapshots = [
+            DemandSnapshot(hour=hour, fss=fss, aero=aero[hour], maritime=maritime[hour])
+            for hour in range(24)
+        ]
         profile = hourly_profiles(snapshots, footprints, pattern)
         thresholds = None
         if args.lower is not None:

@@ -3,7 +3,9 @@
 Three loaders turn raw files into Terminal lists: a population raster is
 down-scaled into fixed (FSS) terminals, and flight / vessel movement logs
 are reduced to one terminal per id per hour at the first position seen in
-that hour. Records with missing or NaN coordinates, and records outside the
+that hour. A movement log is read once however many hours are asked for:
+rows are bucketed by UTC hour and terminals are built only for the hours
+requested. Records with missing or NaN coordinates, and records outside the
 configured bounding box, are dropped and counted, never patched.
 
 The synthetic generators stand in for the real population, flight, and
@@ -343,14 +345,16 @@ def _parse_timestamp(text, lineno, path):
     return dt.astimezone(timezone.utc)
 
 
-def _load_movements(source, hour, header, id_name, traffic_type, demand_mbps, bbox):
-    if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
-        raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
+def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bbox):
+    """Read a movement log once; one TerminalList per requested hour, in order."""
+    for hour in hours:
+        if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
+            raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
 
+    firsts = {hour: {} for hour in hours}  # hour -> id -> (timestamp, row_idx, lat, lon)
+    bad = dict.fromkeys(firsts, 0)
+    out = dict.fromkeys(firsts, 0)
     fh, path, owns = _open_lines(source)
-    first = {}  # id -> (timestamp, row_idx, lat, lon)
-    bad = 0
-    out = 0
     try:
         _check_header(fh, header, path)
         for lineno, rawline in enumerate(fh, start=2):
@@ -364,19 +368,21 @@ def _load_movements(source, hour, header, id_name, traffic_type, demand_mbps, bb
             if not ident:
                 raise ParseError(f"empty {id_name}", lineno, path)
             ts = _parse_timestamp(fields[1], lineno, path)
-            # coordinates are validated on every row so a defective log fails
-            # the same way whichever hour is being loaded
+            # every row is validated before the hour filter, so a defective
+            # log fails the same way whichever hours are being loaded
             lat = _coord(fields[2], "lat_deg", lineno, path)
             lon = _coord(fields[3], "lon_deg", lineno, path)
-            if ts.hour != hour:
-                continue
-            if lat is None or lon is None:
-                bad += 1
-                continue
-            if not -90.0 <= lat <= 90.0:
+            missing = lat is None or lon is None
+            if not missing and not -90.0 <= lat <= 90.0:
                 raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
+            first = firsts.get(ts.hour)
+            if first is None:
+                continue
+            if missing:
+                bad[ts.hour] += 1
+                continue
             if not bbox.contains(lat, lon):
-                out += 1
+                out[ts.hour] += 1
                 continue
             key = (ts, lineno)  # first occurrence = min timestamp, ties by row
             if ident not in first or key < first[ident][:2]:
@@ -385,23 +391,33 @@ def _load_movements(source, hour, header, id_name, traffic_type, demand_mbps, bb
         if owns:
             fh.close()
 
-    terminals = [
-        Terminal(
-            id=ident,
-            location=GeoPoint(lat, lon),
-            type=traffic_type,
-            demand_mbps=demand_mbps,
+    return [
+        TerminalList(
+            [
+                Terminal(ident, GeoPoint(lat, lon), traffic_type, demand_mbps)
+                for ident, (_, _, lat, lon) in sorted(firsts[hour].items())
+            ],
+            dropped_bad_coords=bad[hour],
+            dropped_out_of_box=out[hour],
         )
-        for ident, (_, _, lat, lon) in sorted(first.items())
+        for hour in hours
     ]
-    return TerminalList(terminals, dropped_bad_coords=bad, dropped_out_of_box=out)
 
 
 def load_aero(source, hour, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
     """One terminal per flight id seen during the given hour of day (UTC),
     positioned at the flight's earliest record within that hour."""
     return _load_movements(
-        source, hour, AERO_HEADER, "flight_id", TrafficType.AERO, demand_mbps, bbox
+        source, (hour,), AERO_HEADER, "flight_id", TrafficType.AERO, demand_mbps, bbox
+    )[0]
+
+
+def load_aero_by_hour(source, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
+    """load_aero for every hour of the day from one pass over the log:
+    a list of 24 terminal lists, indexed by hour."""
+    return _load_movements(
+        source, range(24), AERO_HEADER, "flight_id", TrafficType.AERO,
+        demand_mbps, bbox,
     )
 
 
@@ -409,7 +425,16 @@ def load_maritime(source, hour, *, demand_mbps=8.0, bbox=DEFAULT_BBOX):
     """One terminal per ship id seen during the given hour of day (UTC),
     positioned at the ship's earliest record within that hour."""
     return _load_movements(
-        source, hour, MARITIME_HEADER, "ship_id", TrafficType.MARITIME, demand_mbps, bbox
+        source, (hour,), MARITIME_HEADER, "ship_id", TrafficType.MARITIME, demand_mbps, bbox
+    )[0]
+
+
+def load_maritime_by_hour(source, *, demand_mbps=8.0, bbox=DEFAULT_BBOX):
+    """load_maritime for every hour of the day from one pass over the log:
+    a list of 24 terminal lists, indexed by hour."""
+    return _load_movements(
+        source, range(24), MARITIME_HEADER, "ship_id", TrafficType.MARITIME,
+        demand_mbps, bbox,
     )
 
 

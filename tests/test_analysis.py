@@ -5,6 +5,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sattraffic.analysis import (
     BEAM_CLASS_HEADER,
@@ -23,7 +25,12 @@ from sattraffic.geo import GeoPoint, ScenarioConfig
 from sattraffic.ingest import DemandSnapshot, Terminal, TrafficType
 from sattraffic.linkbudget import build_channel_matrix, interference
 from sattraffic.pattern import BeamPattern, all_footprints
-from sattraffic.traffic import TrafficMatrix, TrafficRecord
+from sattraffic.traffic import (
+    TrafficMatrix,
+    TrafficRecord,
+    build_traffic_matrix,
+    per_beam_demand,
+)
 
 
 def row_pattern(centers=((0.0, 0.0), (0.0, 2.4), (0.0, 4.8)), r3=1.2, pitch=0.2):
@@ -143,6 +150,75 @@ class TestHourlyProfiles:
         a = hourly_profiles(snaps, fps, pattern)
         b = hourly_profiles(list(reversed(snaps)), fps, pattern)
         assert np.array_equal(a.demand_mbps, b.demand_mbps)
+
+
+def hourly_profiles_oracle(snapshots, footprints, pattern):
+    """The association hourly_profiles replaced: every snapshot whole."""
+    demand = np.zeros((pattern.beams, 24, 3))
+    for snap in snapshots:
+        T = build_traffic_matrix(footprints, pattern, snap.fss, snap.aero, snap.maritime)
+        demand[:, snap.hour, :] = per_beam_demand(T)
+    return demand
+
+
+@pytest.fixture(scope="module")
+def row_scene():
+    pattern = row_pattern()
+    return pattern, all_footprints(pattern)
+
+
+# on, between and beyond the three row_pattern footprints, signed zeros included
+terminal_specs = st.tuples(
+    st.one_of(st.sampled_from((0.0, -0.0, 1.2, -1.2)), st.floats(-1.8, 1.8)),
+    st.one_of(st.sampled_from((0.0, -0.0, 1.2, 2.4, 3.6, 4.8)), st.floats(-1.8, 6.6)),
+    st.floats(0.0, 50.0),
+)
+
+
+def terminals(prefix, kind, specs):
+    return tuple(
+        Terminal(f"{prefix}{i}", GeoPoint(lat, lon), kind, demand)
+        for i, (lat, lon, demand) in enumerate(specs)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fss_mode=st.sampled_from(("shared", "by_hour", "empty")),
+    fss_specs=st.lists(terminal_specs, max_size=12),
+    mover_specs=st.dictionaries(
+        st.integers(0, 23),
+        st.tuples(st.lists(terminal_specs, max_size=5), st.lists(terminal_specs, max_size=5)),
+        max_size=6,
+    ),
+    reverse=st.booleans(),
+)
+def test_hourly_profiles_match_whole_snapshot_association(
+    row_scene, fss_mode, fss_specs, mover_specs, reverse
+):
+    pattern, fps = row_scene
+    shared = list(terminals("f", TrafficType.FSS, fss_specs))  # as the CLI passes it
+    snaps = []
+    for h in range(24):
+        if fss_mode == "shared":
+            fss = shared
+        elif fss_mode == "by_hour":
+            # fresh objects; every third hour carries an equal block
+            fss = terminals("f", TrafficType.FSS, fss_specs[h % 3:])
+        else:
+            fss = ()
+        aero, mar = mover_specs.get(h, ((), ()))
+        snaps.append(DemandSnapshot(
+            hour=h, fss=fss,
+            aero=terminals("a", TrafficType.AERO, aero),
+            maritime=terminals("m", TrafficType.MARITIME, mar),
+        ))
+    if reverse:
+        snaps.reverse()
+    got = hourly_profiles(snaps, fps, pattern).demand_mbps
+    want = hourly_profiles_oracle(snaps, fps, pattern)
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
 
 
 class TestClassifyBeams:

@@ -1,10 +1,11 @@
 """Command-line behavior: wiring, exit codes, manifests, determinism."""
 
+import collections
 import json
 
 import pytest
 
-from sattraffic import cli
+from sattraffic import analysis, cli, ingest
 from sattraffic.geo import GeoPoint
 from sattraffic.ingest import load_aero, load_maritime, load_population
 from sattraffic.ioutil import sha256_file
@@ -254,7 +255,50 @@ class TestSimulate:
         assert not (out / "traffic.csv").exists()
 
 
+    def test_out_of_range_latitude_in_another_hour_exits_one(self, inputs, tmp_path,
+                                                             capsys):
+        bad = tmp_path / "bad_aero.csv"
+        bad.write_text("flight_id,timestamp_iso8601_utc,lat_deg,lon_deg\n"
+                       "f1,2026-01-15T05:00:00Z,95.0,5.0\n")
+        out = tmp_path / "out"
+        rc = cli.main(
+            ["simulate",
+             "--pattern", str(inputs["pattern"]),
+             "--population", str(inputs["population"]),
+             "--aero", str(bad),
+             "--maritime", str(inputs["maritime"]),
+             "--hour", "9", "--out-dir", str(out)]
+        )
+        assert rc == 1
+        assert "line 2" in capsys.readouterr().err
+        assert not (out / "traffic.csv").exists()
+
+
 class TestProfileCommand:
+    def test_each_log_row_parsed_once_and_fss_associated_once(self, inputs, tmp_path,
+                                                              monkeypatch):
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(ingest, "_parse_timestamp",
+                            counted("parse", ingest._parse_timestamp))
+        monkeypatch.setattr(analysis, "build_traffic_matrix",
+                            counted("associate", analysis.build_traffic_matrix))
+        rc = cli.main(["profile", *demand_argv(inputs), "--out-dir", str(tmp_path)])
+        assert rc == 0
+        data_rows = sum(
+            1 for name in ("aero", "maritime")
+            for line in inputs[name].read_text().splitlines()[1:] if line
+        )
+        assert calls["parse"] == data_rows
+        assert calls["associate"] == 1 + 24
+
+
     def test_outputs_written(self, inputs, tmp_path):
         rc = cli.main(
             ["profile", "--pattern", str(inputs["pattern"]),

@@ -244,6 +244,12 @@ class TestLoadAero:
         assert [t.id for t in terms] == ["F2"]
         assert terms.dropped_bad_coords == 1
 
+    def test_out_of_range_latitude_fails_in_every_hour(self):
+        rows = ["f1,2026-01-15T05:00:00Z,95.0,5.0\n"]
+        for hour in (5, 9):
+            with pytest.raises(ParseError, match="line 2"):
+                load_aero(aero_file(rows), hour)
+
     def test_randomized_records_match_group_by_oracle(self):
         from datetime import datetime, timezone
 
@@ -286,6 +292,12 @@ class TestLoadMaritime:
 
     def test_empty_file(self):
         assert load_maritime(maritime_file([]), 0) == []
+
+    def test_out_of_range_latitude_fails_in_every_hour(self):
+        rows = ["s1,2026-01-15T05:00:00Z,95.0,5.0\n"]
+        for hour in (5, 9):
+            with pytest.raises(ParseError, match="line 2"):
+                load_maritime(maritime_file(rows), hour)
 
     def test_ten_ships_any_order(self):
         rng = np.random.default_rng(5)
