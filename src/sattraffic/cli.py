@@ -212,7 +212,7 @@ def cmd_synth(args):
 def cmd_footprints(args):
     out = _out_dir(args)
     pattern = parse_pattern(args.pattern)
-    footprints = all_footprints(pattern, max_workers=args.threads)
+    footprints = all_footprints(pattern)
     outputs = _OutputSet()
     try:
         borders = out / "borders.csv"
@@ -245,7 +245,7 @@ def cmd_simulate(args):
     outputs = _OutputSet()
     try:
         pattern = parse_pattern(args.pattern)
-        footprints = all_footprints(pattern, max_workers=args.threads)
+        footprints = all_footprints(pattern)
         fss, aero, maritime = _load_hour(args, icfg, args.hour)
         T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
         H = build_channel_matrix(T, pattern, scfg)
@@ -287,7 +287,7 @@ def cmd_profile(args):
     outputs = _OutputSet()
     try:
         pattern = parse_pattern(args.pattern)
-        footprints = all_footprints(pattern, max_workers=args.threads)
+        footprints = all_footprints(pattern)
         fss = ()
         if args.population:
             fss = load_population(
@@ -348,7 +348,7 @@ def cmd_interference(args):
     outputs = _OutputSet()
     try:
         pattern = parse_pattern(args.pattern)
-        footprints = all_footprints(pattern, max_workers=args.threads)
+        footprints = all_footprints(pattern)
         fss, aero, maritime = _load_hour(args, icfg, args.hour)
         T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
         H = build_channel_matrix(T, pattern, scfg)
@@ -383,8 +383,6 @@ def cmd_interference(args):
 
 def _add_common(sub):
     sub.add_argument("--out-dir", help=f"output directory (default ${OUT_DIR_ENV} or .)")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker cap for footprint delimitation")
 
 
 def _add_demand_inputs(sub):

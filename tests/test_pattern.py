@@ -5,10 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sattraffic.errors import DegenerateFootprintError, ParseError, SchemaError
-from sattraffic.geometry import point_in_polygon
+from sattraffic.errors import (
+    CollinearInputError,
+    DegenerateFootprintError,
+    ParseError,
+    SchemaError,
+)
+from sattraffic.geometry import convex_hull, delaunay, point_in_polygon
 from sattraffic.pattern import (
+    BeamFootprint,
     BeamPattern,
     SamplePoint,
     all_footprints,
@@ -265,18 +273,6 @@ class TestAllFootprints:
         assert point_in_polygon(midpoint, fa.border)
         assert point_in_polygon(midpoint, fb.border)
 
-    def test_thread_pool_matches_sequential(self):
-        pat = grid_pattern(
-            [(52.0, (49.5 + 0.4 * i, 9.0 + 0.5 * i), 1.3) for i in range(5)],
-            46, 54, 6, 14, 0.25,
-        )
-        seq = all_footprints(pat)
-        par = all_footprints(pat, max_workers=4)
-        assert [f.beam_id for f in par] == [1, 2, 3, 4, 5]
-        for a, b in zip(seq, par):
-            assert a.border.vertices == b.border.vertices
-            assert a.peak_gain_db == b.peak_gain_db
-
     def test_degenerate_beam_names_culprit(self):
         lats = np.repeat([0.0, 1.0, 2.0], 3)
         lons = np.tile([0.0, 1.0, 2.0], 3)
@@ -287,3 +283,165 @@ class TestAllFootprints:
         with pytest.raises(DegenerateFootprintError) as err:
             all_footprints(pat)
         assert err.value.beam_id == 2
+
+
+def grid_beam(lats, lons, gain_of):
+    """One-beam BeamPattern on the lats x lons grid, gain_of(lat, lon) in dB."""
+    glat = np.repeat(np.asarray(lats, dtype=float), len(lons))
+    glon = np.tile(np.asarray(lons, dtype=float), len(lats))
+    gain = np.array([gain_of(a, b) for a, b in zip(glat, glon)])[:, None]
+    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+
+
+class TestPlanarFrame:
+    def test_antimeridian_beam_rejected(self):
+        # 12 samples of a 1-degree beam either side of lon 180: the planar hull
+        # would span lon -179.5..179.5 and swallow the whole equatorial band
+        pat = grid_beam([-1.0, 0.0, 1.0], [-179.5, -179.0, 179.0, 179.5],
+                        lambda a, b: 50.0)
+        with pytest.raises(DegenerateFootprintError) as err:
+            beam_footprint(pat, 1)
+        assert err.value.beam_id == 1
+        assert "beam 1" in str(err.value)
+        assert "span more than 180 degrees of longitude" in str(err.value)
+        # the border the planar frame would give contains (0, 0), half a world away
+        hull = convex_hull(list(zip(pat.lat_deg.tolist(), pat.lon_deg.tolist())))
+        assert point_in_polygon((0.0, 0.0), hull)
+
+    @pytest.mark.parametrize("pole", [90.0, -90.0])
+    def test_qualifying_pole_sample_rejected(self, pole):
+        lats = [pole - math.copysign(1.0, pole), pole - math.copysign(0.5, pole), pole]
+        pat = grid_beam(lats, [0.0, 1.0, 2.0], lambda a, b: 50.0)
+        with pytest.raises(DegenerateFootprintError) as err:
+            beam_footprint(pat, 1)
+        assert err.value.beam_id == 1
+        assert "pole" in str(err.value)
+
+    def test_pole_sample_outside_3db_is_ignored(self):
+        pat = grid_beam([88.0, 89.0, 90.0], [0.0, 1.0, 2.0],
+                        lambda a, b: 40.0 if a == 90.0 else 50.0)
+        fp = beam_footprint(pat, 1)
+        assert set(fp.border.vertices) == {(88, 0), (88, 2), (89, 0), (89, 2)}
+
+    def test_beam_within_lon_170_to_190_accepted(self):
+        pat = grid_beam([-1.0, 0.0, 1.0], [170.0, 180.0, 190.0], lambda a, b: 50.0)
+        fp = beam_footprint(pat, 1)
+        assert set(fp.border.vertices) == {(-1, 170), (-1, 190), (1, 170), (1, 190)}
+
+
+def beam_footprint_oracle(pattern, beam_id):
+    """The triangulate-then-border footprint the hull-only path replaced.
+
+    Builds the Delaunay triangulation of the qualifying samples and borders
+    its deduplicated point set. It has no planar-frame checks.
+    """
+    col = pattern.check_beam(beam_id)
+    gains = pattern.gain_db[:, col]
+    peak = float(gains.max())
+    mask = gains >= peak - 3.0
+    pts = list(zip(pattern.lat_deg[mask].tolist(), pattern.lon_deg[mask].tolist()))
+    if len(pts) < 3:
+        raise DegenerateFootprintError(
+            beam_id, f"only {len(pts)} samples within 3 dB of the peak"
+        )
+    try:
+        tri = delaunay(pts)
+        border = convex_hull(tri.points)
+    except CollinearInputError as exc:
+        raise DegenerateFootprintError(beam_id, str(exc)) from exc
+    return BeamFootprint(beam_id=int(beam_id), border=border, peak_gain_db=peak)
+
+
+def outcome(fn, pattern, beam_id):
+    try:
+        fp = fn(pattern, beam_id)
+    except Exception as exc:  # the comparison covers the exception too
+        return type(exc), str(exc)
+    return fp.border.vertices, fp.peak_gain_db
+
+
+# small pools make duplicate locations, signed zeros and collinear sets common
+_LATS = [0.0, -0.0, 0.5, 1.0, 1.0000001, -2.0, 3.25]
+_LONS = [0.0, -0.0, 0.5, 1.0, 2.0, -3.0, 1e-9]
+# reaching the poles or the antimeridian
+_EDGE_LATS = _LATS + [89.5, 90.0, -90.0]
+_EDGE_LONS = _LONS + [179.5, -179.5]
+
+
+@st.composite
+def small_patterns(draw):
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["pool", "edge", "line", "diagonal", "float"]))
+    if shape == "float":
+        coord = st.floats(-60.0, 60.0, allow_nan=False, allow_subnormal=False)
+        lats = draw(st.lists(coord, min_size=n, max_size=n))
+        lons = draw(st.lists(coord, min_size=n, max_size=n))
+    else:
+        lat_pool, lon_pool = (_EDGE_LATS, _EDGE_LONS) if shape == "edge" else (_LATS, _LONS)
+        lats = draw(st.lists(st.sampled_from(lat_pool), min_size=n, max_size=n))
+        lons = draw(st.lists(st.sampled_from(lon_pool), min_size=n, max_size=n))
+        if shape == "line":
+            lats = [lats[0]] * n
+        elif shape == "diagonal":
+            lats = list(lons)
+    beams = draw(st.integers(1, 2))
+    kind = draw(st.sampled_from(["levels", "equal", "float"]))
+    if kind == "equal":
+        gain = np.full((n, beams), draw(st.sampled_from([0.0, -0.0, 47.0])))
+    elif kind == "levels":
+        # 3 dB apart and just inside/outside: exactly-3 and fewer-than-3 qualifiers
+        levels = st.sampled_from([50.0, 50.0, 48.0, 47.0, 47.0, 46.999999, 30.0])
+        gain = np.array(draw(st.lists(levels, min_size=n * beams, max_size=n * beams)))
+    else:
+        gains = st.floats(40.0, 50.0, allow_nan=False)
+        gain = np.array(draw(st.lists(gains, min_size=n * beams, max_size=n * beams)))
+    gain = gain.reshape(n, beams)
+    return BeamPattern(lats, lons, gain, np.zeros_like(gain))
+
+
+def outside_planar_frame(pattern, beam_id):
+    gains = pattern.gain_db[:, beam_id - 1]
+    mask = gains >= gains.max() - 3.0
+    lon = pattern.lon_deg[mask]
+    return mask.sum() >= 3 and (
+        (np.abs(pattern.lat_deg[mask]) == 90.0).any() or lon.max() - lon.min() > 180.0
+    )
+
+
+class TestHullOnlyMatchesTriangulation:
+    @settings(max_examples=400, deadline=None)
+    @given(small_patterns())
+    def test_same_border_or_same_error(self, pattern):
+        for b in range(1, pattern.beams + 1):
+            got = outcome(beam_footprint, pattern, b)
+            if outside_planar_frame(pattern, b):
+                assert got[0] is DegenerateFootprintError
+                assert got[1].startswith(f"beam {b}: ")
+                continue
+            want = outcome(beam_footprint_oracle, pattern, b)
+            assert got == want
+            assert repr(got) == repr(want)  # == takes -0.0 for 0.0; repr does not
+
+    def test_named_cases(self):
+        cases = [
+            # exactly 3 qualifying samples, one duplicated location and -0.0
+            ([0.0, -0.0, 0.0, 1.0, 5.0], [0.0, 0.0, 1.0, 0.0, 5.0],
+             [50.0, 49.0, 48.0, 47.0, 10.0]),
+            # collinear qualifying set
+            ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 5.0], [50.0, 50.0, 50.0, 20.0]),
+            # two distinct qualifying locations among three samples
+            ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [50.0, 50.0, 50.0]),
+        ]
+        messages = []
+        for lats, lons, gains in cases:
+            pat = BeamPattern(lats, lons, np.array(gains)[:, None], np.zeros((len(gains), 1)))
+            got = outcome(beam_footprint, pat, 1)
+            want = outcome(beam_footprint_oracle, pat, 1)
+            assert got == want
+            assert repr(got) == repr(want)
+            messages.append(got[1] if got[0] is DegenerateFootprintError else None)
+        assert messages == [
+            None,
+            "beam 1: all points are collinear",
+            "beam 1: need 3 distinct points, got 2",
+        ]
