@@ -1,10 +1,11 @@
 """Hourly demand profiles, beam load classes, and interference sweeps.
 
 Everything here reduces to the traffic and channel primitives: profiles
-associate the hour-independent FSS block once and the movers once per hour,
-classification thresholds cut the per-beam mean demand, and the sweep
-averages interference over random or exhaustive active-beam sets with the
-total power split equally across a set.
+take the hour-independent FSS block and 24 hourly mover blocks and
+associate the FSS block once and the movers once per hour, classification
+thresholds cut the per-beam mean demand, and the sweep averages
+interference over random or exhaustive active-beam sets with the total
+power split equally across a set.
 """
 
 import math
@@ -64,32 +65,25 @@ class BeamClassification:
     mean_demand_mbps: float
 
 
-def hourly_profiles(snapshots, footprints, pattern):
-    """Aggregate 24 hourly snapshots into a per-beam demand profile.
+def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
+    """Aggregate one day of demand into a per-beam hourly profile.
 
-    The hour labels must cover 0..23 exactly once, in any order. The FSS
-    block is associated apart from the movers, and again only when it
-    differs from the block associated last, so snapshots that share one
-    FSS block (as the CLI builds them) associate it once. Association is a
-    pure function of location and each (beam, type) total sums its own
-    rows in order, so the result equals associating every snapshot whole.
+    fss is the hour-independent FSS block; aero_by_hour and maritime_by_hour
+    are sequences holding the movers of hours 0..23 in order. The FSS block is associated
+    once and the movers once per hour. Association is a pure function of
+    location and each (beam, type) total sums its own rows in order, so the
+    result equals associating every hour's terminals together.
     """
-    snapshots = list(snapshots)
-    if sorted(s.hour for s in snapshots) != list(range(HOURS)):
-        raise ValueError("profiles need exactly one snapshot per hour 0..23")
+    if len(aero_by_hour) != HOURS or len(maritime_by_hour) != HOURS:
+        raise ValueError("profiles need movers for each hour 0..23")
+    fss_demand = per_beam_demand(build_traffic_matrix(footprints, pattern, fss, (), ()))
     demand = np.zeros((pattern.beams, HOURS, 3))
-    fss = fss_demand = None
-    for snap in snapshots:
-        if fss_demand is None or snap.fss != fss:
-            fss = snap.fss
-            fss_demand = per_beam_demand(
-                build_traffic_matrix(footprints, pattern, fss, (), ())
-            )
+    demand[:, :, 0] = fss_demand[:, :1]
+    for hour, (aero, maritime) in enumerate(zip(aero_by_hour, maritime_by_hour)):
         movers = per_beam_demand(
-            build_traffic_matrix(footprints, pattern, (), snap.aero, snap.maritime)
+            build_traffic_matrix(footprints, pattern, (), aero, maritime)
         )
-        demand[:, snap.hour, 0] = fss_demand[:, 0]
-        demand[:, snap.hour, 1:] = movers[:, 1:]
+        demand[:, hour, 1:] = movers[:, 1:]
     return HourlyProfile(demand_mbps=demand)
 
 
@@ -141,9 +135,7 @@ class SweepResult:
         object.__setattr__(self, "watts", watts)
 
 
-def interference_sweep(
-    H, T, cfg, sizes, policy="uniform", trials=100, seed=0, users=None
-):
+def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, users=None):
     """Mean interference per user for each active-set size.
 
     Active sets always contain the user's serving beam and share the total
@@ -151,8 +143,6 @@ def interference_sweep(
     exhaustive policy averages over every set of the size, which is exact
     and has no sampling variance.
     """
-    if len(T.rows) != H.n_users:
-        raise ValueError("traffic and channel matrices disagree on user count")
     if users is None:
         users = range(1, H.n_users + 1)
     users = [int(u) for u in users]

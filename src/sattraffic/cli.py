@@ -27,7 +27,6 @@ from .analysis import (
 from .errors import SimulatorError
 from .geo import ScenarioConfig
 from .ingest import (
-    DemandSnapshot,
     IngestConfig,
     load_aero,
     load_aero_by_hour,
@@ -113,7 +112,7 @@ def _out_dir(args):
     return path
 
 
-def _write_manifest(out_dir, *, command, config, inputs, outputs, seed=None):
+def _write_manifest(out_dir, outputs, *, command, config, inputs, seed=None):
     manifest = {
         "command": command,
         "config": config,
@@ -123,18 +122,22 @@ def _write_manifest(out_dir, *, command, config, inputs, outputs, seed=None):
         ],
         "outputs": [
             {"name": Path(path).name, "sha256": sha256_file(path)}
-            for path in outputs
+            for path in outputs.paths
         ],
         "seed": seed,
         "tool_version": __version__,
     }
-    path = out_dir / "manifest.json"
+    path = outputs.add(out_dir / "manifest.json")
     path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
     return path
 
 
 class _OutputSet:
-    """Tracks files written by one command so failures leave no partials."""
+    """Tracks files written by one command so failures leave no partials.
+
+    Each path is added before its writer opens it, so a writer that fails
+    halfway leaves nothing behind either.
+    """
 
     def __init__(self):
         self.paths = []
@@ -194,13 +197,13 @@ def cmd_synth(args):
     target = out / (args.name or f"{args.kind}.csv")
     outputs = _OutputSet()
     try:
-        outputs.add(synth_generate(args.kind, params, args.seed, target))
+        synth_generate(args.kind, params, args.seed, outputs.add(target))
         _write_manifest(
             out,
+            outputs,
             command=f"synth {args.kind}",
             config=params,
             inputs=[],
-            outputs=outputs.paths,
             seed=args.seed,
         )
     except BaseException:
@@ -215,7 +218,7 @@ def cmd_footprints(args):
     footprints = all_footprints(pattern)
     outputs = _OutputSet()
     try:
-        borders = out / "borders.csv"
+        borders = outputs.add(out / "borders.csv")
 
         def rows():
             for fp in footprints:
@@ -223,13 +226,12 @@ def cmd_footprints(args):
                     yield (str(fp.beam_id), str(idx), fmt_float(lat), fmt_float(lon))
 
         write_csv(borders, BORDERS_HEADER.split(","), rows())
-        outputs.add(borders)
         _write_manifest(
             out,
+            outputs,
             command="footprints",
             config={},
             inputs=[("pattern", args.pattern)],
-            outputs=outputs.paths,
         )
     except BaseException:
         outputs.discard()
@@ -250,26 +252,20 @@ def cmd_simulate(args):
         T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
         H = build_channel_matrix(T, pattern, scfg)
 
-        traffic_path = out / "traffic.csv"
-        write_traffic_csv(T, traffic_path)
-        outputs.add(traffic_path)
+        write_traffic_csv(T, outputs.add(out / "traffic.csv"))
+        write_channel_csv(H, outputs.add(out / "channel.csv"))
 
-        channel_path = out / "channel.csv"
-        write_channel_csv(H, channel_path)
-        outputs.add(channel_path)
-
-        summary_path = out / "channel_summary.json"
         summary = channel_summary(H)
         summary["excluded_terminals"] = T.excluded
+        summary_path = outputs.add(out / "channel_summary.json")
         summary_path.write_text(canonical_json(summary) + "\n", encoding="utf-8")
-        outputs.add(summary_path)
 
         _write_manifest(
             out,
+            outputs,
             command="simulate",
             config=_config_values(icfg, scfg, {"hour": args.hour}),
             inputs=_demand_inputs(args),
-            outputs=outputs.paths,
         )
     except BaseException:
         outputs.discard()
@@ -303,32 +299,24 @@ def cmd_profile(args):
             maritime = load_maritime_by_hour(
                 args.maritime, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
             )
-        snapshots = [
-            DemandSnapshot(hour=hour, fss=fss, aero=aero[hour], maritime=maritime[hour])
-            for hour in range(24)
-        ]
-        profile = hourly_profiles(snapshots, footprints, pattern)
+        profile = hourly_profiles(fss, aero, maritime, footprints, pattern)
         thresholds = None
         if args.lower is not None:
             thresholds = (args.lower, args.upper)
         classes = classify_beams(profile, thresholds)
 
-        profile_path = out / "profile.csv"
-        write_profile_csv(profile, profile_path)
-        outputs.add(profile_path)
-        class_path = out / "beam_class.csv"
-        write_beam_class_csv(classes, class_path)
-        outputs.add(class_path)
+        write_profile_csv(profile, outputs.add(out / "profile.csv"))
+        write_beam_class_csv(classes, outputs.add(out / "beam_class.csv"))
 
         extra = {}
         if thresholds is not None:
             extra = {"lower": thresholds[0], "upper": thresholds[1]}
         _write_manifest(
             out,
+            outputs,
             command="profile",
             config=_config_values(icfg, extra=extra),
             inputs=_demand_inputs(args),
-            outputs=outputs.paths,
         )
     except BaseException:
         outputs.discard()
@@ -353,14 +341,13 @@ def cmd_interference(args):
         T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
         H = build_channel_matrix(T, pattern, scfg)
         sweep = interference_sweep(
-            H, T, scfg, sizes,
+            H, scfg, sizes,
             policy=args.policy, trials=args.trials, seed=args.seed, users=users,
         )
-        sweep_path = out / "interference.csv"
-        write_interference_csv(sweep, sweep_path)
-        outputs.add(sweep_path)
+        write_interference_csv(sweep, outputs.add(out / "interference.csv"))
         _write_manifest(
             out,
+            outputs,
             command="interference",
             config=_config_values(
                 icfg, scfg,
@@ -372,7 +359,6 @@ def cmd_interference(args):
                 },
             ),
             inputs=_demand_inputs(args),
-            outputs=outputs.paths,
             seed=args.seed,
         )
     except BaseException:

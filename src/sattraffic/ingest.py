@@ -64,27 +64,6 @@ class Terminal:
 
 
 @dataclass(frozen=True)
-class DemandSnapshot:
-    """All terminals active during one hour of the day."""
-
-    hour: int
-    fss: tuple
-    aero: tuple
-    maritime: tuple
-
-    def __post_init__(self):
-        if not 0 <= self.hour <= 23:
-            raise ValueError(f"hour {self.hour} outside [0, 23]")
-        object.__setattr__(self, "fss", tuple(self.fss))
-        object.__setattr__(self, "aero", tuple(self.aero))
-        object.__setattr__(self, "maritime", tuple(self.maritime))
-        for name in ("aero", "maritime"):
-            ids = [t.id for t in getattr(self, name)]
-            if len(ids) != len(set(ids)):
-                raise ValueError(f"duplicate {name} terminal id within one hour")
-
-
-@dataclass(frozen=True)
 class BoundingBox:
     lat_min: float
     lat_max: float

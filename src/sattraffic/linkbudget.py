@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyPatternError, MismatchedBeamsError, UnknownUserError
-from .geo import ScenarioConfig, path_loss_db, slant_range
+from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
 from .ioutil import fmt_float, write_csv
 
 _TWO_PI = 2.0 * math.pi
@@ -135,18 +135,6 @@ class NearestSamples:
         return vals[self.inverse]
 
 
-def interpolate_gain(user, samples):
-    """Gain in dB at a point, interpolated from a beam's sample points."""
-    samples = list(samples)
-    if not samples:
-        raise ValueError("interpolation needs at least one sample")
-    lat = np.array([s.location.lat_deg for s in samples])
-    lon = np.array([s.location.lon_deg for s in samples])
-    gain = np.array([s.gain_db for s in samples])
-    index = NearestSamples([float(user.lat_deg)], [float(user.lon_deg)], lat, lon)
-    return float(index.gain(gain)[0])
-
-
 @dataclass(frozen=True)
 class ChannelMatrix:
     """Complex per-user, per-beam channel entries with link diagnostics.
@@ -207,29 +195,23 @@ def build_channel_matrix(T, pattern, cfg=None, *, include_pattern_phase=False):
         )
     if cfg is None:
         cfg = ScenarioConfig()
-    rows = T.rows
-    n = len(rows)
+    n = T.n_users
     lam = cfg.wavelength_m
 
-    serving = np.array([r.beam for r in rows], dtype=np.int64)
+    serving = T.beam
     dist = np.empty(n)
     loss = np.empty(n)
     phase = np.empty(n)
-    for i, r in enumerate(rows):
+    for i, (lat, lon) in enumerate(zip(T.lat_deg.tolist(), T.lon_deg.tolist())):
         d = slant_range(
-            r.location, cfg.sat_lat_deg, cfg.sat_lon_deg,
+            GeoPoint(lat, lon), cfg.sat_lat_deg, cfg.sat_lon_deg,
             cfg.altitude_m, cfg.earth_radius_m,
         )
         dist[i] = d
         loss[i] = path_loss_db(d, lam)
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
 
-    index = NearestSamples(
-        [r.location.lat_deg for r in rows],
-        [r.location.lon_deg for r in rows],
-        pattern.lat_deg,
-        pattern.lon_deg,
-    )
+    index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
     nearest = index.nearest
 
     amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)

@@ -20,7 +20,6 @@ from .errors import (
     ParseError,
     SchemaError,
 )
-from .geo import GeoPoint
 # delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
 from .ioutil import fmt_float
@@ -28,34 +27,6 @@ from .ioutil import fmt_float
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 
 _TWO_PI = 2.0 * math.pi
-
-
-def _normalize_phase(theta):
-    p = math.fmod(float(theta), _TWO_PI)
-    if p < 0.0:
-        p += _TWO_PI
-    if p >= _TWO_PI:  # adding 2*pi to a tiny negative rounds up to 2*pi
-        p = 0.0
-    return p
-
-
-@dataclass(frozen=True)
-class SamplePoint:
-    """One measured pattern sample: location, gain in dB, phase in radians."""
-
-    location: GeoPoint
-    gain_db: float
-    phase_rad: float
-
-    def __post_init__(self):
-        gain = float(self.gain_db)
-        if not math.isfinite(gain):
-            raise ValueError("sample gain must be finite")
-        theta = float(self.phase_rad)
-        if not math.isfinite(theta):
-            raise ValueError("sample phase must be finite")
-        object.__setattr__(self, "gain_db", gain)
-        object.__setattr__(self, "phase_rad", _normalize_phase(theta))
 
 
 class BeamPattern:
@@ -140,18 +111,6 @@ class BeamPattern:
         if not 1 <= beam_id <= self.beams:
             raise ValueError(f"beam id {beam_id} outside [1, {self.beams}]")
         return int(beam_id) - 1
-
-    def beam_samples(self, beam_id):
-        """The samples of one beam as SamplePoint objects, grid order."""
-        col = self.check_beam(beam_id)
-        return tuple(
-            SamplePoint(
-                location=GeoPoint(self._lat[j], self._lon[j]),
-                gain_db=self._gain[j, col],
-                phase_rad=self._phase[j, col],
-            )
-            for j in range(self.samples_per_beam)
-        )
 
 
 @dataclass(frozen=True)

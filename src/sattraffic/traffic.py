@@ -1,72 +1,81 @@
 """Terminal-to-beam association and the per-hour traffic matrix.
 
-Every terminal that falls inside at least one beam footprint becomes a row;
+Every terminal that falls inside at least one beam footprint becomes a user;
 terminals covered by several overlapping footprints go to the beam with the
 highest interpolated gain at their location. Terminals outside all
 footprints are counted, not dropped silently and not forced into a beam.
+The matrix is a set of read-only columns, one row per user, so user n is
+row n - 1 and the consumers read whole columns.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import GeoPoint
 from .geometry import polygon_contains_many
-from .ingest import TrafficType
 from .ioutil import fmt_float, write_csv
 from .linkbudget import NearestSamples
 
-
-@dataclass(frozen=True)
-class TrafficRecord:
-    """One identified user: serving beam, location, traffic type, demand."""
-
-    user: int
-    beam: int
-    location: GeoPoint
-    type: TrafficType
-    demand_mbps: float
-
-    def __post_init__(self):
-        if self.user < 1:
-            raise ValueError("user indices start at 1")
-        if self.beam < 1:
-            raise ValueError("beam ids start at 1")
-        object.__setattr__(self, "type", TrafficType(self.type))
-        if not self.demand_mbps >= 0.0:
-            raise ValueError("demand must be non-negative")
+# column name, dtype
+_COLUMNS = (
+    ("beam", np.int64),
+    ("lat_deg", float),
+    ("lon_deg", float),
+    ("type", np.int64),
+    ("demand_mbps", float),
+)
 
 
 @dataclass(frozen=True)
 class TrafficMatrix:
-    """Association result: user rows, the beam count, and the excluded tally."""
+    """Association result as columns: row n - 1 holds user n.
 
-    rows: tuple
+    beam is the 1-based serving beam and type the TrafficType value of each
+    user; beams is the pattern's beam count and excluded the number of
+    terminals outside every footprint.
+    """
+
+    beam: np.ndarray
+    lat_deg: np.ndarray
+    lon_deg: np.ndarray
+    type: np.ndarray
+    demand_mbps: np.ndarray
     beams: int
     excluded: int
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
         if self.beams < 1:
             raise ValueError("a traffic matrix needs at least one beam")
         if self.excluded < 0:
             raise ValueError("excluded count cannot be negative")
-        for i, row in enumerate(self.rows):
-            if row.user != i + 1:
-                raise ValueError("user indices must be 1..N in row order")
-            if row.beam > self.beams:
-                raise ValueError(f"row {i + 1} names beam {row.beam} of {self.beams}")
+        n = len(self.beam)
+        for name, dtype in _COLUMNS:
+            arr = np.array(getattr(self, name), dtype=dtype)
+            if arr.shape != (n,):
+                raise ValueError(f"{name} must hold one value per user")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        bad = np.flatnonzero(
+            (self.beam < 1) | (self.beam > self.beams)
+            | (self.type < 1) | (self.type > 3) | ~(self.demand_mbps >= 0.0)
+        )
+        if bad.size:
+            i = bad[0]
+            raise ValueError(
+                f"user {i + 1} has beam {self.beam[i]} of {self.beams}, type "
+                f"{self.type[i]} or demand {self.demand_mbps[i]} out of range"
+            )
 
     @property
     def n_users(self):
-        return len(self.rows)
+        return len(self.beam)
 
 
 def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
     """Assign terminals to serving beams and assemble the traffic matrix.
 
-    Rows keep the input order (FSS block, then aeronautical, then maritime)
-    and user indices are dense 1..N over the covered terminals. Overlaps are
+    Rows are the covered terminals in input order (FSS block, then
+    aeronautical, then maritime); uncovered ones are only counted. Overlaps are
     resolved toward the containing beam with the highest interpolated gain
     at the terminal, ties toward the lowest beam id, so the assignment is a
     pure function of location and the result is shuffle-invariant.
@@ -119,33 +128,29 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
         sole = inside[j] & (counts == 1)
         chosen[sole] = j
 
-    rows = []
-    excluded = 0
-    for i, term in enumerate(terminals):
-        if counts[i] == 0:
-            excluded += 1
-            continue
-        rows.append(
-            TrafficRecord(
-                user=len(rows) + 1,
-                beam=int(chosen[i]),
-                location=term.location,
-                type=term.type,
-                demand_mbps=term.demand_mbps,
-            )
-        )
-    return TrafficMatrix(rows=tuple(rows), beams=pattern.beams, excluded=excluded)
+    keep = counts > 0
+    types = np.array([t.type for t in terminals], dtype=np.int64)
+    demand = np.array([t.demand_mbps for t in terminals])
+    return TrafficMatrix(
+        beam=chosen[keep],
+        lat_deg=lats[keep],
+        lon_deg=lons[keep],
+        type=types[keep],
+        demand_mbps=demand[keep],
+        beams=pattern.beams,
+        excluded=len(terminals) - int(np.count_nonzero(keep)),
+    )
 
 
 def per_beam_demand(T):
     """Demand totals in Mbps per beam, split by traffic type.
 
     Returns an array of shape (beams, 3) with columns FSS, aeronautical,
-    maritime, accumulated in row order.
+    maritime. np.add.at is unbuffered and adds in row order, so each total
+    is the row-order sum.
     """
     totals = np.zeros((T.beams, 3))
-    for row in T.rows:
-        totals[row.beam - 1, int(row.type) - 1] += row.demand_mbps
+    np.add.at(totals, (T.beam - 1, T.type - 1), T.demand_mbps)
     return totals
 
 
@@ -155,14 +160,18 @@ TRAFFIC_HEADER = "user,beam,lat_deg,lon_deg,type,demand_mbps"
 def write_traffic_csv(T, path):
     """One CSV row per user in matrix order, canonical float formatting."""
     def rows():
-        for r in T.rows:
+        columns = zip(
+            T.beam.tolist(), T.lat_deg.tolist(), T.lon_deg.tolist(),
+            T.type.tolist(), T.demand_mbps.tolist(),
+        )
+        for user, (beam, lat, lon, kind, demand) in enumerate(columns, start=1):
             yield (
-                str(r.user),
-                str(r.beam),
-                fmt_float(r.location.lat_deg),
-                fmt_float(r.location.lon_deg),
-                str(int(r.type)),
-                fmt_float(r.demand_mbps),
+                str(user),
+                str(beam),
+                fmt_float(lat),
+                fmt_float(lon),
+                str(kind),
+                fmt_float(demand),
             )
 
     write_csv(path, TRAFFIC_HEADER.split(","), rows())

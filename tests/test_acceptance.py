@@ -222,12 +222,10 @@ def test_criterion_4_association(capsys, tmp_path):
         T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
         assert T.n_users + T.excluded == 1000
         assert T.n_users > 0
-        for row in T.rows:
-            assert point_in_polygon(
-                (row.location.lat_deg, row.location.lon_deg), borders[row.beam]
-            )
+        for lat, lon, beam in zip(T.lat_deg.tolist(), T.lon_deg.tolist(), T.beam.tolist()):
+            assert point_in_polygon((lat, lon), borders[beam])
 
-        mapping = {(r.location.lat_deg, r.location.lon_deg): r.beam for r in T.rows}
+        mapping = dict(zip(zip(T.lat_deg, T.lon_deg), T.beam))
         for seed in (1, 2):
             shuffler = np.random.default_rng(seed)
             shuffled = [list(g) for g in (fss, aero, maritime)]
@@ -235,18 +233,16 @@ def test_criterion_4_association(capsys, tmp_path):
                 shuffler.shuffle(g)
             T2 = build_traffic_matrix(footprints, pattern, *shuffled)
             assert T2.n_users == T.n_users and T2.excluded == T.excluded
-            assert mapping == {
-                (r.location.lat_deg, r.location.lon_deg): r.beam for r in T2.rows
-            }
+            assert mapping == dict(zip(zip(T2.lat_deg, T2.lon_deg), T2.beam))
 
 
 def _straight_line_channel(T, pattern, cfg):
     R, h, lam = cfg.earth_radius_m, cfg.altitude_m, cfg.wavelength_m
-    entries = np.zeros((len(T.rows), pattern.beams), dtype=complex)
-    nearest = np.zeros((len(T.rows), pattern.beams), dtype=int)
+    entries = np.zeros((T.n_users, pattern.beams), dtype=complex)
+    nearest = np.zeros((T.n_users, pattern.beams), dtype=int)
     coeff = pattern.coefficients
-    for n, row in enumerate(T.rows):
-        user = row.location
+    for n, (lat, lon) in enumerate(zip(T.lat_deg.tolist(), T.lon_deg.tolist())):
+        user = GeoPoint(lat, lon)
         q = R / (R + h)
         t = (
             math.cos(math.radians(cfg.sat_lon_deg - user.lon_deg))

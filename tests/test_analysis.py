@@ -22,15 +22,10 @@ from sattraffic.analysis import (
 )
 from sattraffic.errors import BadThresholdsError
 from sattraffic.geo import GeoPoint, ScenarioConfig
-from sattraffic.ingest import DemandSnapshot, Terminal, TrafficType
+from sattraffic.ingest import Terminal, TrafficType
 from sattraffic.linkbudget import build_channel_matrix, interference
 from sattraffic.pattern import BeamPattern, all_footprints
-from sattraffic.traffic import (
-    TrafficMatrix,
-    TrafficRecord,
-    build_traffic_matrix,
-    per_beam_demand,
-)
+from sattraffic.traffic import TrafficMatrix, build_traffic_matrix, per_beam_demand
 
 
 def row_pattern(centers=((0.0, 0.0), (0.0, 2.4), (0.0, 4.8)), r3=1.2, pitch=0.2):
@@ -68,13 +63,14 @@ def fss_at(ident, lat, lon, demand=2.0):
     return Terminal(ident, GeoPoint(lat, lon), TrafficType.FSS, demand)
 
 
-def snapshots_with(per_hour):
-    """24 snapshots; per_hour maps hour -> (fss, aero, maritime) tuples."""
-    out = []
-    for h in range(24):
-        fss, aero, mar = per_hour.get(h, ((), (), ()))
-        out.append(DemandSnapshot(hour=h, fss=fss, aero=aero, maritime=mar))
-    return out
+def movers_by_hour(per_hour):
+    """24 aeronautical and 24 maritime blocks; per_hour maps hour -> (aero, maritime)."""
+    blocks = [per_hour.get(h, ((), ())) for h in range(24)]
+    return [aero for aero, _ in blocks], [mar for _, mar in blocks]
+
+
+def aero_at(ident, lat, lon, demand=10.0):
+    return Terminal(ident, GeoPoint(lat, lon), TrafficType.AERO, demand)
 
 
 class TestHourlyProfile:
@@ -117,47 +113,48 @@ class TestHourlyProfiles:
     def test_empty_snapshots_all_zero(self):
         pattern = row_pattern()
         fps = all_footprints(pattern)
-        profile = hourly_profiles(snapshots_with({}), fps, pattern)
+        profile = hourly_profiles((), *movers_by_hour({}), fps, pattern)
         assert profile.demand_mbps.sum() == 0.0
         assert profile.all_zero.all()
 
     def test_single_terminal_single_hour(self):
         pattern = row_pattern()
         fps = all_footprints(pattern)
-        hours = {9: ((fss_at("a", 0.0, 0.0, 3.0),), (), ())}
-        profile = hourly_profiles(snapshots_with(hours), fps, pattern)
-        series = profile.demand_mbps[0, :, 0]
+        hours = {9: ((aero_at("a", 0.0, 0.0, 3.0),), ())}
+        profile = hourly_profiles((), *movers_by_hour(hours), fps, pattern)
+        series = profile.demand_mbps[0, :, 1]
         assert series[9] == 3.0
         assert series.sum() == 3.0
-        assert profile.normalized[0, 9, 0] == 1.0
-        assert profile.normalized[0, :, 0].sum() == 1.0
+        assert profile.normalized[0, 9, 1] == 1.0
+        assert profile.normalized[0, :, 1].sum() == 1.0
 
     def test_missing_hour_rejected(self):
         pattern = row_pattern()
         fps = all_footprints(pattern)
-        snaps = snapshots_with({})[:23]
+        aero, mar = movers_by_hour({})
         with pytest.raises(ValueError, match="0..23"):
-            hourly_profiles(snaps, fps, pattern)
+            hourly_profiles((), aero[:23], mar, fps, pattern)
+        with pytest.raises(ValueError, match="0..23"):
+            hourly_profiles((), aero, mar + [()], fps, pattern)
 
-    def test_snapshot_order_irrelevant(self):
+    def test_hours_follow_sequence_position(self):
         pattern = row_pattern()
         fps = all_footprints(pattern)
-        hours = {
-            4: ((fss_at("a", 0.0, 0.0),), (), ()),
-            20: ((), (), (Terminal("s", GeoPoint(0.0, 4.8), TrafficType.MARITIME, 8.0),)),
-        }
-        snaps = snapshots_with(hours)
-        a = hourly_profiles(snaps, fps, pattern)
-        b = hourly_profiles(list(reversed(snaps)), fps, pattern)
-        assert np.array_equal(a.demand_mbps, b.demand_mbps)
+        ship = Terminal("s", GeoPoint(0.0, 4.8), TrafficType.MARITIME, 8.0)
+        aero, mar = movers_by_hour({4: ((aero_at("a", 0.0, 0.0),), ()), 20: ((), (ship,))})
+        a = hourly_profiles((), aero, mar, fps, pattern).demand_mbps
+        b = hourly_profiles((), aero[::-1], mar[::-1], fps, pattern).demand_mbps
+        assert a[0, 4, 1] == 10.0 and a[2, 20, 2] == 8.0
+        assert a.sum() == 18.0
+        assert np.array_equal(a, b[:, ::-1, :])
 
 
-def hourly_profiles_oracle(snapshots, footprints, pattern):
-    """The association hourly_profiles replaced: every snapshot whole."""
+def hourly_profiles_oracle(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
+    """The association hourly_profiles replaced: every hour's terminals whole."""
     demand = np.zeros((pattern.beams, 24, 3))
-    for snap in snapshots:
-        T = build_traffic_matrix(footprints, pattern, snap.fss, snap.aero, snap.maritime)
-        demand[:, snap.hour, :] = per_beam_demand(T)
+    for hour, (aero, maritime) in enumerate(zip(aero_by_hour, maritime_by_hour)):
+        T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
+        demand[:, hour, :] = per_beam_demand(T)
     return demand
 
 
@@ -184,39 +181,24 @@ def terminals(prefix, kind, specs):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    fss_mode=st.sampled_from(("shared", "by_hour", "empty")),
     fss_specs=st.lists(terminal_specs, max_size=12),
     mover_specs=st.dictionaries(
         st.integers(0, 23),
         st.tuples(st.lists(terminal_specs, max_size=5), st.lists(terminal_specs, max_size=5)),
         max_size=6,
     ),
-    reverse=st.booleans(),
 )
 def test_hourly_profiles_match_whole_snapshot_association(
-    row_scene, fss_mode, fss_specs, mover_specs, reverse
+    row_scene, fss_specs, mover_specs
 ):
     pattern, fps = row_scene
-    shared = list(terminals("f", TrafficType.FSS, fss_specs))  # as the CLI passes it
-    snaps = []
-    for h in range(24):
-        if fss_mode == "shared":
-            fss = shared
-        elif fss_mode == "by_hour":
-            # fresh objects; every third hour carries an equal block
-            fss = terminals("f", TrafficType.FSS, fss_specs[h % 3:])
-        else:
-            fss = ()
-        aero, mar = mover_specs.get(h, ((), ()))
-        snaps.append(DemandSnapshot(
-            hour=h, fss=fss,
-            aero=terminals("a", TrafficType.AERO, aero),
-            maritime=terminals("m", TrafficType.MARITIME, mar),
-        ))
-    if reverse:
-        snaps.reverse()
-    got = hourly_profiles(snaps, fps, pattern).demand_mbps
-    want = hourly_profiles_oracle(snaps, fps, pattern)
+    fss = list(terminals("f", TrafficType.FSS, fss_specs))  # as the CLI passes it
+    aero, mar = movers_by_hour({
+        h: (terminals("a", TrafficType.AERO, a), terminals("m", TrafficType.MARITIME, m))
+        for h, (a, m) in mover_specs.items()
+    })
+    got = hourly_profiles(fss, aero, mar, fps, pattern).demand_mbps
+    want = hourly_profiles_oracle(fss, aero, mar, fps, pattern)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
 
@@ -227,8 +209,7 @@ class TestClassifyBeams:
         fps = all_footprints(pattern)
         hot = tuple(fss_at(f"h{i}", 0.0, 0.0) for i in range(5))
         warm = (fss_at("w", 0.0, 2.4),)
-        hours = {h: (hot + warm, (), ()) for h in range(24)}
-        profile = hourly_profiles(snapshots_with(hours), fps, pattern)
+        profile = hourly_profiles(hot + warm, *movers_by_hour({}), fps, pattern)
         classes = classify_beams(profile, thresholds=(1.0, 5.0))
         assert [c.label for c in classes] == ["hot", "warm", "cold"]
         assert classes[0].mean_demand_mbps == 10.0
@@ -280,30 +261,31 @@ class TestClassifyBeams:
 def sweep_scenario():
     pattern = seven_beam_pattern()
     rng = np.random.default_rng(61)
-    rows = tuple(
-        TrafficRecord(
-            i + 1, i + 1,
-            GeoPoint(float(rng.uniform(50.5, 53.5)), float(rng.uniform(3.5, 6.5))),
-            TrafficType.FSS, 2.0,
-        )
-        for i in range(5)
+    locs = [(float(rng.uniform(50.5, 53.5)), float(rng.uniform(3.5, 6.5))) for _ in range(5)]
+    T = TrafficMatrix(
+        beam=[1, 2, 3, 4, 5],
+        lat_deg=[lat for lat, _ in locs],
+        lon_deg=[lon for _, lon in locs],
+        type=[TrafficType.FSS] * 5,
+        demand_mbps=[2.0] * 5,
+        beams=7,
+        excluded=0,
     )
-    T = TrafficMatrix(rows=rows, beams=7, excluded=0)
     cfg = ScenarioConfig()
-    return build_channel_matrix(T, pattern, cfg), T, cfg
+    return build_channel_matrix(T, pattern, cfg), cfg
 
 
 class TestInterferenceSweep:
     def test_size_one_is_zero(self):
-        H, T, cfg = sweep_scenario()
-        sweep = interference_sweep(H, T, cfg, sizes=[1], policy="exhaustive")
+        H, cfg = sweep_scenario()
+        sweep = interference_sweep(H, cfg, sizes=[1], policy="exhaustive")
         assert not sweep.watts.any()
 
     def test_full_set_has_no_sampling_freedom(self):
-        H, T, cfg = sweep_scenario()
-        ex = interference_sweep(H, T, cfg, sizes=[7], policy="exhaustive")
-        mc1 = interference_sweep(H, T, cfg, sizes=[7], trials=1, seed=0)
-        mc2 = interference_sweep(H, T, cfg, sizes=[7], trials=40, seed=99)
+        H, cfg = sweep_scenario()
+        ex = interference_sweep(H, cfg, sizes=[7], policy="exhaustive")
+        mc1 = interference_sweep(H, cfg, sizes=[7], trials=1, seed=0)
+        mc2 = interference_sweep(H, cfg, sizes=[7], trials=40, seed=99)
         full = np.array([
             [interference(H, n, set(range(1, 8)), cfg.total_power_w / 7)]
             for n in range(1, 6)
@@ -313,11 +295,11 @@ class TestInterferenceSweep:
         assert mc2.watts == pytest.approx(ex.watts, rel=1e-12)
 
     def test_monte_carlo_tracks_exhaustive_within_three_se(self):
-        H, T, cfg = sweep_scenario()
+        H, cfg = sweep_scenario()
         sizes = list(range(2, 8))
         trials = 400
-        ex = interference_sweep(H, T, cfg, sizes=sizes, policy="exhaustive")
-        mc = interference_sweep(H, T, cfg, sizes=sizes, trials=trials, seed=7)
+        ex = interference_sweep(H, cfg, sizes=sizes, policy="exhaustive")
+        mc = interference_sweep(H, cfg, sizes=sizes, trials=trials, seed=7)
         for ui, n in enumerate(ex.users):
             serving = int(H.serving[n - 1])
             others = [j for j in range(1, 8) if j != serving]
@@ -332,26 +314,26 @@ class TestInterferenceSweep:
                 assert abs(mc.watts[ui, si] - ex.watts[ui, si]) <= 3.0 * se + 1e-15
 
     def test_seed_determinism(self):
-        H, T, cfg = sweep_scenario()
-        a = interference_sweep(H, T, cfg, sizes=[2, 4], trials=30, seed=5)
-        b = interference_sweep(H, T, cfg, sizes=[2, 4], trials=30, seed=5)
+        H, cfg = sweep_scenario()
+        a = interference_sweep(H, cfg, sizes=[2, 4], trials=30, seed=5)
+        b = interference_sweep(H, cfg, sizes=[2, 4], trials=30, seed=5)
         assert np.array_equal(a.watts, b.watts)
 
     def test_users_subset(self):
-        H, T, cfg = sweep_scenario()
-        sweep = interference_sweep(H, T, cfg, sizes=[3], policy="exhaustive",
+        H, cfg = sweep_scenario()
+        sweep = interference_sweep(H, cfg, sizes=[3], policy="exhaustive",
                                    users=[2, 4])
         assert sweep.users == (2, 4)
         assert sweep.watts.shape == (2, 1)
 
     def test_validation(self):
-        H, T, cfg = sweep_scenario()
+        H, cfg = sweep_scenario()
         with pytest.raises(ValueError, match="outside"):
-            interference_sweep(H, T, cfg, sizes=[8])
+            interference_sweep(H, cfg, sizes=[8])
         with pytest.raises(ValueError, match="policy"):
-            interference_sweep(H, T, cfg, sizes=[2], policy="greedy")
+            interference_sweep(H, cfg, sizes=[2], policy="greedy")
         with pytest.raises(ValueError, match="trials"):
-            interference_sweep(H, T, cfg, sizes=[2], trials=0)
+            interference_sweep(H, cfg, sizes=[2], trials=0)
 
 
 class TestAnalysisCsv:
@@ -377,13 +359,13 @@ class TestAnalysisCsv:
         )
 
     def test_interference_csv_deterministic(self, tmp_path):
-        H, T, cfg = sweep_scenario()
+        H, cfg = sweep_scenario()
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_interference_csv(
-            interference_sweep(H, T, cfg, sizes=[2, 3], trials=20, seed=3), a
+            interference_sweep(H, cfg, sizes=[2, 3], trials=20, seed=3), a
         )
         write_interference_csv(
-            interference_sweep(H, T, cfg, sizes=[2, 3], trials=20, seed=3), b
+            interference_sweep(H, cfg, sizes=[2, 3], trials=20, seed=3), b
         )
         assert a.read_text() == b.read_text()
         assert a.read_text().splitlines()[0] == INTERFERENCE_HEADER

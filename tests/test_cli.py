@@ -152,6 +152,18 @@ class TestFootprints:
                          "--out-dir", str(tmp_path)]) == 0
         assert (tmp_path / "borders.csv").exists()
 
+    def test_failed_manifest_write_leaves_nothing(self, inputs, tmp_path,
+                                                  monkeypatch, capsys):
+        # a lone surrogate cannot be encoded, so manifest.json is created
+        # empty and then the write fails
+        monkeypatch.setattr(cli, "canonical_json", lambda obj, indent=0: "{\ud800")
+        out = tmp_path / "out"
+        rc = cli.main(["footprints", str(inputs["pattern"]), "--out-dir", str(out)])
+        assert rc == 1
+        assert "encode" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        assert not (out / "borders.csv").exists()
+
 
 class TestSimulate:
     def test_reruns_are_byte_identical(self, inputs, tmp_path):
@@ -238,6 +250,8 @@ class TestSimulate:
     def test_partial_outputs_deleted_on_failure(self, inputs, tmp_path,
                                                 monkeypatch, capsys):
         def boom(H, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("user,beam,magnitude,phase_rad\n1,1,")
             raise RuntimeError("disk full")
 
         monkeypatch.setattr(cli, "write_channel_csv", boom)
@@ -249,6 +263,7 @@ class TestSimulate:
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
         assert not (out / "traffic.csv").exists()
+        assert not (out / "channel.csv").exists()
         assert not (out / "manifest.json").exists()
 
     def test_bad_movement_file_exits_one(self, inputs, tmp_path, capsys):

@@ -19,9 +19,7 @@ from sattraffic.ingest import (
     MARITIME_HEADER,
     POPULATION_HEADER,
     BoundingBox,
-    DemandSnapshot,
     IngestConfig,
-    Terminal,
     TrafficType,
     UrbanPolicy,
     load_aero,
@@ -344,17 +342,6 @@ class TestLoadMaritime:
         terms = load_maritime(maritime_file([rows[i] for i in order]), 6)
         assert len(terms) == 10
         assert [t.id for t in terms] == sorted(t.id for t in terms)
-
-
-class TestDemandSnapshot:
-    def test_duplicate_ids_rejected(self):
-        t = Terminal("A1", GeoPoint(50, 10), TrafficType.AERO, 10.0)
-        with pytest.raises(ValueError, match="duplicate"):
-            DemandSnapshot(hour=3, fss=(), aero=(t, t), maritime=())
-
-    def test_hour_range(self):
-        with pytest.raises(ValueError):
-            DemandSnapshot(hour=24, fss=(), aero=(), maritime=())
 
 
 def file_digest(path):

@@ -24,11 +24,12 @@ from sattraffic.linkbudget import (
     build_channel_matrix,
     channel_summary,
     interference,
-    interpolate_gain,
     write_channel_csv,
 )
-from sattraffic.pattern import BeamPattern, SamplePoint
-from sattraffic.traffic import TrafficMatrix, TrafficRecord
+from sattraffic.pattern import BeamPattern
+from sattraffic.traffic import TrafficMatrix
+
+from oracles import SamplePoint, beam_samples, interpolate_gain
 
 
 def straight_line_channel(T, pattern, cfg):
@@ -38,12 +39,12 @@ def straight_line_channel(T, pattern, cfg):
     the published distance, loss, and gain composition step by step.
     """
     R, h, lam = cfg.earth_radius_m, cfg.altitude_m, cfg.wavelength_m
-    n_users, beams = len(T.rows), pattern.beams
+    n_users, beams = T.n_users, pattern.beams
     entries = np.zeros((n_users, beams), dtype=complex)
     nearest = np.zeros((n_users, beams), dtype=int)
     coeff = pattern.coefficients
-    for n, row in enumerate(T.rows):
-        user = row.location
+    for n, loc in enumerate(zip(T.lat_deg.tolist(), T.lon_deg.tolist())):
+        user = GeoPoint(*loc)
         q = R / (R + h)
         t = (
             math.cos(math.radians(cfg.sat_lon_deg - user.lon_deg))
@@ -99,12 +100,16 @@ def seven_beam_pattern(pitch=0.25):
 
 
 def matrix_for(pattern, locations, beams=None):
-    rows = tuple(
-        TrafficRecord(i + 1, 1 if beams is None else beams[i], GeoPoint(*loc),
-                      TrafficType.FSS, 2.0)
-        for i, loc in enumerate(locations)
+    n = len(locations)
+    return TrafficMatrix(
+        beam=[1] * n if beams is None else beams,
+        lat_deg=[lat for lat, _ in locations],
+        lon_deg=[lon for _, lon in locations],
+        type=[TrafficType.FSS] * n,
+        demand_mbps=[2.0] * n,
+        beams=pattern.beams,
+        excluded=0,
     )
-    return TrafficMatrix(rows=rows, beams=pattern.beams, excluded=0)
 
 
 class TestInterpolateGain:
@@ -162,7 +167,7 @@ class TestInterpolateGain:
             [lambda glat, glon: 52.0 - 3.0 * ((glat - 52.0) ** 2 + (glon - 5.0) ** 2) / r3**2],
             lats, lons,
         )
-        samples = pattern.beam_samples(1)
+        samples = beam_samples(pattern, 1)
         rng = np.random.default_rng(7)
         for _ in range(50):
             lat = float(rng.uniform(50.5, 53.5))
@@ -184,7 +189,7 @@ class TestInterpolateGain:
 class TestBuildChannelMatrix:
     def test_empty_traffic_matrix(self):
         pattern = seven_beam_pattern(pitch=0.5)
-        T = TrafficMatrix(rows=(), beams=7, excluded=0)
+        T = matrix_for(pattern, [])
         H = build_channel_matrix(T, pattern)
         assert H.entries.shape == (0, 7)
         assert H.n_users == 0
@@ -255,13 +260,13 @@ class TestBuildChannelMatrix:
         T5 = matrix_for(pattern, [loc], beams=[5])
         g2 = build_channel_matrix(T2, pattern).interp_gain_db[0]
         g5 = build_channel_matrix(T5, pattern).interp_gain_db[0]
-        assert g2 == interpolate_gain(GeoPoint(*loc), pattern.beam_samples(2))
-        assert g5 == interpolate_gain(GeoPoint(*loc), pattern.beam_samples(5))
+        assert g2 == interpolate_gain(GeoPoint(*loc), beam_samples(pattern, 2))
+        assert g5 == interpolate_gain(GeoPoint(*loc), beam_samples(pattern, 5))
         assert g2 != g5
 
     def test_mismatched_beam_count(self):
         pattern = seven_beam_pattern(pitch=0.5)
-        T = TrafficMatrix(rows=(), beams=3, excluded=0)
+        T = TrafficMatrix([], [], [], [], [], beams=3, excluded=0)
         with pytest.raises(MismatchedBeamsError):
             build_channel_matrix(T, pattern)
 

@@ -18,13 +18,14 @@ from sattraffic.geometry import convex_hull, delaunay, point_in_polygon
 from sattraffic.pattern import (
     BeamFootprint,
     BeamPattern,
-    SamplePoint,
     all_footprints,
     beam_footprint,
     parse_pattern,
     write_pattern,
 )
 from sattraffic.geo import GeoPoint
+
+from oracles import SamplePoint, beam_samples
 
 
 def gaussian_gain(peak, center, lat, lon, r3db):
@@ -158,12 +159,12 @@ class TestBeamPattern:
 
     def test_beam_samples_view(self):
         pat = parse_pattern(io.StringIO(VALID_TWO_BEAM))
-        samples = pat.beam_samples(2)
+        samples = beam_samples(pat, 2)
         assert len(samples) == 4
         assert samples[0].location == GeoPoint(50.0, 10.0)
         assert samples[0].gain_db == 48.0
         with pytest.raises(ValueError):
-            pat.beam_samples(3)
+            beam_samples(pat, 3)
 
     def test_phase_normalization(self):
         s = SamplePoint(GeoPoint(0, 0), 10.0, -1.0)

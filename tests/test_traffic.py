@@ -9,16 +9,16 @@ import pytest
 from sattraffic.geo import GeoPoint
 from sattraffic.geometry import Polygon, point_in_polygon
 from sattraffic.ingest import Terminal, TrafficType
-from sattraffic.linkbudget import interpolate_gain
 from sattraffic.pattern import BeamFootprint, BeamPattern, all_footprints, parse_pattern
 from sattraffic.traffic import (
     TRAFFIC_HEADER,
     TrafficMatrix,
-    TrafficRecord,
     build_traffic_matrix,
     per_beam_demand,
     write_traffic_csv,
 )
+
+from oracles import beam_samples, interpolate_gain
 
 
 def square_pattern():
@@ -53,6 +53,17 @@ def fss(ident, lat, lon, demand=2.0):
     return Terminal(ident, GeoPoint(lat, lon), TrafficType.FSS, demand)
 
 
+def matrix(rows, beams, excluded=0):
+    """TrafficMatrix from (beam, lat, lon, type, demand) tuples, user order."""
+    names = ("beam", "lat_deg", "lon_deg", "type", "demand_mbps")
+    columns = zip(*rows) if rows else ((),) * len(names)
+    return TrafficMatrix(**dict(zip(names, columns)), beams=beams, excluded=excluded)
+
+
+def beam_by_location(T):
+    return dict(zip(zip(T.lat_deg.tolist(), T.lon_deg.tolist()), T.beam.tolist()))
+
+
 class TestBuildTrafficMatrix:
     def test_single_terminal_at_center(self):
         T = build_traffic_matrix(
@@ -60,9 +71,8 @@ class TestBuildTrafficMatrix:
         )
         assert T.n_users == 1
         assert T.excluded == 0
-        assert T.rows[0].beam == 1
-        assert T.rows[0].user == 1
-        assert T.rows[0].type == TrafficType.FSS
+        assert T.beam[0] == 1
+        assert T.type[0] == TrafficType.FSS
 
     def test_uncovered_terminal_excluded(self):
         T = build_traffic_matrix(
@@ -83,9 +93,9 @@ class TestBuildTrafficMatrix:
         fps = all_footprints(pattern)
         # inside both footprints, nearer the second boresight
         T = build_traffic_matrix(fps, pattern, [fss("a", 0.0, 2.0)], [], [])
-        assert T.rows[0].beam == 2
+        assert T.beam[0] == 2
         T = build_traffic_matrix(fps, pattern, [fss("a", 0.0, 1.4)], [], [])
-        assert T.rows[0].beam == 1
+        assert T.beam[0] == 1
 
     def test_assignment_matches_gain_oracle(self):
         pattern = gaussian_pair_pattern()
@@ -96,7 +106,7 @@ class TestBuildTrafficMatrix:
             for i in range(200)
         ]
         T = build_traffic_matrix(fps, pattern, terms, [], [])
-        by_loc = {(r.location.lat_deg, r.location.lon_deg): r.beam for r in T.rows}
+        by_loc = beam_by_location(T)
         for t in terms:
             containing = [
                 fp.beam_id for fp in fps
@@ -107,7 +117,7 @@ class TestBuildTrafficMatrix:
                 assert key not in by_loc
                 continue
             gains = {
-                j: interpolate_gain(t.location, pattern.beam_samples(j))
+                j: interpolate_gain(t.location, beam_samples(pattern, j))
                 for j in containing
             }
             best = max(gains.values())
@@ -124,10 +134,8 @@ class TestBuildTrafficMatrix:
         ]
         T = build_traffic_matrix(fps, pattern, terms, [], [])
         borders = {fp.beam_id: fp.border for fp in fps}
-        for r in T.rows:
-            assert point_in_polygon(
-                (r.location.lat_deg, r.location.lon_deg), borders[r.beam]
-            )
+        for (lat, lon), beam in beam_by_location(T).items():
+            assert point_in_polygon((lat, lon), borders[beam])
         assert T.n_users + T.excluded == len(terms)
 
     def test_shuffle_invariance(self):
@@ -141,9 +149,7 @@ class TestBuildTrafficMatrix:
         T1 = build_traffic_matrix(fps, pattern, terms, [], [])
         order = rng.permutation(len(terms))
         T2 = build_traffic_matrix(fps, pattern, [terms[i] for i in order], [], [])
-        m1 = {(r.location.lat_deg, r.location.lon_deg): r.beam for r in T1.rows}
-        m2 = {(r.location.lat_deg, r.location.lon_deg): r.beam for r in T2.rows}
-        assert m1 == m2
+        assert beam_by_location(T1) == beam_by_location(T2)
         assert T1.excluded == T2.excluded
 
     def test_type_blocks_keep_input_order(self):
@@ -152,8 +158,8 @@ class TestBuildTrafficMatrix:
         aero = [Terminal("f1", GeoPoint(0.2, 0.2), TrafficType.AERO, 10.0)]
         mar = [Terminal("s1", GeoPoint(0.8, 0.8), TrafficType.MARITIME, 8.0)]
         T = build_traffic_matrix(fps, pattern, [fss("a", 0.5, 0.5)], aero, mar)
-        assert [r.type for r in T.rows] == [1, 2, 3]
-        assert [r.user for r in T.rows] == [1, 2, 3]
+        assert T.type.tolist() == [1, 2, 3]
+        assert T.demand_mbps.tolist() == [2.0, 10.0, 8.0]
 
     def test_no_contested_terminal(self):
         # disjoint footprints: every covered terminal has a single candidate
@@ -169,7 +175,7 @@ class TestBuildTrafficMatrix:
         ]
         terms = [fss("a", 0.0, 2.5), fss("b", 0.0, 1.5), fss("c", 0.2, 0.5)]
         T = build_traffic_matrix(fps, pattern, terms, [], [])
-        assert [r.beam for r in T.rows] == [2, 1]
+        assert T.beam.tolist() == [2, 1]
         assert T.excluded == 1
         T = build_traffic_matrix(fps, pattern, [], [], [])
         assert T.n_users == 0
@@ -188,16 +194,16 @@ class TestBuildTrafficMatrix:
 
 class TestPerBeamDemand:
     def test_empty_matrix(self):
-        T = TrafficMatrix(rows=(), beams=3, excluded=0)
+        T = matrix([], beams=3)
         assert per_beam_demand(T).shape == (3, 3)
         assert not per_beam_demand(T).any()
 
     def test_two_rows_one_beam(self):
-        rows = (
-            TrafficRecord(1, 3, GeoPoint(0, 0), TrafficType.FSS, 2.0),
-            TrafficRecord(2, 3, GeoPoint(0, 1), TrafficType.MARITIME, 8.0),
-        )
-        totals = per_beam_demand(TrafficMatrix(rows=rows, beams=3, excluded=0))
+        rows = [
+            (3, 0.0, 0.0, TrafficType.FSS, 2.0),
+            (3, 0.0, 1.0, TrafficType.MARITIME, 8.0),
+        ]
+        totals = per_beam_demand(matrix(rows, beams=3))
         assert totals[2].sum() == 10.0
         assert totals[2, 0] == 2.0
         assert totals[2, 2] == 8.0
@@ -206,50 +212,65 @@ class TestPerBeamDemand:
     def test_matches_group_by_oracle(self):
         rng = np.random.default_rng(9)
         rows = []
-        for i in range(500):
+        for _ in range(500):
             rows.append(
-                TrafficRecord(
-                    i + 1,
+                (
                     int(rng.integers(1, 8)),
-                    GeoPoint(float(rng.uniform(-5, 5)), float(rng.uniform(-5, 5))),
+                    float(rng.uniform(-5, 5)),
+                    float(rng.uniform(-5, 5)),
                     int(rng.integers(1, 4)),
                     float(rng.integers(0, 100)),
                 )
             )
-        T = TrafficMatrix(rows=tuple(rows), beams=7, excluded=0)
-        totals = per_beam_demand(T)
+        totals = per_beam_demand(matrix(rows, beams=7))
         oracle = {}
-        for r in rows:
-            key = (r.beam, int(r.type))
-            oracle[key] = oracle.get(key, 0.0) + r.demand_mbps
+        for beam, _, _, typ, demand in rows:
+            oracle[(beam, typ)] = oracle.get((beam, typ), 0.0) + demand
         for (beam, typ), want in oracle.items():
             assert totals[beam - 1, typ - 1] == want
-        assert totals.sum() == sum(r.demand_mbps for r in rows)
+        assert totals.sum() == sum(row[4] for row in rows)
 
 
 class TestValidation:
-    def test_user_indices_must_be_dense(self):
-        rows = (TrafficRecord(2, 1, GeoPoint(0, 0), TrafficType.FSS, 2.0),)
-        with pytest.raises(ValueError, match="1..N"):
-            TrafficMatrix(rows=rows, beams=1, excluded=0)
-
     def test_beam_out_of_range(self):
-        rows = (TrafficRecord(1, 5, GeoPoint(0, 0), TrafficType.FSS, 2.0),)
         with pytest.raises(ValueError, match="beam 5"):
-            TrafficMatrix(rows=rows, beams=2, excluded=0)
+            matrix([(5, 0.0, 0.0, TrafficType.FSS, 2.0)], beams=2)
+        with pytest.raises(ValueError, match="beam 0"):
+            matrix([(0, 0.0, 0.0, TrafficType.FSS, 2.0)], beams=2)
 
     def test_negative_demand_rejected(self):
+        with pytest.raises(ValueError, match="demand -1"):
+            matrix([(1, 0.0, 0.0, TrafficType.FSS, -1.0)], beams=1)
+        with pytest.raises(ValueError, match="demand nan"):
+            matrix([(1, 0.0, 0.0, TrafficType.FSS, math.nan)], beams=1)
+
+    def test_unknown_type_rejected(self):
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=f"type {bad}"):
+                matrix([(1, 0.0, 0.0, bad, 2.0)], beams=1)
+
+    def test_columns_must_have_equal_length(self):
+        with pytest.raises(ValueError, match="lat_deg"):
+            TrafficMatrix([1, 1], [0.0], [0.0, 0.0], [1, 1], [2.0, 2.0],
+                          beams=1, excluded=0)
+
+    def test_columns_read_only(self):
+        beam = np.array([1, 2])
+        T = TrafficMatrix(beam, [0.0, 0.5], [0.0, 0.5], [1, 2], [2.0, 10.0],
+                          beams=2, excluded=0)
         with pytest.raises(ValueError):
-            TrafficRecord(1, 1, GeoPoint(0, 0), TrafficType.FSS, -1.0)
+            T.beam[0] = 2
+        beam[0] = 2  # the matrix holds its own copy
+        assert T.beam.tolist() == [1, 2]
 
 
 class TestTrafficCsv:
     def test_golden_output(self, tmp_path):
-        rows = (
-            TrafficRecord(1, 2, GeoPoint(50.25, 10.5), TrafficType.FSS, 2.0),
-            TrafficRecord(2, 1, GeoPoint(-3.125, 0.0), TrafficType.AERO, 10.0),
-        )
-        T = TrafficMatrix(rows=rows, beams=2, excluded=1)
+        rows = [
+            (2, 50.25, 10.5, TrafficType.FSS, 2.0),
+            (1, -3.125, 0.0, TrafficType.AERO, 10.0),
+        ]
+        T = matrix(rows, beams=2, excluded=1)
         out = tmp_path / "traffic.csv"
         write_traffic_csv(T, out)
         assert out.read_text() == (
