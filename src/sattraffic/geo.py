@@ -76,18 +76,29 @@ class ScenarioConfig:
 
 
 def great_circle_distance(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:
-    """Distance along the sphere via the spherical law of cosines.
+    """Distance along the sphere as atan2(|u x v|, u . v) of the unit vectors.
 
-    The dot product is clamped to [-1, 1] before acos so antipodal and
-    coincident points survive rounding.
+    Unlike acos of the law of cosines, which rounds separations below about
+    0.1 m to zero and loses as much near the antipode, the atan2 form keeps
+    the error near machine precision at every separation. Swapping the
+    points only negates each cross-product component, so the result is
+    exactly symmetric.
     """
     if radius_m <= 0:
         raise ValueError("radius must be positive")
-    pa, pb = math.radians(a.lat_deg), math.radians(b.lat_deg)
-    dlon = math.radians(b.lon_deg - a.lon_deg)
-    t = math.sin(pa) * math.sin(pb) + math.cos(pa) * math.cos(pb) * math.cos(dlon)
-    t = max(-1.0, min(1.0, t))
-    return radius_m * math.acos(t)
+    u, v = _unit_vector(a), _unit_vector(b)
+    cross = math.hypot(
+        u[1] * v[2] - u[2] * v[1],
+        u[2] * v[0] - u[0] * v[2],
+        u[0] * v[1] - u[1] * v[0],
+    )
+    dot = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return radius_m * math.atan2(cross, dot)
+
+
+def _unit_vector(p: GeoPoint) -> tuple[float, float, float]:
+    lat, lon = math.radians(p.lat_deg), math.radians(p.lon_deg)
+    return (math.cos(lat) * math.cos(lon), math.cos(lat) * math.sin(lon), math.sin(lat))
 
 
 def slant_range(
