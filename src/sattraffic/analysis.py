@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BadThresholdsError
-from .ioutil import fmt_float, write_csv
+from .ioutil import write_table
 from .linkbudget import interference
 from .traffic import build_traffic_matrix, per_beam_demand
 
@@ -184,33 +184,39 @@ INTERFERENCE_HEADER = "user,active_beams,interference_w"
 
 
 def write_profile_csv(profile, path):
-    def rows():
-        for b in range(profile.beams):
-            for hour in range(HOURS):
-                for k in range(3):
-                    yield (
-                        str(b + 1),
-                        str(hour),
-                        str(k + 1),
-                        fmt_float(profile.demand_mbps[b, hour, k]),
-                        fmt_float(profile.normalized[b, hour, k]),
-                    )
+    def block(lo, hi):
+        beam, rest = np.divmod(np.arange(lo, hi), HOURS * 3)
+        hour, kind = np.divmod(rest, 3)
+        return (
+            beam + 1, hour, kind + 1,
+            profile.demand_mbps[beam, hour, kind],
+            profile.normalized[beam, hour, kind],
+        )
 
-    write_csv(path, PROFILE_HEADER.split(","), rows())
+    write_table(path, PROFILE_HEADER, profile.beams * HOURS * 3, block)
 
 
 def write_beam_class_csv(classes, path):
-    def rows():
-        for c in classes:
-            yield (str(c.beam_id), c.label, fmt_float(c.mean_demand_mbps))
+    def block(lo, hi):
+        rows = classes[lo:hi]
+        return (
+            np.array([c.beam_id for c in rows], dtype=np.int64),
+            np.array([c.label for c in rows], dtype=str),
+            np.array([c.mean_demand_mbps for c in rows], dtype=float),
+        )
 
-    write_csv(path, BEAM_CLASS_HEADER.split(","), rows())
+    write_table(path, BEAM_CLASS_HEADER, len(classes), block)
 
 
 def write_interference_csv(sweep, path):
-    def rows():
-        for ui, user in enumerate(sweep.users):
-            for si, size in enumerate(sweep.sizes):
-                yield (str(user), str(size), fmt_float(sweep.watts[ui, si]))
+    sizes = len(sweep.sizes)
 
-    write_csv(path, INTERFERENCE_HEADER.split(","), rows())
+    def block(lo, hi):
+        user, size = np.divmod(np.arange(lo, hi), sizes)
+        return (
+            np.array(sweep.users, dtype=np.int64)[user],
+            np.array(sweep.sizes, dtype=np.int64)[size],
+            sweep.watts[user, size],
+        )
+
+    write_table(path, INTERFERENCE_HEADER, len(sweep.users) * sizes, block)

@@ -36,13 +36,12 @@ from .ingest import (
     parse_config,
     synth_generate,
 )
-from .ioutil import canonical_json, fmt_float, sha256_file, write_csv
+from .ioutil import canonical_json, sha256_file
 from .linkbudget import build_channel_matrix, channel_summary, write_channel_csv
-from .pattern import all_footprints, parse_pattern
+from .pattern import all_footprints, parse_pattern, write_borders_csv
 from .traffic import build_traffic_matrix, write_traffic_csv
 
 OUT_DIR_ENV = "SATTRAFFIC_OUT_DIR"
-BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
 
 _SYNTH_KINDS = ("pattern", "population", "aero", "maritime")
 
@@ -112,7 +111,7 @@ def _out_dir(args):
     return path
 
 
-def _write_manifest(out_dir, outputs, *, command, config, inputs, seed=None):
+def _write_manifest(outputs, *, command, config, inputs, seed=None):
     manifest = {
         "command": command,
         "config": config,
@@ -127,19 +126,20 @@ def _write_manifest(out_dir, outputs, *, command, config, inputs, seed=None):
         "seed": seed,
         "tool_version": __version__,
     }
-    path = outputs.add(out_dir / "manifest.json")
-    path.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
-    return path
+    outputs.manifest.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
 
 
 class _OutputSet:
     """Tracks files written by one command so failures leave no partials.
 
     Each path is added before its writer opens it, so a writer that fails
-    halfway leaves nothing behind either.
+    halfway leaves nothing behind either. Discarding also deletes the output
+    directory's manifest.json: one left by an earlier run would name files
+    that this run overwrote or deleted.
     """
 
-    def __init__(self):
+    def __init__(self, out_dir):
+        self.manifest = Path(out_dir) / "manifest.json"
         self.paths = []
 
     def add(self, path):
@@ -147,7 +147,7 @@ class _OutputSet:
         return path
 
     def discard(self):
-        for path in self.paths:
+        for path in (*self.paths, self.manifest):
             path.unlink(missing_ok=True)
 
 
@@ -195,11 +195,10 @@ def cmd_synth(args):
     out = _out_dir(args)
     params = dict(_parse_param(p) for p in args.param or [])
     target = out / (args.name or f"{args.kind}.csv")
-    outputs = _OutputSet()
+    outputs = _OutputSet(out)
     try:
         synth_generate(args.kind, params, args.seed, outputs.add(target))
         _write_manifest(
-            out,
             outputs,
             command=f"synth {args.kind}",
             config=params,
@@ -216,18 +215,10 @@ def cmd_footprints(args):
     out = _out_dir(args)
     pattern = parse_pattern(args.pattern)
     footprints = all_footprints(pattern)
-    outputs = _OutputSet()
+    outputs = _OutputSet(out)
     try:
-        borders = outputs.add(out / "borders.csv")
-
-        def rows():
-            for fp in footprints:
-                for idx, (lat, lon) in enumerate(fp.border.vertices):
-                    yield (str(fp.beam_id), str(idx), fmt_float(lat), fmt_float(lon))
-
-        write_csv(borders, BORDERS_HEADER.split(","), rows())
+        write_borders_csv(footprints, outputs.add(out / "borders.csv"))
         _write_manifest(
-            out,
             outputs,
             command="footprints",
             config={},
@@ -244,7 +235,7 @@ def cmd_simulate(args):
     icfg = _ingest_config(args)
     scfg = ScenarioConfig()
     out = _out_dir(args)
-    outputs = _OutputSet()
+    outputs = _OutputSet(out)
     try:
         pattern = parse_pattern(args.pattern)
         footprints = all_footprints(pattern)
@@ -261,7 +252,6 @@ def cmd_simulate(args):
         summary_path.write_text(canonical_json(summary) + "\n", encoding="utf-8")
 
         _write_manifest(
-            out,
             outputs,
             command="simulate",
             config=_config_values(icfg, scfg, {"hour": args.hour}),
@@ -280,7 +270,7 @@ def cmd_profile(args):
         raise UsageError("give both classification thresholds or neither")
     icfg = _ingest_config(args)
     out = _out_dir(args)
-    outputs = _OutputSet()
+    outputs = _OutputSet(out)
     try:
         pattern = parse_pattern(args.pattern)
         footprints = all_footprints(pattern)
@@ -312,7 +302,6 @@ def cmd_profile(args):
         if thresholds is not None:
             extra = {"lower": thresholds[0], "upper": thresholds[1]}
         _write_manifest(
-            out,
             outputs,
             command="profile",
             config=_config_values(icfg, extra=extra),
@@ -333,7 +322,7 @@ def cmd_interference(args):
     icfg = _ingest_config(args)
     scfg = ScenarioConfig()
     out = _out_dir(args)
-    outputs = _OutputSet()
+    outputs = _OutputSet(out)
     try:
         pattern = parse_pattern(args.pattern)
         footprints = all_footprints(pattern)
@@ -346,7 +335,6 @@ def cmd_interference(args):
         )
         write_interference_csv(sweep, outputs.add(out / "interference.csv"))
         _write_manifest(
-            out,
             outputs,
             command="interference",
             config=_config_values(

@@ -6,6 +6,17 @@ runs of the same command produce byte-identical files that diff cleanly.
 
 import hashlib
 import math
+import re
+from itertools import chain
+
+import numpy as np
+
+# rows per formatted block; writers derive one block's columns at a time, so
+# memory stays flat in the row count
+BLOCK_ROWS = 1 << 14
+
+# strings _escape leaves unchanged: no quote, backslash or control character
+_PLAIN = re.compile(r'[^"\\\x00-\x1f]*')
 
 
 def fmt_float(x):
@@ -54,6 +65,8 @@ def canonical_json(obj, indent=0):
 
 
 def _escape(s):
+    if _PLAIN.fullmatch(s):
+        return s
     out = []
     for ch in s:
         if ch == '"':
@@ -67,12 +80,42 @@ def _escape(s):
     return "".join(out)
 
 
-def write_csv(path, header, rows):
-    """Write rows of already-formatted strings with a trailing newline."""
+def format_rows(columns):
+    """CSV lines for a block of equal-length columns, in one % operation.
+
+    Integer columns print with %d and string columns with %s. Float columns
+    take fmt_float's form: 0.0 is added, which turns -0.0 into 0.0, and %.9g
+    gives the same string as format(x, ".9g"). A non-finite float raises
+    fmt_float's ValueError for the first one in row order.
+    """
+    fmts, values, floats = [], [], []
+    for col in map(np.asarray, columns):
+        if col.dtype.kind == "f":
+            floats.append(col)
+            fmts.append("%.9g")
+            col = col + 0.0
+        else:
+            fmts.append("%d" if col.dtype.kind in "iu" else "%s")
+        values.append(col.tolist())
+    if floats:
+        finite = np.logical_and.reduce([np.isfinite(col) for col in floats])
+        if not finite.all():
+            row = int(np.argmin(finite))
+            for col in floats:
+                fmt_float(col[row])
+    line = ",".join(fmts) + "\n"
+    return (line * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
+
+
+def write_table(path, header, n_rows, block):
+    """Write a CSV header, then rows 0..n_rows-1 in blocks of BLOCK_ROWS.
+
+    block(lo, hi) returns the columns of rows lo..hi-1 for format_rows.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+        fh.write(header + "\n")
+        for lo in range(0, n_rows, BLOCK_ROWS):
+            fh.write(format_rows(block(lo, min(lo + BLOCK_ROWS, n_rows))))
 
 
 def sha256_file(path):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyPatternError, MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
-from .ioutil import fmt_float, write_csv
+from .ioutil import write_table
 
 _TWO_PI = 2.0 * math.pi
 
@@ -272,29 +272,28 @@ def interference(H, n, active, power):
 CHANNEL_HEADER = "user,beam,magnitude,phase_rad"
 
 
-def _entry_phase(z):
-    theta = math.atan2(z.imag, z.real)
-    if theta < 0.0:
-        theta += _TWO_PI
-    if theta >= _TWO_PI:
-        theta = 0.0
-    return theta
+def _magnitude_phase(z):
+    """abs(z) and the angle of z in [0, 2*pi), elementwise, as two arrays."""
+    # not np.abs or np.arctan2: they can miss abs(complex) and math.atan2 by an ulp
+    with np.errstate(over="ignore"):  # an overflow to inf fails as non-finite
+        magnitude = np.hypot(z.real, z.imag)
+    phase = np.fromiter(
+        map(math.atan2, z.imag.tolist(), z.real.tolist()), float, z.size
+    )
+    phase[phase < 0.0] += _TWO_PI
+    phase[phase >= _TWO_PI] = 0.0
+    return magnitude, phase
 
 
 def write_channel_csv(H, path):
     """Long-format channel entries, one row per (user, beam), canonical floats."""
-    def rows():
-        for i in range(H.n_users):
-            for j in range(H.beams):
-                z = complex(H.entries[i, j])
-                yield (
-                    str(i + 1),
-                    str(j + 1),
-                    fmt_float(abs(z)),
-                    fmt_float(_entry_phase(z)),
-                )
+    beams = H.beams
 
-    write_csv(path, CHANNEL_HEADER.split(","), rows())
+    def block(lo, hi):
+        user, beam = np.divmod(np.arange(lo, hi), beams)
+        return (user + 1, beam + 1, *_magnitude_phase(H.entries[user, beam]))
+
+    write_table(path, CHANNEL_HEADER, H.n_users * beams, block)
 
 
 def channel_summary(H):

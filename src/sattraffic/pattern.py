@@ -22,9 +22,10 @@ from .errors import (
 )
 # delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
-from .ioutil import fmt_float
+from .ioutil import write_table
 
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
+BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
 
 _TWO_PI = 2.0 * math.pi
 
@@ -150,7 +151,9 @@ def parse_pattern(source):
 
     Rows must be grouped by beam with ids 1..n in order, and every beam must
     repeat the exact sample grid of beam 1. Malformed cells raise ParseError
-    with the offending line; structural violations raise SchemaError.
+    with the offending line; structural violations raise SchemaError. A
+    well-formed file is read in one np.loadtxt pass; any other goes through
+    the line parser, which finds the error.
     """
     if hasattr(source, "read"):
         return _parse_pattern_lines(source, getattr(source, "name", None))
@@ -162,9 +165,48 @@ def _parse_pattern_lines(fh, path):
     header = fh.readline()
     if header.rstrip("\r\n") != PATTERN_HEADER:
         raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
+    lines = list(fh)
+    pattern = _load_rows(lines)
+    if pattern is None:
+        pattern = _parse_rows(lines, path)
+    return pattern
 
+
+def _load_rows(lines):
+    """Parse the rows in one np.loadtxt call, or return None.
+
+    The result is kept only when it passes every check that _parse_rows
+    makes, so both give the same pattern. Any other input returns None and
+    goes to _parse_rows, which raises the error that names the bad line.
+    """
+    if not any(line.strip("\r\n") for line in lines):
+        return None  # loadtxt warns on empty input
+    try:
+        # loadtxt rejects some numbers that int() and float() read, such as
+        # 1_0 and non-ASCII digits, but reads none of them to another value
+        beam, lat, lon, gain, phase = np.loadtxt(
+            lines, dtype="i8,f8,f8,f8,f8", delimiter=",", comments=None, ndmin=1,
+            unpack=True,
+        )
+    except ValueError:
+        return None
+    beams = int(beam[-1])
+    if beams < 1 or len(beam) % beams:
+        return None
+    lat, lon, gain, phase = (a.reshape(beams, -1) for a in (lat, lon, gain, phase))
+    ok = (
+        (beam == np.repeat(np.arange(1, beams + 1), lat.shape[1])).all()
+        and all(np.isfinite(a).all() for a in (lat, lon, gain, phase))
+        and (np.abs(lat) <= 90.0).all()
+        and (lat == lat[0]).all()
+        and (lon == lon[0]).all()
+    )
+    return BeamPattern(lat[0], lon[0], gain.T, phase.T) if ok else None
+
+
+def _parse_rows(lines, path):
     beams = []  # per beam: [lat list, lon list, gain list, phase list]
-    for lineno, raw in enumerate(fh, start=2):
+    for lineno, raw in enumerate(lines, start=2):
         line = raw.rstrip("\r\n")
         if not line:
             continue
@@ -174,7 +216,7 @@ def _parse_pattern_lines(fh, path):
         beam, (lat, lon, gain, phase) = _parse_row(fields, lineno, path)
         if beam == len(beams) + 1:
             beams.append([[], [], [], []])
-        elif beam != len(beams):
+        elif beam != len(beams) or not beams:
             raise SchemaError(
                 f"beam ids must be grouped and contiguous from 1: "
                 f"saw beam {beam} on line {lineno} after beam {len(beams)}"
@@ -201,14 +243,16 @@ def _parse_pattern_lines(fh, path):
 
 def write_pattern(pattern, path):
     """Serialize a BeamPattern in canonical form (round-trips byte-identically)."""
-    grid = zip(pattern.lat_deg.tolist(), pattern.lon_deg.tolist())
-    cells = [f"{fmt_float(lat)},{fmt_float(lon)}" for lat, lon in grid]
-    columns = zip(pattern.gain_db.T.tolist(), pattern.phase_rad.T.tolist())
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(PATTERN_HEADER + "\n")
-        for beam, (gains, phases) in enumerate(columns, start=1):
-            for cell, gain, phase in zip(cells, gains, phases):
-                fh.write(f"{beam},{cell},{fmt_float(gain)},{fmt_float(phase)}\n")
+    samples = pattern.samples_per_beam
+
+    def block(lo, hi):
+        beam, sample = np.divmod(np.arange(lo, hi), samples)
+        return (
+            beam + 1, pattern.lat_deg[sample], pattern.lon_deg[sample],
+            pattern.gain_db[sample, beam], pattern.phase_rad[sample, beam],
+        )
+
+    write_table(path, PATTERN_HEADER, pattern.beams * samples, block)
 
 
 def beam_footprint(pattern, beam_id):
@@ -243,3 +287,16 @@ def beam_footprint(pattern, beam_id):
 def all_footprints(pattern):
     """Footprints for every beam, ordered by beam id."""
     return [beam_footprint(pattern, b) for b in range(1, pattern.beams + 1)]
+
+
+def write_borders_csv(footprints, path):
+    """One CSV row per footprint vertex, in footprint and border order."""
+    rows = [
+        (fp.beam_id, idx, lat, lon)
+        for fp in footprints
+        for idx, (lat, lon) in enumerate(fp.border.vertices)
+    ]
+    columns = [np.array(col) for col in zip(*rows)]
+    write_table(
+        path, BORDERS_HEADER, len(rows), lambda lo, hi: [col[lo:hi] for col in columns]
+    )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import polygon_contains_many
-from .ioutil import fmt_float, write_csv
+from .ioutil import write_table
 from .linkbudget import NearestSamples
 
 # column name, dtype
@@ -159,19 +159,10 @@ TRAFFIC_HEADER = "user,beam,lat_deg,lon_deg,type,demand_mbps"
 
 def write_traffic_csv(T, path):
     """One CSV row per user in matrix order, canonical float formatting."""
-    def rows():
-        columns = zip(
-            T.beam.tolist(), T.lat_deg.tolist(), T.lon_deg.tolist(),
-            T.type.tolist(), T.demand_mbps.tolist(),
+    def block(lo, hi):
+        return (
+            np.arange(lo + 1, hi + 1), T.beam[lo:hi], T.lat_deg[lo:hi],
+            T.lon_deg[lo:hi], T.type[lo:hi], T.demand_mbps[lo:hi],
         )
-        for user, (beam, lat, lon, kind, demand) in enumerate(columns, start=1):
-            yield (
-                str(user),
-                str(beam),
-                fmt_float(lat),
-                fmt_float(lon),
-                str(kind),
-                fmt_float(demand),
-            )
 
-    write_csv(path, TRAFFIC_HEADER.split(","), rows())
+    write_table(path, TRAFFIC_HEADER, T.n_users, block)

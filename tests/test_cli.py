@@ -9,7 +9,7 @@ from sattraffic import analysis, cli, ingest
 from sattraffic.geo import GeoPoint
 from sattraffic.ingest import load_aero, load_maritime, load_population
 from sattraffic.ioutil import sha256_file
-from sattraffic.pattern import all_footprints, parse_pattern
+from sattraffic.pattern import BORDERS_HEADER, all_footprints, parse_pattern
 from sattraffic.traffic import build_traffic_matrix
 
 SEEDS = {"pattern": 11, "population": 12, "aero": 13, "maritime": 14}
@@ -106,7 +106,7 @@ class TestFootprints:
                        "--out-dir", str(tmp_path)])
         assert rc == 0
         lines = (tmp_path / "borders.csv").read_text().splitlines()
-        assert lines[0] == cli.BORDERS_HEADER
+        assert lines[0] == BORDERS_HEADER
         beams = {line.split(",")[0] for line in lines[1:]}
         assert beams == {str(b) for b in range(1, 8)}
 
@@ -262,6 +262,23 @@ class TestSimulate:
         )
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
+        assert not (out / "traffic.csv").exists()
+        assert not (out / "channel.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_failed_rerun_leaves_no_stale_manifest(self, inputs, tmp_path,
+                                                   monkeypatch, capsys):
+        out = tmp_path / "rerun"
+        argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        assert (out / "manifest.json").exists()
+
+        def boom(H, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_channel_csv", boom)
+        assert cli.main(argv) == 1
+        assert "disk full" in capsys.readouterr().err
         assert not (out / "traffic.csv").exists()
         assert not (out / "channel.csv").exists()
         assert not (out / "manifest.json").exists()

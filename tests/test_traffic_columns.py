@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sattraffic.geo import GeoPoint
 from sattraffic.geometry import point_in_polygon, polygon_contains_many
 from sattraffic.ingest import Terminal, TrafficType
-from sattraffic.ioutil import fmt_float, write_csv
+from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import NearestSamples
 from sattraffic.pattern import BeamPattern, all_footprints
 from sattraffic.traffic import (
@@ -27,6 +27,8 @@ from sattraffic.traffic import (
     per_beam_demand,
     write_traffic_csv,
 )
+
+from oracles import write_csv
 
 
 @dataclass(frozen=True)
