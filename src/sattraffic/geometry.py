@@ -414,11 +414,14 @@ def delaunay(points) -> Triangulation:
     witness = _noncollinear_witness(x, y)
     if witness is None:
         raise CollinearInputError("all points are collinear")
-    hull = _LiftedLowerHull(x, y, witness)
-    started = set(witness)
-    for p in range(len(unique)):
-        if p not in started:
-            hull.insert(p)
+    # a near-collinear triangle's circumcircle overflows to inf, which the
+    # coarse prefilter reads as "may conflict"; exact predicates decide
+    with np.errstate(over="ignore"):
+        hull = _LiftedLowerHull(x, y, witness)
+        started = set(witness)
+        for p in range(len(unique)):
+            if p not in started:
+                hull.insert(p)
     triangles = sorted(_canonical_triple(t) for t in hull.real_triangles())
     return Triangulation(points=unique, triangles=triangles, duplicates_removed=dupes)
 

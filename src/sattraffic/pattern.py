@@ -28,6 +28,8 @@ PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
 
 _TWO_PI = 2.0 * math.pi
+# whitespace to np.loadtxt but not to int() or float()
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 class BeamPattern:
@@ -181,9 +183,14 @@ def _load_rows(lines):
     """
     if not any(line.strip("\r\n") for line in lines):
         return None  # loadtxt warns on empty input
+    text = "".join(lines)
+    if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
+        # loadtxt reads non-ASCII characters in an integer column as digits,
+        # and strips \x1c-\x1f as whitespace where int() and float() refuse
+        return None
     try:
         # loadtxt rejects some numbers that int() and float() read, such as
-        # 1_0 and non-ASCII digits, but reads none of them to another value
+        # 1_0, but reads no ASCII cell to another value
         beam, lat, lon, gain, phase = np.loadtxt(
             lines, dtype="i8,f8,f8,f8,f8", delimiter=",", comments=None, ndmin=1,
             unpack=True,

@@ -353,9 +353,14 @@ for name, beam_text, fast in [
     ("huge", "99999999999999999999", False), ("arabic_digit", "\u0661", False),
 ]:
     NAMED[f"beam_{name}"] = (body([with_beam(GRID[0], beam_text), GRID[1]]), fast)
+# loadtxt reads U+01FE alone in an integer column as 462; int() refuses it
+NAMED["beam_462_as_u01fe"] = (
+    body([f"{b},0,0,0,0" for b in range(1, 462)] + ["\u01fe,0,0,0,0"]), False)
 for name, value in [("1_0", "1_0"), ("nan", "nan"), ("inf", "inf"),
                     ("infinity", "-infinity"), ("1e400", "1e400"), ("empty", ""),
-                    ("hex", "0x1p3")]:
+                    ("hex", "0x1p3"),
+                    # loadtxt strips \x1c as whitespace; float() refuses it
+                    ("file_separator", "3\x1c")]:
     NAMED[f"value_{name}"] = (body([with_field(GRID[0], 3, value)] + GRID[1:]), False)
 
 

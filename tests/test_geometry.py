@@ -167,6 +167,14 @@ class TestDelaunay:
             hull_area = convex_hull(pts).signed_area()
             assert tri_area == pytest.approx(hull_area, rel=1e-9)
 
+    def test_near_collinear_triangle_overflows_quietly(self):
+        # the first triangle's circumradius squared overflows to inf; the
+        # suite turns the overflow warning into an error
+        pts = [(1.0, 0.0), (0.0, 1.0), (-5.054697046319955e-283, 0.0), (0.0, 0.0)]
+        tri = delaunay(pts)
+        assert incircle_violations(tri) == []
+        assert len(tri.triangles) == 2
+
     def test_all_points_referenced(self):
         rng = np.random.default_rng(41)
         pts = rng.uniform(0, 1, size=(60, 2)).tolist()
