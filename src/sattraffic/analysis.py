@@ -4,17 +4,16 @@ Everything here reduces to the traffic and channel primitives: profiles
 take the hour-independent FSS block and 24 hourly mover blocks and
 associate the FSS block once and the movers once per hour, classification
 thresholds cut the per-beam mean demand, and the sweep averages
-interference over random or exhaustive active-beam sets with the total
-power split equally across a set.
+interference over the active-beam sets that split the total power
+equally: over every set in closed form, or over seeded random sets.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .errors import BadThresholdsError
+from .errors import BadThresholdsError, UnknownUserError
 from .ioutil import write_table
 from .linkbudget import interference
 from .traffic import build_traffic_matrix, per_beam_demand
@@ -139,14 +138,21 @@ def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, user
     """Mean interference per user for each active-set size.
 
     Active sets always contain the user's serving beam and share the total
-    power equally. The uniform policy averages over seeded random sets; the
-    exhaustive policy averages over every set of the size, which is exact
-    and has no sampling variance.
+    power equally, P/s per beam. Each other beam lies in (s-1)/(B-1) of the
+    sets of size s, so the exhaustive policy, the mean over every set, is
+    the full-set interference scaled by that fraction: exact, O(B) per
+    (user, size), and 0 at s = 1. The uniform policy averages over seeded
+    random sets: per user and size with s >= 2, in the given orders, one
+    trials x (B-1) draw of uniform keys over the other beams in id order,
+    each trial taking the s-1 beams with the smallest keys.
     """
     if users is None:
         users = range(1, H.n_users + 1)
     users = [int(u) for u in users]
     sizes = [int(s) for s in sizes]
+    for n in users:
+        if not 1 <= n <= H.n_users:
+            raise UnknownUserError(f"user {n} is not a row of the channel matrix")
     for s in sizes:
         if not 1 <= s <= H.beams:
             raise ValueError(f"active-set size {s} outside [1, {H.beams}]")
@@ -155,26 +161,23 @@ def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, user
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
+    every = range(1, H.beams + 1)
     rng = np.random.default_rng(seed)
     watts = np.zeros((len(users), len(sizes)))
     for ui, n in enumerate(users):
-        serving = int(H.serving[n - 1])
-        others = [j for j in range(1, H.beams + 1) if j != serving]
+        h = np.delete(H.entries[n - 1], H.serving[n - 1] - 1)
+        gains = np.hypot(h.real, h.imag) ** 2  # bit-matches abs(complex) ** 2
         for si, s in enumerate(sizes):
+            if s == 1:
+                continue
             split = cfg.total_power_w / s
             if policy == "exhaustive":
-                sets = [
-                    {serving, *combo} for combo in combinations(others, s - 1)
-                ]
+                share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
+                watts[ui, si] = interference(H, n, every, split) * share
             else:
-                sets = []
-                for _ in range(trials):
-                    picked = rng.choice(len(others), size=s - 1, replace=False)
-                    sets.append({serving, *(others[int(i)] for i in picked)})
-            total = math.fsum(
-                interference(H, n, active, split) for active in sets
-            )
-            watts[ui, si] = total / len(sets)
+                keys = rng.random((trials, H.beams - 1))
+                picked = keys.argsort(axis=1)[:, : s - 1]
+                watts[ui, si] = split * gains[picked].sum(axis=1).mean()
     return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
 
 

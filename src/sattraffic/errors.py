@@ -52,10 +52,6 @@ class InvalidParamsError(SimulatorError):
     """Synthetic-generator parameters outside their documented domain."""
 
 
-class EmptyPatternError(SimulatorError):
-    """Beam pattern with no beams or no samples."""
-
-
 class MismatchedBeamsError(SimulatorError):
     """Traffic matrix and beam pattern disagree on the number of beams."""
 

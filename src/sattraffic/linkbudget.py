@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyPatternError, MismatchedBeamsError, UnknownUserError
+from .errors import MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
 from .ioutil import write_table
 
@@ -176,19 +176,15 @@ class ChannelMatrix:
         return self.entries.shape[1]
 
 
-def build_channel_matrix(T, pattern, cfg=None, *, include_pattern_phase=False):
+def build_channel_matrix(T, pattern, cfg=None):
     """Assemble the complex channel matrix for every user of a traffic matrix.
 
     Per user: slant range to the satellite, free-space loss, then one entry
     per beam from the gain of the nearest sample. The phase is set by the
-    sub-wavelength remainder of the slant range, identical across the row;
-    include_pattern_phase additionally rotates each entry by the pattern's
-    measured phase at the chosen sample (off by default, diagnostic only).
+    sub-wavelength remainder of the slant range, identical across the row.
     The per-user interpolated gain of the serving beam is carried along as a
     diagnostic and does not enter the entries.
     """
-    if pattern.beams == 0 or pattern.samples_per_beam == 0:
-        raise EmptyPatternError("beam pattern has no samples")
     if T.beams != pattern.beams:
         raise MismatchedBeamsError(
             f"traffic matrix has {T.beams} beams, pattern has {pattern.beams}"
@@ -218,8 +214,6 @@ def build_channel_matrix(T, pattern, cfg=None, *, include_pattern_phase=False):
     amp_db -= loss[:, None]
     amp_db += cfg.rx_gain_db
     entries = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)[:, None]
-    if include_pattern_phase:
-        entries = entries * np.exp(1j * pattern.phase_rad[nearest, :])
 
     gamma = np.empty(n)
     for j in np.unique(serving):

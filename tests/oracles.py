@@ -5,6 +5,11 @@ gains through NearestSamples. The first oracles are the plain views the
 tests compare against: one sample as a SamplePoint, one beam's samples in
 grid order, and the gain at a point interpolated from such samples.
 
+The library's interference sweep reduces the exhaustive mean to a closed
+form and sums the uniform trials in numpy. interference_sweep below is the
+plain version: it lists every set, or draws each trial's set from the same
+keys, and averages interference() over the sets with math.fsum.
+
 The library writes its CSV files a block of columns at a time. The row
 writers below format one value per call through fmt_float and give the
 bytes the block writers must match, non-finite errors included.
@@ -12,6 +17,7 @@ bytes the block writers must match, non-finite errors included.
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -20,10 +26,11 @@ from sattraffic.analysis import (
     HOURS,
     INTERFERENCE_HEADER,
     PROFILE_HEADER,
+    SweepResult,
 )
 from sattraffic.geo import GeoPoint
 from sattraffic.ioutil import fmt_float
-from sattraffic.linkbudget import CHANNEL_HEADER, NearestSamples
+from sattraffic.linkbudget import CHANNEL_HEADER, NearestSamples, interference
 from sattraffic.pattern import BORDERS_HEADER, PATTERN_HEADER
 from sattraffic.traffic import TRAFFIC_HEADER
 
@@ -81,6 +88,44 @@ def interpolate_gain(user, samples):
     gain = np.array([s.gain_db for s in samples])
     index = NearestSamples([float(user.lat_deg)], [float(user.lon_deg)], lat, lon)
     return float(index.gain(gain)[0])
+
+
+def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, users=None):
+    """Mean interference per user and set size, one interference() per set.
+
+    exhaustive lists every set of the size that holds the serving beam.
+    uniform draws one trials x (B-1) block of keys per user and size s >= 2,
+    in the library's order, and takes for each trial the other beams (in id
+    order) with the s-1 smallest keys.
+    """
+    if users is None:
+        users = range(1, H.n_users + 1)
+    users = [int(u) for u in users]
+    sizes = [int(s) for s in sizes]
+    rng = np.random.default_rng(seed)
+    watts = np.zeros((len(users), len(sizes)))
+    for ui, n in enumerate(users):
+        serving = int(H.serving[n - 1])
+        others = [j for j in range(1, H.beams + 1) if j != serving]
+        for si, s in enumerate(sizes):
+            split = cfg.total_power_w / s
+            if policy == "exhaustive":
+                sets = [
+                    {serving, *combo} for combo in combinations(others, s - 1)
+                ]
+            elif s == 1:
+                sets = [{serving}]
+            else:
+                keys = rng.random((trials, len(others)))
+                sets = [
+                    {serving, *(others[int(i)] for i in np.argsort(row)[: s - 1])}
+                    for row in keys
+                ]
+            total = math.fsum(
+                interference(H, n, active, split) for active in sets
+            )
+            watts[ui, si] = total / len(sets)
+    return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
 
 
 def escape(s):

@@ -1,5 +1,6 @@
 """Profiles, beam classification, and the interference sweep."""
 
+import cmath
 import math
 from itertools import combinations
 
@@ -20,12 +21,14 @@ from sattraffic.analysis import (
     write_interference_csv,
     write_profile_csv,
 )
-from sattraffic.errors import BadThresholdsError
+from sattraffic.errors import BadThresholdsError, UnknownUserError
 from sattraffic.geo import GeoPoint, ScenarioConfig
 from sattraffic.ingest import Terminal, TrafficType
-from sattraffic.linkbudget import build_channel_matrix, interference
+from sattraffic.linkbudget import ChannelMatrix, build_channel_matrix, interference
 from sattraffic.pattern import BeamPattern, all_footprints
 from sattraffic.traffic import TrafficMatrix, build_traffic_matrix, per_beam_demand
+
+import oracles
 
 
 def row_pattern(centers=((0.0, 0.0), (0.0, 2.4), (0.0, 4.8)), r3=1.2, pitch=0.2):
@@ -334,6 +337,114 @@ class TestInterferenceSweep:
             interference_sweep(H, cfg, sizes=[2], policy="greedy")
         with pytest.raises(ValueError, match="trials"):
             interference_sweep(H, cfg, sizes=[2], trials=0)
+
+    @pytest.mark.parametrize("policy", ["uniform", "exhaustive"])
+    @pytest.mark.parametrize("bad", [0, -1, 6])
+    def test_unknown_user_rejected(self, policy, bad):
+        H, cfg = sweep_scenario()
+        with pytest.raises(UnknownUserError, match=f"user {bad} is not a row"):
+            interference_sweep(H, cfg, sizes=[2], policy=policy, users=[1, bad])
+
+    def test_exhaustive_37_beams_matches_closed_form(self):
+        rng = np.random.default_rng(37)
+        beams, n_users = 37, 4
+        mags = 10.0 ** rng.uniform(-9.0, -2.0, size=(n_users, beams))
+        H = channel(mags * np.exp(1j * rng.uniform(0.0, 2 * math.pi, mags.shape)),
+                    rng.integers(1, beams + 1, size=n_users))
+        cfg = ScenarioConfig()
+        sweep = interference_sweep(H, cfg, sizes=[1, 18, 37], policy="exhaustive")
+        for ui, n in enumerate(sweep.users):
+            serving = int(H.serving[n - 1])
+            others = math.fsum(
+                abs(H.entries[n - 1, j - 1]) ** 2
+                for j in range(1, beams + 1) if j != serving
+            )
+            for si, s in enumerate(sweep.sizes):
+                want = cfg.total_power_w / s * (s - 1) / (beams - 1) * others
+                assert sweep.watts[ui, si] == pytest.approx(want, rel=1e-12, abs=0)
+        full = [interference(H, n, set(range(1, 38)), cfg.total_power_w / 37)
+                for n in sweep.users]
+        assert np.array_equal(sweep.watts[:, 2], full)
+        assert not sweep.watts[:, 0].any()
+
+    @pytest.mark.parametrize("serving,hit", [(1, 9), (5, 2), (9, 4)])
+    def test_uniform_single_interferer_is_binomial(self, serving, hit):
+        beams, trials = 9, 400
+        row = np.zeros(beams, dtype=complex)
+        row[serving - 1] = 1.0  # would swamp the mean if it were ever summed
+        row[hit - 1] = 1e-3 * cmath.exp(0.7j)
+        H, cfg = channel([row], [serving]), ScenarioConfig()
+        gain = abs(row[hit - 1]) ** 2
+        sizes = range(1, beams + 1)
+        sweep = interference_sweep(H, cfg, sizes=sizes, trials=trials, seed=11)
+        for si, s in enumerate(sizes):
+            unit = cfg.total_power_w / s * gain
+            share = (s - 1) / (beams - 1)
+            se = unit * math.sqrt(share * (1.0 - share) / trials)
+            assert abs(sweep.watts[0, si] - unit * share) <= 4.0 * se + 1e-12 * unit
+            hits = sweep.watts[0, si] / unit * trials
+            assert hits == pytest.approx(round(hits), abs=1e-6)
+
+
+def channel(entries, serving):
+    """A ChannelMatrix with the given entries and serving beams, zero diagnostics."""
+    entries = np.asarray(entries, dtype=complex)
+    n = entries.shape[0]
+    return ChannelMatrix(
+        entries=entries,
+        serving=np.asarray(serving, dtype=np.int64),
+        distance_m=np.zeros(n),
+        path_loss_db=np.zeros(n),
+        interp_gain_db=np.zeros(n),
+        nearest_sample=np.zeros(n, dtype=np.int64),
+    )
+
+
+@st.composite
+def channels(draw, max_beams=8, max_users=4):
+    beams = draw(st.integers(1, max_beams))
+    n_users = draw(st.integers(1, max_users))
+    magnitude = st.one_of(st.just(0.0), st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
+    phase = st.floats(0.0, 2 * math.pi)
+    entries = [
+        [draw(magnitude) * cmath.exp(1j * draw(phase)) for _ in range(beams)]
+        for _ in range(n_users)
+    ]
+    serving = [draw(st.integers(1, beams)) for _ in range(n_users)]
+    return channel(entries, serving)
+
+
+def users_of(H):
+    return st.one_of(
+        st.none(), st.lists(st.integers(1, H.n_users), min_size=1, max_size=5)
+    )
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_matches_enumeration(data):
+    H = data.draw(channels())
+    sizes = data.draw(st.permutations(range(1, H.beams + 1)))
+    users = data.draw(users_of(H))
+    cfg = ScenarioConfig()
+    got = interference_sweep(H, cfg, sizes, policy="exhaustive", users=users)
+    want = oracles.interference_sweep(H, cfg, sizes, policy="exhaustive", users=users)
+    assert (got.users, got.sizes) == (want.users, want.sizes)
+    assert got.watts == pytest.approx(want.watts, rel=1e-12, abs=0)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_uniform_matches_per_trial_sets(data):
+    H = data.draw(channels())
+    sizes = data.draw(st.lists(st.integers(1, H.beams), min_size=1, max_size=6))
+    users = data.draw(users_of(H))
+    trials = data.draw(st.integers(1, 30))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    cfg = ScenarioConfig()
+    got = interference_sweep(H, cfg, sizes, trials=trials, seed=seed, users=users)
+    want = oracles.interference_sweep(H, cfg, sizes, trials=trials, seed=seed, users=users)
+    assert got.watts == pytest.approx(want.watts, rel=1e-12, abs=0)
 
 
 class TestAnalysisCsv:

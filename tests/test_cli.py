@@ -418,6 +418,15 @@ class TestInterferenceCommand:
         assert rc == 1
         assert "outside" in capsys.readouterr().err
 
+    def test_unknown_user_is_input_error(self, inputs, tmp_path, capsys):
+        rc = cli.main(
+            ["interference", *demand_argv(inputs), "--hour", "9",
+             "--sizes", "2", "--users", "1,99999", "--out-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        assert "user 99999 is not a row of the channel matrix" in capsys.readouterr().err
+        assert not (tmp_path / "interference.csv").exists()
+
 
 class TestTopLevel:
     def test_missing_subcommand(self, capsys):

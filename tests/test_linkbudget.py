@@ -6,11 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sattraffic.errors import (
-    EmptyPatternError,
-    MismatchedBeamsError,
-    UnknownUserError,
-)
+from sattraffic.errors import MismatchedBeamsError, UnknownUserError
 from sattraffic.geo import (
     GeoPoint,
     ScenarioConfig,
@@ -269,23 +265,6 @@ class TestBuildChannelMatrix:
         T = TrafficMatrix([], [], [], [], [], beams=3, excluded=0)
         with pytest.raises(MismatchedBeamsError):
             build_channel_matrix(T, pattern)
-
-    def test_pattern_phase_flag(self):
-        lats = np.array([51.0, 52.0, 53.0])
-        lons = np.array([4.0, 5.0, 6.0])
-        glat = np.repeat(lats, 3)
-        glon = np.tile(lons, 3)
-        gain = np.full((9, 1), 50.0)
-        rng = np.random.default_rng(2)
-        theta = rng.uniform(0.0, 2 * math.pi, size=(9, 1))
-        pattern = BeamPattern(glat, glon, gain, theta)
-        T = matrix_for(pattern, [(52.1, 5.2)])
-        plain = build_channel_matrix(T, pattern)
-        rotated = build_channel_matrix(T, pattern, include_pattern_phase=True)
-        s = plain.nearest_sample[0]
-        want = plain.entries[0, 0] * cmath.exp(1j * theta[s, 0])
-        assert rotated.entries[0, 0] == pytest.approx(want, rel=1e-12)
-        assert abs(rotated.entries[0, 0]) == pytest.approx(abs(plain.entries[0, 0]), rel=1e-12)
 
     def test_entries_read_only(self):
         pattern = seven_beam_pattern(pitch=0.5)

@@ -179,6 +179,12 @@ class TestBeamPattern:
         with pytest.raises(ValueError):
             BeamPattern([50.0], [10.0], [[52.0], [51.0]], [[0.0], [0.0]])
 
+    def test_no_samples_or_no_beams_rejected(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            BeamPattern([], [], np.zeros((0, 1)), np.zeros((0, 1)))
+        with pytest.raises(ValueError, match="at least one beam"):
+            BeamPattern([50.0], [10.0], np.zeros((1, 0)), np.zeros((1, 0)))
+
 
 class TestBeamFootprint:
     def test_gaussian_beam_matches_analytic_radius(self):
