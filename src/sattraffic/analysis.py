@@ -1,10 +1,10 @@
 """Hourly demand profiles, beam load classes, and interference sweeps.
 
 Everything here reduces to the traffic and channel primitives: profiles
-take the hour-independent FSS block and 24 hourly mover blocks and
-associate the FSS block once and the movers once per hour, classification
-thresholds cut the per-beam mean demand, and the sweep averages
-interference over the active-beam sets that split the total power
+take the hour-independent FSS block and 24 hourly mover blocks and make two
+associations, one of the FSS block and one of the movers of every hour;
+classification thresholds cut the per-beam mean demand, and the sweep
+averages interference over the active-beam sets that split the total power
 equally: over every set in closed form, or over seeded random sets.
 """
 
@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadThresholdsError, UnknownUserError
+from .ingest import TerminalBlock
 from .ioutil import write_table
-from .linkbudget import interference
+from .linkbudget import interference  # noqa: F401  bench/tracer.py hooks it here
 from .traffic import build_traffic_matrix, per_beam_demand
 
 HOURS = 24
@@ -68,21 +69,29 @@ def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
     """Aggregate one day of demand into a per-beam hourly profile.
 
     fss is the hour-independent FSS block; aero_by_hour and maritime_by_hour
-    are sequences holding the movers of hours 0..23 in order. The FSS block is associated
-    once and the movers once per hour. Association is a pure function of
-    location and each (beam, type) total sums its own rows in order, so the
-    result equals associating every hour's terminals together.
+    are sequences holding the movers of hours 0..23 in order. The FSS block
+    is associated once, and the movers of all hours together in a second
+    call, aeronautical hours 0..23 then maritime hours 0..23. Association is
+    a pure function of location, and each (beam, hour, type) total adds its
+    own rows in input order, so the result equals associating every hour's
+    terminals together.
     """
     if len(aero_by_hour) != HOURS or len(maritime_by_hour) != HOURS:
         raise ValueError("profiles need movers for each hour 0..23")
     fss_demand = per_beam_demand(build_traffic_matrix(footprints, pattern, fss, (), ()))
+    aero = [TerminalBlock.of(block) for block in aero_by_hour]
+    maritime = [TerminalBlock.of(block) for block in maritime_by_hour]
+    hour_of_row = np.repeat(
+        np.tile(np.arange(HOURS), 2), [len(block) for block in aero + maritime]
+    )
+    T = build_traffic_matrix(
+        footprints, pattern, (),
+        TerminalBlock.concat(*aero), TerminalBlock.concat(*maritime),
+    )
     demand = np.zeros((pattern.beams, HOURS, 3))
+    # unbuffered, so each total is added in row order
+    np.add.at(demand, (T.beam - 1, hour_of_row[T.row], T.type - 1), T.demand_mbps)
     demand[:, :, 0] = fss_demand[:, :1]
-    for hour, (aero, maritime) in enumerate(zip(aero_by_hour, maritime_by_hour)):
-        movers = per_beam_demand(
-            build_traffic_matrix(footprints, pattern, (), aero, maritime)
-        )
-        demand[:, hour, 1:] = movers[:, 1:]
     return HourlyProfile(demand_mbps=demand)
 
 
@@ -141,7 +150,9 @@ def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, user
     power equally, P/s per beam. Each other beam lies in (s-1)/(B-1) of the
     sets of size s, so the exhaustive policy, the mean over every set, is
     the full-set interference scaled by that fraction: exact, O(B) per
-    (user, size), and 0 at s = 1. The uniform policy averages over seeded
+    (user, size), and 0 at s = 1. It adds the beams' terms for all users
+    and sizes at once, one beam at a time in id order, as interference()
+    adds them for one. The uniform policy averages over seeded
     random sets: per user and size with s >= 2, in the given orders, one
     trials x (B-1) draw of uniform keys over the other beams in id order,
     each trial taking the s-1 beams with the smallest keys.
@@ -161,23 +172,36 @@ def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, user
     if trials < 1:
         raise ValueError("trials must be >= 1")
 
-    every = range(1, H.beams + 1)
-    rng = np.random.default_rng(seed)
     watts = np.zeros((len(users), len(sizes)))
+    if policy == "exhaustive":
+        rows = np.array(users, dtype=np.int64) - 1
+        h = H.entries[rows]
+        # |h|**2 through libm pow, as abs(complex) ** 2 in interference();
+        # squaring by multiplication differs in the last bit now and then
+        gains = np.float_power(np.hypot(h.real, h.imag), 2.0)
+        serving = H.serving[rows][:, None]
+        split = cfg.total_power_w / np.array(sizes, dtype=float)
+        # interference() of every beam at P/s, the same additions in id order
+        total = np.zeros_like(watts)
+        for j in range(1, H.beams + 1):
+            total += np.where(serving == j, 0.0, gains[:, j - 1 : j] * split)
+        for si, s in enumerate(sizes):
+            if s > 1:
+                share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
+                watts[:, si] = total[:, si] * share
+        return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
+
+    rng = np.random.default_rng(seed)
     for ui, n in enumerate(users):
         h = np.delete(H.entries[n - 1], H.serving[n - 1] - 1)
-        gains = np.hypot(h.real, h.imag) ** 2  # bit-matches abs(complex) ** 2
+        gains = np.hypot(h.real, h.imag) ** 2
         for si, s in enumerate(sizes):
             if s == 1:
                 continue
             split = cfg.total_power_w / s
-            if policy == "exhaustive":
-                share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
-                watts[ui, si] = interference(H, n, every, split) * share
-            else:
-                keys = rng.random((trials, H.beams - 1))
-                picked = keys.argsort(axis=1)[:, : s - 1]
-                watts[ui, si] = split * gains[picked].sum(axis=1).mean()
+            keys = rng.random((trials, H.beams - 1))
+            picked = keys.argsort(axis=1)[:, : s - 1]
+            watts[ui, si] = split * gains[picked].sum(axis=1).mean()
     return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
 
 

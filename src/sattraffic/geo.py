@@ -7,6 +7,8 @@ All public APIs take degrees; radians stay internal.
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius
@@ -33,6 +35,15 @@ class GeoPoint:
                 lon += 360.0
             lon -= 180.0
             object.__setattr__(self, "lon_deg", lon)
+
+
+def check_locations(lat_deg, lon_deg):
+    """Raise GeoPoint's ValueError for the first location it would reject."""
+    lat = np.asarray(lat_deg, dtype=float)
+    lon = np.asarray(lon_deg, dtype=float)
+    invalid = np.flatnonzero(~(np.abs(lat) <= 90.0) | ~np.isfinite(lon))
+    if invalid.size:
+        GeoPoint(float(lat[invalid[0]]), float(lon[invalid[0]]))
 
 
 @dataclass

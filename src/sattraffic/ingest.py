@@ -1,21 +1,25 @@
 """Demand-dataset ingestion and synthetic data generation.
 
-Three loaders turn raw files into Terminal lists: a population raster is
-down-scaled into fixed (FSS) terminals, and flight / vessel movement logs
-are reduced to one terminal per id per hour at the first position seen in
-that hour. A movement log is read once however many hours are asked for:
-rows are bucketed by UTC hour and terminals are built only for the hours
-requested. Records with missing or NaN coordinates, and records outside the
-configured bounding box, are dropped and counted, never patched.
+Three loaders turn raw files into TerminalBlocks, columns of terminals: a
+population raster is down-scaled into fixed (FSS) terminals, and flight /
+vessel movement logs are reduced to one terminal per id per hour at the
+first position seen in that hour. A movement log is read once however many
+hours are asked for, a chunk of lines at a time, into columns of id,
+timestamp, lat and lon; each distinct timestamp text is parsed once, and
+one sort picks every id's first record per requested hour. Records with
+missing or NaN coordinates, and records outside the configured bounding
+box, are dropped and counted, never patched.
 
 The synthetic generators stand in for the real population, flight, and
 vessel feeds so the whole pipeline runs reproducibly from a seed.
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from enum import IntEnum
+from itertools import islice
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .errors import (
     ParseError,
     TimestampError,
 )
-from .geo import GeoPoint
+from .geo import GeoPoint, check_locations
 from .ioutil import fmt_float
 from .pattern import BeamPattern, write_pattern
 
@@ -56,11 +60,16 @@ class Terminal:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("terminal id must be a non-empty string")
-        demand = float(self.demand_mbps)
-        if not math.isfinite(demand) or demand < 0.0:
-            raise ValueError(f"demand must be finite and >= 0, got {self.demand_mbps}")
-        object.__setattr__(self, "demand_mbps", demand)
+        object.__setattr__(self, "demand_mbps", _demand(self.demand_mbps))
         object.__setattr__(self, "type", TrafficType(self.type))
+
+
+def _demand(value):
+    """value as a demand in Mbps; ValueError unless finite and >= 0."""
+    demand = float(value)
+    if not math.isfinite(demand) or demand < 0.0:
+        raise ValueError(f"demand must be finite and >= 0, got {value}")
+    return demand
 
 
 @dataclass(frozen=True)
@@ -197,17 +206,98 @@ def parse_config(source):
         raise ParseError(str(exc), None, path) from exc
 
 
-class TerminalList(list):
-    """Terminal list that also reports how many records were dropped."""
+class TerminalBlock(Sequence):
+    """Terminals as read-only columns, with the records dropped on the way.
 
-    def __init__(self, terminals=(), dropped_bad_coords=0, dropped_out_of_box=0):
-        super().__init__(terminals)
+    lat_deg, lon_deg, type (TrafficType values) and demand_mbps hold one row
+    per terminal and ids the matching ids; every location is one GeoPoint
+    accepts. The loaders fill the columns directly; indexing and iteration
+    build Terminal objects on demand, so a block also reads as the sequence
+    of its terminals.
+    """
+
+    def __init__(self, ids, lat_deg, lon_deg, type, demand_mbps,
+                 dropped_bad_coords=0, dropped_out_of_box=0):
+        self.ids = tuple(ids)
+        for name, values, dtype in (
+            ("lat_deg", lat_deg, float),
+            ("lon_deg", lon_deg, float),
+            ("type", type, np.int64),
+            ("demand_mbps", demand_mbps, float),
+        ):
+            column = np.array(values, dtype=dtype)
+            if column.shape != (len(self.ids),):
+                raise ValueError(f"{name} must hold one value per terminal")
+            column.setflags(write=False)
+            setattr(self, name, column)
+        check_locations(self.lat_deg, self.lon_deg)
         self.dropped_bad_coords = dropped_bad_coords
         self.dropped_out_of_box = dropped_out_of_box
+
+    @classmethod
+    def of(cls, terminals):
+        """terminals as a block: a block as it is, other Terminals read into columns."""
+        if isinstance(terminals, cls):
+            return terminals
+        terminals = list(terminals)
+        return cls(
+            [t.id for t in terminals],
+            [t.location.lat_deg for t in terminals],
+            [t.location.lon_deg for t in terminals],
+            [t.type for t in terminals],
+            [t.demand_mbps for t in terminals],
+        )
+
+    @classmethod
+    def concat(cls, *parts):
+        """One block of the terminals of every part, in order; drops add up."""
+        blocks = [cls.of(part) for part in parts]
+        return cls(
+            [ident for b in blocks for ident in b.ids],
+            *(np.concatenate([getattr(b, name) for b in blocks])
+              for name in ("lat_deg", "lon_deg", "type", "demand_mbps")),
+            dropped_bad_coords=sum(b.dropped_bad_coords for b in blocks),
+            dropped_out_of_box=sum(b.dropped_out_of_box for b in blocks),
+        )
 
     @property
     def dropped(self):
         return self.dropped_bad_coords + self.dropped_out_of_box
+
+    def __len__(self):
+        return len(self.ids)
+
+    def __getitem__(self, index):
+        k = range(len(self))[index]
+        return Terminal(
+            self.ids[k], GeoPoint(float(self.lat_deg[k]), float(self.lon_deg[k])),
+            int(self.type[k]), float(self.demand_mbps[k]),
+        )
+
+    def __iter__(self):
+        columns = zip(
+            self.ids, self.lat_deg.tolist(), self.lon_deg.tolist(),
+            self.type.tolist(), self.demand_mbps.tolist(),
+        )
+        for ident, lat, lon, kind, demand in columns:
+            yield Terminal(ident, GeoPoint(lat, lon), kind, demand)
+
+    def __eq__(self, other):
+        """Equal to any sequence of equal terminals, as a list of them would be."""
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+def _wrap_lon(lon_deg):
+    """GeoPoint's longitude normalization over a column, bit for bit."""
+    lon = np.array(lon_deg, dtype=float)
+    wrap = ~((lon >= -180.0) & (lon < 180.0))
+    if wrap.any():
+        wrapped = np.fmod(lon[wrap] + 180.0, 360.0)
+        wrapped[wrapped < 0.0] += 360.0
+        lon[wrap] = wrapped - 180.0
+    return lon
 
 
 def _open_lines(source):
@@ -240,7 +330,7 @@ def _coord(text, name, lineno, path):
 
 def load_population(source, downscale=1000, urban_policy=None, *,
                     demand_mbps=2.0, bbox=DEFAULT_BBOX):
-    """Population raster to FSS terminals.
+    """Population raster to a block of FSS terminals.
 
     Each cell yields floor(population / downscale) terminals at the cell
     center; cells above the urban density threshold keep only
@@ -292,24 +382,25 @@ def load_population(source, downscale=1000, urban_policy=None, *,
         if owns:
             fh.close()
 
-    terminals = []
-    serial = 0
-    for (lat, lon), pops in sorted(cells.items()):
-        pop = math.fsum(pops)  # exact sum, so file row order cannot matter
+    centers = sorted(cells)
+    counts = []
+    for center in centers:
+        pop = math.fsum(cells[center])  # exact sum, so file row order cannot matter
         count = int(pop // downscale)
         if pop > urban_policy.density_threshold:
             count = int(math.floor(count * urban_policy.suppression_factor))
-        for _ in range(count):
-            serial += 1
-            terminals.append(
-                Terminal(
-                    id=f"fss-{serial}",
-                    location=GeoPoint(lat, lon),
-                    type=TrafficType.FSS,
-                    demand_mbps=demand_mbps,
-                )
-            )
-    return TerminalList(terminals, dropped_bad_coords=bad, dropped_out_of_box=out)
+        counts.append(count)
+    n = sum(counts)
+    demand = _demand(demand_mbps) if n else 0.0
+    return TerminalBlock(
+        [f"fss-{serial}" for serial in range(1, n + 1)],
+        np.repeat(np.array([lat for lat, _ in centers], dtype=float), counts),
+        _wrap_lon(np.repeat(np.array([lon for _, lon in centers], dtype=float), counts)),
+        np.full(n, TrafficType.FSS.value),
+        np.full(n, demand),
+        dropped_bad_coords=bad,
+        dropped_out_of_box=out,
+    )
 
 
 def _parse_timestamp(text, lineno, path):
@@ -325,63 +416,170 @@ def _parse_timestamp(text, lineno, path):
     return dt.astimezone(timezone.utc)
 
 
+# lines of a movement log read and parsed at a time
+_CHUNK_LINES = 1024
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+class _Stamps:
+    """The distinct timestamp texts of one log, each parsed once.
+
+    A text's code indexes its UTC hour and its UTC instant in microseconds;
+    equal instants get equal microseconds, so they compare as the
+    datetimes do.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self.codes = {}
+        self.hour = []
+        self.micros = []
+
+    def add(self, text, lineno):
+        code = self.codes.get(text)
+        if code is None:
+            ts = _parse_timestamp(text, lineno, self.path)
+            code = self.codes[text] = len(self.hour)
+            self.hour.append(ts.hour)
+            self.micros.append((ts - _EPOCH) // _MICROSECOND)
+        return code
+
+
+def _fast_rows(texts, stamps):
+    """(ids, timestamp codes, lat, lon) of a chunk of well-formed lines.
+
+    A NaN coordinate stands for a missing one. Returns None when some line
+    has a defect, so that the line parser can name it.
+    """
+    fields = [text.split(",") for text in texts if text]
+    if not fields:
+        return [], np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+    if set(map(len, fields)) != {4}:
+        return None
+    id_texts, stamp_texts, lat_texts, lon_texts = zip(*fields)
+    ids = list(map(str.strip, id_texts))
+    if "" in ids:
+        return None
+    n = len(ids)
+    try:
+        for text in dict.fromkeys(stamp_texts):
+            stamps.add(text, None)
+        lat = np.fromiter(map(float, lat_texts), float, n)
+        lon = np.fromiter(map(float, lon_texts), float, n)
+    except (TimestampError, ValueError, OverflowError):
+        # the line parser raises it, or the error of an earlier line
+        return None
+    codes = np.fromiter(map(stamps.codes.__getitem__, stamp_texts), np.int64, n)
+    present = ~(np.isnan(lat) | np.isnan(lon))
+    if np.isinf(lat).any() or np.isinf(lon).any() or not (
+        (lat[present] >= -90.0) & (lat[present] <= 90.0)
+    ).all():
+        return None
+    return ids, codes, lat, lon
+
+
+def _line_rows(texts, lineno, stamps, id_name, path):
+    """_fast_rows one line at a time: raises the error of the first bad line."""
+    ids, codes, lats, lons = [], [], [], []
+    for lineno, line in enumerate(texts, start=lineno):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ParseError(f"expected 4 fields, got {len(fields)}", lineno, path)
+        ident = fields[0].strip()
+        if not ident:
+            raise ParseError(f"empty {id_name}", lineno, path)
+        code = stamps.add(fields[1], lineno)
+        # every row is validated before the hour filter, so a defective
+        # log fails the same way whichever hours are being loaded
+        lat = _coord(fields[2], "lat_deg", lineno, path)
+        lon = _coord(fields[3], "lon_deg", lineno, path)
+        if lat is None or lon is None:
+            lat = lon = math.nan
+        elif not -90.0 <= lat <= 90.0:
+            raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
+        ids.append(ident)
+        codes.append(code)
+        lats.append(lat)
+        lons.append(lon)
+    return ids, np.array(codes, dtype=np.int64), np.array(lats), np.array(lons)
+
+
 def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bbox):
-    """Read a movement log once; one TerminalList per requested hour, in order."""
+    """Read a movement log once; one TerminalBlock per requested hour, in order.
+
+    The log is parsed _CHUNK_LINES lines at a time into columns, and only
+    the rows of requested hours that lie in the bounding box are kept. Each
+    id's first record per hour is the least (timestamp, row) among them,
+    picked with one stable sort.
+    """
     for hour in hours:
         if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
             raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
+    wanted = np.zeros(24, dtype=bool)
+    wanted[list(hours)] = True
 
-    firsts = {hour: {} for hour in hours}  # hour -> id -> (timestamp, row_idx, lat, lon)
-    bad = dict.fromkeys(firsts, 0)
-    out = dict.fromkeys(firsts, 0)
+    bad = np.zeros(24, dtype=np.int64)
+    out = np.zeros(24, dtype=np.int64)
+    id_codes = {}  # id -> code, in the order first kept
+    # per chunk, the kept rows: id code, timestamp code, lat, lon
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+             np.empty(0), np.empty(0))]
     fh, path, owns = _open_lines(source)
+    stamps = _Stamps(path)
     try:
         _check_header(fh, header, path)
-        for lineno, rawline in enumerate(fh, start=2):
-            line = rawline.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 4:
-                raise ParseError(f"expected 4 fields, got {len(fields)}", lineno, path)
-            ident = fields[0].strip()
-            if not ident:
-                raise ParseError(f"empty {id_name}", lineno, path)
-            ts = _parse_timestamp(fields[1], lineno, path)
-            # every row is validated before the hour filter, so a defective
-            # log fails the same way whichever hours are being loaded
-            lat = _coord(fields[2], "lat_deg", lineno, path)
-            lon = _coord(fields[3], "lon_deg", lineno, path)
-            missing = lat is None or lon is None
-            if not missing and not -90.0 <= lat <= 90.0:
-                raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
-            first = firsts.get(ts.hour)
-            if first is None:
-                continue
-            if missing:
-                bad[ts.hour] += 1
-                continue
-            if not bbox.contains(lat, lon):
-                out[ts.hour] += 1
-                continue
-            key = (ts, lineno)  # first occurrence = min timestamp, ties by row
-            if ident not in first or key < first[ident][:2]:
-                first[ident] = (ts, lineno, lat, lon)
+        lineno = 2
+        while texts := [raw.rstrip("\r\n") for raw in islice(fh, _CHUNK_LINES)]:
+            rows = _fast_rows(texts, stamps)
+            if rows is None:
+                rows = _line_rows(texts, lineno, stamps, id_name, path)
+            lineno += len(texts)
+            ids, codes, lat, lon = rows
+            hour = np.array(stamps.hour, dtype=np.int64)[codes]
+            missing = np.isnan(lat) | np.isnan(lon)
+            inside = (
+                (lat >= bbox.lat_min) & (lat <= bbox.lat_max)
+                & (lon >= bbox.lon_min) & (lon <= bbox.lon_max)
+            )
+            bad += np.bincount(hour[missing], minlength=24)
+            out += np.bincount(hour[~missing & ~inside], minlength=24)
+            keep = np.flatnonzero(wanted[hour] & inside)
+            kept.append((
+                np.array([id_codes.setdefault(ids[k], len(id_codes))
+                          for k in keep.tolist()], dtype=np.int64),
+                codes[keep], lat[keep], lon[keep],
+            ))
     finally:
         if owns:
             fh.close()
 
-    return [
-        TerminalList(
-            [
-                Terminal(ident, GeoPoint(lat, lon), traffic_type, demand_mbps)
-                for ident, (_, _, lat, lon) in sorted(firsts[hour].items())
-            ],
-            dropped_bad_coords=bad[hour],
-            dropped_out_of_box=out[hour],
-        )
-        for hour in hours
-    ]
+    idc, codes, lat, lon = (np.concatenate(column) for column in zip(*kept))
+    names = list(id_codes)
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    hour = np.array(stamps.hour, dtype=np.int64)[codes]
+    micros = np.array(stamps.micros, dtype=np.int64)[codes]
+    # lexsort is stable and the rows are in file order, so equal instants
+    # go to the earlier row
+    order = np.lexsort((micros, rank[idc], hour))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (np.diff(hour[order]) != 0) | (np.diff(rank[idc[order]]) != 0)
+    pick = order[first]
+    idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], _wrap_lon(lon[pick])
+    demand = _demand(demand_mbps) if len(pick) else 0.0
+
+    blocks = []
+    for h in hours:
+        lo, hi = np.searchsorted(hour, (h, h + 1))
+        blocks.append(TerminalBlock(
+            [names[c] for c in idc[lo:hi].tolist()], lat[lo:hi], lon[lo:hi],
+            np.full(hi - lo, traffic_type.value), np.full(hi - lo, demand),
+            dropped_bad_coords=int(bad[h]), dropped_out_of_box=int(out[h]),
+        ))
+    return blocks
 
 
 def load_aero(source, hour, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
@@ -394,7 +592,7 @@ def load_aero(source, hour, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
 
 def load_aero_by_hour(source, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
     """load_aero for every hour of the day from one pass over the log:
-    a list of 24 terminal lists, indexed by hour."""
+    a list of 24 terminal blocks, indexed by hour."""
     return _load_movements(
         source, range(24), AERO_HEADER, "flight_id", TrafficType.AERO,
         demand_mbps, bbox,
@@ -411,7 +609,7 @@ def load_maritime(source, hour, *, demand_mbps=8.0, bbox=DEFAULT_BBOX):
 
 def load_maritime_by_hour(source, *, demand_mbps=8.0, bbox=DEFAULT_BBOX):
     """load_maritime for every hour of the day from one pass over the log:
-    a list of 24 terminal lists, indexed by hour."""
+    a list of 24 terminal blocks, indexed by hour."""
     return _load_movements(
         source, range(24), MARITIME_HEADER, "ship_id", TrafficType.MARITIME,
         demand_mbps, bbox,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MismatchedBeamsError, UnknownUserError
-from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
+from .geo import GeoPoint, ScenarioConfig, check_locations, path_loss_db, slant_range
 from .ioutil import write_table
 
 _TWO_PI = 2.0 * math.pi
@@ -56,6 +56,8 @@ class NearestSamples:
     smallest distance is a candidate, and a stable sort orders them.
 
     All beams share the grid, so one index serves every beam's gain.
+    lat_deg and lon_deg hold the distinct query points, and inverse maps
+    each query row to its point.
     """
 
     def __init__(self, lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
@@ -70,7 +72,7 @@ class NearestSamples:
             keys, axis=0, return_index=True, return_inverse=True
         )
         self.inverse = inverse.reshape(-1)
-        lat, lon = lat[first], lon[first]
+        lat, lon = self.lat_deg, self.lon_deg = lat[first], lon[first]
         m = len(lat)
         k = min(3, grid_lat.size)
         self._nearest = np.empty(m, dtype=np.int64)
@@ -182,6 +184,8 @@ def build_channel_matrix(T, pattern, cfg=None):
     Per user: slant range to the satellite, free-space loss, then one entry
     per beam from the gain of the nearest sample. The phase is set by the
     sub-wavelength remainder of the slant range, identical across the row.
+    Range, loss and phase are functions of location, so they are computed
+    once per distinct location of the nearest-sample search.
     The per-user interpolated gain of the serving beam is carried along as a
     diagnostic and does not enter the entries.
     """
@@ -195,10 +199,13 @@ def build_channel_matrix(T, pattern, cfg=None):
     lam = cfg.wavelength_m
 
     serving = T.beam
-    dist = np.empty(n)
-    loss = np.empty(n)
-    phase = np.empty(n)
-    for i, (lat, lon) in enumerate(zip(T.lat_deg.tolist(), T.lon_deg.tolist())):
+    check_locations(T.lat_deg, T.lon_deg)
+    index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
+    m = len(index.lat_deg)
+    dist = np.empty(m)
+    loss = np.empty(m)
+    phase = np.empty(m)
+    for i, (lat, lon) in enumerate(zip(index.lat_deg.tolist(), index.lon_deg.tolist())):
         d = slant_range(
             GeoPoint(lat, lon), cfg.sat_lat_deg, cfg.sat_lon_deg,
             cfg.altitude_m, cfg.earth_radius_m,
@@ -206,8 +213,7 @@ def build_channel_matrix(T, pattern, cfg=None):
         dist[i] = d
         loss[i] = path_loss_db(d, lam)
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
-
-    index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
+    dist, loss, phase = dist[index.inverse], loss[index.inverse], phase[index.inverse]
     nearest = index.nearest
 
     amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)

@@ -4,8 +4,9 @@ Every terminal that falls inside at least one beam footprint becomes a user;
 terminals covered by several overlapping footprints go to the beam with the
 highest interpolated gain at their location. Terminals outside all
 footprints are counted, not dropped silently and not forced into a beam.
-The matrix is a set of read-only columns, one row per user, so user n is
-row n - 1 and the consumers read whole columns.
+The terminals arrive as columns (TerminalBlock) and the matrix is a set of
+read-only columns, one row per user, so user n is row n - 1 and the
+consumers read whole columns.
 """
 
 from dataclasses import dataclass
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import polygon_contains_many
+from .ingest import TerminalBlock
 from .ioutil import write_table
 from .linkbudget import NearestSamples
 
@@ -23,6 +25,7 @@ _COLUMNS = (
     ("lon_deg", float),
     ("type", np.int64),
     ("demand_mbps", float),
+    ("row", np.int64),
 )
 
 
@@ -31,8 +34,9 @@ class TrafficMatrix:
     """Association result as columns: row n - 1 holds user n.
 
     beam is the 1-based serving beam and type the TrafficType value of each
-    user; beams is the pattern's beam count and excluded the number of
-    terminals outside every footprint.
+    user; row is the user's 0-based row among the terminals the matrix was
+    built from, and defaults to the user's own row. beams is the pattern's
+    beam count and excluded the number of terminals outside every footprint.
     """
 
     beam: np.ndarray
@@ -42,8 +46,11 @@ class TrafficMatrix:
     demand_mbps: np.ndarray
     beams: int
     excluded: int
+    row: np.ndarray = None
 
     def __post_init__(self):
+        if self.row is None:
+            object.__setattr__(self, "row", np.arange(len(self.beam)))
         if self.beams < 1:
             raise ValueError("a traffic matrix needs at least one beam")
         if self.excluded < 0:
@@ -74,6 +81,7 @@ class TrafficMatrix:
 def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
     """Assign terminals to serving beams and assemble the traffic matrix.
 
+    fss, aero and maritime are TerminalBlocks or sequences of Terminals.
     Rows are the covered terminals in input order (FSS block, then
     aeronautical, then maritime); uncovered ones are only counted. Overlaps are
     resolved toward the containing beam with the highest interpolated gain
@@ -95,9 +103,8 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
             raise ValueError(f"duplicate footprint for beam {fp.beam_id}")
         seen.add(fp.beam_id)
 
-    terminals = list(fss) + list(aero) + list(maritime)
-    lats = np.array([t.location.lat_deg for t in terminals])
-    lons = np.array([t.location.lon_deg for t in terminals])
+    terminals = TerminalBlock.concat(fss, aero, maritime)
+    lats, lons = terminals.lat_deg, terminals.lon_deg
 
     inside = {
         fp.beam_id: polygon_contains_many(fp.border, lats, lons)
@@ -128,17 +135,16 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
         sole = inside[j] & (counts == 1)
         chosen[sole] = j
 
-    keep = counts > 0
-    types = np.array([t.type for t in terminals], dtype=np.int64)
-    demand = np.array([t.demand_mbps for t in terminals])
+    keep = np.flatnonzero(counts)
     return TrafficMatrix(
         beam=chosen[keep],
         lat_deg=lats[keep],
         lon_deg=lons[keep],
-        type=types[keep],
-        demand_mbps=demand[keep],
+        type=terminals.type[keep],
+        demand_mbps=terminals.demand_mbps[keep],
         beams=pattern.beams,
-        excluded=len(terminals) - int(np.count_nonzero(keep)),
+        excluded=len(terminals) - len(keep),
+        row=keep,
     )
 
 

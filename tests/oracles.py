@@ -13,6 +13,17 @@ keys, and averages interference() over the sets with math.fsum.
 The library writes its CSV files a block of columns at a time. The row
 writers below format one value per call through fmt_float and give the
 bytes the block writers must match, non-finite errors included.
+
+hourly_profiles below associates the movers hour by hour, 25 calls in
+all; the library associates the movers of every hour in one call.
+
+build_channel_matrix below computes the slant range, loss and phase once
+per user; the library computes them once per distinct location.
+
+The library's loaders return TerminalBlocks, columns filled a chunk of lines
+at a time. load_population and load_movements below are the loaders they
+replaced: one row at a time, one Terminal and GeoPoint per terminal, in a
+list that carries the dropped counts.
 """
 
 import math
@@ -26,13 +37,31 @@ from sattraffic.analysis import (
     HOURS,
     INTERFERENCE_HEADER,
     PROFILE_HEADER,
+    HourlyProfile,
     SweepResult,
 )
-from sattraffic.geo import GeoPoint
+from sattraffic.errors import NegativePopulationError, ParseError
+from sattraffic.geo import GeoPoint, path_loss_db, slant_range
+from sattraffic.ingest import (
+    DEFAULT_BBOX,
+    POPULATION_HEADER,
+    Terminal,
+    TrafficType,
+    UrbanPolicy,
+    _check_header,
+    _coord,
+    _open_lines,
+    _parse_timestamp,
+)
 from sattraffic.ioutil import fmt_float
-from sattraffic.linkbudget import CHANNEL_HEADER, NearestSamples, interference
+from sattraffic.linkbudget import (
+    CHANNEL_HEADER,
+    ChannelMatrix,
+    NearestSamples,
+    interference,
+)
 from sattraffic.pattern import BORDERS_HEADER, PATTERN_HEADER
-from sattraffic.traffic import TRAFFIC_HEADER
+from sattraffic.traffic import TRAFFIC_HEADER, build_traffic_matrix, per_beam_demand
 
 _TWO_PI = 2.0 * math.pi
 
@@ -126,6 +155,192 @@ def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, user
             )
             watts[ui, si] = total / len(sets)
     return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
+
+
+def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
+    """The FSS block associated once, then the movers once per hour."""
+    fss_demand = per_beam_demand(build_traffic_matrix(footprints, pattern, fss, (), ()))
+    demand = np.zeros((pattern.beams, HOURS, 3))
+    demand[:, :, 0] = fss_demand[:, :1]
+    for hour, (aero, maritime) in enumerate(zip(aero_by_hour, maritime_by_hour)):
+        movers = per_beam_demand(
+            build_traffic_matrix(footprints, pattern, (), aero, maritime)
+        )
+        demand[:, hour, 1:] = movers[:, 1:]
+    return HourlyProfile(demand_mbps=demand)
+
+
+def build_channel_matrix(T, pattern, cfg):
+    """The channel matrix with range, loss and phase computed user by user."""
+    n = T.n_users
+    lam = cfg.wavelength_m
+    dist = np.empty(n)
+    loss = np.empty(n)
+    phase = np.empty(n)
+    for i, (lat, lon) in enumerate(zip(T.lat_deg.tolist(), T.lon_deg.tolist())):
+        d = slant_range(
+            GeoPoint(lat, lon), cfg.sat_lat_deg, cfg.sat_lon_deg,
+            cfg.altitude_m, cfg.earth_radius_m,
+        )
+        dist[i] = d
+        loss[i] = path_loss_db(d, lam)
+        phase[i] = _TWO_PI * math.fmod(d, lam) / lam
+
+    index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
+    nearest = index.nearest
+    amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)
+    amp_db -= loss[:, None]
+    amp_db += cfg.rx_gain_db
+    entries = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)[:, None]
+    gamma = np.empty(n)
+    for j in np.unique(T.beam):
+        sel = T.beam == j
+        gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
+    return ChannelMatrix(
+        entries=entries,
+        serving=T.beam,
+        distance_m=dist,
+        path_loss_db=loss,
+        interp_gain_db=gamma,
+        nearest_sample=nearest,
+    )
+
+
+class TerminalList(list):
+    """Terminal list that also reports how many records were dropped."""
+
+    def __init__(self, terminals=(), dropped_bad_coords=0, dropped_out_of_box=0):
+        super().__init__(terminals)
+        self.dropped_bad_coords = dropped_bad_coords
+        self.dropped_out_of_box = dropped_out_of_box
+
+    @property
+    def dropped(self):
+        return self.dropped_bad_coords + self.dropped_out_of_box
+
+
+def load_population(source, downscale=1000, urban_policy=None, *,
+                    demand_mbps=2.0, bbox=DEFAULT_BBOX):
+    """Population raster to FSS terminals, one Terminal per terminal."""
+    if not isinstance(downscale, int) or isinstance(downscale, bool) or downscale < 1:
+        raise ValueError(f"downscale must be an integer >= 1, got {downscale!r}")
+    if urban_policy is None:
+        urban_policy = UrbanPolicy()
+
+    fh, path, owns = _open_lines(source)
+    cells = {}
+    bad = 0
+    out = 0
+    try:
+        _check_header(fh, POPULATION_HEADER, path)
+        for lineno, rawline in enumerate(fh, start=2):
+            line = rawline.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ParseError(f"expected 3 fields, got {len(fields)}", lineno, path)
+            lat = _coord(fields[0], "lat_deg", lineno, path)
+            lon = _coord(fields[1], "lon_deg", lineno, path)
+            try:
+                pop = float(fields[2])
+            except ValueError:
+                raise ParseError(
+                    f"population {fields[2]!r} is not a number", lineno, path
+                ) from None
+            if math.isnan(pop) or not math.isfinite(pop) or pop < 0:
+                raise NegativePopulationError(
+                    f"{path}: line {lineno}: population must be finite and >= 0, "
+                    f"got {fields[2]}"
+                )
+            if lat is None or lon is None:
+                bad += 1
+                continue
+            if not -90.0 <= lat <= 90.0:
+                raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
+            if not bbox.contains(lat, lon):
+                out += 1
+                continue
+            cells.setdefault((lat, lon), []).append(pop)
+    finally:
+        if owns:
+            fh.close()
+
+    terminals = []
+    serial = 0
+    for (lat, lon), pops in sorted(cells.items()):
+        pop = math.fsum(pops)
+        count = int(pop // downscale)
+        if pop > urban_policy.density_threshold:
+            count = int(math.floor(count * urban_policy.suppression_factor))
+        for _ in range(count):
+            serial += 1
+            terminals.append(
+                Terminal(
+                    id=f"fss-{serial}",
+                    location=GeoPoint(lat, lon),
+                    type=TrafficType.FSS,
+                    demand_mbps=demand_mbps,
+                )
+            )
+    return TerminalList(terminals, dropped_bad_coords=bad, dropped_out_of_box=out)
+
+
+def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bbox):
+    """A movement log read once, row by row; one TerminalList per hour, in order."""
+    for hour in hours:
+        if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
+            raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
+
+    firsts = {hour: {} for hour in hours}  # hour -> id -> (timestamp, row_idx, lat, lon)
+    bad = dict.fromkeys(firsts, 0)
+    out = dict.fromkeys(firsts, 0)
+    fh, path, owns = _open_lines(source)
+    try:
+        _check_header(fh, header, path)
+        for lineno, rawline in enumerate(fh, start=2):
+            line = rawline.rstrip("\r\n")
+            if not line:
+                continue
+            fields = line.split(",")
+            if len(fields) != 4:
+                raise ParseError(f"expected 4 fields, got {len(fields)}", lineno, path)
+            ident = fields[0].strip()
+            if not ident:
+                raise ParseError(f"empty {id_name}", lineno, path)
+            ts = _parse_timestamp(fields[1], lineno, path)
+            lat = _coord(fields[2], "lat_deg", lineno, path)
+            lon = _coord(fields[3], "lon_deg", lineno, path)
+            missing = lat is None or lon is None
+            if not missing and not -90.0 <= lat <= 90.0:
+                raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
+            first = firsts.get(ts.hour)
+            if first is None:
+                continue
+            if missing:
+                bad[ts.hour] += 1
+                continue
+            if not bbox.contains(lat, lon):
+                out[ts.hour] += 1
+                continue
+            key = (ts, lineno)
+            if ident not in first or key < first[ident][:2]:
+                first[ident] = (ts, lineno, lat, lon)
+    finally:
+        if owns:
+            fh.close()
+
+    return [
+        TerminalList(
+            [
+                Terminal(ident, GeoPoint(lat, lon), traffic_type, demand_mbps)
+                for ident, (_, _, lat, lon) in sorted(firsts[hour].items())
+            ],
+            dropped_bad_coords=bad[hour],
+            dropped_out_of_box=out[hour],
+        )
+        for hour in hours
+    ]
 
 
 def escape(s):

@@ -23,7 +23,7 @@ from sattraffic.analysis import (
 )
 from sattraffic.errors import BadThresholdsError, UnknownUserError
 from sattraffic.geo import GeoPoint, ScenarioConfig
-from sattraffic.ingest import Terminal, TrafficType
+from sattraffic.ingest import Terminal, TerminalBlock, TrafficType
 from sattraffic.linkbudget import ChannelMatrix, build_channel_matrix, interference
 from sattraffic.pattern import BeamPattern, all_footprints
 from sattraffic.traffic import TrafficMatrix, build_traffic_matrix, per_beam_demand
@@ -204,6 +204,55 @@ def test_hourly_profiles_match_whole_snapshot_association(
     want = hourly_profiles_oracle(fss, aero, mar, fps, pattern)
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    specs=st.lists(st.tuples(st.sampled_from(TrafficType), terminal_specs), max_size=10),
+    mover_specs=st.dictionaries(
+        st.integers(0, 23),
+        st.tuples(
+            st.lists(st.tuples(st.sampled_from(TrafficType), terminal_specs), max_size=5),
+            st.lists(st.tuples(st.sampled_from(TrafficType), terminal_specs), max_size=5),
+        ),
+        max_size=6,
+    ),
+)
+def test_hourly_profiles_of_blocks_match_per_hour_association(row_scene, specs, mover_specs):
+    pattern, fps = row_scene
+
+    def mixed(prefix, items):
+        return tuple(
+            Terminal(f"{prefix}{i}", GeoPoint(lat, lon), kind, demand)
+            for i, (kind, (lat, lon, demand)) in enumerate(items)
+        )
+
+    fss = mixed("f", specs)
+    aero, mar = movers_by_hour({
+        h: (mixed("a", a), mixed("m", m)) for h, (a, m) in mover_specs.items()
+    })
+    got = hourly_profiles(
+        TerminalBlock.of(fss), [TerminalBlock.of(b) for b in aero],
+        [TerminalBlock.of(b) for b in mar], fps, pattern,
+    ).demand_mbps
+    want = oracles.hourly_profiles(fss, aero, mar, fps, pattern).demand_mbps
+    assert got.tobytes() == want.tobytes()
+
+
+def test_hourly_profiles_keep_types_to_their_association(row_scene):
+    # an aeronautical terminal in the FSS block and an FSS terminal among the
+    # movers count nowhere, as with one association per hour
+    pattern, fps = row_scene
+    fss = [fss_at("f", 0.0, 0.0, 3.0), aero_at("stray", 0.0, 2.4, 7.0)]
+    aero, mar = movers_by_hour({
+        5: ((aero_at("a", 0.0, 0.0), fss_at("stray", 0.0, 4.8, 9.0)),
+            (Terminal("m", GeoPoint(0.0, 2.4), TrafficType.MARITIME, 8.0),)),
+    })
+    got = hourly_profiles(fss, aero, mar, fps, pattern).demand_mbps
+    want = oracles.hourly_profiles(fss, aero, mar, fps, pattern).demand_mbps
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(got[:, :, 0], np.broadcast_to([[3.0], [0.0], [0.0]], (3, 24)))
+    assert got[0, 5, 1] == 10.0 and got[1, 5, 2] == 8.0 and got.sum() == 3.0 * 24 + 18.0
 
 
 class TestClassifyBeams:
@@ -431,6 +480,58 @@ def test_exhaustive_matches_enumeration(data):
     want = oracles.interference_sweep(H, cfg, sizes, policy="exhaustive", users=users)
     assert (got.users, got.sizes) == (want.users, want.sizes)
     assert got.watts == pytest.approx(want.watts, rel=1e-12, abs=0)
+
+
+def exhaustive_per_user(H, cfg, sizes, users):
+    """The closed form one interference() call per (user, size), as it was."""
+    watts = np.zeros((len(users), len(sizes)))
+    for ui, n in enumerate(users):
+        for si, s in enumerate(sizes):
+            if s > 1:
+                share = (s - 1) / (H.beams - 1)
+                watts[ui, si] = interference(
+                    H, n, range(1, H.beams + 1), cfg.total_power_w / s
+                ) * share
+    return watts
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_exhaustive_bit_matches_per_user_interference(data):
+    H = data.draw(channels(max_beams=12, max_users=6))
+    sizes = data.draw(st.lists(st.integers(1, H.beams), min_size=1, max_size=8))
+    users = data.draw(st.lists(st.integers(1, H.n_users), min_size=1, max_size=8))
+    cfg = ScenarioConfig()
+    got = interference_sweep(H, cfg, sizes, policy="exhaustive", users=users)
+    want = exhaustive_per_user(H, cfg, sizes, users)
+    assert got.watts.tobytes() == want.tobytes()
+
+
+def test_exhaustive_37_beams_bit_matches_per_user_interference():
+    rng = np.random.default_rng(3737)
+    beams, n_users = 37, 50
+    mags = 10.0 ** rng.uniform(-12.0, 3.0, size=(n_users, beams))
+    H = channel(mags * np.exp(1j * rng.uniform(0.0, 2 * math.pi, mags.shape)),
+                rng.integers(1, beams + 1, size=n_users))
+    cfg = ScenarioConfig()
+    sizes = list(range(beams, 0, -1))
+    users = list(range(n_users, 0, -1))
+    got = interference_sweep(H, cfg, sizes, policy="exhaustive", users=users)
+    assert got.watts.tobytes() == exhaustive_per_user(H, cfg, sizes, users).tobytes()
+
+
+def test_exhaustive_squares_gains_as_interference_does():
+    # magnitudes whose libm pow(x, 2), as in abs(complex) ** 2, and x * x
+    # differ in the last bit
+    candidates = (10.0 ** np.random.default_rng(2).uniform(-9.0, -2.0, 100_000)).tolist()
+    mags = [x for x in candidates if x ** 2 != x * x][:36]
+    if not mags:
+        pytest.skip("pow(x, 2) equals x * x for every candidate on this platform")
+    H = channel([[1.0, *mags], [*mags, 1.0]], [1, len(mags) + 1])
+    cfg = ScenarioConfig()
+    sizes = list(range(1, len(mags) + 2))
+    got = interference_sweep(H, cfg, sizes, policy="exhaustive")
+    assert got.watts.tobytes() == exhaustive_per_user(H, cfg, sizes, [1, 2]).tobytes()
 
 
 @given(data=st.data())

@@ -6,11 +6,23 @@ import json
 import pytest
 
 from sattraffic import analysis, cli, ingest
+from sattraffic.analysis import HourlyProfile
 from sattraffic.geo import GeoPoint
-from sattraffic.ingest import load_aero, load_maritime, load_population
+from sattraffic.ingest import (
+    AERO_HEADER,
+    DEFAULT_BBOX,
+    MARITIME_HEADER,
+    TrafficType,
+    load_aero,
+    load_maritime,
+    load_population,
+)
 from sattraffic.ioutil import sha256_file
 from sattraffic.pattern import BORDERS_HEADER, all_footprints, parse_pattern
 from sattraffic.traffic import build_traffic_matrix
+
+import oracles
+from test_analysis import hourly_profiles_oracle
 
 SEEDS = {"pattern": 11, "population": 12, "aero": 13, "maritime": 14}
 
@@ -321,8 +333,8 @@ class TestSimulate:
 
 
 class TestProfileCommand:
-    def test_each_log_row_parsed_once_and_fss_associated_once(self, inputs, tmp_path,
-                                                              monkeypatch):
+    def test_each_timestamp_text_parsed_once_and_two_associations(self, inputs, tmp_path,
+                                                                  monkeypatch):
         calls = collections.Counter()
 
         def counted(name, fn):
@@ -337,13 +349,35 @@ class TestProfileCommand:
                             counted("associate", analysis.build_traffic_matrix))
         rc = cli.main(["profile", *demand_argv(inputs), "--out-dir", str(tmp_path)])
         assert rc == 0
-        data_rows = sum(
-            1 for name in ("aero", "maritime")
-            for line in inputs[name].read_text().splitlines()[1:] if line
+        distinct_stamps = sum(
+            len({line.split(",")[1] for line in inputs[name].read_text().splitlines()[1:]
+                 if line})
+            for name in ("aero", "maritime")
         )
-        assert calls["parse"] == data_rows
-        assert calls["associate"] == 1 + 24
+        assert calls["parse"] == distinct_stamps
+        assert calls["associate"] == 2
 
+    @pytest.mark.parametrize("only", ["population", "aero", "maritime"])
+    def test_single_input_matches_whole_hour_association(self, inputs, tmp_path, only):
+        out = tmp_path / "out"
+        rc = cli.main(["profile", "--pattern", str(inputs["pattern"]),
+                       f"--{only}", str(inputs[only]), "--out-dir", str(out)])
+        assert rc == 0
+        pattern = parse_pattern(inputs["pattern"])
+        fss, aero, maritime = (), [()] * 24, [()] * 24
+        if only == "population":
+            fss = oracles.load_population(inputs["population"])
+        elif only == "aero":
+            aero = oracles.load_movements(inputs["aero"], range(24), AERO_HEADER,
+                                          "flight_id", TrafficType.AERO, 10.0, DEFAULT_BBOX)
+        else:
+            maritime = oracles.load_movements(inputs["maritime"], range(24), MARITIME_HEADER,
+                                              "ship_id", TrafficType.MARITIME, 8.0,
+                                              DEFAULT_BBOX)
+        demand = hourly_profiles_oracle(fss, aero, maritime, all_footprints(pattern), pattern)
+        assert demand.any()
+        oracles.write_profile_csv(HourlyProfile(demand_mbps=demand), tmp_path / "want.csv")
+        assert (out / "profile.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_outputs_written(self, inputs, tmp_path):
         rc = cli.main(
@@ -385,6 +419,36 @@ class TestProfileCommand:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["lower"] == 0.5
         assert manifest["config"]["upper"] == 20
+
+
+@pytest.mark.parametrize("command", [["simulate", "--hour", "9"], ["profile"]])
+def test_no_object_per_terminal(inputs, tmp_path, monkeypatch, command):
+    # terminals stay columns from the loaders to the writers; the channel
+    # build makes one GeoPoint per distinct user location
+    built = collections.Counter()
+    for cls in (ingest.Terminal, GeoPoint):
+        post_init = cls.__post_init__
+
+        def counted(self, post_init=post_init, name=cls.__name__):
+            built[name] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    out = tmp_path / "out"
+    assert cli.main([command[0], *demand_argv(inputs), *command[1:],
+                     "--out-dir", str(out)]) == 0
+    counts = dict(built)
+    assert "Terminal" not in counts
+    if command[0] == "simulate":
+        pattern = parse_pattern(inputs["pattern"])
+        T = build_traffic_matrix(
+            all_footprints(pattern), pattern, load_population(inputs["population"]),
+            load_aero(inputs["aero"], 9), load_maritime(inputs["maritime"], 9),
+        )
+        bits = zip(T.lat_deg.view("i8").tolist(), T.lon_deg.view("i8").tolist())
+        assert 0 < counts["GeoPoint"] == len(set(bits)) < T.n_users
+    else:
+        assert "GeoPoint" not in counts
 
 
 class TestInterferenceCommand:

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from sattraffic.linkbudget import (
 from sattraffic.pattern import BeamPattern
 from sattraffic.traffic import TrafficMatrix
 
+import oracles
 from oracles import SamplePoint, beam_samples, interpolate_gain
 
 
@@ -189,6 +191,35 @@ class TestBuildChannelMatrix:
         H = build_channel_matrix(T, pattern)
         assert H.entries.shape == (0, 7)
         assert H.n_users == 0
+
+    def test_range_per_distinct_location_bit_matches_per_user(self):
+        pattern = seven_beam_pattern(pitch=0.5)
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(43)
+        spots = [(float(rng.uniform(49.0, 55.0)), float(rng.uniform(2.0, 8.0)))
+                 for _ in range(6)]
+        spots += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (52.0, 179.5), (-30.0, -179.0)]
+        locs = [spots[int(k)] for k in rng.integers(0, len(spots), size=40)] + spots
+        T = matrix_for(pattern, locs, beams=[int(b) for b in rng.integers(1, 8, len(locs))])
+        got = build_channel_matrix(T, pattern, cfg)
+        want = oracles.build_channel_matrix(T, pattern, cfg)
+        for name in ("entries", "serving", "distance_m", "path_loss_db",
+                     "interp_gain_db", "nearest_sample"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("locs", [
+        [(52.0, 5.0), (math.nan, 5.0)],
+        [(52.0, 5.0), (52.0, math.inf), (95.0, 5.0)],
+        [(-95.0, 5.0), (95.0, 5.0)],
+        [(52.0, 5.0), (math.inf, 5.0), (52.0, math.nan)],
+    ])
+    def test_first_invalid_location_fails_as_user_by_user(self, locs):
+        pattern = seven_beam_pattern(pitch=0.5)
+        T = matrix_for(pattern, locs)
+        with pytest.raises(ValueError) as want:
+            oracles.build_channel_matrix(T, pattern, ScenarioConfig())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            build_channel_matrix(T, pattern, ScenarioConfig())
 
     def test_single_user_at_sample_composes_module_oracles(self):
         # one beam, uniform 50 dB gain, user at the sub-satellite point

@@ -1,0 +1,311 @@
+"""TerminalBlock, the column form of the loaders' output, and loader edge cases.
+
+The loaders fill columns directly; `oracles.load_population` and
+`oracles.load_movements` are the loaders they replaced, which built one
+Terminal and GeoPoint per terminal. Every case here must come out as it did
+with them: the same ids, coordinate bits, types, demands and dropped
+counts, or the same exception with the same message.
+"""
+
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sattraffic import ingest
+from sattraffic.errors import ParseError, TimestampError
+from sattraffic.geo import GeoPoint
+from sattraffic.ingest import (
+    AERO_HEADER,
+    POPULATION_HEADER,
+    BoundingBox,
+    Terminal,
+    TerminalBlock,
+    TrafficType,
+    UrbanPolicy,
+    load_aero,
+    load_aero_by_hour,
+    load_population,
+)
+
+import oracles
+from test_movements_by_hour import assert_same_outcome, assert_same_terminals, outcome
+
+
+def aero_text(rows, end="\n"):
+    return end.join([AERO_HEADER, *rows]) + end
+
+
+def load_both(text, hours=range(24), demand=10.0, bbox=ingest.DEFAULT_BBOX):
+    """(library outcome, parent outcome) of loading a flight log."""
+    got = outcome(lambda: ingest._load_movements(
+        io.StringIO(text), hours, AERO_HEADER, "flight_id", TrafficType.AERO, demand, bbox
+    ))
+    want = outcome(lambda: oracles.load_movements(
+        io.StringIO(text), hours, AERO_HEADER, "flight_id", TrafficType.AERO, demand, bbox
+    ))
+    return got, want
+
+
+def assert_matches_parent(text, **kwargs):
+    """The library's blocks for a flight log that loads as the parent's did."""
+    got, want = load_both(text, **kwargs)
+    assert_same_outcome(*got, *want)
+    assert got[1] is None
+    return got[0]
+
+
+# -- population ----------------------------------------------------------------
+
+POP_LATS = ("50", "50.0", "0.0", "-0.0", "45.25", "", "nan", " 50 ")
+POP_LONS = ("10", "10.0", "0.0", "-0.0", "190", "-185", "", "nan")
+POPS = ("0", "999", "1000", "2500", "60000", "1e5", "0.5", " 7 ")
+POP_DEFECTS = ("50,10,-5", "50,10,nan", "50,10,lots", "95,10,100", "50,10",
+               "50,10,1,2", "fifty,10,100", "50,inf,100")
+
+pop_rows = st.builds(
+    lambda lat, lon, pop: f"{lat},{lon},{pop}",
+    st.sampled_from(POP_LATS), st.sampled_from(POP_LONS), st.sampled_from(POPS),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=st.lists(pop_rows, max_size=25),
+    defect=st.one_of(st.none(), st.tuples(st.sampled_from(POP_DEFECTS), st.integers(0, 25))),
+    crlf=st.booleans(),
+    blank=st.one_of(st.none(), st.integers(0, 25)),
+    downscale=st.sampled_from((1, 7, 1000)),
+    policy=st.sampled_from((None, UrbanPolicy(5000.0, 0.3), UrbanPolicy(0.0, 0.0))),
+    demand=st.sampled_from((2.0, 0.0, -1.0, math.nan)),
+    bbox=st.sampled_from((ingest.DEFAULT_BBOX, BoundingBox(-10.0, 60.0, -200.0, 200.0))),
+)
+def test_population_matches_parent_loader(lines, defect, crlf, blank, downscale, policy,
+                                          demand, bbox):
+    lines = list(lines)
+    if defect is not None:
+        lines.insert(min(defect[1], len(lines)), defect[0])
+    if blank is not None:
+        lines.insert(min(blank, len(lines)), "")
+    end = "\r\n" if crlf else "\n"
+    text = end.join([POPULATION_HEADER, *lines]) + end
+
+    got = outcome(lambda: [load_population(
+        io.StringIO(text), downscale, policy, demand_mbps=demand, bbox=bbox
+    )])
+    want = outcome(lambda: [oracles.load_population(
+        io.StringIO(text), downscale, policy, demand_mbps=demand, bbox=bbox
+    )])
+    assert_same_outcome(*got, *want)
+
+
+class TestPopulationEdges:
+    def test_cells_expand_in_center_order(self):
+        text = POPULATION_HEADER + "\n52,5,3000\n50,10,2500\n50,-0.0,1000\n"
+        block = load_population(io.StringIO(text), 1000)
+        assert block.ids == ("fss-1", "fss-2", "fss-3", "fss-4", "fss-5", "fss-6")
+        assert block.lat_deg.tolist() == [50.0, 50.0, 50.0, 52.0, 52.0, 52.0]
+        assert block.lon_deg.tolist() == [0.0, 10.0, 10.0, 5.0, 5.0, 5.0]
+        assert math.copysign(1.0, block.lon_deg[0]) == -1.0
+
+    def test_lon_190_held_as_minus_170(self):
+        box = BoundingBox(40.0, 60.0, 0.0, 200.0)
+        text = POPULATION_HEADER + "\n50,190,2000\n"
+        block = load_population(io.StringIO(text), 1000, bbox=box)
+        assert block.lon_deg.tolist() == [-170.0, -170.0]
+        assert block[0].location == GeoPoint(50.0, 190.0)
+        assert_same_terminals(block, oracles.load_population(io.StringIO(text), 1000, bbox=box))
+
+    def test_negative_demand_raises_only_when_a_terminal_is_built(self):
+        empty = POPULATION_HEADER + "\n50,10,999\n"
+        assert len(load_population(io.StringIO(empty), 1000, demand_mbps=-1)) == 0
+        one = POPULATION_HEADER + "\n50,10,1000\n"
+        with pytest.raises(ValueError, match=r"demand must be finite and >= 0, got -1$"):
+            load_population(io.StringIO(one), 1000, demand_mbps=-1)
+        with pytest.raises(ValueError, match=r"got -1$"):
+            oracles.load_population(io.StringIO(one), 1000, demand_mbps=-1)
+
+
+# -- movement logs ---------------------------------------------------------------
+
+class TestMovementEdges:
+    def test_ids_differing_by_a_trailing_nul(self):
+        text = aero_text([
+            "f1\x00,2026-01-15T09:10:00Z,51,11",
+            "f1,2026-01-15T09:00:00Z,50,10",
+        ])
+        got = assert_matches_parent(text)
+        assert got[9].ids == ("f1", "f1\x00")
+        assert got[9].lat_deg.tolist() == [50.0, 51.0]
+
+    def test_non_ascii_ids_in_str_order(self):
+        names = ["é", "z", "Z", "ß", "a", "日本", "é"]
+        text = aero_text([f"{name},2026-01-15T09:00:00Z,50,10" for name in names])
+        got = assert_matches_parent(text)
+        assert list(got[9].ids) == sorted(names)
+
+    def test_lon_190_held_as_minus_170(self):
+        box = BoundingBox(40.0, 60.0, 0.0, 200.0)
+        text = aero_text(["f1,2026-01-15T09:00:00Z,50,190"])
+        got = assert_matches_parent(text, bbox=box)
+        assert got[9].lon_deg.tolist() == [-170.0]
+        assert got[9][0].location == GeoPoint(50.0, -170.0)
+
+    @pytest.mark.parametrize("first, second, lat", [
+        ("2026-01-15T11:00:00+01:00", "2026-01-15T10:00:00Z", 50.0),
+        ("2026-01-15T10:00:00Z", "2026-01-15T11:00:00+01:00", 50.0),
+        ("2026-01-15T10:00:01Z", "2026-01-15T11:00:00+01:00", 60.0),
+    ])
+    def test_equal_instants_go_to_the_earlier_row(self, first, second, lat):
+        text = aero_text([f"f1,{first},50,10", f"f1,{second},60,20"])
+        got = assert_matches_parent(text)
+        assert got[10].lat_deg.tolist() == [lat]
+
+    def test_negative_demand_raises_only_when_a_terminal_is_built(self):
+        text = aero_text(["f1,2026-01-15T09:00:00Z,50,10"])
+        assert len(load_aero(io.StringIO(text), 8, demand_mbps=-1)) == 0
+        with pytest.raises(ValueError, match=r"demand must be finite and >= 0, got -1$"):
+            load_aero(io.StringIO(text), 9, demand_mbps=-1)
+        got, want = load_both(text, demand=-1)
+        assert_same_outcome(*got, *want)
+        assert isinstance(got[1], ValueError)
+
+    def test_crlf_and_blank_lines(self):
+        rows = ["f2,2026-01-15T09:00:00Z,50,10", "", "f1,2026-01-15T09:05:00Z,51,11",
+                "", "", "f2,2026-01-15T08:59:00Z,52,12"]
+        lf = assert_matches_parent(aero_text(rows))
+        crlf = assert_matches_parent(aero_text(rows, "\r\n"))
+        assert lf[9].ids == crlf[9].ids == ("f1", "f2")
+        assert lf[8].ids == crlf[8].ids == ("f2",)
+
+    def test_whitespace_line_is_not_blank(self):
+        rows = ["f1,2026-01-15T09:00:00Z,50,10", " ", "f2,2026-01-15T09:00:00Z,50,10"]
+        got, want = load_both(aero_text(rows))
+        assert_same_outcome(*got, *want)
+        assert str(got[1]).endswith("line 3: expected 4 fields, got 1")
+
+    def test_first_error_in_row_order_across_kinds(self):
+        rows = ["f1,2026-01-15T09:00:00Z,50,10", "f1,2026-01-15T09:00:00Z,95,10",
+                "f1,yesterday,50,10"]
+        got, want = load_both(aero_text(rows))
+        assert_same_outcome(*got, *want)
+        assert isinstance(got[1], ParseError) and "line 3" in str(got[1])
+        rows[1], rows[2] = rows[2], rows[1]
+        got, want = load_both(aero_text(rows))
+        assert_same_outcome(*got, *want)
+        assert isinstance(got[1], TimestampError) and "line 3" in str(got[1])
+
+    @pytest.mark.parametrize("first", [
+        "f1,2026-01-15T09:00:00Z,95,10",
+        "f1,2026-01-15T09:00:00Z,50,10",
+    ])
+    def test_timestamp_overflowing_in_utc(self, first):
+        # year 1 at +01:00 has no UTC datetime; the error is the first in row order
+        rows = [first, "f1,0001-01-01T00:30:00+01:00,50,10"]
+        got, want = load_both(aero_text(rows))
+        assert_same_outcome(*got, *want)
+        assert isinstance(got[1], ParseError if "95" in first else OverflowError)
+
+
+CHUNK = ingest._CHUNK_LINES
+
+
+def chunk_log(rows, bad_at):
+    lines = [
+        f"f{k % 97},2026-01-15T{k % 24:02d}:{k % 60:02d}:00Z,{40 + k % 20},{k % 20}"
+        for k in range(rows)
+    ]
+    if bad_at is not None:
+        lines[bad_at] = "f1,2026-01-15T09:00:00Z,95.0,5.0"
+    return aero_text(lines)
+
+
+@pytest.mark.parametrize("rows", [CHUNK - 1, CHUNK, CHUNK + 1])
+@pytest.mark.parametrize("bad_at", [None, CHUNK - 2, CHUNK - 1, CHUNK])
+def test_chunk_boundaries(rows, bad_at):
+    if bad_at is not None and bad_at >= rows:
+        bad_at = rows - 1
+    got, want = load_both(chunk_log(rows, bad_at))
+    assert_same_outcome(*got, *want)
+    if bad_at is None:
+        assert sum(len(block) for block in got[0]) > 0
+    else:
+        assert f"line {bad_at + 2}:" in str(got[1])
+
+
+def test_each_timestamp_text_parsed_once(monkeypatch):
+    calls = []
+    parse = ingest._parse_timestamp
+    monkeypatch.setattr(ingest, "_parse_timestamp", lambda *a: calls.append(a[0]) or parse(*a))
+    text = chunk_log(3 * CHUNK + 5, None)
+    load_aero_by_hour(io.StringIO(text))
+    stamps = [line.split(",")[1] for line in text.splitlines()[1:]]
+    assert sorted(calls) == sorted(set(stamps))
+
+
+# -- the block as a sequence of terminals ----------------------------------------
+
+def sample_block():
+    text = aero_text(["b,2026-01-15T09:00:00Z,50,10", "a,2026-01-15T09:01:00Z,51,-0.0"])
+    return load_aero(io.StringIO(text), 9)
+
+
+class TestTerminalBlock:
+    def test_sequence_view_builds_terminals(self):
+        block = sample_block()
+        a = Terminal("a", GeoPoint(51.0, -0.0), TrafficType.AERO, 10.0)
+        b = Terminal("b", GeoPoint(50.0, 10.0), TrafficType.AERO, 10.0)
+        assert len(block) == 2
+        assert block[0] == a and block[-1] == b
+        assert list(reversed(block)) == [b, a]
+        assert list(block) == [a, b]
+        assert block == [a, b] and [a, b] == block and block == (a, b)
+        assert block != [a] and block != [b, a]
+        assert block.index(b) == 1 and b in block
+        with pytest.raises(IndexError):
+            block[2]
+
+    def test_empty_block_equals_empty_list(self):
+        block = load_aero(io.StringIO(aero_text([])), 0)
+        assert block == [] and len(block) == 0 and list(block) == []
+        assert block.dropped == 0
+
+    def test_columns_are_read_only(self):
+        block = sample_block()
+        for column in (block.lat_deg, block.lon_deg, block.type, block.demand_mbps):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        with pytest.raises(TypeError):
+            hash(block)
+
+    def test_of_and_concat(self):
+        block = sample_block()
+        assert TerminalBlock.of(block) is block
+        again = TerminalBlock.of(list(block))
+        assert_same_terminals(again, oracles.TerminalList(list(block)))
+        fss = Terminal("x", GeoPoint(1.0, 2.0), TrafficType.FSS, 2.5)
+        both = TerminalBlock.concat(block, (), [fss])
+        assert list(both) == [*block, fss]
+        assert both.type.tolist() == [2, 2, 1]
+        assert np.array_equal(both.demand_mbps, [10.0, 10.0, 2.5])
+
+    def test_dropped_counts_kept(self):
+        text = aero_text(["a,2026-01-15T09:00:00Z,nan,10", "b,2026-01-15T09:00:00Z,10,10"])
+        block = load_aero(io.StringIO(text), 9)
+        assert (block.dropped_bad_coords, block.dropped_out_of_box, block.dropped) == (1, 1, 2)
+
+    def test_column_length_checked(self):
+        with pytest.raises(ValueError, match="lon_deg"):
+            TerminalBlock(["a"], [1.0], [], [1], [2.0])
+
+    @pytest.mark.parametrize("lat, lon, message", [
+        (95.0, 1.0, "latitude 95.0 outside"),
+        (math.nan, 1.0, "non-finite"),
+        (1.0, -math.inf, "non-finite"),
+    ])
+    def test_locations_checked_as_geopoint_does(self, lat, lon, message):
+        with pytest.raises(ValueError, match=message):
+            TerminalBlock(["a", "b"], [1.0, lat], [1.0, lon], [1, 1], [2.0, 2.0])

@@ -1,17 +1,25 @@
-"""One-pass movement loading against the per-hour loader it replaced.
+"""One-pass movement loading against the loaders it replaced.
 
 `load_one_hour` is the loader `profile` used to call once per hour: a full
 pass over the log that keeps only the requested hour's rows. The one-pass
 loaders must give, for every hour, the same terminals and the same dropped
 counts, and must fail on a defective log with the same exception.
+
+`oracles.load_movements` is the one-pass loader that built a Terminal per
+row and kept them in lists. The chunked column loaders must give the same
+ids, coordinate bits, types, demands and dropped counts, whatever the chunk
+size, and raise the same first error in row order.
 """
 
 import io
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sattraffic import ingest
 from sattraffic.errors import ParseError
 from sattraffic.geo import GeoPoint
 from sattraffic.ingest import (
@@ -19,7 +27,7 @@ from sattraffic.ingest import (
     MARITIME_HEADER,
     BoundingBox,
     Terminal,
-    TerminalList,
+    TerminalBlock,
     TrafficType,
     _check_header,
     _coord,
@@ -30,6 +38,9 @@ from sattraffic.ingest import (
     load_maritime,
     load_maritime_by_hour,
 )
+
+import oracles
+from oracles import TerminalList
 
 
 def load_one_hour(source, hour, header, id_name, traffic_type, demand_mbps, bbox):
@@ -181,3 +192,84 @@ def test_one_pass_matches_per_hour_loader(kind, lines, crlf, blanks, defect, sin
 def test_single_hour_still_validated(hour):
     with pytest.raises(ValueError, match="hour"):
         load_aero(io.StringIO(AERO_HEADER + "\n"), hour)
+
+
+def bits(values):
+    return np.array(list(values), dtype=float).view(np.int64).tolist()
+
+
+def assert_same_terminals(got, want):
+    """A TerminalBlock holding exactly the terminals of a TerminalList."""
+    assert isinstance(got, TerminalBlock)
+    assert list(got.ids) == [t.id for t in want]
+    assert bits(got.lat_deg) == bits(t.location.lat_deg for t in want)
+    assert bits(got.lon_deg) == bits(t.location.lon_deg for t in want)
+    assert got.type.tolist() == [int(t.type) for t in want]
+    assert bits(got.demand_mbps) == bits(t.demand_mbps for t in want)
+    assert got.dropped_bad_coords == want.dropped_bad_coords
+    assert got.dropped_out_of_box == want.dropped_out_of_box
+    assert list(got) == list(want)
+
+
+def assert_same_outcome(got, got_exc, want, want_exc):
+    if want_exc is not None:
+        assert type(got_exc) is type(want_exc)
+        assert str(got_exc) == str(want_exc)
+        return
+    assert got_exc is None
+    assert len(got) == len(want)
+    for block, terminals in zip(got, want):
+        assert_same_terminals(block, terminals)
+
+
+# ids that numpy's U dtype would merge or that sort differently by bytes,
+# timestamps that name one instant in several ways, longitudes to wrap
+WIDE_BOX = BoundingBox(40.0, 60.0, -200.0, 200.0)
+wide_rows = st.builds(
+    lambda ident, hour, minute, offset, lat, lon: (
+        f"{ident},2026-01-15T{hour:02d}:{minute:02d}:00{offset},{lat},{lon}"
+    ),
+    st.sampled_from(("a1", "a1\x00", " a1 ", "é", "Z", "ß1", "c10")),
+    st.one_of(st.sampled_from((9, 10)), st.integers(0, 23)),
+    st.sampled_from((0, 59)),
+    st.sampled_from(("Z", "+00:00", "+01:00", "-08:00", "")),
+    st.sampled_from(LATS + ("-0.0", "90", "-90")),
+    st.sampled_from(LONS + ("190", "-185", "359.5", " 5 ")),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(KINDS)),
+    lines=st.lists(st.one_of(rows, wide_rows), max_size=40),
+    crlf=st.booleans(),
+    blanks=st.lists(st.integers(0, 40), max_size=3),
+    defects=st.lists(
+        st.tuples(st.sampled_from(DEFECTS + (" ", "\t")), st.integers(0, 40)), max_size=2
+    ),
+    bbox=st.sampled_from((BBOX, WIDE_BOX)),
+    demand=st.sampled_from((10.0, 0.0, -1.0)),
+    chunk=st.sampled_from((1, 2, 3, 7, 1024)),
+    single_hour=st.integers(0, 23),
+)
+def test_chunked_columns_match_parent_loader(kind, lines, crlf, blanks, defects, bbox,
+                                              demand, chunk, single_hour):
+    header, id_name, ttype, _, by_hour, one_hour = KINDS[kind]
+    lines = list(lines)
+    for defect, pos in defects:
+        lines.insert(min(pos, len(lines)), defect)
+    text = render(header, lines, crlf, blanks)
+
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        got = outcome(lambda: by_hour(io.StringIO(text), demand_mbps=demand, bbox=bbox))
+        single = outcome(
+            lambda: [one_hour(io.StringIO(text), single_hour, demand_mbps=demand, bbox=bbox)]
+        )
+    want = outcome(lambda: oracles.load_movements(
+        io.StringIO(text), range(24), header, id_name, ttype, demand, bbox
+    ))
+    want_single = outcome(lambda: oracles.load_movements(
+        io.StringIO(text), (single_hour,), header, id_name, ttype, demand, bbox
+    ))
+    assert_same_outcome(*got, *want)
+    assert_same_outcome(*single, *want_single)

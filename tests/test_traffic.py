@@ -8,7 +8,7 @@ import pytest
 
 from sattraffic.geo import GeoPoint
 from sattraffic.geometry import Polygon, point_in_polygon
-from sattraffic.ingest import Terminal, TrafficType
+from sattraffic.ingest import Terminal, TerminalBlock, TrafficType
 from sattraffic.pattern import BeamFootprint, BeamPattern, all_footprints, parse_pattern
 from sattraffic.traffic import (
     TRAFFIC_HEADER,
@@ -180,6 +180,21 @@ class TestBuildTrafficMatrix:
         T = build_traffic_matrix(fps, pattern, [], [], [])
         assert T.n_users == 0
         assert T.excluded == 0
+
+    def test_row_column_names_input_rows(self):
+        pattern = square_pattern()
+        fps = [square_footprint()]
+        fss_terms = [fss("out", 2.0, 2.0), fss("a", 0.5, 0.5)]
+        aero = [Terminal("f1", GeoPoint(0.2, 0.2), TrafficType.AERO, 10.0),
+                Terminal("f2", GeoPoint(-1.0, 0.2), TrafficType.AERO, 10.0)]
+        mar = TerminalBlock.of([Terminal("s1", GeoPoint(0.8, 0.8), TrafficType.MARITIME, 8.0)])
+        T = build_traffic_matrix(fps, pattern, fss_terms, aero, mar)
+        assert T.row.tolist() == [1, 2, 4]
+        assert T.type.tolist() == [1, 2, 3]
+        assert T.excluded == 2
+        with pytest.raises(ValueError):
+            T.row[0] = 0
+        assert matrix([(1, 0.0, 0.0, 1, 2.0)] * 3, beams=1).row.tolist() == [0, 1, 2]
 
     def test_empty_footprints_rejected(self):
         with pytest.raises(ValueError):
