@@ -4,8 +4,8 @@ Everything here reduces to the traffic and channel primitives: profiles
 take the hour-independent FSS block and 24 hourly mover blocks and make two
 associations, one of the FSS block and one of the movers of every hour;
 classification thresholds cut the per-beam mean demand, and the sweep
-averages interference over the active-beam sets that split the total power
-equally: over every set in closed form, or over seeded random sets.
+gives the exact mean interference over every active-beam set that splits
+the total power equally, in closed form.
 """
 
 import math
@@ -143,19 +143,16 @@ class SweepResult:
         object.__setattr__(self, "watts", watts)
 
 
-def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, users=None):
+def interference_sweep(H, cfg, sizes, users=None):
     """Mean interference per user for each active-set size.
 
     Active sets always contain the user's serving beam and share the total
-    power equally, P/s per beam. Each other beam lies in (s-1)/(B-1) of the
-    sets of size s, so the exhaustive policy, the mean over every set, is
-    the full-set interference scaled by that fraction: exact, O(B) per
-    (user, size), and 0 at s = 1. It adds the beams' terms for all users
-    and sizes at once, one beam at a time in id order, as interference()
-    adds them for one. The uniform policy averages over seeded
-    random sets: per user and size with s >= 2, in the given orders, one
-    trials x (B-1) draw of uniform keys over the other beams in id order,
-    each trial taking the s-1 beams with the smallest keys.
+    power equally, P/s per beam. The mean is over every such set of size s.
+    Each other beam lies in (s-1)/(B-1) of those sets, so the mean is the
+    full-set interference scaled by that fraction: exact, O(B) per (user,
+    size), and 0 at s = 1. It adds the beams' terms for all users and sizes
+    at once, one beam at a time in id order, as interference() adds them
+    for one.
     """
     if users is None:
         users = range(1, H.n_users + 1)
@@ -167,41 +164,23 @@ def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, user
     for s in sizes:
         if not 1 <= s <= H.beams:
             raise ValueError(f"active-set size {s} outside [1, {H.beams}]")
-    if policy not in ("uniform", "exhaustive"):
-        raise ValueError(f"unknown selection policy {policy!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
 
     watts = np.zeros((len(users), len(sizes)))
-    if policy == "exhaustive":
-        rows = np.array(users, dtype=np.int64) - 1
-        h = H.entries[rows]
-        # |h|**2 through libm pow, as abs(complex) ** 2 in interference();
-        # squaring by multiplication differs in the last bit now and then
-        gains = np.float_power(np.hypot(h.real, h.imag), 2.0)
-        serving = H.serving[rows][:, None]
-        split = cfg.total_power_w / np.array(sizes, dtype=float)
-        # interference() of every beam at P/s, the same additions in id order
-        total = np.zeros_like(watts)
-        for j in range(1, H.beams + 1):
-            total += np.where(serving == j, 0.0, gains[:, j - 1 : j] * split)
-        for si, s in enumerate(sizes):
-            if s > 1:
-                share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
-                watts[:, si] = total[:, si] * share
-        return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
-
-    rng = np.random.default_rng(seed)
-    for ui, n in enumerate(users):
-        h = np.delete(H.entries[n - 1], H.serving[n - 1] - 1)
-        gains = np.hypot(h.real, h.imag) ** 2
-        for si, s in enumerate(sizes):
-            if s == 1:
-                continue
-            split = cfg.total_power_w / s
-            keys = rng.random((trials, H.beams - 1))
-            picked = keys.argsort(axis=1)[:, : s - 1]
-            watts[ui, si] = split * gains[picked].sum(axis=1).mean()
+    rows = np.array(users, dtype=np.int64) - 1
+    h = H.entries[rows]
+    # |h|**2 through libm pow, as abs(complex) ** 2 in interference();
+    # squaring by multiplication differs in the last bit now and then
+    gains = np.float_power(np.hypot(h.real, h.imag), 2.0)
+    serving = H.serving[rows][:, None]
+    split = cfg.total_power_w / np.array(sizes, dtype=float)
+    # interference() of every beam at P/s, the same additions in id order
+    total = np.zeros_like(watts)
+    for j in range(1, H.beams + 1):
+        total += np.where(serving == j, 0.0, gains[:, j - 1 : j] * split)
+    for si, s in enumerate(sizes):
+        if s > 1:
+            share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
+            watts[:, si] = total[:, si] * share
     return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
 
 

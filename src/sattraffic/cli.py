@@ -111,36 +111,25 @@ def _out_dir(args):
     return path
 
 
-def _write_manifest(outputs, *, command, config, inputs, seed=None):
-    manifest = {
-        "command": command,
-        "config": config,
-        "inputs": [
-            {"name": name, "path": str(path), "sha256": sha256_file(path)}
-            for name, path in inputs
-        ],
-        "outputs": [
-            {"name": Path(path).name, "sha256": sha256_file(path)}
-            for path in outputs.paths
-        ],
-        "seed": seed,
-        "tool_version": __version__,
-    }
-    outputs.manifest.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
-
-
 class _OutputSet:
-    """Tracks files written by one command so failures leave no partials.
+    """The files one command writes, and the manifest that names them.
 
-    Each path is added before its writer opens it, so a writer that fails
-    halfway leaves nothing behind either. Discarding also deletes the output
-    directory's manifest.json: one left by an earlier run would name files
-    that this run overwrote or deleted.
+    Used as a context manager around the command's work. A normal exit
+    writes the output directory's manifest.json with the digests of every
+    input and output. Any exception, interrupts included, deletes the
+    outputs added so far and propagates. Each path is added before its
+    writer opens it, so a writer that fails halfway leaves nothing behind
+    either. The manifest goes too: one left by an earlier run would name
+    files that this run overwrote or deleted.
     """
 
-    def __init__(self, out_dir):
+    def __init__(self, out_dir, *, command, config, inputs=(), seed=None):
         self.manifest = Path(out_dir) / "manifest.json"
         self.paths = []
+        self.command = command
+        self.config = config
+        self.inputs = inputs
+        self.seed = seed
 
     def add(self, path):
         self.paths.append(Path(path))
@@ -149,6 +138,36 @@ class _OutputSet:
     def discard(self):
         for path in (*self.paths, self.manifest):
             path.unlink(missing_ok=True)
+
+    def write_manifest(self):
+        manifest = {
+            "command": self.command,
+            "config": self.config,
+            "inputs": [
+                {"name": name, "path": str(path), "sha256": sha256_file(path)}
+                for name, path in self.inputs
+            ],
+            "outputs": [
+                {"name": path.name, "sha256": sha256_file(path)}
+                for path in self.paths
+            ],
+            "seed": self.seed,
+            "tool_version": __version__,
+        }
+        self.manifest.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        if exc_type is None:
+            try:
+                self.write_manifest()
+            except BaseException:
+                self.discard()
+                raise
+        else:
+            self.discard()
 
 
 def _ingest_config(args):
@@ -166,18 +185,22 @@ def _config_values(icfg, scfg=None, extra=None):
     return values
 
 
-def _load_hour(args, icfg, hour):
+def _hour_matrices(args, icfg, scfg):
+    """Traffic and channel matrices of the demand inputs at args.hour."""
+    pattern = parse_pattern(args.pattern)
+    footprints = all_footprints(pattern)
     fss = load_population(
         args.population, icfg.downscale, icfg.urban,
         demand_mbps=icfg.fss_demand_mbps, bbox=icfg.bbox,
     )
     aero = load_aero(
-        args.aero, hour, demand_mbps=icfg.aero_demand_mbps, bbox=icfg.bbox
+        args.aero, args.hour, demand_mbps=icfg.aero_demand_mbps, bbox=icfg.bbox
     )
     maritime = load_maritime(
-        args.maritime, hour, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
+        args.maritime, args.hour, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
     )
-    return fss, aero, maritime
+    T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
+    return T, build_channel_matrix(T, pattern, scfg)
 
 
 def _demand_inputs(args):
@@ -195,19 +218,10 @@ def cmd_synth(args):
     out = _out_dir(args)
     params = dict(_parse_param(p) for p in args.param or [])
     target = out / (args.name or f"{args.kind}.csv")
-    outputs = _OutputSet(out)
-    try:
+    with _OutputSet(
+        out, command=f"synth {args.kind}", config=params, seed=args.seed
+    ) as outputs:
         synth_generate(args.kind, params, args.seed, outputs.add(target))
-        _write_manifest(
-            outputs,
-            command=f"synth {args.kind}",
-            config=params,
-            inputs=[],
-            seed=args.seed,
-        )
-    except BaseException:
-        outputs.discard()
-        raise
     return 0
 
 
@@ -215,18 +229,10 @@ def cmd_footprints(args):
     out = _out_dir(args)
     pattern = parse_pattern(args.pattern)
     footprints = all_footprints(pattern)
-    outputs = _OutputSet(out)
-    try:
+    with _OutputSet(
+        out, command="footprints", config={}, inputs=[("pattern", args.pattern)]
+    ) as outputs:
         write_borders_csv(footprints, outputs.add(out / "borders.csv"))
-        _write_manifest(
-            outputs,
-            command="footprints",
-            config={},
-            inputs=[("pattern", args.pattern)],
-        )
-    except BaseException:
-        outputs.discard()
-        raise
     return 0
 
 
@@ -235,14 +241,12 @@ def cmd_simulate(args):
     icfg = _ingest_config(args)
     scfg = ScenarioConfig()
     out = _out_dir(args)
-    outputs = _OutputSet(out)
-    try:
-        pattern = parse_pattern(args.pattern)
-        footprints = all_footprints(pattern)
-        fss, aero, maritime = _load_hour(args, icfg, args.hour)
-        T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
-        H = build_channel_matrix(T, pattern, scfg)
-
+    with _OutputSet(
+        out, command="simulate",
+        config=_config_values(icfg, scfg, {"hour": args.hour}),
+        inputs=_demand_inputs(args),
+    ) as outputs:
+        T, H = _hour_matrices(args, icfg, scfg)
         write_traffic_csv(T, outputs.add(out / "traffic.csv"))
         write_channel_csv(H, outputs.add(out / "channel.csv"))
 
@@ -250,16 +254,6 @@ def cmd_simulate(args):
         summary["excluded_terminals"] = T.excluded
         summary_path = outputs.add(out / "channel_summary.json")
         summary_path.write_text(canonical_json(summary) + "\n", encoding="utf-8")
-
-        _write_manifest(
-            outputs,
-            command="simulate",
-            config=_config_values(icfg, scfg, {"hour": args.hour}),
-            inputs=_demand_inputs(args),
-        )
-    except BaseException:
-        outputs.discard()
-        raise
     return 0
 
 
@@ -270,8 +264,14 @@ def cmd_profile(args):
         raise UsageError("give both classification thresholds or neither")
     icfg = _ingest_config(args)
     out = _out_dir(args)
-    outputs = _OutputSet(out)
-    try:
+    thresholds = extra = None
+    if args.lower is not None:
+        thresholds = (args.lower, args.upper)
+        extra = {"lower": args.lower, "upper": args.upper}
+    with _OutputSet(
+        out, command="profile", config=_config_values(icfg, extra=extra),
+        inputs=_demand_inputs(args),
+    ) as outputs:
         pattern = parse_pattern(args.pattern)
         footprints = all_footprints(pattern)
         fss = ()
@@ -290,26 +290,10 @@ def cmd_profile(args):
                 args.maritime, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
             )
         profile = hourly_profiles(fss, aero, maritime, footprints, pattern)
-        thresholds = None
-        if args.lower is not None:
-            thresholds = (args.lower, args.upper)
         classes = classify_beams(profile, thresholds)
 
         write_profile_csv(profile, outputs.add(out / "profile.csv"))
         write_beam_class_csv(classes, outputs.add(out / "beam_class.csv"))
-
-        extra = {}
-        if thresholds is not None:
-            extra = {"lower": thresholds[0], "upper": thresholds[1]}
-        _write_manifest(
-            outputs,
-            command="profile",
-            config=_config_values(icfg, extra=extra),
-            inputs=_demand_inputs(args),
-        )
-    except BaseException:
-        outputs.discard()
-        raise
     return 0
 
 
@@ -317,41 +301,17 @@ def cmd_interference(args):
     _check_hour(args.hour)
     sizes = _parse_sizes(args.sizes)
     users = _parse_users(args.users) if args.users else None
-    if args.trials < 1:
-        raise UsageError("trials must be >= 1")
     icfg = _ingest_config(args)
     scfg = ScenarioConfig()
     out = _out_dir(args)
-    outputs = _OutputSet(out)
-    try:
-        pattern = parse_pattern(args.pattern)
-        footprints = all_footprints(pattern)
-        fss, aero, maritime = _load_hour(args, icfg, args.hour)
-        T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
-        H = build_channel_matrix(T, pattern, scfg)
-        sweep = interference_sweep(
-            H, scfg, sizes,
-            policy=args.policy, trials=args.trials, seed=args.seed, users=users,
-        )
+    with _OutputSet(
+        out, command="interference",
+        config=_config_values(icfg, scfg, {"hour": args.hour, "sizes": sizes}),
+        inputs=_demand_inputs(args),
+    ) as outputs:
+        _, H = _hour_matrices(args, icfg, scfg)
+        sweep = interference_sweep(H, scfg, sizes, users=users)
         write_interference_csv(sweep, outputs.add(out / "interference.csv"))
-        _write_manifest(
-            outputs,
-            command="interference",
-            config=_config_values(
-                icfg, scfg,
-                {
-                    "hour": args.hour,
-                    "sizes": list(sizes),
-                    "policy": args.policy,
-                    "trials": args.trials,
-                },
-            ),
-            inputs=_demand_inputs(args),
-            seed=args.seed,
-        )
-    except BaseException:
-        outputs.discard()
-        raise
     return 0
 
 
@@ -408,10 +368,6 @@ def build_parser():
     intf.add_argument("--hour", type=int, required=True)
     intf.add_argument("--sizes", required=True,
                       help="active-set sizes, e.g. 2,4 or 2..7")
-    intf.add_argument("--trials", type=int, default=100)
-    intf.add_argument("--seed", type=int, default=0)
-    intf.add_argument("--policy", choices=("uniform", "exhaustive"),
-                      default="uniform")
     intf.add_argument("--users", help="comma-separated user indices (default all)")
     _add_common(intf)
     intf.set_defaults(func=cmd_interference)

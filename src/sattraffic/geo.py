@@ -34,6 +34,8 @@ class GeoPoint:
             if lon < 0.0:
                 lon += 360.0
             lon -= 180.0
+            if lon >= 180.0:  # a tiny negative remainder rounds up to 360
+                lon = -180.0
             object.__setattr__(self, "lon_deg", lon)
 
 

@@ -296,7 +296,9 @@ def _wrap_lon(lon_deg):
     if wrap.any():
         wrapped = np.fmod(lon[wrap] + 180.0, 360.0)
         wrapped[wrapped < 0.0] += 360.0
-        lon[wrap] = wrapped - 180.0
+        wrapped -= 180.0
+        wrapped[wrapped >= 180.0] = -180.0
+        lon[wrap] = wrapped
     return lon
 
 

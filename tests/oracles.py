@@ -119,37 +119,22 @@ def interpolate_gain(user, samples):
     return float(index.gain(gain)[0])
 
 
-def interference_sweep(H, cfg, sizes, policy="uniform", trials=100, seed=0, users=None):
+def interference_sweep(H, cfg, sizes, users=None):
     """Mean interference per user and set size, one interference() per set.
 
-    exhaustive lists every set of the size that holds the serving beam.
-    uniform draws one trials x (B-1) block of keys per user and size s >= 2,
-    in the library's order, and takes for each trial the other beams (in id
-    order) with the s-1 smallest keys.
+    Lists every set of the size that holds the serving beam.
     """
     if users is None:
         users = range(1, H.n_users + 1)
     users = [int(u) for u in users]
     sizes = [int(s) for s in sizes]
-    rng = np.random.default_rng(seed)
     watts = np.zeros((len(users), len(sizes)))
     for ui, n in enumerate(users):
         serving = int(H.serving[n - 1])
         others = [j for j in range(1, H.beams + 1) if j != serving]
         for si, s in enumerate(sizes):
             split = cfg.total_power_w / s
-            if policy == "exhaustive":
-                sets = [
-                    {serving, *combo} for combo in combinations(others, s - 1)
-                ]
-            elif s == 1:
-                sets = [{serving}]
-            else:
-                keys = rng.random((trials, len(others)))
-                sets = [
-                    {serving, *(others[int(i)] for i in np.argsort(row)[: s - 1])}
-                    for row in keys
-                ]
+            sets = [{serving, *combo} for combo in combinations(others, s - 1)]
             total = math.fsum(
                 interference(H, n, active, split) for active in sets
             )

@@ -7,7 +7,7 @@ import pytest
 
 from sattraffic import analysis, cli, ingest
 from sattraffic.analysis import HourlyProfile
-from sattraffic.geo import GeoPoint
+from sattraffic.geo import GeoPoint, ScenarioConfig
 from sattraffic.ingest import (
     AERO_HEADER,
     DEFAULT_BBOX,
@@ -18,6 +18,7 @@ from sattraffic.ingest import (
     load_population,
 )
 from sattraffic.ioutil import sha256_file
+from sattraffic.linkbudget import build_channel_matrix
 from sattraffic.pattern import BORDERS_HEADER, all_footprints, parse_pattern
 from sattraffic.traffic import build_traffic_matrix
 
@@ -295,6 +296,31 @@ class TestSimulate:
         assert not (out / "channel.csv").exists()
         assert not (out / "manifest.json").exists()
 
+    def test_bad_config_or_hour_leaves_previous_run_alone(self, inputs, tmp_path,
+                                                          capsys):
+        out = tmp_path / "out"
+        argv = ["simulate", *demand_argv(inputs), "--out-dir", str(out)]
+        assert cli.main(argv + ["--hour", "9"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        config = tmp_path / "bad.cfg"
+        config.write_text("carrier_freq_hz = 20e9\n")
+        assert cli.main(argv + ["--hour", "9", "--config", str(config)]) == 1
+        assert cli.main(argv + ["--hour", "24"]) == 1
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_interrupt_deletes_outputs(self, inputs, tmp_path, monkeypatch):
+        def interrupted(H, path):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("user,beam,magnitude,phase_rad\n")
+            raise KeyboardInterrupt
+
+        out = tmp_path / "out"
+        monkeypatch.setattr(cli, "write_channel_csv", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["simulate", *demand_argv(inputs), "--hour", "9",
+                      "--out-dir", str(out)])
+        assert list(out.iterdir()) == []
+
     def test_bad_movement_file_exits_one(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_aero.csv"
         bad.write_text("flight_id,timestamp_iso8601_utc,lat_deg,lon_deg\n"
@@ -452,19 +478,54 @@ def test_no_object_per_terminal(inputs, tmp_path, monkeypatch, command):
 
 
 class TestInterferenceCommand:
-    def test_seeded_rerun_identical(self, inputs, tmp_path):
+    def test_rerun_identical(self, inputs, tmp_path):
         args = [
             "interference", *demand_argv(inputs), "--hour", "9",
-            "--sizes", "2..5", "--trials", "10", "--seed", "7",
-            "--users", "1,2,3",
+            "--sizes", "2..5", "--users", "1,2,3",
         ]
         a, b = tmp_path / "a", tmp_path / "b"
         assert cli.main(args + ["--out-dir", str(a)]) == 0
         assert cli.main(args + ["--out-dir", str(b)]) == 0
-        assert (a / "interference.csv").read_bytes() == (b / "interference.csv").read_bytes()
+        for artifact in ("interference.csv", "manifest.json"):
+            assert (a / artifact).read_bytes() == (b / artifact).read_bytes()
         lines = (a / "interference.csv").read_text().splitlines()
         assert lines[0] == "user,active_beams,interference_w"
         assert len(lines) == 1 + 3 * 4
+        manifest = json.loads((a / "manifest.json").read_text())
+        assert manifest["seed"] is None
+        assert manifest["config"]["sizes"] == [2, 3, 4, 5]
+
+    def test_matches_enumeration_oracle(self, inputs, tmp_path):
+        rc = cli.main(
+            ["interference", *demand_argv(inputs), "--hour", "9",
+             "--sizes", "1..7", "--users", "1,2,3", "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 0
+        pattern = parse_pattern(inputs["pattern"])
+        T = build_traffic_matrix(
+            all_footprints(pattern), pattern, load_population(inputs["population"]),
+            load_aero(inputs["aero"], 9), load_maritime(inputs["maritime"], 9),
+        )
+        cfg = ScenarioConfig()
+        sweep = oracles.interference_sweep(
+            build_channel_matrix(T, pattern, cfg), cfg, range(1, 8), users=[1, 2, 3]
+        )
+        want = tmp_path / "want.csv"
+        oracles.write_interference_csv(sweep, want)
+        assert (tmp_path / "out" / "interference.csv").read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flag", [["--policy", "exhaustive"], ["--trials", "5"], ["--seed", "1"]],
+        ids=["policy", "trials", "seed"],
+    )
+    def test_sampling_flags_are_gone(self, inputs, tmp_path, flag, capsys):
+        rc = cli.main(
+            ["interference", *demand_argv(inputs), "--hour", "9", "--sizes", "2",
+             *flag, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "interference.csv").exists()
 
     def test_bad_sizes_usage_error(self, inputs, tmp_path, capsys):
         rc = cli.main(
@@ -495,10 +556,12 @@ class TestInterferenceCommand:
 class TestTopLevel:
     def test_missing_subcommand(self, capsys):
         assert cli.main([]) == 1
-        assert "usage" in capsys.readouterr().err.lower() or True
+        assert ("error: the following arguments are required: command"
+                in capsys.readouterr().err)
 
     def test_unknown_flag(self, capsys):
         assert cli.main(["footprints", "x.csv", "--frobnicate"]) == 1
+        assert "unrecognized arguments: --frobnicate" in capsys.readouterr().err
 
     def test_non_integer_hour(self, inputs, capsys):
         rc = cli.main(

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sattraffic.geo import (
@@ -23,6 +23,7 @@ from sattraffic.geo import (
     path_loss_db,
     slant_range,
 )
+from sattraffic.ingest import _wrap_lon
 
 SAT_LON = 13.0
 
@@ -193,6 +194,28 @@ class TestGeoPoint:
         assert GeoPoint(0.0, 190.0).lon_deg == pytest.approx(-170.0)
         assert GeoPoint(0.0, -180.0).lon_deg == -180.0
         assert GeoPoint(0.0, 180.0).lon_deg == -180.0
+
+    @given(lon=st.floats(allow_nan=False, allow_infinity=False))
+    @example(lon=-180.00000000000003)
+    @example(lon=179.99999999999997)
+    @example(lon=180.0)
+    @example(lon=-180.0)
+    @example(lon=540.0)
+    @example(lon=-540.0)
+    @example(lon=-0.0)
+    @example(lon=5e-324)
+    @example(lon=-5e-324)
+    @example(lon=1.7976931348623157e308)
+    @example(lon=-1.7976931348623157e308)
+    @settings(max_examples=500, deadline=None)
+    def test_longitude_wrap_in_range_idempotent_and_shared(self, lon):
+        wrapped = GeoPoint(10.0, lon).lon_deg
+        assert -180.0 <= wrapped < 180.0
+        again = GeoPoint(10.0, wrapped).lon_deg
+        assert math.copysign(1.0, again) == math.copysign(1.0, wrapped)
+        assert again == wrapped
+        column = _wrap_lon([lon, wrapped])
+        assert column.tobytes() == np.array([wrapped, wrapped]).tobytes()
 
     def test_latitude_range_enforced(self):
         with pytest.raises(ValueError):
