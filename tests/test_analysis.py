@@ -387,11 +387,15 @@ class TestInterferenceSweep:
         with pytest.raises(ValueError, match="outside"):
             interference_sweep(H, cfg, sizes=[8])
 
+    # a bad user is caught for one size ("uniform") and for every size 1..B
+    # ("exhaustive"); the case ids are those of the sweep's former policies
+    @pytest.mark.parametrize("every_size", [False, True], ids=["uniform", "exhaustive"])
     @pytest.mark.parametrize("bad", [0, -1, 6])
-    def test_unknown_user_rejected(self, bad):
+    def test_unknown_user_rejected(self, every_size, bad):
         H, cfg = sweep_scenario()
+        sizes = range(1, H.beams + 1) if every_size else [2]
         with pytest.raises(UnknownUserError, match=f"user {bad} is not a row"):
-            interference_sweep(H, cfg, sizes=[2], users=[1, bad])
+            interference_sweep(H, cfg, sizes=sizes, users=[1, bad])
 
     def test_exhaustive_37_beams_matches_closed_form(self):
         rng = np.random.default_rng(37)
