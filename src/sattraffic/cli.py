@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 bad input or usage, 2 internal invariant violation.
 import argparse
 import dataclasses
 import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import __version__
@@ -114,17 +116,19 @@ def _out_dir(args):
 class _OutputSet:
     """The files one command writes, and the manifest that names them.
 
-    Used as a context manager around the command's work. A normal exit
-    writes the output directory's manifest.json with the digests of every
-    input and output. Any exception, interrupts included, deletes the
-    outputs added so far and propagates. Each path is added before its
-    writer opens it, so a writer that fails halfway leaves nothing behind
-    either. The manifest goes too: one left by an earlier run would name
-    files that this run overwrote or deleted.
+    Used as a context manager around the command's work. add() takes an
+    output's final path and returns the path in a staging directory inside
+    the output directory, where the writer puts it. A normal exit hashes the
+    staged files, writes the manifest beside them, deletes the old manifest,
+    moves each output into place and then the manifest, and removes the
+    staging directory. Any exception, interrupts included, removes the
+    staging directory alone and propagates, so the output directory keeps
+    the earlier run's files and manifest byte for byte. No manifest ever
+    names a file that is gone or has changed.
     """
 
     def __init__(self, out_dir, *, command, config, inputs=(), seed=None):
-        self.manifest = Path(out_dir) / "manifest.json"
+        self.out_dir = Path(out_dir)
         self.paths = []
         self.command = command
         self.config = config
@@ -132,14 +136,11 @@ class _OutputSet:
         self.seed = seed
 
     def add(self, path):
-        self.paths.append(Path(path))
-        return path
+        path = Path(path)
+        self.paths.append(path)
+        return self.staging / path.name
 
-    def discard(self):
-        for path in (*self.paths, self.manifest):
-            path.unlink(missing_ok=True)
-
-    def write_manifest(self):
+    def manifest_text(self):
         manifest = {
             "command": self.command,
             "config": self.config,
@@ -148,26 +149,33 @@ class _OutputSet:
                 for name, path in self.inputs
             ],
             "outputs": [
-                {"name": path.name, "sha256": sha256_file(path)}
+                {"name": path.name, "sha256": sha256_file(self.staging / path.name)}
                 for path in self.paths
             ],
             "seed": self.seed,
             "tool_version": __version__,
         }
-        self.manifest.write_text(canonical_json(manifest) + "\n", encoding="utf-8")
+        return canonical_json(manifest) + "\n"
+
+    def commit(self):
+        staged_manifest = self.staging / "manifest.json"
+        staged_manifest.write_text(self.manifest_text(), encoding="utf-8")
+        manifest = self.out_dir / "manifest.json"
+        manifest.unlink(missing_ok=True)
+        for path in self.paths:
+            os.replace(self.staging / path.name, path)
+        os.replace(staged_manifest, manifest)
 
     def __enter__(self):
+        self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.out_dir))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc_type is None:
-            try:
-                self.write_manifest()
-            except BaseException:
-                self.discard()
-                raise
-        else:
-            self.discard()
+        try:
+            if exc_type is None:
+                self.commit()
+        finally:
+            shutil.rmtree(self.staging, ignore_errors=True)
 
 
 def _ingest_config(args):
@@ -249,11 +257,8 @@ def cmd_simulate(args):
         T, H = _hour_matrices(args, icfg, scfg)
         write_traffic_csv(T, outputs.add(out / "traffic.csv"))
         write_channel_csv(H, outputs.add(out / "channel.csv"))
-
-        summary = channel_summary(H)
-        summary["excluded_terminals"] = T.excluded
         summary_path = outputs.add(out / "channel_summary.json")
-        summary_path.write_text(canonical_json(summary) + "\n", encoding="utf-8")
+        summary_path.write_text(channel_summary(H, T.excluded) + "\n", encoding="utf-8")
     return 0
 
 

@@ -80,13 +80,14 @@ def _escape(s):
     return "".join(out)
 
 
-def format_rows(columns):
+def format_rows(columns, line=None):
     """CSV lines for a block of equal-length columns, in one % operation.
 
     Integer columns print with %d and string columns with %s. Float columns
     take fmt_float's form: 0.0 is added, which turns -0.0 into 0.0, and %.9g
     gives the same string as format(x, ".9g"). A non-finite float raises
-    fmt_float's ValueError for the first one in row order.
+    fmt_float's ValueError for the first one in row order. line, if given,
+    is the % template of one row in place of the comma-separated fields.
     """
     fmts, values, floats = [], [], []
     for col in map(np.asarray, columns):
@@ -103,7 +104,8 @@ def format_rows(columns):
             row = int(np.argmin(finite))
             for col in floats:
                 fmt_float(col[row])
-    line = ",".join(fmts) + "\n"
+    if line is None:
+        line = ",".join(fmts) + "\n"
     return (line * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
 
 

@@ -17,13 +17,23 @@ import numpy as np
 
 from .errors import MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, check_locations, path_loss_db, slant_range
-from .ioutil import write_table
+from . import ioutil
+from .ioutil import format_rows
 
 _TWO_PI = 2.0 * math.pi
 
 # angle-matrix elements per block when scanning the sample grid; the rows per
 # block shrink as the grid grows, so memory stays flat in the grid size
 _BLOCK_ELEMENTS = 1 << 16
+# distinct query locations per latitude band
+_BAND_ROWS = 64
+# half-width of the first band, in median steps between the grid's distinct
+# latitudes
+_BAND_STEPS = 2.0
+# radians by which a location's k-th distance must stay below the latitude gap
+# to the nearest sample outside its band; well above the 1.5e-8 rad that the
+# computed angle of a coincident pair can round to
+_BAND_MARGIN = 1e-6
 
 
 def _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
@@ -48,12 +58,20 @@ class NearestSamples:
     """Nearest pattern samples of query points, searched once per distinct point.
 
     Query rows are deduplicated on the exact bit patterns of (lat, lon), so
-    no two distinct inputs merge, and the sample grid is scanned once per
-    distinct location. The scan keeps two results. `nearest` is the first
-    sample of maximal cosine. The k = min(3, samples) closest samples by
-    central angle (after an exact coordinate hit is set to distance zero)
-    are ranked by (distance, sample index): every sample within the k-th
-    smallest distance is a candidate, and a stable sort orders them.
+    no two distinct inputs merge. The search keeps two results. `nearest` is
+    the first sample of maximal cosine. The k = min(3, samples) closest
+    samples by central angle (after an exact coordinate hit is set to
+    distance zero) are ranked by (distance, sample index): every sample
+    within the k-th smallest distance is a candidate, and a stable sort
+    orders them.
+
+    The central angle between two points is at least their latitude
+    difference, so each block of latitude-sorted locations scans only the
+    samples within a latitude band around it, kept in sample-index order.
+    A location is settled by that scan when its k-th distance plus
+    _BAND_MARGIN is below the latitude gap to the nearest sample outside
+    the band; the others are scanned again with the band twice as wide, up
+    to the whole grid. Both results are those of a scan of the whole grid.
 
     All beams share the grid, so one index serves every beam's gain.
     lat_deg and lon_deg hold the distinct query points, and inverse maps
@@ -80,29 +98,39 @@ class NearestSamples:
         dk = np.empty((m, k))
         self._eq_idx = np.empty(m, dtype=np.int64)
         self._has_eq = np.empty(m, dtype=bool)
-        step = max(1, _BLOCK_ELEMENTS // grid_lat.size)
-        for lo in range(0, m, step):
-            hi = min(lo + step, m)
-            t = _cos_angles(lat[lo:hi], lon[lo:hi], grid_lat, grid_lon)
-            # max cosine = min distance; first occurrence keeps the lowest index
-            self._nearest[lo:hi] = np.argmax(t, axis=1)
-            d = np.arccos(t, out=t)
-            # an exact coordinate hit short-circuits; the rounded central angle
-            # of a coincident pair is not reliably zero
-            eq = (lat[lo:hi, None] == grid_lat) & (lon[lo:hi, None] == grid_lon)
-            self._has_eq[lo:hi] = eq.any(axis=1)
-            self._eq_idx[lo:hi] = np.argmax(eq, axis=1)
-            d[eq] = 0.0
-            kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
-            rows, cols = np.nonzero(d <= kth)
-            dc = d[rows, cols]
-            # nonzero lists columns in index order, so the stable sort by
-            # (row, distance) breaks distance ties toward the lower index
-            order = np.lexsort((dc, rows))
-            counts = np.bincount(rows, minlength=hi - lo)
-            pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-            self._idx[lo:hi] = cols[pick]
-            dk[lo:hi] = dc[pick]
+
+        by_lat = np.argsort(grid_lat, kind="stable")
+        band_lat = grid_lat[by_lat]
+        band_rad = np.radians(band_lat)
+        steps = np.diff(np.unique(band_lat))
+        half_width = _BAND_STEPS * float(np.median(steps)) if steps.size else 180.0
+        # from at least the margin's width, 22 doublings reach the whole grid
+        half_width = max(half_width, math.degrees(_BAND_MARGIN))
+        pending = np.argsort(lat, kind="stable")
+        while pending.size:
+            if not half_width < 180.0:
+                self._scan(pending, np.arange(grid_lat.size), grid_lat, grid_lon, dk)
+                break
+            unsettled = []
+            for lo in range(0, pending.size, _BAND_ROWS):
+                rows = pending[lo : lo + _BAND_ROWS]
+                a = np.searchsorted(band_lat, lat[rows[0]] - half_width, "left")
+                z = np.searchsorted(band_lat, lat[rows[-1]] + half_width, "right")
+                if z - a < k:
+                    unsettled.append(rows)
+                    continue
+                cand = np.sort(by_lat[a:z])
+                self._scan(rows, cand, grid_lat, grid_lon, dk)
+                r = np.radians(lat[rows])
+                gap = np.minimum(
+                    r - band_rad[a - 1] if a > 0 else np.inf,
+                    band_rad[z] - r if z < band_rad.size else np.inf,
+                )
+                # an excluded sample is at least gap away, so it cannot tie
+                # with or beat a kept one; NaN rows fail and go to the full scan
+                unsettled.append(rows[~(dk[rows, k - 1] + _BAND_MARGIN < gap)])
+            pending = np.concatenate(unsettled)
+            half_width *= 2.0
         # weights normalized by the nearest distance so equal distances get
         # exactly equal weight and near-hits cannot overflow
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -112,6 +140,35 @@ class NearestSamples:
         # which would make the normalized weights 0/0; both zero flavors take
         # the nearest sample's value, coordinate equality winning
         self._zero = dk[:, 0] == 0.0
+
+    def _scan(self, rows, cand, grid_lat, grid_lon, dk):
+        """Search the samples cand (ascending indices) for the locations rows."""
+        k = dk.shape[1]
+        glat, glon = grid_lat[cand], grid_lon[cand]
+        step = max(1, _BLOCK_ELEMENTS // cand.size)
+        for lo in range(0, rows.size, step):
+            sub = rows[lo : lo + step]
+            lat, lon = self.lat_deg[sub], self.lon_deg[sub]
+            t = _cos_angles(lat, lon, glat, glon)
+            # max cosine = min distance; first occurrence keeps the lowest index
+            self._nearest[sub] = cand[np.argmax(t, axis=1)]
+            d = np.arccos(t, out=t)
+            # an exact coordinate hit short-circuits; the rounded central angle
+            # of a coincident pair is not reliably zero
+            eq = (lat[:, None] == glat) & (lon[:, None] == glon)
+            self._has_eq[sub] = eq.any(axis=1)
+            self._eq_idx[sub] = cand[np.argmax(eq, axis=1)]
+            d[eq] = 0.0
+            kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
+            hits, cols = np.nonzero(d <= kth)
+            dc = d[hits, cols]
+            # nonzero lists columns in index order, so the stable sort by
+            # (row, distance) breaks distance ties toward the lower index
+            order = np.lexsort((dc, hits))
+            counts = np.bincount(hits, minlength=sub.size)
+            pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            self._idx[sub] = cand[cols[pick]]
+            dk[sub] = dc[pick]
 
     @property
     def nearest(self):
@@ -286,28 +343,62 @@ def _magnitude_phase(z):
 
 
 def write_channel_csv(H, path):
-    """Long-format channel entries, one row per (user, beam), canonical floats."""
+    """Long-format channel entries, one row per (user, beam), canonical floats.
+
+    Users that share a location share a channel row. In each block of users
+    the bit-identical rows are formatted once, in order of first occurrence,
+    into a template that each of their users fills with its number; a
+    non-finite value still raises for the first one in row order.
+    """
     beams = H.beams
+    n_users = H.n_users if beams else 0
+    step = max(1, ioutil.BLOCK_ROWS // max(beams, 1))
+    beam_ids = np.arange(1, beams + 1)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(CHANNEL_HEADER + "\n")
+        for lo in range(0, n_users, step):
+            block = np.ascontiguousarray(H.entries[lo : lo + step])
+            keys = block.view(np.dtype((np.void, block.itemsize * beams)))[:, 0]
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(order.size)
+            distinct = block[first[order]]
+            # %%d survives the formatting as the user's slot
+            lines = format_rows(
+                (np.tile(beam_ids, len(distinct)), *_magnitude_phase(distinct.ravel())),
+                "%%d,%d,%.9g,%.9g\n",
+            ).splitlines(keepends=True)
+            templates = [
+                "".join(lines[i : i + beams]) for i in range(0, len(lines), beams)
+            ]
+            text = "".join([templates[i] for i in rank[inverse.reshape(-1)].tolist()])
+            user_ids = np.repeat(np.arange(lo + 1, lo + len(block) + 1), beams)
+            fh.write(text % tuple(user_ids.tolist()))
 
-    def block(lo, hi):
-        user, beam = np.divmod(np.arange(lo, hi), beams)
-        return (user + 1, beam + 1, *_magnitude_phase(H.entries[user, beam]))
 
-    write_table(path, CHANNEL_HEADER, H.n_users * beams, block)
+_SUMMARY_USER = (
+    "    {\n"
+    '      "distance_m": %.9g,\n'
+    '      "interp_gain_db": %.9g,\n'
+    '      "path_loss_db": %.9g,\n'
+    '      "user": %d\n'
+    "    },\n"
+)
 
 
-def channel_summary(H):
-    """Plain-data summary with the per-user link diagnostics."""
-    return {
-        "users": int(H.n_users),
-        "beams": int(H.beams),
-        "per_user": [
-            {
-                "user": i + 1,
-                "distance_m": float(H.distance_m[i]),
-                "path_loss_db": float(H.path_loss_db[i]),
-                "interp_gain_db": float(H.interp_gain_db[i]),
-            }
-            for i in range(H.n_users)
-        ],
-    }
+def channel_summary(H, excluded):
+    """channel_summary.json's text: counts and the per-user link diagnostics.
+
+    The bytes are those of ioutil.canonical_json over the plain summary data,
+    with each user's object formatted by one % template.
+    """
+    per_user = "[]"
+    if H.n_users:
+        columns = (H.distance_m, H.interp_gain_db, H.path_loss_db,
+                   np.arange(1, H.n_users + 1))
+        per_user = "[\n" + format_rows(columns, _SUMMARY_USER)[:-2] + "\n  ]"
+    return (
+        f'{{\n  "beams": {H.beams},\n  "excluded_terminals": {excluded},\n'
+        f'  "per_user": {per_user},\n  "users": {H.n_users}\n}}'
+    )

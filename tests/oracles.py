@@ -1,9 +1,13 @@
 """Plain implementations kept as oracles for the array code.
 
 The library keeps a pattern as (samples, beams) arrays and interpolates
-gains through NearestSamples. The first oracles are the plain views the
-tests compare against: one sample as a SamplePoint, one beam's samples in
-grid order, and the gain at a point interpolated from such samples.
+gains through NearestSamples, which scans a latitude band of the grid per
+block of locations. idw_gain and argmax_nearest scan the whole grid for
+every point, once per beam. The other oracles search through them, never
+through NearestSamples, so they cannot share a fault of the band search.
+The first oracles are the plain views the tests compare against: one sample
+as a SamplePoint, one beam's samples in grid order, and the gain at a point
+interpolated from such samples.
 
 The library's interference sweep reduces the exhaustive mean to a closed
 form and sums the uniform trials in numpy. interference_sweep below is the
@@ -19,6 +23,11 @@ all; the library associates the movers of every hour in one call.
 
 build_channel_matrix below computes the slant range, loss and phase once
 per user; the library computes them once per distinct location.
+
+The library formats each distinct channel row once per block of users, and
+writes channel_summary.json's text with one template per user.
+write_channel_csv below formats every entry, and channel_summary returns
+the plain data that ioutil.canonical_json serializes.
 
 The library's loaders return TerminalBlocks, columns filled a chunk of lines
 at a time. load_population and load_movements below are the loaders they
@@ -57,7 +66,7 @@ from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
     ChannelMatrix,
-    NearestSamples,
+    _cos_angles,
     interference,
 )
 from sattraffic.pattern import BORDERS_HEADER, PATTERN_HEADER
@@ -107,6 +116,42 @@ def beam_samples(pattern, beam_id):
     )
 
 
+def idw_gain(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg, gains_db):
+    """Inverse-distance-squared gain over the three nearest samples.
+
+    A user sitting exactly on a sample takes that sample's gain. Distance
+    ties are broken toward the lower sample index by the stable sort.
+    Returns the gains and the three nearest sample indices per user.
+    """
+    lat_deg = np.asarray(lat_deg, dtype=float)
+    lon_deg = np.asarray(lon_deg, dtype=float)
+    grid_lat_deg = np.asarray(grid_lat_deg, dtype=float)
+    grid_lon_deg = np.asarray(grid_lon_deg, dtype=float)
+    gains_db = np.asarray(gains_db, dtype=float)
+    k = min(3, len(gains_db))
+    d = np.arccos(_cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg))
+    eq = (lat_deg[:, None] == grid_lat_deg) & (lon_deg[:, None] == grid_lon_deg)
+    has_eq = eq.any(axis=1)
+    eq_idx = np.argmax(eq, axis=1)
+    d[eq] = 0.0
+    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
+    dk = np.take_along_axis(d, idx, axis=1)
+    gk = gains_db[idx]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = (dk[:, :1] / dk) ** 2
+    vals = np.sum(w * gk, axis=1) / np.sum(w, axis=1)
+    zero = dk[:, 0] == 0.0
+    vals[zero] = gk[zero, 0]
+    vals[has_eq] = gains_db[eq_idx[has_eq]]
+    return vals, idx
+
+
+def argmax_nearest(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
+    """Per point, the first sample of maximal cosine over the whole grid."""
+    t = _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg)
+    return np.argmax(t, axis=1)
+
+
 def interpolate_gain(user, samples):
     """Gain in dB at a point, interpolated from a beam's sample points."""
     samples = list(samples)
@@ -115,8 +160,8 @@ def interpolate_gain(user, samples):
     lat = np.array([s.location.lat_deg for s in samples])
     lon = np.array([s.location.lon_deg for s in samples])
     gain = np.array([s.gain_db for s in samples])
-    index = NearestSamples([float(user.lat_deg)], [float(user.lon_deg)], lat, lon)
-    return float(index.gain(gain)[0])
+    vals, _ = idw_gain([float(user.lat_deg)], [float(user.lon_deg)], lat, lon, gain)
+    return float(vals[0])
 
 
 def interference_sweep(H, cfg, sizes, users=None):
@@ -171,8 +216,7 @@ def build_channel_matrix(T, pattern, cfg):
         loss[i] = path_loss_db(d, lam)
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
 
-    index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
-    nearest = index.nearest
+    nearest = argmax_nearest(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
     amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)
     amp_db -= loss[:, None]
     amp_db += cfg.rx_gain_db
@@ -180,7 +224,11 @@ def build_channel_matrix(T, pattern, cfg):
     gamma = np.empty(n)
     for j in np.unique(T.beam):
         sel = T.beam == j
-        gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
+        gains, _ = idw_gain(
+            T.lat_deg[sel], T.lon_deg[sel], pattern.lat_deg, pattern.lon_deg,
+            pattern.gain_db[:, j - 1],
+        )
+        gamma[sel] = gains
     return ChannelMatrix(
         entries=entries,
         serving=T.beam,
@@ -386,6 +434,23 @@ def write_channel_csv(H, path):
                 )
 
     write_csv(path, CHANNEL_HEADER.split(","), rows())
+
+
+def channel_summary(H):
+    """Plain-data summary with the per-user link diagnostics."""
+    return {
+        "users": int(H.n_users),
+        "beams": int(H.beams),
+        "per_user": [
+            {
+                "user": i + 1,
+                "distance_m": float(H.distance_m[i]),
+                "path_loss_db": float(H.path_loss_db[i]),
+                "interp_gain_db": float(H.interp_gain_db[i]),
+            }
+            for i in range(H.n_users)
+        ],
+    }
 
 
 def write_traffic_csv(T, path):

@@ -28,7 +28,12 @@ from sattraffic.analysis import (
 )
 from sattraffic.errors import ParseError, SchemaError
 from sattraffic.geometry import Polygon
-from sattraffic.linkbudget import ChannelMatrix, _magnitude_phase, write_channel_csv
+from sattraffic.linkbudget import (
+    ChannelMatrix,
+    _magnitude_phase,
+    channel_summary,
+    write_channel_csv,
+)
 from sattraffic.pattern import (
     PATTERN_HEADER,
     BeamFootprint,
@@ -65,6 +70,15 @@ def assert_same_bytes(new, old, obj, root, block=None):
     with block_rows(block or ioutil.BLOCK_ROWS):
         got = written(new, obj, root / "new.csv")
     assert got == written(old, obj, root / "old.csv")
+
+
+def channel(entries):
+    """A channel matrix of the given entries with zero diagnostics."""
+    entries = np.asarray(entries, dtype=complex)
+    zeros = np.zeros(len(entries))
+    return ChannelMatrix(entries=entries, serving=np.ones(len(entries), dtype=np.int64),
+                         distance_m=zeros, path_loss_db=zeros, interp_gain_db=zeros,
+                         nearest_sample=zeros)
 
 
 def overflows(z):
@@ -155,6 +169,69 @@ class TestWriters:
                           distance_m=zeros, path_loss_db=zeros,
                           interp_gain_db=zeros, nearest_sample=zeros)
         assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.integers(1, 4), BLOCKS)
+    def test_channel_shared_rows(self, root, data, beams, block):
+        # users drawn from a few rows repeat rows inside a block of users and
+        # across block boundaries
+        row = st.lists(st.tuples(VALUES, VALUES), min_size=beams, max_size=beams)
+        pool = data.draw(st.lists(row, min_size=1, max_size=3))
+        assume(not any(overflows(complex(*part)) for r in pool for part in r))
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
+        rows = [[complex(re, im) for re, im in pool[i]] for i in picks]
+        entries = np.array(rows, dtype=complex).reshape(len(picks), beams)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
+                          channel(entries), root, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 1 << 14])
+    def test_channel_signed_zeros(self, root, block):
+        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
+        rows = [[a, b] for a in zeros for b in zeros[:2]]
+        entries = np.array(rows + rows[::-1] + rows, dtype=complex)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
+                          channel(entries), root, block)
+
+    @pytest.mark.parametrize("first,later", [(math.inf, math.nan), (math.nan, math.inf)])
+    @pytest.mark.parametrize("block", [2, 1 << 14])
+    def test_channel_first_non_finite_raises(self, root, first, later, block):
+        # the first bad value in row order raises, wherever its distinct row
+        # sorts among the block's rows
+        good = [1.0 + 2.0j, 3.0 - 1.0j, -0.5j]
+        earlier = [1.0, complex(first, 1.0), 2.0]
+        entries = np.array([good, earlier, good, [1.0, 2.0, complex(0.0, later)],
+                            earlier], dtype=complex)
+        want = (ValueError, f"non-finite value in output: {first!r}")
+        H = channel(entries)
+        with block_rows(block):
+            assert written(write_channel_csv, H, root / "new.csv") == want
+        assert written(oracles.write_channel_csv, H, root / "old.csv") == want
+
+    @pytest.mark.parametrize("users,beams", [(0, 1), (0, 3), (1, 1), (6, 1)])
+    def test_channel_zero_users_and_one_beam(self, root, users, beams):
+        entries = (np.arange(users * beams) % 2 + 0.5j).reshape(users, beams)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
+                          channel(entries), root, 2)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data(), st.integers(0, 5), st.integers(0, 10**6))
+    def test_channel_summary(self, data, users, excluded):
+        columns = [np.array(data.draw(st.lists(VALUES, min_size=users, max_size=users)))
+                   for _ in range(3)]
+        H = ChannelMatrix(entries=np.zeros((users, 2)),
+                          serving=np.ones(users, dtype=np.int64),
+                          distance_m=columns[0], path_loss_db=columns[1],
+                          interp_gain_db=columns[2], nearest_sample=np.zeros(users))
+        try:
+            want = ioutil.canonical_json(
+                oracles.channel_summary(H) | {"excluded_terminals": excluded}
+            )
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                channel_summary(H, excluded)
+            assert str(info.value) == str(exc)
+        else:
+            assert channel_summary(H, excluded) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.lists(FINITE.map(abs), min_size=1, max_size=6),

@@ -2,6 +2,7 @@
 
 import collections
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,15 @@ def inputs(tmp_path_factory):
         files[kind] = root / f"{kind}.csv"
         assert files[kind].exists()
     return files
+
+
+def snapshot(out):
+    """Name -> bytes of each file in out; a directory, such as a staging
+    directory left behind, maps to None."""
+    return {
+        path.name: path.read_bytes() if path.is_file() else None
+        for path in out.iterdir()
+    }
 
 
 def demand_argv(inputs):
@@ -275,9 +285,7 @@ class TestSimulate:
         )
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
-        assert not (out / "traffic.csv").exists()
-        assert not (out / "channel.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert snapshot(out) == {}
 
     def test_failed_rerun_leaves_no_stale_manifest(self, inputs, tmp_path,
                                                    monkeypatch, capsys):
@@ -285,6 +293,7 @@ class TestSimulate:
         argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
         assert cli.main(argv) == 0
         assert (out / "manifest.json").exists()
+        before = snapshot(out)
 
         def boom(H, path):
             raise OSError("disk full")
@@ -292,9 +301,78 @@ class TestSimulate:
         monkeypatch.setattr(cli, "write_channel_csv", boom)
         assert cli.main(argv) == 1
         assert "disk full" in capsys.readouterr().err
-        assert not (out / "traffic.csv").exists()
-        assert not (out / "channel.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert snapshot(out) == before
+
+    def test_writer_failing_halfway_keeps_earlier_run(self, inputs, tmp_path,
+                                                      monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        before = snapshot(out)
+        staged = []
+
+        def halfway(H, path):
+            staged.append(path)
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("user,beam,magnitude,phase_rad\n1,1,")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "write_channel_csv", halfway)
+        assert cli.main(argv) == 1
+        assert "disk full" in capsys.readouterr().err
+        # the writer was handed a path in a staging directory inside out
+        assert staged[0].name == "channel.csv"
+        assert staged[0].parent.parent == out
+        assert snapshot(out) == before
+
+    def test_interrupt_after_two_outputs_keeps_earlier_run(self, inputs, tmp_path,
+                                                           monkeypatch):
+        out = tmp_path / "out"
+        argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        before = snapshot(out)
+
+        def interrupted(H, excluded):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "channel_summary", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(argv)
+        assert snapshot(out) == before
+
+    def test_failing_manifest_write_keeps_earlier_run(self, inputs, tmp_path,
+                                                      monkeypatch, capsys):
+        out = tmp_path / "out"
+        argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        before = snapshot(out)
+
+        def full(obj, indent=0):
+            raise OSError("no space left for the manifest")
+
+        monkeypatch.setattr(cli, "canonical_json", full)
+        assert cli.main(argv) == 1
+        assert "no space left for the manifest" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+    def test_failing_manifest_move_leaves_no_manifest(self, inputs, tmp_path,
+                                                      monkeypatch):
+        # once an output has moved, no manifest may name the earlier run's files
+        out = tmp_path / "out"
+        argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        replace = cli.os.replace
+
+        def failing(src, dst):
+            if Path(dst).name == "manifest.json":
+                raise OSError("cannot move the manifest")
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", failing)
+        assert cli.main(argv) == 1
+        assert sorted(snapshot(out)) == [
+            "channel.csv", "channel_summary.json", "traffic.csv"
+        ]
 
     def test_bad_config_or_hour_leaves_previous_run_alone(self, inputs, tmp_path,
                                                           capsys):
@@ -315,11 +393,13 @@ class TestSimulate:
             raise KeyboardInterrupt
 
         out = tmp_path / "out"
+        argv = ["simulate", *demand_argv(inputs), "--hour", "9", "--out-dir", str(out)]
+        assert cli.main(argv) == 0
+        before = snapshot(out)
         monkeypatch.setattr(cli, "write_channel_csv", interrupted)
         with pytest.raises(KeyboardInterrupt):
-            cli.main(["simulate", *demand_argv(inputs), "--hour", "9",
-                      "--out-dir", str(out)])
-        assert list(out.iterdir()) == []
+            cli.main(argv)
+        assert snapshot(out) == before
 
     def test_bad_movement_file_exits_one(self, inputs, tmp_path, capsys):
         bad = tmp_path / "bad_aero.csv"

@@ -1,6 +1,7 @@
 """Channel-matrix assembly, gain interpolation, and interference sums."""
 
 import cmath
+import json
 import math
 import re
 
@@ -16,6 +17,7 @@ from sattraffic.geo import (
     slant_range,
 )
 from sattraffic.ingest import TrafficType
+from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
     build_channel_matrix,
@@ -412,11 +414,12 @@ class TestChannelOutputs:
         cfg = ScenarioConfig()
         T = matrix_for(pattern, [(52.0, 5.0)])
         H = build_channel_matrix(T, pattern, cfg)
-        info = channel_summary(H)
+        info = json.loads(channel_summary(H, 0))
         assert info["users"] == 1
         assert info["beams"] == 7
         rec = info["per_user"][0]
         d = slant_range(GeoPoint(52.0, 5.0), cfg.sat_lat_deg, cfg.sat_lon_deg)
-        assert rec["distance_m"] == d
-        assert rec["path_loss_db"] == path_loss_db(d, cfg.wavelength_m)
+        # the text holds fmt_float's 9 significant digits
+        assert rec["distance_m"] == float(fmt_float(d))
+        assert rec["path_loss_db"] == float(fmt_float(path_loss_db(d, cfg.wavelength_m)))
         assert rec["interp_gain_db"] == pytest.approx(52.0, abs=1e-9)

@@ -1,12 +1,16 @@
 """Shared nearest-sample index against the plain per-beam search it replaced.
 
-`idw_gain` is the full-grid implementation that association and the channel
-diagnostic used to run once per beam: a terminals x grid angle matrix, an
-exact-coordinate override, and a stable sort of every row. `argmax_nearest`
-is the channel's former nearest-sample pass. The index must reproduce both
-bit for bit.
+`oracles.idw_gain` is the full-grid implementation that association and the
+channel diagnostic used to run once per beam: a terminals x grid angle
+matrix, an exact-coordinate override, and a stable sort of every row.
+`oracles.argmax_nearest` is the channel's former nearest-sample pass. The
+index scans only a latitude band of the grid per block of locations, and
+must reproduce both bit for bit, with the band as shipped, narrow enough
+that locations fall back to wider bands, and wider than the grid.
 """
 
+import math
+from itertools import product
 from unittest import mock
 
 import numpy as np
@@ -17,40 +21,15 @@ from hypothesis import strategies as st
 from sattraffic import linkbudget
 from sattraffic.linkbudget import NearestSamples, _cos_angles
 
+from oracles import argmax_nearest, idw_gain
 
-def idw_gain(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg, gains_db):
-    """Inverse-distance-squared gain over the three nearest samples.
-
-    A user sitting exactly on a sample takes that sample's gain. Distance
-    ties are broken toward the lower sample index by the stable sort.
-    Returns the gains and the three nearest sample indices per user.
-    """
-    lat_deg = np.asarray(lat_deg, dtype=float)
-    lon_deg = np.asarray(lon_deg, dtype=float)
-    grid_lat_deg = np.asarray(grid_lat_deg, dtype=float)
-    grid_lon_deg = np.asarray(grid_lon_deg, dtype=float)
-    gains_db = np.asarray(gains_db, dtype=float)
-    k = min(3, len(gains_db))
-    d = np.arccos(_cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg))
-    eq = (lat_deg[:, None] == grid_lat_deg) & (lon_deg[:, None] == grid_lon_deg)
-    has_eq = eq.any(axis=1)
-    eq_idx = np.argmax(eq, axis=1)
-    d[eq] = 0.0
-    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
-    dk = np.take_along_axis(d, idx, axis=1)
-    gk = gains_db[idx]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = (dk[:, :1] / dk) ** 2
-    vals = np.sum(w * gk, axis=1) / np.sum(w, axis=1)
-    zero = dk[:, 0] == 0.0
-    vals[zero] = gk[zero, 0]
-    vals[has_eq] = gains_db[eq_idx[has_eq]]
-    return vals, idx
-
-
-def argmax_nearest(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
-    t = _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg)
-    return np.argmax(t, axis=1)
+# module constants of the band search, patched per run
+BANDS = (
+    {},
+    {"_BAND_STEPS": 1e-12, "_BAND_ROWS": 1},
+    {"_BAND_STEPS": 1e-12, "_BAND_ROWS": 3},
+    {"_BAND_STEPS": 1e12},
+)
 
 
 def bits(a):
@@ -58,13 +37,15 @@ def bits(a):
 
 
 def assert_matches_oracle(lat, lon, glat, glon, gains):
-    """Index and oracle agree exactly, with one block and with tiny blocks."""
+    """Index and oracle agree exactly, with one block and with tiny blocks,
+    and with every band setting."""
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
     want_gain, want_idx = idw_gain(lat, lon, glat, glon, gains)
     want_near = argmax_nearest(lat, lon, glat, glon)
-    for block in (linkbudget._BLOCK_ELEMENTS, 1, 2 * len(glat) + 1):
-        with mock.patch.object(linkbudget, "_BLOCK_ELEMENTS", block):
+    blocks = (linkbudget._BLOCK_ELEMENTS, 1, 2 * len(glat) + 1)
+    for block, band in product(blocks, BANDS):
+        with mock.patch.multiple(linkbudget, _BLOCK_ELEMENTS=block, **band):
             index = NearestSamples(lat, lon, glat, glon)
         assert index.nearest.shape == (len(lat),)
         assert np.array_equal(index.nearest, want_near)
@@ -181,6 +162,69 @@ class TestAgainstOracle:
         lon = np.round(rng.uniform(1.5, 7.5, 3000), 2)
         assert_matches_oracle(lat, lon, glat, glon, gains)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.data(), st.integers(1, 12))
+    def test_latitude_ties(self, data, n):
+        # few distinct latitudes, so samples and queries share them and the
+        # band edges fall on runs of equal latitudes
+        lats = data.draw(st.lists(coords, min_size=1, max_size=3))
+        glat = np.array(
+            data.draw(st.lists(st.sampled_from(lats), min_size=n, max_size=n))
+        )
+        glon = np.array(data.draw(st.lists(coords, min_size=n, max_size=n)))
+        gains = np.array(data.draw(st.lists(gain_values, min_size=n, max_size=n)))
+        m = data.draw(st.integers(0, 8))
+        lat = data.draw(st.lists(st.one_of(st.sampled_from(lats), coords),
+                                 min_size=m, max_size=m))
+        lon = data.draw(st.lists(coords, min_size=m, max_size=m))
+        assert_matches_oracle(lat, lon, glat, glon, gains)
+
+    def test_samples_on_the_poles(self):
+        glat = np.repeat([-90.0, -89.5, 0.0, 89.5, 90.0], 4)
+        glon = np.tile([-180.0, -90.0, 0.0, 90.0], 5)
+        lat = np.array([90.0, 90.0, -90.0, 89.9, -89.9, 89.75, 0.0, 45.0])
+        lon = np.array([0.0, 123.0, -180.0, 45.0, 170.0, -90.0, 0.0, 0.0])
+        assert_matches_oracle(lat, lon, glat, glon, np.arange(20.0))
+
+    def test_queries_on_the_antimeridian(self):
+        glat, glon = regular_grid(5, 5, 0.5, lat0=-1.0, lon0=179.0)
+        glon = np.where(glon >= 180.0, glon - 360.0, glon)
+        lat = np.array([0.0, 0.1, -0.25, 1.0, 0.0, 0.3])
+        lon = np.array([180.0, -180.0, 180.0, -180.0, 179.75, -179.75])
+        assert_matches_oracle(lat, lon, glat, glon, np.linspace(30.0, 50.0, 25))
+
+    def test_exact_hits(self):
+        glat, glon = regular_grid(6, 6, 0.25, lat0=40.0, lon0=-3.0)
+        picks = [0, 7, 7, 20, 35]
+        lat = np.concatenate([glat[picks], [40.1, 40.5]])
+        lon = np.concatenate([glon[picks], [-2.9, -2.5]])
+        index = NearestSamples(lat, lon, glat, glon)
+        assert list(index.nearest[:5]) == picks
+        assert list(index.top_k[:5, 0]) == picks
+        assert_matches_oracle(lat, lon, glat, glon, np.arange(36.0))
+
+    @pytest.mark.parametrize("beyond_rad", [0.0, 1e-9, 2e-8, 9e-8])
+    def test_sample_just_beyond_the_band_edge(self, beyond_rad):
+        # latitudes 0..10 one degree apart far off in longitude give a first
+        # band of +-2 degrees; the nearest sample sits just above its edge
+        glat = np.append(np.arange(11.0), 7.0 + math.degrees(beyond_rad))
+        glon = np.append(np.full(11, 90.0), 0.0)
+        gains = np.arange(12.0)
+        index = NearestSamples([5.0], [0.0], glat, glon)
+        assert index.nearest[0] == 11
+        assert index.top_k[0, 0] == 11
+        assert_matches_oracle([5.0], [0.0], glat, glon, gains)
+
+    def test_sample_whose_angle_rounds_to_zero_beyond_the_band_edge(self):
+        # on the equator a sample 1e-8 rad north of the query computes to
+        # distance 0 and outranks three samples on the query's latitude by
+        # index; a band that leaves it out must not settle the query
+        glat = np.array([math.degrees(1e-8), 0.0, 0.0, 0.0, 1.0, -1.0, 2.0])
+        glon = np.array([10.0, 10.0, 10.0 + 1e-8, 10.0 - 1e-8, 10.0, 10.0, 10.0])
+        index = NearestSamples([0.0], [10.0], glat, glon)
+        assert list(index.top_k[0]) == [0, 1, 2]
+        assert_matches_oracle([0.0], [10.0], glat, glon, np.arange(7.0))
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             NearestSamples([0.0], [0.0], [], [])
@@ -197,3 +241,31 @@ def test_distinct_locations_are_searched_once():
     with mock.patch.object(linkbudget, "_cos_angles", counting):
         NearestSamples([0.1, 0.2, 0.1, 0.1, 0.2], [0.3] * 5, glat, glon)
     assert sum(calls) == 2
+
+
+def rows_scanned(lat, lon, glat, glon, **band):
+    """How often each distinct query location was scanned, in input order."""
+    scanned = []
+
+    def counting(lat, *rest):
+        scanned.extend(zip(np.asarray(lat).tolist(), rest[0].tolist()))
+        return _cos_angles(lat, *rest)
+
+    with mock.patch.object(linkbudget, "_cos_angles", counting), \
+            mock.patch.multiple(linkbudget, _BLOCK_ELEMENTS=linkbudget._BLOCK_ELEMENTS,
+                                **band):
+        NearestSamples(lat, lon, glat, glon)
+    return [scanned.count(point) for point in zip(lat, lon)]
+
+
+def test_narrow_band_makes_every_location_fall_back():
+    glat, glon = regular_grid(8, 8, 0.5)
+    lat = [0.1, 1.3, 2.2, 3.4, 0.1]
+    lon = [0.3, 2.9, 1.1, 0.7, 0.3]
+    # the shipped band and one wider than the grid settle each location in
+    # one scan; the narrow band of one location rescans every location, and
+    # with three a block's own latitude span settles some at once
+    assert rows_scanned(lat, lon, glat, glon) == [1] * 5
+    assert min(rows_scanned(lat, lon, glat, glon, **BANDS[1])) >= 2
+    assert max(rows_scanned(lat, lon, glat, glon, **BANDS[2])) >= 2
+    assert rows_scanned(lat, lon, glat, glon, **BANDS[3]) == [1] * 5

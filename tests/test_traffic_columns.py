@@ -19,7 +19,6 @@ from sattraffic.geo import GeoPoint
 from sattraffic.geometry import point_in_polygon, polygon_contains_many
 from sattraffic.ingest import Terminal, TrafficType
 from sattraffic.ioutil import fmt_float
-from sattraffic.linkbudget import NearestSamples
 from sattraffic.pattern import BeamPattern, all_footprints
 from sattraffic.traffic import (
     TRAFFIC_HEADER,
@@ -28,7 +27,7 @@ from sattraffic.traffic import (
     write_traffic_csv,
 )
 
-from oracles import write_csv
+from oracles import idw_gain, write_csv
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,16 @@ def build_traffic_matrix_rows(footprints, pattern, fss, aero, maritime):
         counts += mask
 
     contested = np.flatnonzero(counts > 1)
-    index = NearestSamples(
-        lats[contested], lons[contested], pattern.lat_deg, pattern.lon_deg
-    )
     best_gain = np.full(len(contested), -np.inf)
     chosen = np.zeros(len(terminals), dtype=np.int64)
     for j in beam_ids:
         sel = inside[j][contested]
         if not sel.any():
             continue
-        gain = index.gain(pattern.gain_db[:, j - 1])[sel]
+        gain, _ = idw_gain(
+            lats[contested][sel], lons[contested][sel],
+            pattern.lat_deg, pattern.lon_deg, pattern.gain_db[:, j - 1],
+        )
         better = gain > best_gain[sel]
         idx = np.flatnonzero(sel)[better]
         best_gain[idx] = gain[better]
