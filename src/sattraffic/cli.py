@@ -118,13 +118,14 @@ class _OutputSet:
 
     Used as a context manager around the command's work. add() takes an
     output's final path and returns the path in a staging directory inside
-    the output directory, where the writer puts it. A normal exit hashes the
-    staged files, writes the manifest beside them, deletes the old manifest,
-    moves each output into place and then the manifest, and removes the
-    staging directory. Any exception, interrupts included, removes the
-    staging directory alone and propagates, so the output directory keeps
-    the earlier run's files and manifest byte for byte. No manifest ever
-    names a file that is gone or has changed.
+    the output directory, where the writer puts it. A normal exit checks
+    that no final path is a directory, hashes the staged files, writes the
+    manifest beside them, deletes the old manifest, moves each output into
+    place and then the manifest, and removes the staging directory. Any
+    exception, interrupts included, removes the staging directory alone and
+    propagates, so the output directory keeps the earlier run's files and
+    manifest byte for byte. No manifest ever names a file that is gone or
+    has changed.
     """
 
     def __init__(self, out_dir, *, command, config, inputs=(), seed=None):
@@ -158,6 +159,9 @@ class _OutputSet:
         return canonical_json(manifest) + "\n"
 
     def commit(self):
+        for path in self.paths:
+            if path.is_dir():
+                raise IsADirectoryError(f"output {path} is a directory")
         staged_manifest = self.staging / "manifest.json"
         staged_manifest.write_text(self.manifest_text(), encoding="utf-8")
         manifest = self.out_dir / "manifest.json"
@@ -197,16 +201,9 @@ def _hour_matrices(args, icfg, scfg):
     """Traffic and channel matrices of the demand inputs at args.hour."""
     pattern = parse_pattern(args.pattern)
     footprints = all_footprints(pattern)
-    fss = load_population(
-        args.population, icfg.downscale, icfg.urban,
-        demand_mbps=icfg.fss_demand_mbps, bbox=icfg.bbox,
-    )
-    aero = load_aero(
-        args.aero, args.hour, demand_mbps=icfg.aero_demand_mbps, bbox=icfg.bbox
-    )
-    maritime = load_maritime(
-        args.maritime, args.hour, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
-    )
+    fss = load_population(args.population, icfg)
+    aero = load_aero(args.aero, args.hour, icfg)
+    maritime = load_maritime(args.maritime, args.hour, icfg)
     T = build_traffic_matrix(footprints, pattern, fss, aero, maritime)
     return T, build_channel_matrix(T, pattern, scfg)
 
@@ -223,9 +220,14 @@ def _demand_inputs(args):
 
 
 def cmd_synth(args):
+    name = f"{args.kind}.csv" if args.name is None else args.name
+    if os.path.basename(name) != name or name in ("", ".", "..", "manifest.json"):
+        raise UsageError(
+            f"--name must be a bare file name other than manifest.json, got {name!r}"
+        )
     out = _out_dir(args)
     params = dict(_parse_param(p) for p in args.param or [])
-    target = out / (args.name or f"{args.kind}.csv")
+    target = out / name
     with _OutputSet(
         out, command=f"synth {args.kind}", config=params, seed=args.seed
     ) as outputs:
@@ -279,21 +281,12 @@ def cmd_profile(args):
     ) as outputs:
         pattern = parse_pattern(args.pattern)
         footprints = all_footprints(pattern)
-        fss = ()
-        if args.population:
-            fss = load_population(
-                args.population, icfg.downscale, icfg.urban,
-                demand_mbps=icfg.fss_demand_mbps, bbox=icfg.bbox,
-            )
+        fss = load_population(args.population, icfg) if args.population else ()
         aero = maritime = [()] * 24
         if args.aero:
-            aero = load_aero_by_hour(
-                args.aero, demand_mbps=icfg.aero_demand_mbps, bbox=icfg.bbox
-            )
+            aero = load_aero_by_hour(args.aero, icfg)
         if args.maritime:
-            maritime = load_maritime_by_hour(
-                args.maritime, demand_mbps=icfg.maritime_demand_mbps, bbox=icfg.bbox
-            )
+            maritime = load_maritime_by_hour(args.maritime, icfg)
         profile = hourly_profiles(fss, aero, maritime, footprints, pattern)
         classes = classify_beams(profile, thresholds)
 

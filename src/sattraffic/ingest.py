@@ -16,7 +16,7 @@ vessel feeds so the whole pipeline runs reproducibly from a seed.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
 from itertools import islice
@@ -30,7 +30,7 @@ from .errors import (
     TimestampError,
 )
 from .geo import GeoPoint, check_locations
-from .ioutil import fmt_float
+from .ioutil import fmt_float, open_input
 from .pattern import BeamPattern, write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
@@ -60,16 +60,11 @@ class Terminal:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("terminal id must be a non-empty string")
-        object.__setattr__(self, "demand_mbps", _demand(self.demand_mbps))
+        demand = float(self.demand_mbps)
+        if not math.isfinite(demand) or demand < 0.0:
+            raise ValueError(f"demand must be finite and >= 0, got {self.demand_mbps}")
+        object.__setattr__(self, "demand_mbps", demand)
         object.__setattr__(self, "type", TrafficType(self.type))
-
-
-def _demand(value):
-    """value as a demand in Mbps; ValueError unless finite and >= 0."""
-    demand = float(value)
-    if not math.isfinite(demand) or demand < 0.0:
-        raise ValueError(f"demand must be finite and >= 0, got {value}")
-    return demand
 
 
 @dataclass(frozen=True)
@@ -117,7 +112,11 @@ class UrbanPolicy:
 
 @dataclass(frozen=True)
 class IngestConfig:
-    """Knobs the demand files do not carry themselves."""
+    """Knobs the demand files do not carry themselves.
+
+    The one place ingest settings get their defaults and their checks: the
+    loaders take a whole IngestConfig and read their values from it.
+    """
 
     downscale: int = 1000
     urban: UrbanPolicy = field(default_factory=UrbanPolicy)
@@ -127,12 +126,25 @@ class IngestConfig:
     bbox: BoundingBox = DEFAULT_BBOX
 
     def __post_init__(self):
-        if not isinstance(self.downscale, int) or self.downscale < 1:
-            raise ValueError("downscale must be an integer >= 1")
+        downscale = self.downscale
+        if not isinstance(downscale, int) or isinstance(downscale, bool) or downscale < 1:
+            raise ValueError(f"downscale must be an integer >= 1, got {downscale!r}")
         for name in ("fss_demand_mbps", "aero_demand_mbps", "maritime_demand_mbps"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0")
+
+
+def _with_settings(cfg, **settings):
+    """cfg with the settings given one at a time in the loaders' earlier
+    call forms, which bench/run.py still uses: load_population(source,
+    downscale, urban_policy, bbox=...) and load_aero or load_maritime(source,
+    hour, bbox=...). A setting left as None keeps cfg's value; IngestConfig
+    checks the rest."""
+    if not isinstance(cfg, IngestConfig):
+        settings["downscale"] = cfg
+        cfg = IngestConfig()
+    return replace(cfg, **{k: v for k, v in settings.items() if v is not None})
 
 
 _CONFIG_KEYS = {
@@ -150,18 +162,15 @@ _CONFIG_KEYS = {
 
 
 def parse_config(source):
-    """Read a key = value config file into an IngestConfig.
+    """Read a key = value config file, a path or an open text file, into an
+    IngestConfig.
 
     Blank lines and '#' comments are ignored; unknown keys are errors so a
-    typo cannot silently fall back to a default.
+    typo cannot silently fall back to a default. A value IngestConfig
+    rejects raises ParseError naming the file.
     """
-    if hasattr(source, "read"):
-        lines = source.read().splitlines()
-        path = getattr(source, "name", None)
-    else:
-        path = str(source)
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+    with open_input(source) as (fh, path):
+        lines = fh.read().splitlines()
 
     raw = {}
     for lineno, line in enumerate(lines, start=1):
@@ -182,26 +191,15 @@ def parse_config(source):
         except ValueError:
             raise ParseError(f"bad value {value!r} for {key}", lineno, path) from None
 
+    # lat_/lon_ keys set the box, urban_ keys the policy, the rest are fields
+    box = {key: raw.pop(key) for key in ("lat_min", "lat_max", "lon_min", "lon_max")
+           if key in raw}
+    urban = {key.removeprefix("urban_"): raw.pop(key) for key in list(raw)
+             if key.startswith("urban_")}
     defaults = IngestConfig()
     try:
-        bbox = BoundingBox(
-            raw.get("lat_min", defaults.bbox.lat_min),
-            raw.get("lat_max", defaults.bbox.lat_max),
-            raw.get("lon_min", defaults.bbox.lon_min),
-            raw.get("lon_max", defaults.bbox.lon_max),
-        )
-        urban = UrbanPolicy(
-            raw.get("urban_density_threshold", defaults.urban.density_threshold),
-            raw.get("urban_suppression_factor", defaults.urban.suppression_factor),
-        )
-        return IngestConfig(
-            downscale=raw.get("downscale", defaults.downscale),
-            urban=urban,
-            fss_demand_mbps=raw.get("fss_demand_mbps", defaults.fss_demand_mbps),
-            aero_demand_mbps=raw.get("aero_demand_mbps", defaults.aero_demand_mbps),
-            maritime_demand_mbps=raw.get("maritime_demand_mbps", defaults.maritime_demand_mbps),
-            bbox=bbox,
-        )
+        return replace(defaults, bbox=replace(defaults.bbox, **box),
+                       urban=replace(defaults.urban, **urban), **raw)
     except ValueError as exc:
         raise ParseError(str(exc), None, path) from exc
 
@@ -268,7 +266,10 @@ class TerminalBlock(Sequence):
         return len(self.ids)
 
     def __getitem__(self, index):
+        """The Terminal of one row; a slice gives a list of them, as a list would."""
         k = range(len(self))[index]
+        if isinstance(k, range):
+            return [self[i] for i in k]
         return Terminal(
             self.ids[k], GeoPoint(float(self.lat_deg[k]), float(self.lon_deg[k])),
             int(self.type[k]), float(self.demand_mbps[k]),
@@ -302,12 +303,6 @@ def _wrap_lon(lon_deg):
     return lon
 
 
-def _open_lines(source):
-    if hasattr(source, "read"):
-        return source, getattr(source, "name", None), False
-    return open(source, "r", encoding="utf-8", newline=""), str(source), True
-
-
 def _check_header(fh, expected, path):
     header = fh.readline()
     if header.rstrip("\r\n") != expected:
@@ -330,26 +325,23 @@ def _coord(text, name, lineno, path):
     return v
 
 
-def load_population(source, downscale=1000, urban_policy=None, *,
-                    demand_mbps=2.0, bbox=DEFAULT_BBOX):
-    """Population raster to a block of FSS terminals.
+def load_population(source, cfg=IngestConfig(), urban_policy=None, *, bbox=None):
+    """Population raster, a path or an open text file, to a block of FSS
+    terminals. (A downscale in place of cfg, urban_policy and bbox are the
+    earlier call form; see _with_settings.)
 
-    Each cell yields floor(population / downscale) terminals at the cell
-    center; cells above the urban density threshold keep only
+    Each cell yields floor(population / cfg.downscale) terminals at the cell
+    center; cells above cfg.urban's density threshold keep only
     floor(count * suppression_factor). Rows with the same center are one
-    cell (populations add). Output is sorted by (lat, lon) so file row
-    order never matters.
+    cell (populations add); rows outside cfg.bbox are dropped. Every
+    terminal demands cfg.fss_demand_mbps. Output is sorted by (lat, lon) so
+    file row order never matters.
     """
-    if not isinstance(downscale, int) or isinstance(downscale, bool) or downscale < 1:
-        raise ValueError(f"downscale must be an integer >= 1, got {downscale!r}")
-    if urban_policy is None:
-        urban_policy = UrbanPolicy()
-
-    fh, path, owns = _open_lines(source)
+    cfg = _with_settings(cfg, urban=urban_policy, bbox=bbox)
     cells = {}
     bad = 0
     out = 0
-    try:
+    with open_input(source) as (fh, path):
         _check_header(fh, POPULATION_HEADER, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
@@ -376,30 +368,26 @@ def load_population(source, downscale=1000, urban_policy=None, *,
                 continue
             if not -90.0 <= lat <= 90.0:
                 raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
-            if not bbox.contains(lat, lon):
+            if not cfg.bbox.contains(lat, lon):
                 out += 1
                 continue
             cells.setdefault((lat, lon), []).append(pop)
-    finally:
-        if owns:
-            fh.close()
 
     centers = sorted(cells)
     counts = []
     for center in centers:
         pop = math.fsum(cells[center])  # exact sum, so file row order cannot matter
-        count = int(pop // downscale)
-        if pop > urban_policy.density_threshold:
-            count = int(math.floor(count * urban_policy.suppression_factor))
+        count = int(pop // cfg.downscale)
+        if pop > cfg.urban.density_threshold:
+            count = int(math.floor(count * cfg.urban.suppression_factor))
         counts.append(count)
     n = sum(counts)
-    demand = _demand(demand_mbps) if n else 0.0
     return TerminalBlock(
         [f"fss-{serial}" for serial in range(1, n + 1)],
         np.repeat(np.array([lat for lat, _ in centers], dtype=float), counts),
         _wrap_lon(np.repeat(np.array([lon for _, lon in centers], dtype=float), counts)),
         np.full(n, TrafficType.FSS.value),
-        np.full(n, demand),
+        np.full(n, cfg.fss_demand_mbps),
         dropped_bad_coords=bad,
         dropped_out_of_box=out,
     )
@@ -509,14 +497,19 @@ def _line_rows(texts, lineno, stamps, id_name, path):
     return ids, np.array(codes, dtype=np.int64), np.array(lats), np.array(lons)
 
 
-def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bbox):
+def _load_movements(source, hours, traffic_type, cfg):
     """Read a movement log once; one TerminalBlock per requested hour, in order.
 
     The log is parsed _CHUNK_LINES lines at a time into columns, and only
-    the rows of requested hours that lie in the bounding box are kept. Each
-    id's first record per hour is the least (timestamp, row) among them,
-    picked with one stable sort.
+    the rows of requested hours that lie in cfg.bbox are kept. Each id's
+    first record per hour is the least (timestamp, row) among them, picked
+    with one stable sort.
     """
+    header, demand = {
+        TrafficType.AERO: (AERO_HEADER, cfg.aero_demand_mbps),
+        TrafficType.MARITIME: (MARITIME_HEADER, cfg.maritime_demand_mbps),
+    }[traffic_type]
+    id_name = header.partition(",")[0]
     for hour in hours:
         if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
             raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
@@ -529,9 +522,8 @@ def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, b
     # per chunk, the kept rows: id code, timestamp code, lat, lon
     kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
              np.empty(0), np.empty(0))]
-    fh, path, owns = _open_lines(source)
-    stamps = _Stamps(path)
-    try:
+    with open_input(source) as (fh, path):
+        stamps = _Stamps(path)
         _check_header(fh, header, path)
         lineno = 2
         while texts := [raw.rstrip("\r\n") for raw in islice(fh, _CHUNK_LINES)]:
@@ -543,8 +535,8 @@ def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, b
             hour = np.array(stamps.hour, dtype=np.int64)[codes]
             missing = np.isnan(lat) | np.isnan(lon)
             inside = (
-                (lat >= bbox.lat_min) & (lat <= bbox.lat_max)
-                & (lon >= bbox.lon_min) & (lon <= bbox.lon_max)
+                (lat >= cfg.bbox.lat_min) & (lat <= cfg.bbox.lat_max)
+                & (lon >= cfg.bbox.lon_min) & (lon <= cfg.bbox.lon_max)
             )
             bad += np.bincount(hour[missing], minlength=24)
             out += np.bincount(hour[~missing & ~inside], minlength=24)
@@ -554,9 +546,6 @@ def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, b
                           for k in keep.tolist()], dtype=np.int64),
                 codes[keep], lat[keep], lon[keep],
             ))
-    finally:
-        if owns:
-            fh.close()
 
     idc, codes, lat, lon = (np.concatenate(column) for column in zip(*kept))
     names = list(id_codes)
@@ -571,7 +560,6 @@ def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, b
     first[1:] = (np.diff(hour[order]) != 0) | (np.diff(rank[idc[order]]) != 0)
     pick = order[first]
     idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], _wrap_lon(lon[pick])
-    demand = _demand(demand_mbps) if len(pick) else 0.0
 
     blocks = []
     for h in hours:
@@ -584,38 +572,36 @@ def _load_movements(source, hours, header, id_name, traffic_type, demand_mbps, b
     return blocks
 
 
-def load_aero(source, hour, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
+def load_aero(source, hour, cfg=IngestConfig(), *, bbox=None):
     """One terminal per flight id seen during the given hour of day (UTC),
-    positioned at the flight's earliest record within that hour."""
-    return _load_movements(
-        source, (hour,), AERO_HEADER, "flight_id", TrafficType.AERO, demand_mbps, bbox
-    )[0]
+    positioned at the flight's earliest record within that hour. source is
+    a path or an open text file; records outside cfg.bbox are dropped and
+    every terminal demands cfg.aero_demand_mbps. (bbox is the earlier call
+    form; see _with_settings.)"""
+    cfg = _with_settings(cfg, bbox=bbox)
+    return _load_movements(source, (hour,), TrafficType.AERO, cfg)[0]
 
 
-def load_aero_by_hour(source, *, demand_mbps=10.0, bbox=DEFAULT_BBOX):
+def load_aero_by_hour(source, cfg=IngestConfig()):
     """load_aero for every hour of the day from one pass over the log:
     a list of 24 terminal blocks, indexed by hour."""
-    return _load_movements(
-        source, range(24), AERO_HEADER, "flight_id", TrafficType.AERO,
-        demand_mbps, bbox,
-    )
+    return _load_movements(source, range(24), TrafficType.AERO, cfg)
 
 
-def load_maritime(source, hour, *, demand_mbps=8.0, bbox=DEFAULT_BBOX):
+def load_maritime(source, hour, cfg=IngestConfig(), *, bbox=None):
     """One terminal per ship id seen during the given hour of day (UTC),
-    positioned at the ship's earliest record within that hour."""
-    return _load_movements(
-        source, (hour,), MARITIME_HEADER, "ship_id", TrafficType.MARITIME, demand_mbps, bbox
-    )[0]
+    positioned at the ship's earliest record within that hour. source is a
+    path or an open text file; records outside cfg.bbox are dropped and
+    every terminal demands cfg.maritime_demand_mbps. (bbox is the earlier
+    call form; see _with_settings.)"""
+    cfg = _with_settings(cfg, bbox=bbox)
+    return _load_movements(source, (hour,), TrafficType.MARITIME, cfg)[0]
 
 
-def load_maritime_by_hour(source, *, demand_mbps=8.0, bbox=DEFAULT_BBOX):
+def load_maritime_by_hour(source, cfg=IngestConfig()):
     """load_maritime for every hour of the day from one pass over the log:
     a list of 24 terminal blocks, indexed by hour."""
-    return _load_movements(
-        source, range(24), MARITIME_HEADER, "ship_id", TrafficType.MARITIME,
-        demand_mbps, bbox,
-    )
+    return _load_movements(source, range(24), TrafficType.MARITIME, cfg)
 
 
 # ---------------------------------------------------------------------------

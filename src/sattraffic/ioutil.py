@@ -1,4 +1,4 @@
-"""Serialization helpers shared by the file writers.
+"""Serialization helpers shared by the file writers, and the input opener.
 
 All output floats use one canonical form (9 significant digits) so repeated
 runs of the same command produce byte-identical files that diff cleanly.
@@ -7,6 +7,7 @@ runs of the same command produce byte-identical files that diff cleanly.
 import hashlib
 import math
 import re
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -118,6 +119,21 @@ def write_table(path, header, n_rows, block):
         fh.write(header + "\n")
         for lo in range(0, n_rows, BLOCK_ROWS):
             fh.write(format_rows(block(lo, min(lo + BLOCK_ROWS, n_rows))))
+
+
+@contextmanager
+def open_input(source):
+    """(fh, name) of an input given as a path or as an open text file.
+
+    A path is opened as UTF-8 with newline="" and closed on exit, whatever
+    the body raises; a file object is yielded as it is and left open. name
+    is the path, or the file object's name attribute (None without one).
+    """
+    if hasattr(source, "read"):
+        yield source, getattr(source, "name", None)
+        return
+    with open(source, "r", encoding="utf-8", newline="") as fh:
+        yield fh, str(source)
 
 
 def sha256_file(path):

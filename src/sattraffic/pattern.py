@@ -22,7 +22,7 @@ from .errors import (
 )
 # delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
-from .ioutil import write_table
+from .ioutil import open_input, write_table
 
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
@@ -149,7 +149,7 @@ def _parse_row(fields, lineno, path):
 
 
 def parse_pattern(source):
-    """Read a pattern CSV into a BeamPattern.
+    """Read a pattern CSV, a path or an open text file, into a BeamPattern.
 
     Rows must be grouped by beam with ids 1..n in order, and every beam must
     repeat the exact sample grid of beam 1. Malformed cells raise ParseError
@@ -157,17 +157,11 @@ def parse_pattern(source):
     well-formed file is read in one np.loadtxt pass; any other goes through
     the line parser, which finds the error.
     """
-    if hasattr(source, "read"):
-        return _parse_pattern_lines(source, getattr(source, "name", None))
-    with open(source, "r", encoding="utf-8", newline="") as fh:
-        return _parse_pattern_lines(fh, str(source))
-
-
-def _parse_pattern_lines(fh, path):
-    header = fh.readline()
-    if header.rstrip("\r\n") != PATTERN_HEADER:
-        raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
-    lines = list(fh)
+    with open_input(source) as (fh, path):
+        header = fh.readline()
+        if header.rstrip("\r\n") != PATTERN_HEADER:
+            raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
+        lines = list(fh)
     pattern = _load_rows(lines)
     if pattern is None:
         pattern = _parse_rows(lines, path)

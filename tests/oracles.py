@@ -59,10 +59,9 @@ from sattraffic.ingest import (
     UrbanPolicy,
     _check_header,
     _coord,
-    _open_lines,
     _parse_timestamp,
 )
-from sattraffic.ioutil import fmt_float
+from sattraffic.ioutil import fmt_float, open_input
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
     ChannelMatrix,
@@ -260,11 +259,10 @@ def load_population(source, downscale=1000, urban_policy=None, *,
     if urban_policy is None:
         urban_policy = UrbanPolicy()
 
-    fh, path, owns = _open_lines(source)
     cells = {}
     bad = 0
     out = 0
-    try:
+    with open_input(source) as (fh, path):
         _check_header(fh, POPULATION_HEADER, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
@@ -295,9 +293,6 @@ def load_population(source, downscale=1000, urban_policy=None, *,
                 out += 1
                 continue
             cells.setdefault((lat, lon), []).append(pop)
-    finally:
-        if owns:
-            fh.close()
 
     terminals = []
     serial = 0
@@ -328,8 +323,7 @@ def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bb
     firsts = {hour: {} for hour in hours}  # hour -> id -> (timestamp, row_idx, lat, lon)
     bad = dict.fromkeys(firsts, 0)
     out = dict.fromkeys(firsts, 0)
-    fh, path, owns = _open_lines(source)
-    try:
+    with open_input(source) as (fh, path):
         _check_header(fh, header, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
@@ -359,9 +353,6 @@ def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bb
             key = (ts, lineno)
             if ident not in first or key < first[ident][:2]:
                 first[ident] = (ts, lineno, lat, lon)
-    finally:
-        if owns:
-            fh.close()
 
     return [
         TerminalList(

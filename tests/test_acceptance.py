@@ -30,6 +30,7 @@ from sattraffic.geo import (
 )
 from sattraffic.geometry import convex_hull, delaunay, point_in_polygon
 from sattraffic.ingest import (
+    IngestConfig,
     Terminal,
     TrafficType,
     UrbanPolicy,
@@ -144,22 +145,30 @@ def _delaunay_violations(pts, triangles):
     return violations
 
 
-def _hull_vertices_cubic(pts):
+def _hull_vertices_cubic(pts, chunk=64):
     """Hull vertex indices by the cubic definition: an edge is on the hull
-    when every other point lies strictly to its left."""
+    when every other point lies strictly to its left.
+
+    The verdict on edge (i, j) is the float sign of one cross product per k.
+    k is taken chunk points at a time, and a j leaves at its first k with a
+    cross product <= 0, which changes no verdict.
+    """
     n = len(pts)
     x, y = pts[:, 0], pts[:, 1]
     verts = set()
     for i in range(n):
         dx, dy = x - x[i], y - y[i]
-        cross = np.outer(dx, dy) - np.outer(dy, dx)
-        cross[:, i] = np.inf
-        cross[np.diag_indices(n)] = np.inf
-        cross[i, :] = -np.inf
-        good = cross.min(axis=1) > 0.0
-        for j in np.nonzero(good)[0]:
+        js = np.delete(np.arange(n), i)
+        for lo in range(0, n, chunk):
+            ks = np.arange(lo, min(lo + chunk, n))
+            cross = np.outer(dx[js], dy[ks]) - np.outer(dy[js], dx[ks])
+            cross[(ks == i) | (js[:, None] == ks)] = np.inf
+            js = js[cross.min(axis=1) > 0.0]
+            if not js.size:
+                break
+        if js.size:
             verts.add(i)
-            verts.add(int(j))
+            verts.update(js.tolist())
     return verts
 
 
@@ -382,7 +391,9 @@ def test_criterion_7_dedup(capsys):
 def test_criterion_8_downscaling(capsys):
     with reported(capsys, 8, "population floor rule: 2500/1000 -> 2, 1000 random cells vs oracle"):
         header = "lat_deg,lon_deg,population"
-        terms = load_population(io.StringIO(f"{header}\n50,10,2500\n"), 1000)
+        terms = load_population(
+            io.StringIO(f"{header}\n50,10,2500\n"), IngestConfig(downscale=1000)
+        )
         assert len(terms) == 2
 
         rng = np.random.default_rng(80)
@@ -399,7 +410,9 @@ def test_criterion_8_downscaling(capsys):
                 count = math.floor(count * policy.suppression_factor)
             if count:
                 expected[(lat, lon)] = count
-        terms = load_population(io.StringIO("\n".join(lines) + "\n"), 1000, policy)
+        terms = load_population(
+            io.StringIO("\n".join(lines) + "\n"), IngestConfig(downscale=1000, urban=policy)
+        )
         got = {}
         for t in terms:
             key = (t.location.lat_deg, t.location.lon_deg)

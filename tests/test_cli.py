@@ -123,6 +123,53 @@ class TestSynth:
         assert (tmp_path / "from_env" / "population.csv").exists()
 
 
+def earlier_synth(out):
+    """A good synth run in out, as the run a failed rerun must leave alone."""
+    assert cli.main(["synth", "aero", "--seed", "4", "--out-dir", str(out),
+                     "--param", "flights=5"]) == 0
+    return snapshot(out)
+
+
+class TestSynthName:
+    def test_custom_name(self, tmp_path):
+        argv = ["synth", "population", "--seed", "2", "--param", "cells=5", "--out-dir"]
+        assert cli.main([*argv, str(tmp_path / "a"), "--name", "custom.csv"]) == 0
+        assert cli.main([*argv, str(tmp_path / "b")]) == 0
+        out = tmp_path / "a"
+        assert sorted(snapshot(out)) == ["custom.csv", "manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        digest = sha256_file(out / "custom.csv")
+        assert manifest["outputs"] == [{"name": "custom.csv", "sha256": digest}]
+        assert digest == sha256_file(tmp_path / "b" / "population.csv")
+
+    @pytest.mark.parametrize("name", [
+        "sub/p.csv", "../escaped.csv", "manifest.json", ".", "..", "",
+    ])
+    def test_bad_name_rejected_before_out_dir_is_touched(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        before = earlier_synth(out)
+        capsys.readouterr()
+        for target in (out, tmp_path / "fresh"):
+            rc = cli.main(["synth", "population", "--seed", "1", "--param", "cells=5",
+                           "--out-dir", str(target), "--name", name])
+            assert rc == 1
+            assert "--name must be a bare file name" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert sorted(snapshot(tmp_path)) == ["out"]
+
+    def test_directory_at_target_keeps_earlier_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        earlier_synth(out)
+        (out / "population.csv").mkdir()
+        before = snapshot(out)
+        capsys.readouterr()
+        rc = cli.main(["synth", "population", "--seed", "1", "--param", "cells=5",
+                       "--out-dir", str(out)])
+        assert rc == 1
+        assert "is a directory" in capsys.readouterr().err
+        assert snapshot(out) == before
+
+
 class TestFootprints:
     def test_borders_cover_all_beams(self, inputs, tmp_path):
         rc = cli.main(["footprints", str(inputs["pattern"]),

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from sattraffic.ingest import (
     synth_population,
 )
 from sattraffic.geo import GeoPoint
-from sattraffic.ioutil import fmt_float
+from sattraffic.ioutil import fmt_float, open_input
 from sattraffic.pattern import all_footprints, parse_pattern
 from sattraffic.geometry import point_in_polygon
 
@@ -95,6 +96,32 @@ def first_position_oracle(records, hour):
     return {ident: (lat, lon) for ident, (_, lat, lon) in best.items()}
 
 
+class TestOpenInput:
+    def test_closes_a_file_it_opened_when_the_body_raises(self, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes("é,1\r\nb,2\n".encode("utf-8"))
+        with pytest.raises(RuntimeError, match="body"):
+            with open_input(path) as (fh, name):
+                assert name == str(path)
+                assert fh.read() == "é,1\r\nb,2\n"  # UTF-8, line ends as written
+                raise RuntimeError("body")
+        assert fh.closed
+
+    def test_leaves_a_file_object_open(self, tmp_path):
+        given = io.StringIO("x\n")
+        with pytest.raises(RuntimeError):
+            with open_input(given) as (fh, name):
+                assert fh is given and name is None
+                raise RuntimeError
+        assert not given.closed
+        path = tmp_path / "in.csv"
+        path.write_text("x\n", encoding="utf-8")
+        with open(path, encoding="utf-8") as given:
+            with open_input(given) as (fh, name):
+                assert fh is given and name == str(path)
+            assert not given.closed
+
+
 class TestParseConfig:
     def test_defaults_from_empty_file(self):
         cfg = parse_config(io.StringIO(""))
@@ -119,6 +146,18 @@ class TestParseConfig:
         assert cfg.bbox == BoundingBox(40.0, 60.0, -10.0, 20.0)
         assert cfg.aero_demand_mbps == 12.0
 
+    def test_partial_file_keeps_the_other_defaults(self):
+        cfg = parse_config(io.StringIO(
+            "lat_max = 70\nurban_suppression_factor = 0.75\naero_demand_mbps = 4\n"
+        ))
+        default = IngestConfig()
+        assert cfg == IngestConfig(
+            urban=UrbanPolicy(default.urban.density_threshold, 0.75),
+            aero_demand_mbps=4.0,
+            bbox=BoundingBox(default.bbox.lat_min, 70.0, default.bbox.lon_min,
+                             default.bbox.lon_max),
+        )
+
     def test_unknown_key(self):
         with pytest.raises(ParseError, match="unknown config key"):
             parse_config(io.StringIO("downscail = 10\n"))
@@ -138,67 +177,69 @@ class TestParseConfig:
 
 class TestLoadPopulation:
     def test_downscale_floor(self):
-        terms = load_population(pop_file(["50,10,2500\n"]), 1000)
+        terms = load_population(pop_file(["50,10,2500\n"]))
         assert len(terms) == 2
         assert all(t.type == TrafficType.FSS for t in terms)
         assert all(t.location == GeoPoint(50, 10) for t in terms)
 
     def test_below_downscale_yields_nothing(self):
-        assert len(load_population(pop_file(["50,10,999\n"]), 1000)) == 0
+        assert len(load_population(pop_file(["50,10,999\n"]))) == 0
 
     def test_urban_suppression(self):
         policy = UrbanPolicy(density_threshold=5000, suppression_factor=0.5)
-        terms = load_population(pop_file(["50,10,10000\n"]), 1000, policy)
+        terms = load_population(pop_file(["50,10,10000\n"]), IngestConfig(urban=policy))
         assert len(terms) == 5
 
     def test_threshold_is_strict(self):
         policy = UrbanPolicy(density_threshold=10000, suppression_factor=0.5)
-        terms = load_population(pop_file(["50,10,10000\n"]), 1000, policy)
+        terms = load_population(pop_file(["50,10,10000\n"]), IngestConfig(urban=policy))
         assert len(terms) == 10  # density equal to the threshold is not urban
 
     def test_duplicate_cells_aggregate(self):
-        terms = load_population(pop_file(["50,10,600\n", "50,10,500\n"]), 1000)
+        terms = load_population(pop_file(["50,10,600\n", "50,10,500\n"]))
         assert len(terms) == 1
 
     def test_row_order_invariance(self):
         rows = [f"{50 + i * 0.25},10,{300 * i}\n" for i in range(8)]
-        a = load_population(pop_file(rows), 500)
-        b = load_population(pop_file(list(reversed(rows))), 500)
+        cfg = IngestConfig(downscale=500)
+        a = load_population(pop_file(rows), cfg)
+        b = load_population(pop_file(list(reversed(rows))), cfg)
         assert a == b
         assert [t.id for t in a] == [t.id for t in b]
 
     def test_nan_coordinates_dropped_and_counted(self):
-        terms = load_population(pop_file(["nan,10,5000\n", "50,10,2000\n"]), 1000)
+        terms = load_population(pop_file(["nan,10,5000\n", "50,10,2000\n"]))
         assert len(terms) == 2
         assert terms.dropped_bad_coords == 1
 
     def test_missing_coordinate_dropped(self):
-        terms = load_population(pop_file([",10,5000\n", "50,10,2000\n"]), 1000)
+        terms = load_population(pop_file([",10,5000\n", "50,10,2000\n"]))
         assert terms.dropped_bad_coords == 1
 
     def test_out_of_box_counted(self):
         box = BoundingBox(45, 55, 5, 15)
-        terms = load_population(
-            pop_file(["60,10,3000\n", "50,10,2000\n"]), 1000, bbox=box
-        )
+        rows = ["60,10,3000\n", "50,10,2000\n"]
+        terms = load_population(pop_file(rows), IngestConfig(bbox=box))
         assert len(terms) == 2
         assert terms.dropped_out_of_box == 1
 
     def test_negative_population_fatal(self):
         with pytest.raises(NegativePopulationError):
-            load_population(pop_file(["50,10,-5\n"]), 1000)
+            load_population(pop_file(["50,10,-5\n"]))
 
     def test_nan_population_fatal(self):
         with pytest.raises(NegativePopulationError):
-            load_population(pop_file(["50,10,nan\n"]), 1000)
+            load_population(pop_file(["50,10,nan\n"]))
 
     def test_garbage_population_is_parse_error(self):
         with pytest.raises(ParseError, match="line 2"):
-            load_population(pop_file(["50,10,lots\n"]), 1000)
+            load_population(pop_file(["50,10,lots\n"]))
 
     def test_bad_downscale(self):
-        with pytest.raises(ValueError):
-            load_population(pop_file(["50,10,100\n"]), 0)
+        # the loader takes downscale from an IngestConfig, which refuses these
+        for downscale in (0, -1, True, 2.0):
+            with pytest.raises(ValueError, match=re.escape(f"got {downscale!r}")):
+                IngestConfig(downscale=downscale)
 
     def test_random_cells_match_oracle(self):
         rng = np.random.default_rng(3)
@@ -210,7 +251,7 @@ class TestLoadPopulation:
             lon = 0.0 + (i % 40) * 0.5
             rows.append(f"{lat},{lon},{pop}\n")
             expected += terminal_count_oracle(pop, 750, 6000, 0.3)
-        terms = load_population(pop_file(rows), 750, policy)
+        terms = load_population(pop_file(rows), IngestConfig(downscale=750, urban=policy))
         assert len(terms) == expected
 
 
@@ -392,7 +433,7 @@ class TestGenerators:
     def test_population_loads(self, tmp_path):
         path = tmp_path / "pop.csv"
         synth_population(path, seed=4, cells=200)
-        terms = load_population(path, 1000)
+        terms = load_population(path)
         assert terms.dropped == 0
         assert all(t.type == TrafficType.FSS for t in terms)
 
@@ -417,7 +458,7 @@ class TestGenerators:
         synth_aero(path, seed=8, flights=40, lat_min=47, lat_max=50, lon_min=2, lon_max=6)
         box = BoundingBox(47, 50, 2, 6)
         for h in range(24):
-            terms = load_aero(path, h, bbox=box)
+            terms = load_aero(path, h, IngestConfig(bbox=box))
             assert terms.dropped_out_of_box == 0
 
     def test_invalid_box_rejected(self, tmp_path):
@@ -432,7 +473,7 @@ class TestGenerators:
         out = tmp_path / "p.csv"
         got = synth_generate("population", {"cells": 50}, 7, out)
         assert got == out
-        assert load_population(out, 1000) is not None
+        assert load_population(out) is not None
         with pytest.raises(InvalidParamsError, match="unknown kind"):
             synth_generate("weather", {}, 7, tmp_path / "w.csv")
         with pytest.raises(InvalidParamsError):

@@ -20,15 +20,22 @@ from sattraffic.errors import ParseError, TimestampError
 from sattraffic.geo import GeoPoint
 from sattraffic.ingest import (
     AERO_HEADER,
+    MARITIME_HEADER,
     POPULATION_HEADER,
     BoundingBox,
+    IngestConfig,
     Terminal,
     TerminalBlock,
     TrafficType,
     UrbanPolicy,
     load_aero,
     load_aero_by_hour,
+    load_maritime,
+    load_maritime_by_hour,
     load_population,
+    synth_aero,
+    synth_maritime,
+    synth_population,
 )
 
 import oracles
@@ -41,9 +48,8 @@ def aero_text(rows, end="\n"):
 
 def load_both(text, hours=range(24), demand=10.0, bbox=ingest.DEFAULT_BBOX):
     """(library outcome, parent outcome) of loading a flight log."""
-    got = outcome(lambda: ingest._load_movements(
-        io.StringIO(text), hours, AERO_HEADER, "flight_id", TrafficType.AERO, demand, bbox
-    ))
+    cfg = IngestConfig(aero_demand_mbps=demand, bbox=bbox)
+    got = outcome(lambda: ingest._load_movements(io.StringIO(text), hours, TrafficType.AERO, cfg))
     want = outcome(lambda: oracles.load_movements(
         io.StringIO(text), hours, AERO_HEADER, "flight_id", TrafficType.AERO, demand, bbox
     ))
@@ -80,7 +86,7 @@ pop_rows = st.builds(
     blank=st.one_of(st.none(), st.integers(0, 25)),
     downscale=st.sampled_from((1, 7, 1000)),
     policy=st.sampled_from((None, UrbanPolicy(5000.0, 0.3), UrbanPolicy(0.0, 0.0))),
-    demand=st.sampled_from((2.0, 0.0, -1.0, math.nan)),
+    demand=st.sampled_from((2.0, 0.0, 2.5)),
     bbox=st.sampled_from((ingest.DEFAULT_BBOX, BoundingBox(-10.0, 60.0, -200.0, 200.0))),
 )
 def test_population_matches_parent_loader(lines, defect, crlf, blank, downscale, policy,
@@ -93,9 +99,9 @@ def test_population_matches_parent_loader(lines, defect, crlf, blank, downscale,
     end = "\r\n" if crlf else "\n"
     text = end.join([POPULATION_HEADER, *lines]) + end
 
-    got = outcome(lambda: [load_population(
-        io.StringIO(text), downscale, policy, demand_mbps=demand, bbox=bbox
-    )])
+    cfg = IngestConfig(downscale=downscale, urban=policy or UrbanPolicy(),
+                       fss_demand_mbps=demand, bbox=bbox)
+    got = outcome(lambda: [load_population(io.StringIO(text), cfg)])
     want = outcome(lambda: [oracles.load_population(
         io.StringIO(text), downscale, policy, demand_mbps=demand, bbox=bbox
     )])
@@ -105,7 +111,7 @@ def test_population_matches_parent_loader(lines, defect, crlf, blank, downscale,
 class TestPopulationEdges:
     def test_cells_expand_in_center_order(self):
         text = POPULATION_HEADER + "\n52,5,3000\n50,10,2500\n50,-0.0,1000\n"
-        block = load_population(io.StringIO(text), 1000)
+        block = load_population(io.StringIO(text))
         assert block.ids == ("fss-1", "fss-2", "fss-3", "fss-4", "fss-5", "fss-6")
         assert block.lat_deg.tolist() == [50.0, 50.0, 50.0, 52.0, 52.0, 52.0]
         assert block.lon_deg.tolist() == [0.0, 10.0, 10.0, 5.0, 5.0, 5.0]
@@ -114,19 +120,16 @@ class TestPopulationEdges:
     def test_lon_190_held_as_minus_170(self):
         box = BoundingBox(40.0, 60.0, 0.0, 200.0)
         text = POPULATION_HEADER + "\n50,190,2000\n"
-        block = load_population(io.StringIO(text), 1000, bbox=box)
+        block = load_population(io.StringIO(text), IngestConfig(bbox=box))
         assert block.lon_deg.tolist() == [-170.0, -170.0]
         assert block[0].location == GeoPoint(50.0, 190.0)
         assert_same_terminals(block, oracles.load_population(io.StringIO(text), 1000, bbox=box))
 
-    def test_negative_demand_raises_only_when_a_terminal_is_built(self):
-        empty = POPULATION_HEADER + "\n50,10,999\n"
-        assert len(load_population(io.StringIO(empty), 1000, demand_mbps=-1)) == 0
-        one = POPULATION_HEADER + "\n50,10,1000\n"
-        with pytest.raises(ValueError, match=r"demand must be finite and >= 0, got -1$"):
-            load_population(io.StringIO(one), 1000, demand_mbps=-1)
-        with pytest.raises(ValueError, match=r"got -1$"):
-            oracles.load_population(io.StringIO(one), 1000, demand_mbps=-1)
+    def test_negative_demand_raises_before_any_file_is_read(self):
+        # the loaders take their demand from an IngestConfig, which refuses it
+        for demand in (-1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^fss_demand_mbps must be finite and >= 0$"):
+                IngestConfig(fss_demand_mbps=demand)
 
 
 # -- movement logs ---------------------------------------------------------------
@@ -164,14 +167,11 @@ class TestMovementEdges:
         got = assert_matches_parent(text)
         assert got[10].lat_deg.tolist() == [lat]
 
-    def test_negative_demand_raises_only_when_a_terminal_is_built(self):
-        text = aero_text(["f1,2026-01-15T09:00:00Z,50,10"])
-        assert len(load_aero(io.StringIO(text), 8, demand_mbps=-1)) == 0
-        with pytest.raises(ValueError, match=r"demand must be finite and >= 0, got -1$"):
-            load_aero(io.StringIO(text), 9, demand_mbps=-1)
-        got, want = load_both(text, demand=-1)
-        assert_same_outcome(*got, *want)
-        assert isinstance(got[1], ValueError)
+    def test_negative_demand_raises_before_any_file_is_read(self):
+        # the loaders take their demand from an IngestConfig, which refuses it
+        for name in ("aero_demand_mbps", "maritime_demand_mbps"):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0$"):
+                IngestConfig(**{name: -1})
 
     def test_crlf_and_blank_lines(self):
         rows = ["f2,2026-01-15T09:00:00Z,50,10", "", "f1,2026-01-15T09:05:00Z,51,11",
@@ -246,6 +246,73 @@ def test_each_timestamp_text_parsed_once(monkeypatch):
     assert sorted(calls) == sorted(set(stamps))
 
 
+# -- settings ---------------------------------------------------------------------
+
+CUSTOM = IngestConfig(
+    downscale=700, urban=UrbanPolicy(5000.0, 0.3), fss_demand_mbps=3.5,
+    aero_demand_mbps=12.5, maritime_demand_mbps=0.25,
+    bbox=BoundingBox(48.0, 56.0, 1.0, 9.0),
+)
+
+
+@pytest.fixture
+def paths(tmp_path):
+    """Seeded population, flight and vessel files, partly outside CUSTOM.bbox."""
+    paths = {kind: tmp_path / f"{kind}.csv" for kind in ("population", "aero", "maritime")}
+    synth_population(paths["population"], seed=5, cells=300, urban_fraction=0.3)
+    synth_aero(paths["aero"], seed=6, flights=40)
+    synth_maritime(paths["maritime"], seed=7, ships=30)
+    return paths
+
+
+def test_each_loader_takes_its_settings_from_the_config(paths):
+    fss = load_population(paths["population"], CUSTOM)
+    want = oracles.load_population(
+        paths["population"], CUSTOM.downscale, CUSTOM.urban,
+        demand_mbps=CUSTOM.fss_demand_mbps, bbox=CUSTOM.bbox,
+    )
+    assert_same_terminals(fss, want)
+    assert fss.dropped_out_of_box > 0 and set(fss.demand_mbps.tolist()) == {3.5}
+    assert len(fss) != len(load_population(paths["population"]))
+
+    for kind, header, ttype, demand, by_hour, one_hour in (
+        ("aero", AERO_HEADER, TrafficType.AERO, 12.5, load_aero_by_hour, load_aero),
+        ("maritime", MARITIME_HEADER, TrafficType.MARITIME, 0.25,
+         load_maritime_by_hour, load_maritime),
+    ):
+        want = oracles.load_movements(
+            paths[kind], range(24), header, header.partition(",")[0], ttype, demand,
+            CUSTOM.bbox,
+        )
+        assert_same_outcome(by_hour(paths[kind], CUSTOM), None, want, None)
+        for hour in (0, 9, 23):
+            assert_same_terminals(one_hour(paths[kind], hour, CUSTOM), want[hour])
+        assert sum(block.dropped_out_of_box for block in want) > 0
+
+
+def test_earlier_call_forms_go_through_the_config(paths):
+    # bench/run.py passes the settings one at a time
+    box = CUSTOM.bbox
+    assert_same_terminals(
+        load_population(paths["population"], 700, CUSTOM.urban, bbox=box),
+        oracles.load_population(paths["population"], 700, CUSTOM.urban, bbox=box),
+    )
+    for kind, loader, header, ttype, demand in (
+        ("aero", load_aero, AERO_HEADER, TrafficType.AERO, 10.0),
+        ("maritime", load_maritime, MARITIME_HEADER, TrafficType.MARITIME, 8.0),
+    ):
+        want = oracles.load_movements(
+            paths[kind], (9,), header, header.partition(",")[0], ttype, demand, box
+        )
+        assert_same_terminals(loader(paths[kind], 9, bbox=box), want[0])
+    assert len(load_population(paths["population"], 1000)) == len(
+        load_population(paths["population"])
+    )
+    for downscale in (0, True):
+        with pytest.raises(ValueError, match="downscale must be an integer >= 1"):
+            load_population(paths["population"], downscale)
+
+
 # -- the block as a sequence of terminals ----------------------------------------
 
 def sample_block():
@@ -267,6 +334,19 @@ class TestTerminalBlock:
         assert block.index(b) == 1 and b in block
         with pytest.raises(IndexError):
             block[2]
+
+    def test_slices_read_as_a_list_would(self):
+        text = aero_text([f"f{k},2026-01-15T09:00:00Z,{50 + k},10" for k in range(5)])
+        block = load_aero(io.StringIO(text), 9)
+        rows = list(block)
+        for start in (None, -7, -2, 0, 1, 4, 9):
+            for stop in (None, -7, -1, 0, 2, 5, 9):
+                for step in (None, 1, 2, -1, -3):
+                    key = slice(start, stop, step)
+                    assert block[key] == rows[key]
+                    assert type(block[key]) is list
+        with pytest.raises(ValueError):
+            block[::0]
 
     def test_empty_block_equals_empty_list(self):
         block = load_aero(io.StringIO(aero_text([])), 0)

@@ -26,18 +26,19 @@ from sattraffic.ingest import (
     AERO_HEADER,
     MARITIME_HEADER,
     BoundingBox,
+    IngestConfig,
     Terminal,
     TerminalBlock,
     TrafficType,
     _check_header,
     _coord,
-    _open_lines,
     _parse_timestamp,
     load_aero,
     load_aero_by_hour,
     load_maritime,
     load_maritime_by_hour,
 )
+from sattraffic.ioutil import open_input
 
 import oracles
 from oracles import TerminalList
@@ -45,11 +46,10 @@ from oracles import TerminalList
 
 def load_one_hour(source, hour, header, id_name, traffic_type, demand_mbps, bbox):
     """Terminals of one hour from a full pass over the log."""
-    fh, path, owns = _open_lines(source)
     first = {}  # id -> (timestamp, row_idx, lat, lon)
     bad = 0
     out = 0
-    try:
+    with open_input(source) as (fh, path):
         _check_header(fh, header, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
@@ -77,9 +77,6 @@ def load_one_hour(source, hour, header, id_name, traffic_type, demand_mbps, bbox
             key = (ts, lineno)
             if ident not in first or key < first[ident][:2]:
                 first[ident] = (ts, lineno, lat, lon)
-    finally:
-        if owns:
-            fh.close()
 
     terminals = [
         Terminal(id=ident, location=GeoPoint(lat, lon), type=traffic_type,
@@ -90,6 +87,12 @@ def load_one_hour(source, hour, header, id_name, traffic_type, demand_mbps, bbox
 
 
 BBOX = BoundingBox(40.0, 60.0, 0.0, 20.0)
+
+
+def movement_config(demand, bbox):
+    """An IngestConfig giving flights and vessels one demand and one box."""
+    return IngestConfig(aero_demand_mbps=demand, maritime_demand_mbps=demand, bbox=bbox)
+
 
 # (header, id_name, type, demand, one-pass loader, single-hour loader)
 KINDS = {
@@ -159,7 +162,7 @@ def test_one_pass_matches_per_hour_loader(kind, lines, crlf, blanks, defect, sin
     text = render(header, lines, crlf, blanks)
 
     got, got_exc = outcome(
-        lambda: by_hour(io.StringIO(text), demand_mbps=demand, bbox=BBOX)
+        lambda: by_hour(io.StringIO(text), movement_config(demand, BBOX))
     )
     for hour in range(24):
         want, want_exc = outcome(
@@ -178,7 +181,7 @@ def test_one_pass_matches_per_hour_loader(kind, lines, crlf, blanks, defect, sin
         assert got[hour].dropped_out_of_box == want.dropped_out_of_box
 
     single, single_exc = outcome(
-        lambda: one_hour(io.StringIO(text), single_hour, demand_mbps=demand, bbox=BBOX)
+        lambda: one_hour(io.StringIO(text), single_hour, movement_config(demand, BBOX))
     )
     if got_exc is not None:
         assert type(single_exc) is type(got_exc)
@@ -248,7 +251,7 @@ wide_rows = st.builds(
         st.tuples(st.sampled_from(DEFECTS + (" ", "\t")), st.integers(0, 40)), max_size=2
     ),
     bbox=st.sampled_from((BBOX, WIDE_BOX)),
-    demand=st.sampled_from((10.0, 0.0, -1.0)),
+    demand=st.sampled_from((10.0, 0.0, 2.5)),
     chunk=st.sampled_from((1, 2, 3, 7, 1024)),
     single_hour=st.integers(0, 23),
 )
@@ -260,11 +263,10 @@ def test_chunked_columns_match_parent_loader(kind, lines, crlf, blanks, defects,
         lines.insert(min(pos, len(lines)), defect)
     text = render(header, lines, crlf, blanks)
 
+    cfg = movement_config(demand, bbox)
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
-        got = outcome(lambda: by_hour(io.StringIO(text), demand_mbps=demand, bbox=bbox))
-        single = outcome(
-            lambda: [one_hour(io.StringIO(text), single_hour, demand_mbps=demand, bbox=bbox)]
-        )
+        got = outcome(lambda: by_hour(io.StringIO(text), cfg))
+        single = outcome(lambda: [one_hour(io.StringIO(text), single_hour, cfg)])
     want = outcome(lambda: oracles.load_movements(
         io.StringIO(text), range(24), header, id_name, ttype, demand, bbox
     ))
