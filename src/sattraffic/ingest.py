@@ -30,7 +30,7 @@ from .errors import (
     TimestampError,
 )
 from .geo import GeoPoint, check_locations
-from .ioutil import fmt_float, open_input
+from .ioutil import open_input, write_table
 from .pattern import BeamPattern, write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
@@ -532,7 +532,10 @@ def _load_movements(source, hours, traffic_type, cfg):
                 rows = _line_rows(texts, lineno, stamps, id_name, path)
             lineno += len(texts)
             ids, codes, lat, lon = rows
-            hour = np.array(stamps.hour, dtype=np.int64)[codes]
+            # only this chunk's codes: a table of every distinct timestamp
+            # so far would make the read quadratic in the log's length
+            hour = np.fromiter(map(stamps.hour.__getitem__, codes.tolist()), np.int64,
+                               codes.size)
             missing = np.isnan(lat) | np.isnan(lon)
             inside = (
                 (lat >= cfg.bbox.lat_min) & (lat <= cfg.bbox.lat_max)
@@ -705,14 +708,11 @@ def synth_population(out_path, seed, cells=400, lat_min=47.0, lat_max=57.0,
     rural_pop = rng.integers(0, 4000, size=cells)
     urban_pop = rng.integers(20000, 200001, size=cells)
 
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(POPULATION_HEADER + "\n")
-        for k in range(cells):
-            cell = int(chosen[k])
-            lat = lat_min + (cell // nlon + 0.5) * cell_deg
-            lon = lon_min + (cell % nlon + 0.5) * cell_deg
-            pop = int(urban_pop[k] if urban[k] else rural_pop[k])
-            fh.write(f"{fmt_float(lat)},{fmt_float(lon)},{pop}\n")
+    lat = lat_min + (chosen // nlon + 0.5) * cell_deg
+    lon = lon_min + (chosen % nlon + 0.5) * cell_deg
+    pop = np.where(urban, urban_pop, rural_pop)
+    write_table(out_path, POPULATION_HEADER, cells,
+                lambda lo, hi: (lat[lo:hi], lon[lo:hi], pop[lo:hi]))
     return out_path
 
 
@@ -730,29 +730,43 @@ _MARITIME_INTENSITY = [0.2 + 0.8 * math.exp(-((h - 8.5) ** 2) / 8.0) for h in ra
 
 def _synth_movements(out_path, seed, header, prefix, fleet, weights,
                      lat_min, lat_max, lon_min, lon_max, max_extra_records):
+    """Write a movement log: per hour, the active vehicles in id order, each
+    with 1 to 1 + max_extra_records records at distinct minutes.
+
+    The draws are made vehicle by vehicle, which fixes the stream; the rows
+    are then formatted a block at a time.
+    """
     _require(isinstance(fleet, int) and fleet >= 1, "count must be an integer >= 1")
     _check_box(lat_min, lat_max, lon_min, lon_max)
     rng = np.random.default_rng(seed)
     counts = _diurnal_counts(fleet, weights)
-    width = len(str(fleet))
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for hour in range(24):
-            active = rng.choice(fleet, size=min(counts[hour], fleet), replace=False)
-            for v in sorted(int(a) for a in active):
-                records = 1 + int(rng.integers(0, max_extra_records + 1))
-                minutes = sorted(int(m) for m in rng.choice(60, size=records, replace=False))
-                lat = float(rng.uniform(lat_min, lat_max))
-                lon = float(rng.uniform(lon_min, lon_max))
-                for r, minute in enumerate(minutes):
-                    # small drift between records keeps positions distinct
-                    rlat = min(lat_max, max(lat_min, lat + 0.01 * r))
-                    rlon = min(lon_max, max(lon_min, lon + 0.01 * r))
-                    fh.write(
-                        f"{prefix}{v + 1:0{width}d},"
-                        f"2026-01-15T{hour:02d}:{minute:02d}:00Z,"
-                        f"{fmt_float(rlat)},{fmt_float(rlon)}\n"
-                    )
+    # per active vehicle and hour: its number, the hour, its record count,
+    # its first position and the minutes of its records
+    vehicle, hours, records, lat, lon, minutes = [], [], [], [], [], []
+    for hour in range(24):
+        active = rng.choice(fleet, size=min(counts[hour], fleet), replace=False)
+        for v in np.sort(active).tolist():
+            n = 1 + int(rng.integers(0, max_extra_records + 1))
+            minutes.append(rng.choice(60, size=n, replace=False))
+            lat.append(float(rng.uniform(lat_min, lat_max)))
+            lon.append(float(rng.uniform(lon_min, lon_max)))
+            vehicle.append(v + 1)
+            hours.append(hour)
+            records.append(n)
+    # small drift between a vehicle's records keeps positions distinct
+    total = sum(records)
+    drift = 0.01 * (np.arange(total) - np.repeat(np.cumsum(records) - records, records))
+    # each vehicle-hour's minutes in ascending order
+    minutes = np.concatenate(minutes)
+    minutes = minutes[np.lexsort((minutes, np.repeat(np.arange(len(records)), records)))]
+    columns = (
+        np.repeat(vehicle, records), np.repeat(hours, records), minutes,
+        np.minimum(lat_max, np.maximum(lat_min, np.repeat(lat, records) + drift)),
+        np.minimum(lon_max, np.maximum(lon_min, np.repeat(lon, records) + drift)),
+    )
+    line = f"{prefix}%0{len(str(fleet))}d,2026-01-15T%02d:%02d:00Z,%.9g,%.9g\n"
+    write_table(out_path, header, total,
+                lambda lo, hi: [column[lo:hi] for column in columns], line)
     return out_path
 
 

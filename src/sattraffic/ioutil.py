@@ -81,6 +81,16 @@ def _escape(s):
     return "".join(out)
 
 
+def check_finite(columns):
+    """Raise fmt_float's ValueError for the first non-finite value in row
+    order of equal-length float columns."""
+    finite = np.logical_and.reduce([np.isfinite(col) for col in columns])
+    if not finite.all():
+        row = int(np.argmin(finite))
+        for col in columns:
+            fmt_float(col[row])
+
+
 def format_rows(columns, line=None):
     """CSV lines for a block of equal-length columns, in one % operation.
 
@@ -100,25 +110,22 @@ def format_rows(columns, line=None):
             fmts.append("%d" if col.dtype.kind in "iu" else "%s")
         values.append(col.tolist())
     if floats:
-        finite = np.logical_and.reduce([np.isfinite(col) for col in floats])
-        if not finite.all():
-            row = int(np.argmin(finite))
-            for col in floats:
-                fmt_float(col[row])
+        check_finite(floats)
     if line is None:
         line = ",".join(fmts) + "\n"
     return (line * len(values[0])) % tuple(chain.from_iterable(zip(*values)))
 
 
-def write_table(path, header, n_rows, block):
+def write_table(path, header, n_rows, block, line=None):
     """Write a CSV header, then rows 0..n_rows-1 in blocks of BLOCK_ROWS.
 
-    block(lo, hi) returns the columns of rows lo..hi-1 for format_rows.
+    block(lo, hi) returns the columns of rows lo..hi-1 for format_rows, and
+    line is format_rows' one-row template.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(header + "\n")
         for lo in range(0, n_rows, BLOCK_ROWS):
-            fh.write(format_rows(block(lo, min(lo + BLOCK_ROWS, n_rows))))
+            fh.write(format_rows(block(lo, min(lo + BLOCK_ROWS, n_rows)), line))
 
 
 @contextmanager

@@ -12,13 +12,14 @@ traffic.py.
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, check_locations, path_loss_db, slant_range
 from . import ioutil
-from .ioutil import format_rows
+from .ioutil import check_finite, format_rows
 
 _TWO_PI = 2.0 * math.pi
 
@@ -273,10 +274,19 @@ def build_channel_matrix(T, pattern, cfg=None):
     dist, loss, phase = dist[index.inverse], loss[index.inverse], phase[index.inverse]
     nearest = index.nearest
 
-    amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)
-    amp_db -= loss[:, None]
-    amp_db += cfg.rx_gain_db
-    entries = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)[:, None]
+    # every step is elementwise, so the dB of the grid gathered per user are
+    # the bits that gathering the coefficients first would give
+    grid_db = np.abs(pattern.coefficients)
+    np.square(grid_db, out=grid_db)
+    np.log10(grid_db, out=grid_db)
+    grid_db *= 10.0
+    amp = grid_db[nearest, :]
+    del grid_db
+    amp -= loss[:, None]
+    amp += cfg.rx_gain_db
+    amp /= 20.0
+    np.power(10.0, amp, out=amp)
+    entries = amp * np.exp(1j * phase)[:, None]
 
     gamma = np.empty(n)
     for j in np.unique(serving):
@@ -327,6 +337,8 @@ def interference(H, n, active, power):
 
 
 CHANNEL_HEADER = "user,beam,magnitude,phase_rad"
+# stands for the user number in a formatted channel row
+_USER = "@"
 
 
 def _magnitude_phase(z):
@@ -347,13 +359,15 @@ def write_channel_csv(H, path):
 
     Users that share a location share a channel row. In each block of users
     the bit-identical rows are formatted once, in order of first occurrence,
-    into a template that each of their users fills with its number; a
-    non-finite value still raises for the first one in row order.
+    by one % over a template with the beam ids written in and each distinct
+    phase formatted once; each user's text is its row's with the user number
+    put in. A non-finite value still raises for the first one in row order.
     """
     beams = H.beams
     n_users = H.n_users if beams else 0
     step = max(1, ioutil.BLOCK_ROWS // max(beams, 1))
-    beam_ids = np.arange(1, beams + 1)
+    # the lines of one distinct row, then the separator between rows
+    row = "".join(f"{_USER},{b},%.9g,%s\n" for b in range(1, beams + 1)) + "\0"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CHANNEL_HEADER + "\n")
         for lo in range(0, n_users, step):
@@ -363,18 +377,18 @@ def write_channel_csv(H, path):
             order = np.argsort(first)
             rank = np.empty_like(order)
             rank[order] = np.arange(order.size)
-            distinct = block[first[order]]
-            # %%d survives the formatting as the user's slot
-            lines = format_rows(
-                (np.tile(beam_ids, len(distinct)), *_magnitude_phase(distinct.ravel())),
-                "%%d,%d,%.9g,%.9g\n",
-            ).splitlines(keepends=True)
-            templates = [
-                "".join(lines[i : i + beams]) for i in range(0, len(lines), beams)
-            ]
-            text = "".join([templates[i] for i in rank[inverse.reshape(-1)].tolist()])
-            user_ids = np.repeat(np.arange(lo + 1, lo + len(block) + 1), beams)
-            fh.write(text % tuple(user_ids.tolist()))
+            magnitude, phase = _magnitude_phase(block[first[order]].ravel())
+            check_finite((magnitude, phase))
+            # np.unique puts -0.0 with 0.0, and format_rows prints both as 0
+            values, slot = np.unique(phase, return_inverse=True)
+            texts = np.array(format_rows((values,)).split("\n"), dtype=object)
+            # hypot is never -0.0, so %.9g prints the magnitude as fmt_float does
+            rows = ((row * order.size) % tuple(chain.from_iterable(
+                zip(magnitude.tolist(), texts[slot].tolist())
+            ))).split("\0")
+            users = map(str, range(lo + 1, lo + block.shape[0] + 1))
+            fh.write("".join([rows[r].replace(_USER, user)
+                              for user, r in zip(users, rank[inverse].tolist())]))
 
 
 _SUMMARY_USER = (

@@ -9,6 +9,7 @@ A footprint is the hull of the qualifying samples: the convex hull, in the
 planar (lat, lon) frame, of the samples within 3 dB of the beam peak.
 """
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,11 @@ BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
 _TWO_PI = 2.0 * math.pi
 # whitespace to np.loadtxt but not to int() or float()
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# one pattern row as np.loadtxt reads it
+_ROW = np.dtype([("beam", "i8"), ("lat", "f8"), ("lon", "f8"), ("gain", "f8"),
+                 ("phase", "f8")])
+# characters of the body per np.loadtxt call; read at call time
+PIECE_CHARS = 1 << 16
 
 
 class BeamPattern:
@@ -153,56 +159,78 @@ def parse_pattern(source):
 
     Rows must be grouped by beam with ids 1..n in order, and every beam must
     repeat the exact sample grid of beam 1. Malformed cells raise ParseError
-    with the offending line; structural violations raise SchemaError. A
-    well-formed file is read in one np.loadtxt pass; any other goes through
-    the line parser, which finds the error.
+    with the offending line; structural violations raise SchemaError. The
+    body is read as one string. A well-formed body is parsed by np.loadtxt
+    in pieces of about PIECE_CHARS characters, so no list of every line is
+    ever held; any other goes through the line parser, which finds the error.
     """
     with open_input(source) as (fh, path):
         header = fh.readline()
         if header.rstrip("\r\n") != PATTERN_HEADER:
             raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
-        lines = list(fh)
-    pattern = _load_rows(lines)
-    if pattern is None:
-        pattern = _parse_rows(lines, path)
-    return pattern
+        text = fh.read()
+    columns = _load_rows(text)
+    if columns is None:
+        return _parse_rows(io.StringIO(text, newline=""), path)
+    del text
+    return BeamPattern(*columns)
 
 
-def _load_rows(lines):
-    """Parse the rows in one np.loadtxt call, or return None.
+def _pieces(text):
+    """text cut just after a "\n" every PIECE_CHARS characters or so.
+
+    A cut after "\n" never splits a "\r\n", so the lines of the pieces are
+    the lines of text.
+    """
+    lo = 0
+    while lo < len(text):
+        hi = text.find("\n", lo + PIECE_CHARS - 1) + 1 or len(text)
+        yield text[lo:hi]
+        lo = hi
+
+
+def _load_rows(text):
+    """The BeamPattern arguments of a body parsed by np.loadtxt, or None.
 
     The result is kept only when it passes every check that _parse_rows
     makes, so both give the same pattern. Any other input returns None and
     goes to _parse_rows, which raises the error that names the bad line.
     """
-    if not any(line.strip("\r\n") for line in lines):
-        return None  # loadtxt warns on empty input
-    text = "".join(lines)
     if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
         # loadtxt reads non-ASCII characters in an integer column as digits,
         # and strips \x1c-\x1f as whitespace where int() and float() refuse
         return None
-    try:
-        # loadtxt rejects some numbers that int() and float() read, such as
-        # 1_0, but reads no ASCII cell to another value
-        beam, lat, lon, gain, phase = np.loadtxt(
-            lines, dtype="i8,f8,f8,f8,f8", delimiter=",", comments=None, ndmin=1,
-            unpack=True,
-        )
-    except ValueError:
+    # one row per line at most: a line ends at \n, \r\n or a lone \r
+    bound = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
+    rows = np.empty(bound, dtype=_ROW)
+    n = 0
+    for piece in _pieces(text):
+        lines = list(io.StringIO(piece, newline=""))
+        if not any(line.strip("\r\n") for line in lines):
+            continue  # loadtxt warns on input without data
+        try:
+            # loadtxt rejects some numbers that int() and float() read, such
+            # as 1_0, but reads no ASCII cell to another value
+            part = np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            return None
+        rows[n : n + part.size] = part
+        n += part.size
+    if not n:
         return None
-    beams = int(beam[-1])
-    if beams < 1 or len(beam) % beams:
+    rows = rows[:n]
+    beams = int(rows["beam"][-1])
+    if beams < 1 or n % beams:
         return None
-    lat, lon, gain, phase = (a.reshape(beams, -1) for a in (lat, lon, gain, phase))
+    beam, lat, lon, gain, phase = (rows[name].reshape(beams, -1) for name in _ROW.names)
     ok = (
-        (beam == np.repeat(np.arange(1, beams + 1), lat.shape[1])).all()
+        (beam == np.arange(1, beams + 1)[:, None]).all()
         and all(np.isfinite(a).all() for a in (lat, lon, gain, phase))
         and (np.abs(lat) <= 90.0).all()
         and (lat == lat[0]).all()
         and (lon == lon[0]).all()
     )
-    return BeamPattern(lat[0], lon[0], gain.T, phase.T) if ok else None
+    return (lat[0], lon[0], gain.T, phase.T) if ok else None
 
 
 def _parse_rows(lines, path):

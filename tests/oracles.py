@@ -33,6 +33,10 @@ The library's loaders return TerminalBlocks, columns filled a chunk of lines
 at a time. load_population and load_movements below are the loaders they
 replaced: one row at a time, one Terminal and GeoPoint per terminal, in a
 list that carries the dropped counts.
+
+The library's synth writers draw the rows vehicle by vehicle and format
+them a block at a time. synth_population and synth_movements below make the
+same draws and write one row at a time through fmt_float.
 """
 
 import math
@@ -57,9 +61,12 @@ from sattraffic.ingest import (
     Terminal,
     TrafficType,
     UrbanPolicy,
+    _check_box,
     _check_header,
     _coord,
+    _diurnal_counts,
     _parse_timestamp,
+    _require,
 )
 from sattraffic.ioutil import fmt_float, open_input
 from sattraffic.linkbudget import (
@@ -514,3 +521,59 @@ def write_pattern(pattern, path):
         for beam, (gains, phases) in enumerate(columns, start=1):
             for cell, gain, phase in zip(cells, gains, phases):
                 fh.write(f"{beam},{cell},{fmt_float(gain)},{fmt_float(phase)}\n")
+
+
+def synth_population(out_path, seed, cells=400, lat_min=47.0, lat_max=57.0,
+                     lon_min=0.0, lon_max=10.0, cell_deg=0.25,
+                     urban_fraction=0.1):
+    _require(isinstance(cells, int) and cells >= 1, "cells must be an integer >= 1")
+    _require(cell_deg > 0, "cell_deg must be > 0")
+    _require(0.0 <= urban_fraction <= 1.0, "urban_fraction must lie in [0, 1]")
+    _check_box(lat_min, lat_max, lon_min, lon_max)
+
+    rng = np.random.default_rng(seed)
+    nlat = max(1, int((lat_max - lat_min) / cell_deg))
+    nlon = max(1, int((lon_max - lon_min) / cell_deg))
+    _require(cells <= nlat * nlon, "more cells than the grid holds")
+    chosen = rng.choice(nlat * nlon, size=cells, replace=False)
+    urban = rng.random(cells) < urban_fraction
+    rural_pop = rng.integers(0, 4000, size=cells)
+    urban_pop = rng.integers(20000, 200001, size=cells)
+
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(POPULATION_HEADER + "\n")
+        for k in range(cells):
+            cell = int(chosen[k])
+            lat = lat_min + (cell // nlon + 0.5) * cell_deg
+            lon = lon_min + (cell % nlon + 0.5) * cell_deg
+            pop = int(urban_pop[k] if urban[k] else rural_pop[k])
+            fh.write(f"{fmt_float(lat)},{fmt_float(lon)},{pop}\n")
+    return out_path
+
+
+def synth_movements(out_path, seed, header, prefix, fleet, weights,
+                    lat_min, lat_max, lon_min, lon_max, max_extra_records):
+    _require(isinstance(fleet, int) and fleet >= 1, "count must be an integer >= 1")
+    _check_box(lat_min, lat_max, lon_min, lon_max)
+    rng = np.random.default_rng(seed)
+    counts = _diurnal_counts(fleet, weights)
+    width = len(str(fleet))
+    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for hour in range(24):
+            active = rng.choice(fleet, size=min(counts[hour], fleet), replace=False)
+            for v in sorted(int(a) for a in active):
+                records = 1 + int(rng.integers(0, max_extra_records + 1))
+                minutes = sorted(int(m) for m in rng.choice(60, size=records, replace=False))
+                lat = float(rng.uniform(lat_min, lat_max))
+                lon = float(rng.uniform(lon_min, lon_max))
+                for r, minute in enumerate(minutes):
+                    # small drift between records keeps positions distinct
+                    rlat = min(lat_max, max(lat_min, lat + 0.01 * r))
+                    rlon = min(lon_max, max(lon_min, lon + 0.01 * r))
+                    fh.write(
+                        f"{prefix}{v + 1:0{width}d},"
+                        f"2026-01-15T{hour:02d}:{minute:02d}:00Z,"
+                        f"{fmt_float(rlat)},{fmt_float(rlon)}\n"
+                    )
+    return out_path

@@ -1,15 +1,17 @@
 """Block-formatted writers and the loadtxt pattern parse against their oracles.
 
 Every CSV writer formats a block of columns at a time, and parse_pattern
-tries one np.loadtxt pass before the line parser. The row writers in
-oracles.py and the line parser (_parse_rows) are the references: the bytes
-written, the parsed arrays bit for bit, and the type and message of every
-exception must agree.
+runs np.loadtxt over pieces of the body before the line parser. The row
+writers in oracles.py and the line parser (_parse_rows) are the references:
+the bytes written, the parsed arrays bit for bit, and the type and message
+of every exception must agree, whatever the block and piece sizes.
 """
 
 import io
 import math
+import tracemalloc
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 from sattraffic import ioutil
+from sattraffic import pattern as pattern_module
 from sattraffic.analysis import (
     BeamClassification,
     HourlyProfile,
@@ -28,6 +31,7 @@ from sattraffic.analysis import (
 )
 from sattraffic.errors import ParseError, SchemaError
 from sattraffic.geometry import Polygon
+from sattraffic.ingest import synth_pattern
 from sattraffic.linkbudget import (
     ChannelMatrix,
     _magnitude_phase,
@@ -40,6 +44,7 @@ from sattraffic.pattern import (
     BeamPattern,
     _load_rows,
     _parse_rows,
+    _pieces,
     parse_pattern,
     write_borders_csv,
     write_pattern,
@@ -337,6 +342,53 @@ def test_magnitude_and_phase_are_bitwise_python_scalars():
     assert np.array_equal(got_phase.view(np.int64), want_phase.view(np.int64))
 
 
+# phases a few ulps either side of values halfway between two 9-digit
+# decimals, so that entries of one row differ in the last bits and some of
+# them print differently
+HALFWAY_PHASES = [1.234567885, 0.01234567885, 2.345678915, -0.5, 3.0]
+
+
+def ulps_from(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def phase_rows(rng, rows, beams):
+    """rows distinct channel rows, each entry at its row's phase plus -2..2 ulps."""
+    theta = np.array([[ulps_from(HALFWAY_PHASES[r % len(HALFWAY_PHASES)],
+                                 int(rng.integers(-2, 3))) for _ in range(beams)]
+                      for r in range(rows)])
+    return 10.0 ** rng.uniform(-6, 3, (rows, beams)) * np.exp(1j * theta)
+
+
+@pytest.mark.parametrize("bad", [None, "earlier", "later"])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
+@pytest.mark.parametrize("beams", [1, 12])
+def test_channel_rows_share_phases_and_fill_user_numbers(root, beams, block, bad):
+    # 1005 users cross 9/10, 99/100 and 999/1000, in one block at 1 << 14
+    rng = np.random.default_rng(beams * 100 + block)
+    pool = phase_rows(rng, 9, beams)
+    entries = pool[rng.integers(0, len(pool), 1005)]
+    _, phase = _magnitude_phase(pool.ravel())
+    phase = phase.reshape(pool.shape)
+    # the cases the test is about: a row whose phases differ in the last bits,
+    # and phases repeated across rows
+    assert beams == 1 or any(len(set(row.tolist())) > 1 for row in phase)
+    assert len(np.unique(phase)) < phase.size
+    if bad == "earlier":
+        entries[4, beams - 1] = complex(math.nan, 1.0)
+        entries[999, 0] = math.inf
+    elif bad == "later":
+        entries[999, beams // 2] = complex(1.0, math.inf)
+    assert_same_bytes(write_channel_csv, oracles.write_channel_csv, channel(entries),
+                      root, block)
+    if bad is None:
+        with block_rows(block):
+            text = written(write_channel_csv, channel(entries), root / "new.csv")
+        assert text.count(b"\n1000,") == beams
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet=st.one_of(
     st.sampled_from('"\\\x00\x08\x1f\x7f\n\té€\U0001f600a'), st.characters()
@@ -348,11 +400,11 @@ def test_escape_fast_path_matches_loop(text):
 # -- pattern parse -------------------------------------------------------------
 
 
-def parse_oracle(text):
+def parse_oracle(text, path=None):
     fh = io.StringIO(text, newline="")
     if fh.readline().rstrip("\r\n") != PATTERN_HEADER:
-        raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, None)
-    return _parse_rows(list(fh), None)
+        raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
+    return _parse_rows(list(fh), path)
 
 
 def parsed(parse, text):
@@ -375,7 +427,7 @@ def fast_path_taken(text):
     fh = io.StringIO(text, newline="")
     if fh.readline().rstrip("\r\n") != PATTERN_HEADER:
         return False
-    return _load_rows(list(fh)) is not None
+    return _load_rows(fh.read()) is not None
 
 
 HEADER = PATTERN_HEADER + "\n"
@@ -441,11 +493,132 @@ for name, value in [("1_0", "1_0"), ("nan", "nan"), ("inf", "inf"),
     NAMED[f"value_{name}"] = (body([with_field(GRID[0], 3, value)] + GRID[1:]), False)
 
 
+# characters per np.loadtxt piece: a line per piece, lines cut at odd places,
+# and the default, one piece for every body here
+PIECES = (1, 2, 3, 7, 16, pattern_module.PIECE_CHARS)
+
+
+def piece_chars(n):
+    return mock.patch.object(pattern_module, "PIECE_CHARS", n)
+
+
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_parse_cases(name):
     text, fast = NAMED[name]
-    assert_same_parse(text)
-    assert fast_path_taken(text) == fast
+    for n in PIECES:
+        with piece_chars(n):
+            assert_same_parse(text)
+            assert fast_path_taken(text) == fast
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="ab,\r\n", max_size=40), st.integers(1, 12))
+def test_pieces_keep_the_lines(text, n):
+    with piece_chars(n):
+        pieces = list(_pieces(text))
+    assert "".join(pieces) == text
+    # each cut is at the first "\n" from n characters on
+    assert all(p.endswith("\n") and "\n" not in p[n - 1 : -1] for p in pieces[:-1])
+    assert "\n" not in pieces[-1][n - 1 : -1] if pieces else text == ""
+    lines = [line for p in pieces for line in io.StringIO(p, newline="")]
+    assert lines == list(io.StringIO(text, newline=""))
+
+
+def written_pattern_text(tmp_path, beams=3, samples=40, seed=3):
+    rng = np.random.default_rng(seed)
+    lat = rng.uniform(-60, 60, samples)
+    lon = rng.uniform(-170, 170, samples)
+    gain = rng.normal(40, 5, (samples, beams))
+    pattern = BeamPattern(lat, lon, gain, rng.uniform(0, 6, gain.shape))
+    write_pattern(pattern, tmp_path / "p.csv")
+    return (tmp_path / "p.csv").read_text()
+
+
+def with_line(text, k, line):
+    """text with its k-th line (0 is the header) replaced by line."""
+    lines = text.split("\n")
+    lines[k] = line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("n", [64, 1000])
+def test_body_of_many_pieces(tmp_path, n):
+    text = written_pattern_text(tmp_path)
+    with piece_chars(n):
+        assert len(list(_pieces(text))) > 4
+        assert fast_path_taken(text)
+        assert assert_same_parse(text)[2][0] == (40, 3)
+        for end in ("\r\n", "\r"):
+            body = text.replace("\n", end)
+            assert fast_path_taken(body)
+            assert assert_same_parse(body) == assert_same_parse(text)
+
+
+# (edit of one row, whether the body then parses, whether loadtxt reads it)
+LATER_ROWS = {
+    "extra_field": (lambda row: row + ",", False, False),
+    "nan": (lambda row: with_field(row, 3, "nan"), False, False),
+    "grid_differs": (lambda row: with_field(row, 2, "0.5"), False, False),
+    "file_separator": (lambda row: with_field(row, 3, "3\x1c"), False, False),
+    "arabic_digit": (lambda row: with_field(row, 3, "\u0661"), True, False),
+    "beam_out_of_order": (lambda row: with_beam(row, "1"), False, False),
+    "whitespace_line": (lambda row: "  \n" + row, False, False),
+    "underscore_digits": (lambda row: with_field(row, 3, "1_0"), True, False),
+    "blank_line": (lambda row: "\n" + row, True, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATER_ROWS))
+@pytest.mark.parametrize("n", [64, 1000, 1 << 16])
+def test_edit_in_a_later_piece(tmp_path, name, n):
+    # the edit sits on the 100th of 120 rows, in a piece after the first; the
+    # line parser names a defect with the type and message it gives alone
+    edit, parses, fast = LATER_ROWS[name]
+    text = written_pattern_text(tmp_path)
+    bad = with_line(text, 100, edit(text.split("\n")[100]))
+    with piece_chars(n):
+        got = assert_same_parse(bad)
+        assert fast_path_taken(bad) == fast
+    assert (got[0] in (ParseError, SchemaError)) == (not parses and not fast)
+    if got[0] is ParseError:
+        assert "line 101" in got[1]
+
+
+def test_crlf_and_lone_cr_at_every_piece_boundary():
+    ends = ["\r\n", "\r", "\n", "\r", "\r\n"]
+    rows = [f"{b},50.5,{lon},-1.5,0.25" for b in (1, 2) for lon in (4, 4.5)] + ["", ""]
+    text = HEADER + "".join(row + ends[i % len(ends)] for i, row in enumerate(rows))
+    for n in range(1, len(text) + 2):
+        with piece_chars(n):
+            assert fast_path_taken(text)
+            assert_same_parse(text)
+
+
+def test_piece_of_only_blank_or_whitespace_lines():
+    blank = body(GRID[:2]) + "\n\r\n\n\r" + body(GRID[2:])[len(HEADER):]
+    spaced = body(GRID[:2]) + "\n \t\n\x0c\n" + body(GRID[2:])[len(HEADER):]
+    for n in PIECES:
+        with piece_chars(n):
+            # loadtxt would warn on a piece without data, and warnings fail
+            assert fast_path_taken(blank)
+            assert_same_parse(blank)
+            assert not fast_path_taken(spaced)
+            assert assert_same_parse(spaced)[0] is ParseError
+
+
+def test_parse_peak_memory_stays_below_four_times_the_file(tmp_path):
+    # the 37-beam, pitch-0.2 pattern of the benchmark's M inputs
+    path = tmp_path / "pattern.csv"
+    synth_pattern(path, 1, beams=37, spacing_deg=1.5, radius3db_deg=1.0, pitch_deg=0.2)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        pattern = parse_pattern(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pattern.gain_db.shape == (3540, 37)
+    assert peak < 4 * size
 
 
 def test_leading_beam_0_is_a_schema_error():
@@ -454,29 +627,35 @@ def test_leading_beam_0_is_a_schema_error():
         parse_pattern(io.StringIO(NAMED["beam_0_first"][0], newline=""))
 
 
+class OneWay(io.RawIOBase):
+    """Bytes that can be read once, front to back, and not sought."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def seekable(self):
+        return False
+
+    def readinto(self, buf):
+        return self._data.readinto(buf)
+
+
 def test_file_and_non_seekable_stream(tmp_path):
-    text = NAMED["crlf"][0]
-    path = tmp_path / "pattern.csv"
-    path.write_bytes(text.encode("utf-8"))
-    want = parsed(parse_oracle, text)
-    assert parsed(parse_pattern, path) == want
-
-    class OneWay(io.RawIOBase):
-        def __init__(self, data):
-            self._data = io.BytesIO(data)
-
-        def readable(self):
-            return True
-
-        def seekable(self):
-            return False
-
-        def readinto(self, buf):
-            return self._data.readinto(buf)
-
-    stream = io.TextIOWrapper(io.BufferedReader(OneWay(text.encode())),
-                              encoding="utf-8", newline="")
-    assert parsed(parse_pattern, stream) == want
+    # one piece, many pieces, and a defect in a later piece
+    many = written_pattern_text(tmp_path).replace("\n", "\r\n")
+    for text in (NAMED["crlf"][0], many, with_line(many, 100, "1,2,3")):
+        path = tmp_path / "pattern.csv"
+        path.write_bytes(text.encode("utf-8"))
+        stream = io.TextIOWrapper(io.BufferedReader(OneWay(text.encode())),
+                                  encoding="utf-8", newline="")
+        with piece_chars(64):
+            assert parsed(parse_pattern, path) == parsed(
+                lambda t: parse_oracle(t, str(path)), text)
+            assert parsed(parse_pattern, stream) == parsed(parse_oracle, text)
+    assert parsed(parse_oracle, text)[0] is ParseError
 
 
 def test_written_pattern_takes_fast_path(tmp_path):
@@ -541,6 +720,7 @@ def pattern_text(draw):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
-@given(pattern_text())
-def test_parse_matches_line_parser(text):
-    assert_same_parse(text)
+@given(pattern_text(), st.sampled_from(PIECES))
+def test_parse_matches_line_parser(text, n):
+    with piece_chars(n):
+        assert_same_parse(text)

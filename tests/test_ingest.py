@@ -38,6 +38,8 @@ from sattraffic.ioutil import fmt_float, open_input
 from sattraffic.pattern import all_footprints, parse_pattern
 from sattraffic.geometry import point_in_polygon
 
+import oracles
+
 
 def synth_pattern_oracle(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
                          spacing_deg=2.0, radius3db_deg=1.5, pitch_deg=0.25,
@@ -413,6 +415,46 @@ class TestGenerators:
         synth_pattern(got, **params)
         synth_pattern_oracle(want, **params)
         assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("params", [
+        {"seed": 92, "cells": 1000, "urban_fraction": 0.15},
+        {"seed": 2, "cells": 600, "urban_fraction": 0.15},
+        {"seed": 5, "cells": 30, "lat_min": 47, "lat_max": 57, "cell_deg": 1},
+    ])
+    def test_population_matches_row_writer_oracle(self, tmp_path, params):
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        synth_population(got, **params)
+        oracles.synth_population(want, **params)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("kind,seed,fleet,box", [
+        # the S and M recipes
+        ("aero", 93, 800, None), ("maritime", 94, 600, None),
+        ("aero", 3, 2000, None), ("maritime", 4, 1200, None),
+        # ids one digit wider
+        *[(kind, 5, fleet, None) for kind in ("aero", "maritime")
+          for fleet in (9, 10, 99, 100)],
+        # drift past the box edge is clipped, with float and integer edges
+        ("aero", 6, 200, (47.0, 47.02, 3.0, 3.015)),
+        ("maritime", 6, 200, (47.0, 47.02, 3.0, 3.015)),
+        ("aero", 7, 800, (47, 48, 2, 3)),
+    ])
+    def test_movements_match_row_writer_oracle(self, tmp_path, kind, seed, fleet, box):
+        synth, count, header, prefix, weights, extra = {
+            "aero": (synth_aero, "flights", AERO_HEADER, "f", ingest._AERO_INTENSITY, 3),
+            "maritime": (synth_maritime, "ships", MARITIME_HEADER, "s",
+                         ingest._MARITIME_INTENSITY, 2),
+        }[kind]
+        lat_min, lat_max, lon_min, lon_max = box or (47.0, 57.0, 0.0, 10.0)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        synth(got, seed, **{count: fleet}, lat_min=lat_min, lat_max=lat_max,
+              lon_min=lon_min, lon_max=lon_max)
+        oracles.synth_movements(want, seed, header, prefix, fleet, weights,
+                                lat_min, lat_max, lon_min, lon_max, extra)
+        assert got.read_bytes() == want.read_bytes()
+        if box is not None:
+            rows = [line.split(",") for line in got.read_text().splitlines()[1:]]
+            assert any(float(r[2]) == lat_max and float(r[3]) == lon_max for r in rows)
 
     def test_pattern_pipeline_round_trip(self, tmp_path):
         path = tmp_path / "pattern.csv"

@@ -9,6 +9,7 @@ counts, or the same exception with the same message.
 
 import io
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -244,6 +245,34 @@ def test_each_timestamp_text_parsed_once(monkeypatch):
     load_aero_by_hour(io.StringIO(text))
     stamps = [line.split(",")[1] for line in text.splitlines()[1:]]
     assert sorted(calls) == sorted(set(stamps))
+
+
+def distinct_stamp_log(rows):
+    """A flight log whose timestamps are all distinct texts, as second-resolution
+    feeds give: instants a few seconds apart, some written at an offset, some
+    equal to an earlier one at another offset, some outside the box."""
+    lines = []
+    for k in range(rows):
+        second = 86400 * k // rows
+        offset = ("Z", "+01:00", "-02:30")[k % 3]
+        shift = {"Z": 0, "+01:00": 3600, "-02:30": -9000}[offset]
+        local = (second + shift) % 86400
+        stamp = (f"2026-01-15T{local // 3600:02d}:{local // 60 % 60:02d}:"
+                 f"{local % 60:02d}.{k % 997:06d}{offset}")
+        lines.append(f"f{k % 37},{stamp},{45 + k % 13},{k % 11 * 10 - 50}")
+    return aero_text(lines)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1024])
+def test_all_distinct_timestamps(chunk):
+    text = distinct_stamp_log(3000)
+    stamps = [line.split(",")[1] for line in text.splitlines()[1:]]
+    assert len(set(stamps)) == len(stamps)
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+        got, want = load_both(text)
+    assert_same_outcome(*got, *want)
+    assert all(len(block) for block in got[0])
+    assert sum(block.dropped_out_of_box for block in got[0]) > 0
 
 
 # -- settings ---------------------------------------------------------------------
