@@ -167,16 +167,16 @@ def interference_sweep(H, cfg, sizes, users=None):
 
     watts = np.zeros((len(users), len(sizes)))
     rows = np.array(users, dtype=np.int64) - 1
-    h = H.entries[rows]
-    # |h|**2 through libm pow, as abs(complex) ** 2 in interference();
-    # squaring by multiplication differs in the last bit now and then
-    gains = np.float_power(np.hypot(h.real, h.imag), 2.0)
+    location = H.location[rows]
+    # |h|**2 per location through libm pow, as abs(complex) ** 2 in
+    # interference(); squaring by multiplication differs in the last bit
+    gains = np.float_power(np.hypot(H.rows.real, H.rows.imag), 2.0)
     serving = H.serving[rows][:, None]
     split = cfg.total_power_w / np.array(sizes, dtype=float)
     # interference() of every beam at P/s, the same additions in id order
     total = np.zeros_like(watts)
     for j in range(1, H.beams + 1):
-        total += np.where(serving == j, 0.0, gains[:, j - 1 : j] * split)
+        total += np.where(serving == j, 0.0, gains[location, j - 1][:, None] * split)
     for si, s in enumerate(sizes):
         if s > 1:
             share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B

@@ -298,7 +298,7 @@ def cmd_profile(args):
 def cmd_interference(args):
     _check_hour(args.hour)
     sizes = _parse_sizes(args.sizes)
-    users = _parse_users(args.users) if args.users else None
+    users = None if args.users is None else _parse_users(args.users)
     icfg = _ingest_config(args)
     scfg = ScenarioConfig()
     out = _out_dir(args)

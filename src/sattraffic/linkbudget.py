@@ -3,10 +3,10 @@
 Each user of the traffic matrix gets one complex entry per beam: the gain of
 the beam's nearest pattern sample, minus free-space loss over the slant
 range, plus the receive antenna gain, rotated by the sub-wavelength remainder
-of the slant range. All beams share one sample grid, so one nearest-sample
-search per distinct user location (NearestSamples) supplies the entries of
-every beam, the interpolated-gain diagnostic, and the association gains in
-traffic.py.
+of the slant range. Users at one location share one row of entries. All beams
+share one sample grid, so one nearest-sample search per distinct location
+(NearestSamples) supplies the rows and the interpolated-gain diagnostic;
+association in traffic.py runs its own search over the contested terminals.
 """
 
 import math
@@ -59,12 +59,12 @@ class NearestSamples:
     """Nearest pattern samples of query points, searched once per distinct point.
 
     Query rows are deduplicated on the exact bit patterns of (lat, lon), so
-    no two distinct inputs merge. The search keeps two results. `nearest` is
-    the first sample of maximal cosine. The k = min(3, samples) closest
-    samples by central angle (after an exact coordinate hit is set to
-    distance zero) are ranked by (distance, sample index): every sample
-    within the k-th smallest distance is a candidate, and a stable sort
-    orders them.
+    no two distinct inputs merge. The search keeps two results per distinct
+    point. `nearest` is the first sample of maximal cosine. `top_k` holds
+    the k = min(3, samples) closest samples by central angle (after an exact
+    coordinate hit is set to distance zero), ranked by (distance, sample
+    index): every sample within the k-th smallest distance is a candidate,
+    and a stable sort orders them.
 
     The central angle between two points is at least their latitude
     difference, so each block of latitude-sorted locations scans only the
@@ -76,7 +76,7 @@ class NearestSamples:
 
     All beams share the grid, so one index serves every beam's gain.
     lat_deg and lon_deg hold the distinct query points, and inverse maps
-    each query row to its point.
+    each query row to its point; gain() answers per query row.
     """
 
     def __init__(self, lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
@@ -94,8 +94,8 @@ class NearestSamples:
         lat, lon = self.lat_deg, self.lon_deg = lat[first], lon[first]
         m = len(lat)
         k = min(3, grid_lat.size)
-        self._nearest = np.empty(m, dtype=np.int64)
-        self._idx = np.empty((m, k), dtype=np.int64)
+        self.nearest = np.empty(m, dtype=np.int64)
+        self.top_k = np.empty((m, k), dtype=np.int64)
         dk = np.empty((m, k))
         self._eq_idx = np.empty(m, dtype=np.int64)
         self._has_eq = np.empty(m, dtype=bool)
@@ -152,7 +152,7 @@ class NearestSamples:
             lat, lon = self.lat_deg[sub], self.lon_deg[sub]
             t = _cos_angles(lat, lon, glat, glon)
             # max cosine = min distance; first occurrence keeps the lowest index
-            self._nearest[sub] = cand[np.argmax(t, axis=1)]
+            self.nearest[sub] = cand[np.argmax(t, axis=1)]
             d = np.arccos(t, out=t)
             # an exact coordinate hit short-circuits; the rounded central angle
             # of a coincident pair is not reliably zero
@@ -168,18 +168,8 @@ class NearestSamples:
             order = np.lexsort((dc, hits))
             counts = np.bincount(hits, minlength=sub.size)
             pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
-            self._idx[sub] = cand[cols[pick]]
+            self.top_k[sub] = cand[cols[pick]]
             dk[sub] = dc[pick]
-
-    @property
-    def nearest(self):
-        """Per query row, the index of the first sample of maximal cosine."""
-        return self._nearest[self.inverse]
-
-    @property
-    def top_k(self):
-        """Per query row, the k closest sample indices, nearest first."""
-        return self._idx[self.inverse]
 
     def gain(self, gains_db):
         """Inverse-distance-squared gain over the k nearest samples, per row.
@@ -188,7 +178,7 @@ class NearestSamples:
         exactly on a sample takes that sample's gain.
         """
         gains_db = np.asarray(gains_db, dtype=float)
-        gk = gains_db[self._idx]
+        gk = gains_db[self.top_k]
         vals = np.sum(self._w * gk, axis=1) / self._w_sum
         vals[self._zero] = gk[self._zero, 0]
         vals[self._has_eq] = gains_db[self._eq_idx[self._has_eq]]
@@ -199,13 +189,14 @@ class NearestSamples:
 class ChannelMatrix:
     """Complex per-user, per-beam channel entries with link diagnostics.
 
-    Row n-1 belongs to user n of the traffic matrix the entries were built
-    from; column j-1 belongs to beam j. The diagnostics arrays run parallel
-    to the rows. nearest_sample holds the shared-grid sample index (0-based)
-    that supplied every beam gain of the row.
+    rows holds one row per distinct location, and user n of the traffic
+    matrix has row location[n-1]; column j-1 belongs to beam j. The
+    diagnostics arrays run parallel to the users. nearest_sample holds the
+    shared-grid sample index (0-based) that supplied every beam gain of the row.
     """
 
-    entries: np.ndarray
+    rows: np.ndarray
+    location: np.ndarray
     serving: np.ndarray
     distance_m: np.ndarray
     path_loss_db: np.ndarray
@@ -213,11 +204,15 @@ class ChannelMatrix:
     nearest_sample: np.ndarray
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        object.__setattr__(self, "entries", entries)
-        if entries.ndim != 2:
-            raise ValueError("entries must be a 2-D array")
-        n = entries.shape[0]
+        rows = np.asarray(self.rows, dtype=complex)
+        location = np.asarray(self.location, dtype=np.int64)
+        if rows.ndim != 2:
+            raise ValueError("rows must be a 2-D array")
+        if location.ndim != 1 or not ((location >= 0) & (location < len(rows))).all():
+            raise ValueError("location must be a 1-D array of indices into rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "location", location)
+        n = location.shape[0]
         for name in ("serving", "distance_m", "path_loss_db", "interp_gain_db",
                      "nearest_sample"):
             arr = np.asarray(getattr(self, name))
@@ -225,15 +220,23 @@ class ChannelMatrix:
                 raise ValueError(f"{name} must have one value per user")
             object.__setattr__(self, name, arr)
             arr.setflags(write=False)
+        rows.setflags(write=False)
+        location.setflags(write=False)
+
+    @property
+    def entries(self):
+        """The (users, beams) matrix rows[location], built on each access."""
+        entries = self.rows[self.location]
         entries.setflags(write=False)
+        return entries
 
     @property
     def n_users(self):
-        return self.entries.shape[0]
+        return self.location.shape[0]
 
     @property
     def beams(self):
-        return self.entries.shape[1]
+        return self.rows.shape[1]
 
 
 def build_channel_matrix(T, pattern, cfg=None):
@@ -271,35 +274,35 @@ def build_channel_matrix(T, pattern, cfg=None):
         dist[i] = d
         loss[i] = path_loss_db(d, lam)
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
-    dist, loss, phase = dist[index.inverse], loss[index.inverse], phase[index.inverse]
-    nearest = index.nearest
 
-    # every step is elementwise, so the dB of the grid gathered per user are
-    # the bits that gathering the coefficients first would give
-    grid_db = np.abs(pattern.coefficients)
-    np.square(grid_db, out=grid_db)
-    np.log10(grid_db, out=grid_db)
-    grid_db *= 10.0
-    amp = grid_db[nearest, :]
-    del grid_db
+    # BeamPattern.coefficients, then 10*log10(|c|**2), at the nearest samples:
+    # every step is elementwise, so the bits are the whole grid's gathered
+    nearest = index.nearest
+    amp = np.abs(np.power(10.0, pattern.gain_db[nearest] / 20.0)
+                 * np.exp(1j * pattern.phase_rad[nearest]))
+    np.square(amp, out=amp)
+    np.log10(amp, out=amp)
+    amp *= 10.0
     amp -= loss[:, None]
     amp += cfg.rx_gain_db
     amp /= 20.0
     np.power(10.0, amp, out=amp)
-    entries = amp * np.exp(1j * phase)[:, None]
+    rows = amp * np.exp(1j * phase)[:, None]
 
     gamma = np.empty(n)
     for j in np.unique(serving):
         sel = serving == j
         gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
 
+    inverse = index.inverse
     return ChannelMatrix(
-        entries=entries,
+        rows=rows,
+        location=inverse,
         serving=serving,
-        distance_m=dist,
-        path_loss_db=loss,
+        distance_m=dist[inverse],
+        path_loss_db=loss[inverse],
         interp_gain_db=gamma,
-        nearest_sample=nearest,
+        nearest_sample=nearest[inverse],
     )
 
 
@@ -332,7 +335,7 @@ def interference(H, n, active, power):
             watts = float(power)
         if watts < 0.0:
             raise ValueError("beam power must be non-negative")
-        total += watts * abs(H.entries[n - 1, j - 1]) ** 2
+        total += watts * abs(H.rows[H.location[n - 1], j - 1]) ** 2
     return total
 
 
@@ -357,38 +360,36 @@ def _magnitude_phase(z):
 def write_channel_csv(H, path):
     """Long-format channel entries, one row per (user, beam), canonical floats.
 
-    Users that share a location share a channel row. In each block of users
-    the bit-identical rows are formatted once, in order of first occurrence,
-    by one % over a template with the beam ids written in and each distinct
-    phase formatted once; each user's text is its row's with the user number
-    put in. A non-finite value still raises for the first one in row order.
+    In each block of users the row of each distinct location is formatted
+    once, by one % over a template with the beam ids written in and each
+    distinct phase formatted once; each user's text is its location's with
+    the user number put in. A non-finite value still raises for the first
+    one in user order.
     """
     beams = H.beams
     n_users = H.n_users if beams else 0
     step = max(1, ioutil.BLOCK_ROWS // max(beams, 1))
-    # the lines of one distinct row, then the separator between rows
+    # the lines of one location's row, then the separator between rows
     row = "".join(f"{_USER},{b},%.9g,%s\n" for b in range(1, beams + 1)) + "\0"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(CHANNEL_HEADER + "\n")
         for lo in range(0, n_users, step):
-            block = np.ascontiguousarray(H.entries[lo : lo + step])
-            keys = block.view(np.dtype((np.void, block.itemsize * beams)))[:, 0]
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(order.size)
-            magnitude, phase = _magnitude_phase(block[first[order]].ravel())
-            check_finite((magnitude, phase))
+            locations, inverse = np.unique(H.location[lo : lo + step],
+                                           return_inverse=True)
+            magnitude, phase = _magnitude_phase(H.rows[locations].ravel())
+            # the block's values in user order, for the first non-finite one
+            check_finite([col.reshape(-1, beams)[inverse].ravel()
+                          for col in (magnitude, phase)])
             # np.unique puts -0.0 with 0.0, and format_rows prints both as 0
             values, slot = np.unique(phase, return_inverse=True)
             texts = np.array(format_rows((values,)).split("\n"), dtype=object)
             # hypot is never -0.0, so %.9g prints the magnitude as fmt_float does
-            rows = ((row * order.size) % tuple(chain.from_iterable(
+            rows = ((row * locations.size) % tuple(chain.from_iterable(
                 zip(magnitude.tolist(), texts[slot].tolist())
             ))).split("\0")
-            users = map(str, range(lo + 1, lo + block.shape[0] + 1))
+            users = map(str, range(lo + 1, lo + inverse.size + 1))
             fh.write("".join([rows[r].replace(_USER, user)
-                              for user, r in zip(users, rank[inverse].tolist())]))
+                              for user, r in zip(users, inverse.tolist())]))
 
 
 _SUMMARY_USER = (

@@ -44,7 +44,7 @@ class BeamPattern:
     Stores the grid once and the per-beam quantities as (samples, beams)
     arrays. The complex coefficient of sample j under beam i is
     10^(gain/20) * exp(i*phase), so its squared magnitude returns the gain
-    via 10*log10(|.|^2).
+    via 10*log10(|.|^2). coefficients builds that matrix on each access.
     """
 
     def __init__(self, lat_deg, lon_deg, gain_db, phase_rad):
@@ -77,7 +77,6 @@ class BeamPattern:
         self._lon = lon
         self._gain = gain
         self._phase = phase
-        self._coefficients = None
 
     @property
     def beams(self):
@@ -105,13 +104,10 @@ class BeamPattern:
 
     @property
     def coefficients(self):
-        """Complex (samples, beams) coefficient matrix, built on first use."""
-        if self._coefficients is None:
-            mag = np.power(10.0, self._gain / 20.0)
-            coef = mag * np.exp(1j * self._phase)
-            coef.flags.writeable = False
-            self._coefficients = coef
-        return self._coefficients
+        """Complex (samples, beams) coefficient matrix, built on each access."""
+        coef = np.power(10.0, self._gain / 20.0) * np.exp(1j * self._phase)
+        coef.flags.writeable = False
+        return coef
 
     def check_beam(self, beam_id):
         """Validate a 1-based beam id and return its column index."""
@@ -288,8 +284,9 @@ def beam_footprint(pattern, beam_id):
     """Convex hull of the samples within 3 dB of the beam peak (inclusive).
 
     An all-equal-gain beam qualifies every sample, so its border is the hull
-    of the whole grid. Qualifying samples that reach a pole or span more than
-    180 degrees of longitude are rejected: the planar frame cannot border them.
+    of the whole grid. Qualifying samples that reach a pole, span more than 180
+    degrees of longitude or leave [-180, 180), where every terminal longitude
+    is wrapped, are rejected: the planar frame cannot border them.
     """
     col = pattern.check_beam(beam_id)
     gains = pattern.gain_db[:, col]
@@ -301,10 +298,12 @@ def beam_footprint(pattern, beam_id):
         raise DegenerateFootprintError(
             beam_id, f"only {lat.size} samples within 3 dB of the peak"
         )
-    if (np.abs(lat) == 90.0).any() or lon.max() - lon.min() > 180.0:
+    if ((np.abs(lat) == 90.0).any() or lon.max() - lon.min() > 180.0
+            or lon.min() < -180.0 or lon.max() >= 180.0):
         raise DegenerateFootprintError(
-            beam_id, "samples within 3 dB of the peak reach a pole or span more than "
-            "180 degrees of longitude, outside the planar (lat, lon) frame"
+            beam_id, "samples within 3 dB of the peak reach a pole, span more than "
+            "180 degrees of longitude or leave longitude [-180, 180), outside the "
+            "planar (lat, lon) frame"
         )
     try:
         border = convex_hull(list(zip(lat.tolist(), lon.tolist())))

@@ -236,7 +236,8 @@ def build_channel_matrix(T, pattern, cfg):
         )
         gamma[sel] = gains
     return ChannelMatrix(
-        entries=entries,
+        rows=entries,
+        location=np.arange(n),
         serving=T.beam,
         distance_m=dist,
         path_loss_db=loss,
@@ -420,10 +421,12 @@ def entry_phase(z):
 
 
 def write_channel_csv(H, path):
+    entries = H.entries
+
     def rows():
         for i in range(H.n_users):
             for j in range(H.beams):
-                z = complex(H.entries[i, j])
+                z = complex(entries[i, j])
                 yield (
                     str(i + 1),
                     str(j + 1),

@@ -420,12 +420,18 @@ class TestInterferenceSweep:
         assert not sweep.watts[:, 0].any()
 
 
-def channel(entries, serving):
-    """A ChannelMatrix with the given entries and serving beams, zero diagnostics."""
-    entries = np.asarray(entries, dtype=complex)
-    n = entries.shape[0]
+def channel(rows, serving, location=None):
+    """A ChannelMatrix with the given rows and serving beams, zero diagnostics.
+
+    location gives each user's row; by default user n has row n-1.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if location is None:
+        location = np.arange(rows.shape[0])
+    n = len(location)
     return ChannelMatrix(
-        entries=entries,
+        rows=rows,
+        location=location,
         serving=np.asarray(serving, dtype=np.int64),
         distance_m=np.zeros(n),
         path_loss_db=np.zeros(n),
@@ -436,16 +442,22 @@ def channel(entries, serving):
 
 @st.composite
 def channels(draw, max_beams=8, max_users=4):
+    """Users at up to max_users locations, some shared; a repeated row gives
+    two distinct locations with the same bits."""
     beams = draw(st.integers(1, max_beams))
-    n_users = draw(st.integers(1, max_users))
+    n_rows = draw(st.integers(1, max_users))
     magnitude = st.one_of(st.just(0.0), st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
     phase = st.floats(0.0, 2 * math.pi)
-    entries = [
+    rows = [
         [draw(magnitude) * cmath.exp(1j * draw(phase)) for _ in range(beams)]
-        for _ in range(n_users)
+        for _ in range(n_rows)
     ]
-    serving = [draw(st.integers(1, beams)) for _ in range(n_users)]
-    return channel(entries, serving)
+    if draw(st.booleans()):
+        rows.append(rows[0])
+    location = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
+                             max_size=max_users))
+    serving = [draw(st.integers(1, beams)) for _ in location]
+    return channel(rows, serving, location)
 
 
 def users_of(H):
@@ -493,11 +505,13 @@ def test_exhaustive_bit_matches_per_user_interference(data):
 
 
 def test_exhaustive_37_beams_bit_matches_per_user_interference():
+    # 50 users at 20 locations
     rng = np.random.default_rng(3737)
     beams, n_users = 37, 50
-    mags = 10.0 ** rng.uniform(-12.0, 3.0, size=(n_users, beams))
+    mags = 10.0 ** rng.uniform(-12.0, 3.0, size=(20, beams))
     H = channel(mags * np.exp(1j * rng.uniform(0.0, 2 * math.pi, mags.shape)),
-                rng.integers(1, beams + 1, size=n_users))
+                rng.integers(1, beams + 1, size=n_users),
+                rng.integers(0, len(mags), size=n_users))
     cfg = ScenarioConfig()
     sizes = list(range(beams, 0, -1))
     users = list(range(n_users, 0, -1))

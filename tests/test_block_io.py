@@ -77,11 +77,17 @@ def assert_same_bytes(new, old, obj, root, block=None):
     assert got == written(old, obj, root / "old.csv")
 
 
-def channel(entries):
-    """A channel matrix of the given entries with zero diagnostics."""
-    entries = np.asarray(entries, dtype=complex)
-    zeros = np.zeros(len(entries))
-    return ChannelMatrix(entries=entries, serving=np.ones(len(entries), dtype=np.int64),
+def channel(rows, location=None):
+    """A channel matrix of the given rows with zero diagnostics.
+
+    location gives each user's row; by default user n has row n-1.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if location is None:
+        location = np.arange(len(rows))
+    zeros = np.zeros(len(location))
+    return ChannelMatrix(rows=rows, location=location,
+                         serving=np.ones(len(location), dtype=np.int64),
                          distance_m=zeros, path_loss_db=zeros, interp_gain_db=zeros,
                          nearest_sample=zeros)
 
@@ -169,45 +175,45 @@ class TestWriters:
         assume(not any(overflows(complex(*part)) for part in parts))
         entries = np.array([complex(re, im) for re, im in parts],
                            dtype=complex).reshape(users, beams)
-        zeros = np.zeros(users)
-        H = ChannelMatrix(entries=entries, serving=np.ones(users, dtype=np.int64),
-                          distance_m=zeros, path_loss_db=zeros,
-                          interp_gain_db=zeros, nearest_sample=zeros)
-        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, channel(entries),
+                          root, block)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data(), st.integers(1, 4), BLOCKS)
     def test_channel_shared_rows(self, root, data, beams, block):
-        # users drawn from a few rows repeat rows inside a block of users and
-        # across block boundaries
+        # users at a few locations repeat locations inside a block of users and
+        # across block boundaries; a repeated row gives two distinct locations
+        # with the same bits
         row = st.lists(st.tuples(VALUES, VALUES), min_size=beams, max_size=beams)
         pool = data.draw(st.lists(row, min_size=1, max_size=3))
         assume(not any(overflows(complex(*part)) for r in pool for part in r))
+        if data.draw(st.booleans()):
+            pool.append(pool[0])
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
-        rows = [[complex(re, im) for re, im in pool[i]] for i in picks]
-        entries = np.array(rows, dtype=complex).reshape(len(picks), beams)
+        rows = np.array([[complex(re, im) for re, im in r] for r in pool],
+                        dtype=complex).reshape(len(pool), beams)
         assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
-                          channel(entries), root, block)
+                          channel(rows, picks), root, block)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 1 << 14])
     def test_channel_signed_zeros(self, root, block):
         zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
         rows = [[a, b] for a in zeros for b in zeros[:2]]
-        entries = np.array(rows + rows[::-1] + rows, dtype=complex)
+        # locations 10..19 hold the bits of 9..0, and 0..9 repeat
+        location = [*range(10), *range(10, 20), *range(10)]
         assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
-                          channel(entries), root, block)
+                          channel(rows + rows[::-1], location), root, block)
 
     @pytest.mark.parametrize("first,later", [(math.inf, math.nan), (math.nan, math.inf)])
-    @pytest.mark.parametrize("block", [2, 1 << 14])
+    @pytest.mark.parametrize("block", [2, 6, 9, 1 << 14])
     def test_channel_first_non_finite_raises(self, root, first, later, block):
-        # the first bad value in row order raises, wherever its distinct row
-        # sorts among the block's rows
+        # the first bad value in user order raises, though the later one's
+        # location comes first in rows
         good = [1.0 + 2.0j, 3.0 - 1.0j, -0.5j]
         earlier = [1.0, complex(first, 1.0), 2.0]
-        entries = np.array([good, earlier, good, [1.0, 2.0, complex(0.0, later)],
-                            earlier], dtype=complex)
+        rows = [[1.0, 2.0, complex(0.0, later)], good, earlier]
         want = (ValueError, f"non-finite value in output: {first!r}")
-        H = channel(entries)
+        H = channel(rows, [1, 2, 1, 0, 2])
         with block_rows(block):
             assert written(write_channel_csv, H, root / "new.csv") == want
         assert written(oracles.write_channel_csv, H, root / "old.csv") == want
@@ -223,7 +229,7 @@ class TestWriters:
     def test_channel_summary(self, data, users, excluded):
         columns = [np.array(data.draw(st.lists(VALUES, min_size=users, max_size=users)))
                    for _ in range(3)]
-        H = ChannelMatrix(entries=np.zeros((users, 2)),
+        H = ChannelMatrix(rows=np.zeros((1, 2)), location=np.zeros(users, dtype=int),
                           serving=np.ones(users, dtype=np.int64),
                           distance_m=columns[0], path_loss_db=columns[1],
                           interp_gain_db=columns[2], nearest_sample=np.zeros(users))
@@ -293,19 +299,14 @@ class TestWriters:
     def test_magnitude_overflow_is_non_finite(self, root):
         # abs(complex) raised OverflowError here; the block writer reports the
         # overflowed magnitude like any other non-finite value
-        H = ChannelMatrix(entries=[[1.0, 1e308 + 1.7e308j]], serving=[1],
-                          distance_m=[0.0], path_loss_db=[0.0], interp_gain_db=[0.0],
-                          nearest_sample=[0])
+        H = channel([[1.0, 1e308 + 1.7e308j]])
         assert written(oracles.write_channel_csv, H, root / "old.csv") == (
             OverflowError, "absolute value too large")
         assert written(write_channel_csv, H, root / "new.csv") == (
             ValueError, "non-finite value in output: inf")
 
     def test_nan_entry_is_non_finite(self, root):
-        H = ChannelMatrix(entries=[[2.0 + 5e-324j], [complex(0.0, math.nan)]],
-                          serving=[1, 1], distance_m=[0.0, 0.0],
-                          path_loss_db=[0.0, 0.0], interp_gain_db=[0.0, 0.0],
-                          nearest_sample=[0, 0])
+        H = channel([[2.0 + 5e-324j], [complex(0.0, math.nan)]])
         assert written(write_channel_csv, H, root / "new.csv") == (
             ValueError, "non-finite value in output: nan")
 
@@ -319,11 +320,8 @@ class TestWriters:
         )
         assert_same_bytes(write_traffic_csv, oracles.write_traffic_csv, T, root)
         entries = rng.normal(size=(n // 3, 3)) + 1j * rng.normal(size=(n // 3, 3))
-        zeros = np.zeros(n // 3)
-        H = ChannelMatrix(entries=entries, serving=np.ones(n // 3, dtype=np.int64),
-                          distance_m=zeros, path_loss_db=zeros,
-                          interp_gain_db=zeros, nearest_sample=zeros)
-        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, channel(entries),
+                          root)
 
 
 def test_magnitude_and_phase_are_bitwise_python_scalars():
@@ -362,14 +360,24 @@ def phase_rows(rng, rows, beams):
     return 10.0 ** rng.uniform(-6, 3, (rows, beams)) * np.exp(1j * theta)
 
 
+def set_entry(rows, location, user, beam, value):
+    """Give user (0-based) a location of its own whose row has value at beam."""
+    row = rows[location[user]].copy()
+    row[beam] = value
+    location[user] = len(rows)
+    return np.vstack([rows, row[None, :]])
+
+
 @pytest.mark.parametrize("bad", [None, "earlier", "later"])
 @pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
 @pytest.mark.parametrize("beams", [1, 12])
 def test_channel_rows_share_phases_and_fill_user_numbers(root, beams, block, bad):
-    # 1005 users cross 9/10, 99/100 and 999/1000, in one block at 1 << 14
+    # 1005 users cross 9/10, 99/100 and 999/1000, in one block at 1 << 14;
+    # locations 9 and 10 hold the bits of 0 and 1
     rng = np.random.default_rng(beams * 100 + block)
     pool = phase_rows(rng, 9, beams)
-    entries = pool[rng.integers(0, len(pool), 1005)]
+    rows = np.vstack([pool, pool[:2]])
+    location = rng.integers(0, len(rows), 1005)
     _, phase = _magnitude_phase(pool.ravel())
     phase = phase.reshape(pool.shape)
     # the cases the test is about: a row whose phases differ in the last bits,
@@ -377,15 +385,15 @@ def test_channel_rows_share_phases_and_fill_user_numbers(root, beams, block, bad
     assert beams == 1 or any(len(set(row.tolist())) > 1 for row in phase)
     assert len(np.unique(phase)) < phase.size
     if bad == "earlier":
-        entries[4, beams - 1] = complex(math.nan, 1.0)
-        entries[999, 0] = math.inf
+        rows = set_entry(rows, location, 4, beams - 1, complex(math.nan, 1.0))
+        rows = set_entry(rows, location, 999, 0, math.inf)
     elif bad == "later":
-        entries[999, beams // 2] = complex(1.0, math.inf)
-    assert_same_bytes(write_channel_csv, oracles.write_channel_csv, channel(entries),
-                      root, block)
+        rows = set_entry(rows, location, 999, beams // 2, complex(1.0, math.inf))
+    H = channel(rows, location)
+    assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
     if bad is None:
         with block_rows(block):
-            text = written(write_channel_csv, channel(entries), root / "new.csv")
+            text = written(write_channel_csv, H, root / "new.csv")
         assert text.count(b"\n1000,") == beams
 
 

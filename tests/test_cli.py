@@ -211,6 +211,19 @@ class TestFootprints:
         assert "beam 1" in capsys.readouterr().err
         assert not (tmp_path / "borders.csv").exists()
 
+    def test_beam_past_lon_180_names_beam_id(self, tmp_path, capsys):
+        pattern = tmp_path / "past180.csv"
+        rows = ["beam_id,lat_deg,lon_deg,gain_db,phase_rad"]
+        for lat in (-2, -1, 0, 1, 2):
+            for lon in range(175, 186):
+                rows.append(f"1,{lat},{lon},{50 - abs(lat) - abs(lon - 180) / 2},0")
+        pattern.write_text("\n".join(rows) + "\n")
+        rc = cli.main(["footprints", str(pattern), "--out-dir", str(tmp_path)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "beam 1" in err and "leave longitude [-180, 180)" in err
+        assert not (tmp_path / "borders.csv").exists()
+
     def test_footprints_never_triangulate(self, inputs, tmp_path, monkeypatch):
         def refuse(points):
             raise AssertionError("footprints must not build a triangulation")
@@ -669,6 +682,16 @@ class TestInterferenceCommand:
         )
         assert rc == 1
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("users", ["", ","])
+    def test_empty_users_list_is_usage_error(self, inputs, tmp_path, capsys, users):
+        rc = cli.main(
+            ["interference", *demand_argv(inputs), "--hour", "9",
+             "--sizes", "2", "--users", users, "--out-dir", str(tmp_path)]
+        )
+        assert rc == 1
+        assert f"bad users list {users!r}" in capsys.readouterr().err
+        assert not (tmp_path / "interference.csv").exists()
 
     def test_unknown_user_is_input_error(self, inputs, tmp_path, capsys):
         rc = cli.main(

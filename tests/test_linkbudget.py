@@ -4,10 +4,12 @@ import cmath
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sattraffic.analysis import interference_sweep
 from sattraffic.errors import MismatchedBeamsError, UnknownUserError
 from sattraffic.geo import (
     GeoPoint,
@@ -16,16 +18,17 @@ from sattraffic.geo import (
     path_loss_db,
     slant_range,
 )
-from sattraffic.ingest import TrafficType
+from sattraffic.ingest import TrafficType, synth_pattern
 from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
+    ChannelMatrix,
     build_channel_matrix,
     channel_summary,
     interference,
     write_channel_csv,
 )
-from sattraffic.pattern import BeamPattern
+from sattraffic.pattern import BeamPattern, parse_pattern
 from sattraffic.traffic import TrafficMatrix
 
 import oracles
@@ -205,6 +208,9 @@ class TestBuildChannelMatrix:
         T = matrix_for(pattern, locs, beams=[int(b) for b in rng.integers(1, 8, len(locs))])
         got = build_channel_matrix(T, pattern, cfg)
         want = oracles.build_channel_matrix(T, pattern, cfg)
+        # one row per distinct location bits: the signed zeros stay apart
+        assert len(got.rows) == len({(np.float64(a).tobytes(), np.float64(b).tobytes())
+                                     for a, b in locs})
         for name in ("entries", "serving", "distance_m", "path_loss_db",
                      "interp_gain_db", "nearest_sample"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -304,6 +310,39 @@ class TestBuildChannelMatrix:
         H = build_channel_matrix(matrix_for(pattern, [(52.0, 5.0)]), pattern)
         with pytest.raises(ValueError):
             H.entries[0, 0] = 0
+        for name in ("rows", "location"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(H, name)[0] = 0
+
+
+def channel_of(rows, location):
+    n = np.size(location)
+    return ChannelMatrix(rows=rows, location=location, serving=np.ones(n, dtype=int),
+                         distance_m=np.zeros(n), path_loss_db=np.zeros(n),
+                         interp_gain_db=np.zeros(n), nearest_sample=np.zeros(n, dtype=int))
+
+
+class TestChannelMatrix:
+    def test_entries_are_rows_at_location(self):
+        rows = np.array([[1.0, 2.0j], [3.0, -1.0]])
+        H = channel_of(rows, [1, 0, 1])
+        assert H.entries.tolist() == [[3.0, -1.0], [1.0, 2.0j], [3.0, -1.0]]
+        assert (H.n_users, H.beams) == (3, 2)
+
+    # not 1-D, or pointing outside rows
+    @pytest.mark.parametrize("location", [[[0, 1]], 0, [0, 2], [-1, 0], [3]])
+    def test_location_must_index_rows(self, location):
+        with pytest.raises(ValueError,
+                           match=r"^location must be a 1-D array of indices into rows$"):
+            channel_of(np.ones((2, 3)), location)
+
+    def test_no_users_and_no_rows(self):
+        H = channel_of(np.zeros((0, 3)), [])
+        assert H.entries.shape == (0, 3)
+
+    def test_rows_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="^rows must be a 2-D array$"):
+            channel_of(np.ones(3), [0])
 
 
 class TestNearestSample:
@@ -423,3 +462,30 @@ class TestChannelOutputs:
         assert rec["distance_m"] == float(fmt_float(d))
         assert rec["path_loss_db"] == float(fmt_float(path_loss_db(d, cfg.wavelength_m)))
         assert rec["interp_gain_db"] == pytest.approx(52.0, abs=1e-9)
+
+
+def test_channel_stage_peak_memory_stays_below_half_a_per_user_matrix(tmp_path):
+    # the 37-beam, pitch-0.2 pattern of the benchmark's M inputs, with 40,000
+    # users at 50 locations: a (users, beams) complex matrix would take 23.7 MB
+    path = tmp_path / "pattern.csv"
+    synth_pattern(path, 1, beams=37, spacing_deg=1.5, radius3db_deg=1.0, pitch_deg=0.2)
+    pattern = parse_pattern(path)
+    rng = np.random.default_rng(50)
+    lat = rng.uniform(pattern.lat_deg.min(), pattern.lat_deg.max(), 50)
+    lon = rng.uniform(pattern.lon_deg.min(), pattern.lon_deg.max(), 50)
+    users = 40_000
+    pick = rng.integers(0, 50, users)
+    T = TrafficMatrix(beam=rng.integers(1, 38, users), lat_deg=lat[pick],
+                      lon_deg=lon[pick], type=np.ones(users, dtype=int),
+                      demand_mbps=np.ones(users), beams=37, excluded=0)
+    cfg = ScenarioConfig()
+    tracemalloc.start()
+    try:
+        H = build_channel_matrix(T, pattern, cfg)
+        write_channel_csv(H, tmp_path / "channel.csv")
+        sweep = interference_sweep(H, cfg, sizes=[2, 37])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < users * 37 * np.dtype(complex).itemsize / 2
+    assert H.n_users == users and sweep.watts.shape == (users, 2)

@@ -330,10 +330,23 @@ class TestPlanarFrame:
         fp = beam_footprint(pat, 1)
         assert set(fp.border.vertices) == {(88, 0), (88, 2), (89, 0), (89, 2)}
 
-    def test_beam_within_lon_170_to_190_accepted(self):
-        pat = grid_beam([-1.0, 0.0, 1.0], [170.0, 180.0, 190.0], lambda a, b: 50.0)
+    @pytest.mark.parametrize("lons", [[170.0, 180.0, 190.0], [175.0, 180.0, 185.0],
+                                      [179.0, 179.5, 180.0], [-181.0, -180.0, -179.0]])
+    def test_beam_past_lon_180_rejected(self, lons):
+        # a terminal at lon 181 is wrapped to -179, outside a border drawn over
+        # lon 175..185, so the beam could never serve it
+        pat = grid_beam([-1.0, 0.0, 1.0], lons, lambda a, b: 50.0)
+        with pytest.raises(DegenerateFootprintError) as err:
+            beam_footprint(pat, 1)
+        assert err.value.beam_id == 1
+        assert "leave longitude [-180, 180)" in str(err.value)
+
+    def test_beam_from_lon_minus_180_accepted(self):
+        # only qualifying samples count: the 40 dB column at lon 180 is ignored
+        pat = grid_beam([-1.0, 0.0, 1.0], [-180.0, -179.0, 180.0],
+                        lambda a, b: 40.0 if b == 180.0 else 50.0)
         fp = beam_footprint(pat, 1)
-        assert set(fp.border.vertices) == {(-1, 170), (-1, 190), (1, 170), (1, 190)}
+        assert set(fp.border.vertices) == {(-1, -180), (-1, -179), (1, -180), (1, -179)}
 
 
 def beam_footprint_oracle(pattern, beam_id):
