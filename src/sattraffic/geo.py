@@ -5,7 +5,7 @@ All public APIs take degrees; radians stay internal.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,7 +52,8 @@ def check_locations(lat_deg, lon_deg):
 class ScenarioConfig:
     """Satellite and link parameters with Ka-band GEO defaults.
 
-    The wavelength is derived from the carrier unless given explicitly, in
+    Every value must be finite and the satellite latitude in [-90, 90]. The
+    wavelength is derived from the carrier unless given explicitly, in
     which case it must be consistent with the speed of light.
     """
 
@@ -67,6 +68,12 @@ class ScenarioConfig:
     bandwidth_hz: float = 50e6
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        if not -90.0 <= self.sat_lat_deg <= 90.0:
+            raise ValueError(f"sat_lat_deg {self.sat_lat_deg!r} outside [-90, 90]")
         if self.altitude_m <= 0:
             raise ValueError("altitude must be positive")
         if self.earth_radius_m <= 0:
@@ -79,6 +86,9 @@ class ScenarioConfig:
             raise ValueError("bandwidth must be positive")
         if self.wavelength_m is None:
             self.wavelength_m = SPEED_OF_LIGHT / self.carrier_freq_hz
+            if math.isinf(self.wavelength_m):  # a subnormal carrier
+                raise ValueError(f"wavelength_m must be finite, got inf from "
+                                 f"carrier_freq_hz {self.carrier_freq_hz!r}")
         else:
             err = abs(self.wavelength_m * self.carrier_freq_hz - SPEED_OF_LIGHT)
             if err > 1e-9 * SPEED_OF_LIGHT:

@@ -476,28 +476,25 @@ def _edge_frame(polygon):
 
 
 def point_in_polygon(point, polygon: Polygon) -> bool:
-    """Whether a point lies inside a convex CCW polygon; the boundary counts."""
-    vx, vy, x0, y0, ext = _edge_frame(polygon)
-    px = (float(point[0]) - x0) / ext
-    py = (float(point[1]) - y0) / ext
-    n = len(vx)
-    for i in range(n):
-        j = (i + 1) % n
-        cross = (vx[j] - vx[i]) * (py - vy[i]) - (vy[j] - vy[i]) * (px - vx[i])
-        if cross < -_EPS:
-            return False
-    return True
+    """Whether a point lies inside a convex CCW polygon; the boundary counts.
+
+    A point with a NaN or infinite coordinate lies outside.
+    """
+    return bool(polygon_contains_many(polygon, [point[0]], [point[1]])[0])
 
 
 def polygon_contains_many(polygon: Polygon, xs, ys) -> np.ndarray:
-    """Vectorized point_in_polygon over parallel coordinate arrays."""
+    """point_in_polygon over parallel coordinate arrays."""
     vx, vy, x0, y0, ext = _edge_frame(polygon)
     px = (np.asarray(xs, dtype=float) - x0) / ext
     py = (np.asarray(ys, dtype=float) - y0) / ext
-    inside = np.ones(px.shape, dtype=bool)
+    inside = np.isfinite(px) & np.isfinite(py)
     n = len(vx)
-    for i in range(n):
-        j = (i + 1) % n
-        cross = (vx[j] - vx[i]) * (py - vy[i]) - (vy[j] - vy[i]) * (px - vx[i])
-        inside &= cross >= -_EPS
+    # an infinite coordinate can make a cross product 0 * inf or inf - inf;
+    # its point is outside already
+    with np.errstate(invalid="ignore"):
+        for i in range(n):
+            j = (i + 1) % n
+            cross = (vx[j] - vx[i]) * (py - vy[i]) - (vy[j] - vy[i]) * (px - vx[i])
+            inside &= cross >= -_EPS
     return inside

@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
-from itertools import islice
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .errors import (
     TimestampError,
 )
 from .geo import GeoPoint, check_locations
-from .ioutil import open_input, write_table
+from .ioutil import check_header, open_input, read_chunks, write_table
 from .pattern import BeamPattern, write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
@@ -303,12 +302,6 @@ def _wrap_lon(lon_deg):
     return lon
 
 
-def _check_header(fh, expected, path):
-    header = fh.readline()
-    if header.rstrip("\r\n") != expected:
-        raise ParseError(f"expected header {expected!r}", 1, path)
-
-
 def _coord(text, name, lineno, path):
     """Parse one coordinate; None means the record must be dropped."""
     stripped = text.strip()
@@ -342,7 +335,7 @@ def load_population(source, cfg=IngestConfig(), urban_policy=None, *, bbox=None)
     bad = 0
     out = 0
     with open_input(source) as (fh, path):
-        _check_header(fh, POPULATION_HEADER, path)
+        check_header(fh, POPULATION_HEADER, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
             if not line:
@@ -406,8 +399,6 @@ def _parse_timestamp(text, lineno, path):
     return dt.astimezone(timezone.utc)
 
 
-# lines of a movement log read and parsed at a time
-_CHUNK_LINES = 1024
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
@@ -500,7 +491,7 @@ def _line_rows(texts, lineno, stamps, id_name, path):
 def _load_movements(source, hours, traffic_type, cfg):
     """Read a movement log once; one TerminalBlock per requested hour, in order.
 
-    The log is parsed _CHUNK_LINES lines at a time into columns, and only
+    The log is parsed a chunk of lines at a time into columns, and only
     the rows of requested hours that lie in cfg.bbox are kept. Each id's
     first record per hour is the least (timestamp, row) among them, picked
     with one stable sort.
@@ -524,13 +515,11 @@ def _load_movements(source, hours, traffic_type, cfg):
              np.empty(0), np.empty(0))]
     with open_input(source) as (fh, path):
         stamps = _Stamps(path)
-        _check_header(fh, header, path)
-        lineno = 2
-        while texts := [raw.rstrip("\r\n") for raw in islice(fh, _CHUNK_LINES)]:
+        check_header(fh, header, path)
+        for lineno, texts in read_chunks(fh):
             rows = _fast_rows(texts, stamps)
             if rows is None:
                 rows = _line_rows(texts, lineno, stamps, id_name, path)
-            lineno += len(texts)
             ids, codes, lat, lon = rows
             # only this chunk's codes: a table of every distinct timestamp
             # so far would make the read quadratic in the log's length

@@ -1,4 +1,4 @@
-"""Serialization helpers shared by the file writers, and the input opener.
+"""Serialization helpers shared by the file writers, and the input reader.
 
 All output floats use one canonical form (9 significant digits) so repeated
 runs of the same command produce byte-identical files that diff cleanly.
@@ -8,13 +8,18 @@ import hashlib
 import math
 import re
 from contextlib import contextmanager
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
+
+from .errors import ParseError
 
 # rows per formatted block; writers derive one block's columns at a time, so
 # memory stays flat in the row count
 BLOCK_ROWS = 1 << 14
+
+# lines of an input read and parsed at a time; read at call time
+CHUNK_LINES = 1024
 
 # strings _escape leaves unchanged: no quote, backslash or control character
 _PLAIN = re.compile(r'[^"\\\x00-\x1f]*')
@@ -141,6 +146,22 @@ def open_input(source):
         return
     with open(source, "r", encoding="utf-8", newline="") as fh:
         yield fh, str(source)
+
+
+def check_header(fh, expected, path):
+    """Read the first line of fh and raise ParseError unless it is expected."""
+    header = fh.readline()
+    if header.rstrip("\r\n") != expected:
+        raise ParseError(f"expected header {expected!r}", 1, path)
+
+
+def read_chunks(fh):
+    """(first line number, lines without their line ends) of the rest of fh,
+    CHUNK_LINES lines at a time; the line after the header is line 2."""
+    lineno = 2
+    while lines := [raw.rstrip("\r\n") for raw in islice(fh, CHUNK_LINES)]:
+        yield lineno, lines
+        lineno += len(lines)
 
 
 def sha256_file(path):

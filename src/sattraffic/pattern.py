@@ -9,7 +9,6 @@ A footprint is the hull of the qualifying samples: the convex hull, in the
 planar (lat, lon) frame, of the samples within 3 dB of the beam peak.
 """
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,7 @@ from .errors import (
 )
 # delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
-from .ioutil import open_input, write_table
+from .ioutil import check_header, open_input, read_chunks, write_table
 
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
@@ -34,8 +33,6 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # one pattern row as np.loadtxt reads it
 _ROW = np.dtype([("beam", "i8"), ("lat", "f8"), ("lon", "f8"), ("gain", "f8"),
                  ("phase", "f8")])
-# characters of the body per np.loadtxt call; read at call time
-PIECE_CHARS = 1 << 16
 
 
 class BeamPattern:
@@ -156,114 +153,90 @@ def parse_pattern(source):
     Rows must be grouped by beam with ids 1..n in order, and every beam must
     repeat the exact sample grid of beam 1. Malformed cells raise ParseError
     with the offending line; structural violations raise SchemaError. The
-    body is read as one string. A well-formed body is parsed by np.loadtxt
-    in pieces of about PIECE_CHARS characters, so no list of every line is
-    ever held; any other goes through the line parser, which finds the error.
+    body is read CHUNK_LINES (1,024) lines at a time, never as one string:
+    np.loadtxt parses each chunk, and a chunk it cannot read or whose rows
+    fail a check goes through the line parser, which finds the error.
     """
+    parts = []
+    last = 0  # beam id of the last row read
     with open_input(source) as (fh, path):
-        header = fh.readline()
-        if header.rstrip("\r\n") != PATTERN_HEADER:
-            raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
-        text = fh.read()
-    columns = _load_rows(text)
-    if columns is None:
-        return _parse_rows(io.StringIO(text, newline=""), path)
-    del text
-    return BeamPattern(*columns)
+        check_header(fh, PATTERN_HEADER, path)
+        for lineno, lines in read_chunks(fh):
+            rows = _load_lines(lines, last)
+            if rows is None:
+                rows = _parse_lines(lines, lineno, last, path)
+            if rows.size:
+                parts.append(rows)
+                last = int(rows["beam"][-1])
+    if not parts:
+        raise SchemaError("pattern file has no sample rows")
+    rows = np.concatenate(parts)
+    del parts
+    counts = np.bincount(rows["beam"])[1:]  # beams 1..last, grouped in order
+    mu = int(counts[0])
+    # the first k beams have mu samples each: k is the index of the first
+    # beam with another count, or every beam (counts[0] is mu)
+    k = int(np.argmax(counts != mu)) or last
+    lat, lon = (rows[name][: k * mu].reshape(k, mu) for name in ("lat", "lon"))
+    differs = np.flatnonzero(((lat != lat[0]) | (lon != lon[0])).any(axis=1))
+    if differs.size:
+        raise SchemaError(f"beam {differs[0] + 1} sample grid differs from beam 1")
+    if k < last:
+        raise SchemaError(f"beam {k + 1} has {counts[k]} samples, expected {mu}")
+    gain, phase = (rows[name].reshape(last, mu).T for name in ("gain", "phase"))
+    return BeamPattern(lat[0], lon[0], gain, phase)
 
 
-def _pieces(text):
-    """text cut just after a "\n" every PIECE_CHARS characters or so.
+def _load_lines(lines, last):
+    """A chunk's rows as np.loadtxt reads them, or None.
 
-    A cut after "\n" never splits a "\r\n", so the lines of the pieces are
-    the lines of text.
+    last is the beam id of the row before the chunk (0 before the first).
+    The rows are kept only when they pass every check that _parse_lines
+    makes, so both give the same rows. Any other chunk returns None and goes
+    to _parse_lines, which raises the error that names the bad line.
     """
-    lo = 0
-    while lo < len(text):
-        hi = text.find("\n", lo + PIECE_CHARS - 1) + 1 or len(text)
-        yield text[lo:hi]
-        lo = hi
-
-
-def _load_rows(text):
-    """The BeamPattern arguments of a body parsed by np.loadtxt, or None.
-
-    The result is kept only when it passes every check that _parse_rows
-    makes, so both give the same pattern. Any other input returns None and
-    goes to _parse_rows, which raises the error that names the bad line.
-    """
+    if not any(lines):
+        return np.empty(0, dtype=_ROW)  # loadtxt warns on input without data
+    text = "\n".join(lines)
     if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
         # loadtxt reads non-ASCII characters in an integer column as digits,
         # and strips \x1c-\x1f as whitespace where int() and float() refuse
         return None
-    # one row per line at most: a line ends at \n, \r\n or a lone \r
-    bound = text.count("\n") + text.count("\r") - text.count("\r\n") + 1
-    rows = np.empty(bound, dtype=_ROW)
-    n = 0
-    for piece in _pieces(text):
-        lines = list(io.StringIO(piece, newline=""))
-        if not any(line.strip("\r\n") for line in lines):
-            continue  # loadtxt warns on input without data
-        try:
-            # loadtxt rejects some numbers that int() and float() read, such
-            # as 1_0, but reads no ASCII cell to another value
-            part = np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
-        except ValueError:
-            return None
-        rows[n : n + part.size] = part
-        n += part.size
-    if not n:
+    try:
+        # loadtxt rejects some numbers that int() and float() read, such as
+        # 1_0, but reads no ASCII cell to another value
+        rows = np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
         return None
-    rows = rows[:n]
-    beams = int(rows["beam"][-1])
-    if beams < 1 or n % beams:
-        return None
-    beam, lat, lon, gain, phase = (rows[name].reshape(beams, -1) for name in _ROW.names)
+    beam = rows["beam"]
+    step = np.diff(beam, prepend=last)
     ok = (
-        (beam == np.arange(1, beams + 1)[:, None]).all()
-        and all(np.isfinite(a).all() for a in (lat, lon, gain, phase))
-        and (np.abs(lat) <= 90.0).all()
-        and (lat == lat[0]).all()
-        and (lon == lon[0]).all()
+        ((step == 1) | ((step == 0) & (beam >= 1))).all()
+        and all(np.isfinite(rows[name]).all() for name in _ROW.names[1:])
+        and (np.abs(rows["lat"]) <= 90.0).all()
     )
-    return (lat[0], lon[0], gain.T, phase.T) if ok else None
+    return rows if ok else None
 
 
-def _parse_rows(lines, path):
-    beams = []  # per beam: [lat list, lon list, gain list, phase list]
-    for lineno, raw in enumerate(lines, start=2):
-        line = raw.rstrip("\r\n")
+def _parse_lines(lines, lineno, last, path):
+    """_load_lines one line at a time, from line lineno: raises the first bad line's error."""
+    rows = []
+    for lineno, line in enumerate(lines, start=lineno):
         if not line:
             continue
         fields = line.split(",")
         if len(fields) != 5:
             raise ParseError(f"expected 5 fields, got {len(fields)}", lineno, path)
-        beam, (lat, lon, gain, phase) = _parse_row(fields, lineno, path)
-        if beam == len(beams) + 1:
-            beams.append([[], [], [], []])
-        elif beam != len(beams) or not beams:
+        beam, values = _parse_row(fields, lineno, path)
+        if beam == last + 1:
+            last = beam
+        elif beam != last or not last:
             raise SchemaError(
                 f"beam ids must be grouped and contiguous from 1: "
-                f"saw beam {beam} on line {lineno} after beam {len(beams)}"
+                f"saw beam {beam} on line {lineno} after beam {last}"
             )
-        rec = beams[beam - 1]
-        rec[0].append(lat)
-        rec[1].append(lon)
-        rec[2].append(gain)
-        rec[3].append(phase)
-
-    if not beams:
-        raise SchemaError("pattern file has no sample rows")
-    mu = len(beams[0][0])
-    for i, rec in enumerate(beams[1:], start=2):
-        if len(rec[0]) != mu:
-            raise SchemaError(f"beam {i} has {len(rec[0])} samples, expected {mu}")
-        if rec[0] != beams[0][0] or rec[1] != beams[0][1]:
-            raise SchemaError(f"beam {i} sample grid differs from beam 1")
-
-    gain = np.column_stack([rec[2] for rec in beams])
-    phase = np.column_stack([rec[3] for rec in beams])
-    return BeamPattern(beams[0][0], beams[0][1], gain, phase)
+        rows.append((beam, *values))
+    return np.array(rows, dtype=_ROW)
 
 
 def write_pattern(pattern, path):

@@ -10,9 +10,8 @@ as a SamplePoint, one beam's samples in grid order, and the gain at a point
 interpolated from such samples.
 
 The library's interference sweep reduces the exhaustive mean to a closed
-form and sums the uniform trials in numpy. interference_sweep below is the
-plain version: it lists every set, or draws each trial's set from the same
-keys, and averages interference() over the sets with math.fsum.
+form. interference_sweep below is the plain version: it lists every set and
+averages interference() over the sets with math.fsum.
 
 The library writes its CSV files a block of columns at a time. The row
 writers below format one value per call through fmt_float and give the
@@ -34,6 +33,12 @@ at a time. load_population and load_movements below are the loaders they
 replaced: one row at a time, one Terminal and GeoPoint per terminal, in a
 list that carries the dropped counts.
 
+The library parses a pattern CSV a chunk of lines at a time, with
+np.loadtxt where it can and the line parser for a chunk where it cannot,
+and checks the beam counts and grids once on the joined rows. _parse_rows
+below is the whole-file line parser it replaced: it reads every line
+through the one-line parser and checks each beam's rows as lists.
+
 The library's synth writers draw the rows vehicle by vehicle and format
 them a block at a time. synth_population and synth_movements below make the
 same draws and write one row at a time through fmt_float.
@@ -53,7 +58,7 @@ from sattraffic.analysis import (
     HourlyProfile,
     SweepResult,
 )
-from sattraffic.errors import NegativePopulationError, ParseError
+from sattraffic.errors import NegativePopulationError, ParseError, SchemaError
 from sattraffic.geo import GeoPoint, path_loss_db, slant_range
 from sattraffic.ingest import (
     DEFAULT_BBOX,
@@ -62,20 +67,19 @@ from sattraffic.ingest import (
     TrafficType,
     UrbanPolicy,
     _check_box,
-    _check_header,
     _coord,
     _diurnal_counts,
     _parse_timestamp,
     _require,
 )
-from sattraffic.ioutil import fmt_float, open_input
+from sattraffic.ioutil import check_header, fmt_float, open_input
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
     ChannelMatrix,
     _cos_angles,
     interference,
 )
-from sattraffic.pattern import BORDERS_HEADER, PATTERN_HEADER
+from sattraffic.pattern import BORDERS_HEADER, PATTERN_HEADER, BeamPattern, _parse_row
 from sattraffic.traffic import TRAFFIC_HEADER, build_traffic_matrix, per_beam_demand
 
 _TWO_PI = 2.0 * math.pi
@@ -271,7 +275,7 @@ def load_population(source, downscale=1000, urban_policy=None, *,
     bad = 0
     out = 0
     with open_input(source) as (fh, path):
-        _check_header(fh, POPULATION_HEADER, path)
+        check_header(fh, POPULATION_HEADER, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
             if not line:
@@ -332,7 +336,7 @@ def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bb
     bad = dict.fromkeys(firsts, 0)
     out = dict.fromkeys(firsts, 0)
     with open_input(source) as (fh, path):
-        _check_header(fh, header, path)
+        check_header(fh, header, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
             if not line:
@@ -373,6 +377,45 @@ def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bb
         )
         for hour in hours
     ]
+
+
+def _parse_rows(lines, path):
+    """The BeamPattern of a pattern body's lines, line ends kept or not; the
+    first of them is line 2."""
+    beams = []  # per beam: [lat list, lon list, gain list, phase list]
+    for lineno, raw in enumerate(lines, start=2):
+        line = raw.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 5:
+            raise ParseError(f"expected 5 fields, got {len(fields)}", lineno, path)
+        beam, (lat, lon, gain, phase) = _parse_row(fields, lineno, path)
+        if beam == len(beams) + 1:
+            beams.append([[], [], [], []])
+        elif beam != len(beams) or not beams:
+            raise SchemaError(
+                f"beam ids must be grouped and contiguous from 1: "
+                f"saw beam {beam} on line {lineno} after beam {len(beams)}"
+            )
+        rec = beams[beam - 1]
+        rec[0].append(lat)
+        rec[1].append(lon)
+        rec[2].append(gain)
+        rec[3].append(phase)
+
+    if not beams:
+        raise SchemaError("pattern file has no sample rows")
+    mu = len(beams[0][0])
+    for i, rec in enumerate(beams[1:], start=2):
+        if len(rec[0]) != mu:
+            raise SchemaError(f"beam {i} has {len(rec[0])} samples, expected {mu}")
+        if rec[0] != beams[0][0] or rec[1] != beams[0][1]:
+            raise SchemaError(f"beam {i} sample grid differs from beam 1")
+
+    gain = np.column_stack([rec[2] for rec in beams])
+    phase = np.column_stack([rec[3] for rec in beams])
+    return BeamPattern(beams[0][0], beams[0][1], gain, phase)
 
 
 def escape(s):

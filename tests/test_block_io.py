@@ -1,10 +1,12 @@
-"""Block-formatted writers and the loadtxt pattern parse against their oracles.
+"""Block-formatted writers and the chunked pattern parse against their oracles.
 
 Every CSV writer formats a block of columns at a time, and parse_pattern
-runs np.loadtxt over pieces of the body before the line parser. The row
-writers in oracles.py and the line parser (_parse_rows) are the references:
-the bytes written, the parsed arrays bit for bit, and the type and message
-of every exception must agree, whatever the block and piece sizes.
+reads the body a chunk of ioutil.CHUNK_LINES lines at a time (a piece, in
+the test names), through np.loadtxt or, for a chunk it cannot take, the
+line parser. The row writers and the whole-file line parser (_parse_rows)
+in oracles.py are the references: the bytes written, the parsed arrays bit
+for bit, and the type and message of every exception must agree, whatever
+the block and chunk sizes.
 """
 
 import io
@@ -31,6 +33,7 @@ from sattraffic.analysis import (
 )
 from sattraffic.errors import ParseError, SchemaError
 from sattraffic.geometry import Polygon
+from sattraffic.ioutil import read_chunks
 from sattraffic.ingest import synth_pattern
 from sattraffic.linkbudget import (
     ChannelMatrix,
@@ -42,9 +45,6 @@ from sattraffic.pattern import (
     PATTERN_HEADER,
     BeamFootprint,
     BeamPattern,
-    _load_rows,
-    _parse_rows,
-    _pieces,
     parse_pattern,
     write_borders_csv,
     write_pattern,
@@ -412,7 +412,7 @@ def parse_oracle(text, path=None):
     fh = io.StringIO(text, newline="")
     if fh.readline().rstrip("\r\n") != PATTERN_HEADER:
         raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
-    return _parse_rows(list(fh), path)
+    return oracles._parse_rows(list(fh), path)
 
 
 def parsed(parse, text):
@@ -432,10 +432,22 @@ def assert_same_parse(text):
 
 
 def fast_path_taken(text):
-    fh = io.StringIO(text, newline="")
-    if fh.readline().rstrip("\r\n") != PATTERN_HEADER:
-        return False
-    return _load_rows(fh.read()) is not None
+    """Whether parse_pattern read at least one chunk, and np.loadtxt gave the
+    rows of every chunk it read."""
+    taken = []
+    load = pattern_module._load_lines
+
+    def spy(lines, last):
+        rows = load(lines, last)
+        taken.append(rows is not None)
+        return rows
+
+    with mock.patch.object(pattern_module, "_load_lines", spy):
+        try:
+            parse_pattern(io.StringIO(text, newline=""))
+        except (ParseError, SchemaError):
+            pass
+    return bool(taken) and all(taken)
 
 
 HEADER = PATTERN_HEADER + "\n"
@@ -457,6 +469,8 @@ def with_field(row, k, text):
     return ",".join(fields)
 
 
+# whether parse_pattern's loadtxt path reads every chunk: a count or grid
+# defect is found on the joined rows, after every chunk went through loadtxt
 NAMED = {
     "lf": (body(GRID), True),
     "crlf": (body(GRID, "\r\n"), True),
@@ -471,15 +485,21 @@ NAMED = {
                                     for r in GRID]), True),
     "signed_zero_grid": (body(["1,0.0,-0.0,1,1", "2,-0.0,0.0,1,1"]), True),
     "empty_body": (HEADER, False),
-    "empty_body_blank_lines": (HEADER + "\n\r\n", False),
+    "empty_body_blank_lines": (HEADER + "\n\r\n", True),
     "bom_header": ("\ufeff" + body(GRID), False),
     "bom_cell": (body([with_field(GRID[0], 3, "\ufeff1")] + GRID[1:]), False),
     "comment_marker": (body(GRID[:3] + [GRID[3] + " # note"]), False),
     "extra_field": (body(GRID[:3] + [GRID[3] + ","]), False),
     "missing_field": (body(GRID[:3] + ["2,50.5,4.5,-1e-3"]), False),
-    "unequal_counts": (body(GRID[:3]), False),
+    "unequal_counts": (body(GRID[:3]), True),
     "ungrouped": (body([GRID[0], GRID[2], GRID[1], GRID[3]]), False),
-    "grid_differs": (body(GRID[:3] + [with_field(GRID[3], 2, "4.25")]), False),
+    "grid_differs": (body(GRID[:3] + [with_field(GRID[3], 2, "4.25")]), True),
+    # the first beam with either defect names the error
+    "grid_differs_before_short_beam": (
+        body(GRID[:3] + [with_field(GRID[3], 2, "4.25")] + ["3,50.5,4,0,0"]), True),
+    "short_beam_before_grid_differs": (
+        body(GRID[:3] + ["3,50.5,4,0,0", "3,50.5,5,0,0"]), True),
+    "long_last_beam": (body(GRID + ["2,50.5,5,0,0"]), True),
     "beam_0_first": (body(["0,50.5,4,-1.5,0.25"]), False),
     "beam_ids_not_from_1": (body(["2,50.5,4,-1.5,0.25", "2,50.5,4,-2,0"]), False),
     "latitude_out_of_range": (body([with_field(r, 1, "90.5") for r in GRID]), False),
@@ -501,38 +521,39 @@ for name, value in [("1_0", "1_0"), ("nan", "nan"), ("inf", "inf"),
     NAMED[f"value_{name}"] = (body([with_field(GRID[0], 3, value)] + GRID[1:]), False)
 
 
-# characters per np.loadtxt piece: a line per piece, lines cut at odd places,
-# and the default, one piece for every body here
-PIECES = (1, 2, 3, 7, 16, pattern_module.PIECE_CHARS)
+# lines per chunk: a line per chunk, chunks cut at odd places, and the
+# default, one chunk for every body here
+CHUNKS = (1, 2, 3, 7, 16, ioutil.CHUNK_LINES)
 
 
-def piece_chars(n):
-    return mock.patch.object(pattern_module, "PIECE_CHARS", n)
+def chunk_lines(n):
+    return mock.patch.object(ioutil, "CHUNK_LINES", n)
 
 
 @pytest.mark.parametrize("name", sorted(NAMED))
 def test_named_parse_cases(name):
     text, fast = NAMED[name]
-    for n in PIECES:
-        with piece_chars(n):
+    for n in CHUNKS:
+        with chunk_lines(n):
             assert_same_parse(text)
             assert fast_path_taken(text) == fast
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.text(alphabet="ab,\r\n", max_size=40), st.integers(1, 12))
-def test_pieces_keep_the_lines(text, n):
-    with piece_chars(n):
-        pieces = list(_pieces(text))
-    assert "".join(pieces) == text
-    # each cut is at the first "\n" from n characters on
-    assert all(p.endswith("\n") and "\n" not in p[n - 1 : -1] for p in pieces[:-1])
-    assert "\n" not in pieces[-1][n - 1 : -1] if pieces else text == ""
-    lines = [line for p in pieces for line in io.StringIO(p, newline="")]
-    assert lines == list(io.StringIO(text, newline=""))
+def test_read_chunks_keep_the_lines(text, n):
+    # the lines end in "\n", "\r\n" or a lone "\r", as a file opened with
+    # newline="" splits them
+    with chunk_lines(n):
+        chunks = list(read_chunks(io.StringIO(text, newline="")))
+    lines = list(io.StringIO(text, newline=""))
+    assert [first for first, _ in chunks] == list(range(2, len(lines) + 2, n))
+    assert all(len(chunk) == n for _, chunk in chunks[:-1])
+    assert [line for _, chunk in chunks for line in chunk] == [
+        line.rstrip("\r\n") for line in lines]
 
 
-def written_pattern_text(tmp_path, beams=3, samples=40, seed=3):
+def written_pattern_text(tmp_path, beams=3, samples=400, seed=3):
     rng = np.random.default_rng(seed)
     lat = rng.uniform(-60, 60, samples)
     lon = rng.uniform(-170, 170, samples)
@@ -552,10 +573,10 @@ def with_line(text, k, line):
 @pytest.mark.parametrize("n", [64, 1000])
 def test_body_of_many_pieces(tmp_path, n):
     text = written_pattern_text(tmp_path)
-    with piece_chars(n):
-        assert len(list(_pieces(text))) > 4
+    with chunk_lines(n):
+        assert len(list(read_chunks(io.StringIO(text)))) > 1
         assert fast_path_taken(text)
-        assert assert_same_parse(text)[2][0] == (40, 3)
+        assert assert_same_parse(text)[2][0] == (400, 3)
         for end in ("\r\n", "\r"):
             body = text.replace("\n", end)
             assert fast_path_taken(body)
@@ -566,7 +587,7 @@ def test_body_of_many_pieces(tmp_path, n):
 LATER_ROWS = {
     "extra_field": (lambda row: row + ",", False, False),
     "nan": (lambda row: with_field(row, 3, "nan"), False, False),
-    "grid_differs": (lambda row: with_field(row, 2, "0.5"), False, False),
+    "grid_differs": (lambda row: with_field(row, 2, "0.5"), False, True),
     "file_separator": (lambda row: with_field(row, 3, "3\x1c"), False, False),
     "arabic_digit": (lambda row: with_field(row, 3, "\u0661"), True, False),
     "beam_out_of_order": (lambda row: with_beam(row, "1"), False, False),
@@ -579,25 +600,40 @@ LATER_ROWS = {
 @pytest.mark.parametrize("name", sorted(LATER_ROWS))
 @pytest.mark.parametrize("n", [64, 1000, 1 << 16])
 def test_edit_in_a_later_piece(tmp_path, name, n):
-    # the edit sits on the 100th of 120 rows, in a piece after the first; the
-    # line parser names a defect with the type and message it gives alone
+    # the edit sits on the 1100th of 1200 rows, in a chunk after the first
+    # but at the default size; the line parser names a defect with the type
+    # and message it gives alone
     edit, parses, fast = LATER_ROWS[name]
     text = written_pattern_text(tmp_path)
-    bad = with_line(text, 100, edit(text.split("\n")[100]))
-    with piece_chars(n):
+    bad = with_line(text, 1100, edit(text.split("\n")[1100]))
+    with chunk_lines(n):
         got = assert_same_parse(bad)
         assert fast_path_taken(bad) == fast
-    assert (got[0] in (ParseError, SchemaError)) == (not parses and not fast)
+    assert (got[0] in (ParseError, SchemaError)) == (not parses)
     if got[0] is ParseError:
-        assert "line 101" in got[1]
+        assert "line 1101" in got[1]
+
+
+@pytest.mark.parametrize("beam", [0, 1, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16])
+def test_grouping_defect_on_the_first_row_of_a_later_chunk(n, beam):
+    # beams 1 and 2 fill the first two chunks, and the third begins with a
+    # beam that is neither 2 nor 3; only the beam carried across the chunk
+    # boundary shows 0 and 1 to be out of place
+    rows = [f"{b},50.5,{k},-1.5,0.25" for b in (1, 2, 3) for k in range(n)]
+    rows[2 * n] = with_beam(rows[2 * n], str(beam))
+    with chunk_lines(n):
+        got = assert_same_parse(body(rows))
+    assert got == (SchemaError, "beam ids must be grouped and contiguous from 1: "
+                   f"saw beam {beam} on line {2 * n + 2} after beam 2")
 
 
 def test_crlf_and_lone_cr_at_every_piece_boundary():
     ends = ["\r\n", "\r", "\n", "\r", "\r\n"]
     rows = [f"{b},50.5,{lon},-1.5,0.25" for b in (1, 2) for lon in (4, 4.5)] + ["", ""]
     text = HEADER + "".join(row + ends[i % len(ends)] for i, row in enumerate(rows))
-    for n in range(1, len(text) + 2):
-        with piece_chars(n):
+    for n in range(1, len(rows) + 2):
+        with chunk_lines(n):
             assert fast_path_taken(text)
             assert_same_parse(text)
 
@@ -605,9 +641,9 @@ def test_crlf_and_lone_cr_at_every_piece_boundary():
 def test_piece_of_only_blank_or_whitespace_lines():
     blank = body(GRID[:2]) + "\n\r\n\n\r" + body(GRID[2:])[len(HEADER):]
     spaced = body(GRID[:2]) + "\n \t\n\x0c\n" + body(GRID[2:])[len(HEADER):]
-    for n in PIECES:
-        with piece_chars(n):
-            # loadtxt would warn on a piece without data, and warnings fail
+    for n in CHUNKS:
+        with chunk_lines(n):
+            # loadtxt would warn on a chunk without data, and warnings fail
             assert fast_path_taken(blank)
             assert_same_parse(blank)
             assert not fast_path_taken(spaced)
@@ -627,6 +663,18 @@ def test_parse_peak_memory_stays_below_four_times_the_file(tmp_path):
         tracemalloc.stop()
     assert pattern.gain_db.shape == (3540, 37)
     assert peak < 4 * size
+
+
+class LinesOnly(io.StringIO):
+    """A text stream that gives its lines one at a time and never its whole body."""
+
+    def read(self, size=-1):
+        raise AssertionError("read() of the pattern body")
+
+
+def test_parse_reads_the_body_line_by_line(tmp_path):
+    text = written_pattern_text(tmp_path)
+    assert parsed(parse_pattern, LinesOnly(text, newline="")) == parsed(parse_oracle, text)
 
 
 def test_leading_beam_0_is_a_schema_error():
@@ -652,14 +700,14 @@ class OneWay(io.RawIOBase):
 
 
 def test_file_and_non_seekable_stream(tmp_path):
-    # one piece, many pieces, and a defect in a later piece
+    # one chunk, many chunks, and a defect in a later chunk
     many = written_pattern_text(tmp_path).replace("\n", "\r\n")
-    for text in (NAMED["crlf"][0], many, with_line(many, 100, "1,2,3")):
+    for text in (NAMED["crlf"][0], many, with_line(many, 1100, "1,2,3")):
         path = tmp_path / "pattern.csv"
         path.write_bytes(text.encode("utf-8"))
         stream = io.TextIOWrapper(io.BufferedReader(OneWay(text.encode())),
                                   encoding="utf-8", newline="")
-        with piece_chars(64):
+        with chunk_lines(64):
             assert parsed(parse_pattern, path) == parsed(
                 lambda t: parse_oracle(t, str(path)), text)
             assert parsed(parse_pattern, stream) == parsed(parse_oracle, text)
@@ -728,7 +776,7 @@ def pattern_text(draw):
 
 @settings(max_examples=400, deadline=None,
           suppress_health_check=[HealthCheck.large_base_example])
-@given(pattern_text(), st.sampled_from(PIECES))
+@given(pattern_text(), st.sampled_from(CHUNKS))
 def test_parse_matches_line_parser(text, n):
-    with piece_chars(n):
+    with chunk_lines(n):
         assert_same_parse(text)

@@ -7,6 +7,7 @@ the agreement is re-checked on every run.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -246,3 +247,22 @@ class TestScenarioConfig:
             ScenarioConfig(altitude_m=0.0)
         with pytest.raises(ValueError):
             ScenarioConfig(total_power_w=-5.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ScenarioConfig(**{name: value})
+
+    def test_derived_wavelength_must_be_finite(self):
+        with pytest.raises(ValueError, match="^wavelength_m must be finite"):
+            ScenarioConfig(carrier_freq_hz=1e-310)
+
+    @pytest.mark.parametrize("lat", [-95.0, -90.000001, 90.5, 95.0])
+    def test_satellite_latitude_outside_range_rejected(self, lat):
+        with pytest.raises(ValueError, match="^sat_lat_deg .* outside"):
+            ScenarioConfig(sat_lat_deg=lat)
+
+    def test_satellite_latitude_at_the_poles_accepted(self):
+        assert ScenarioConfig(sat_lat_deg=-90.0).sat_lat_deg == -90.0
+        assert ScenarioConfig(sat_lat_deg=90.0).sat_lat_deg == 90.0

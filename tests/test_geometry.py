@@ -240,6 +240,17 @@ class TestPointInPolygon:
         assert not point_in_polygon((1.0000001, 0.5), square)
         assert not point_in_polygon((-0.0000001, 0.5), square)
 
+    @pytest.mark.parametrize("point", [
+        (math.nan, math.nan), (math.nan, 0.5), (0.5, math.nan), (5.0, math.inf),
+        (0.5, math.inf), (0.5, -math.inf), (math.inf, 0.5), (-math.inf, 0.5),
+        (math.inf, math.inf), (-math.inf, math.inf), (math.nan, math.inf),
+    ])
+    def test_non_finite_point_is_outside(self, point):
+        # a RuntimeWarning would fail the test: warnings are errors here
+        square = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)))
+        assert point_in_polygon(point, square) is False
+        assert not polygon_contains_many(square, [point[0], 0.5], [point[1], 0.5])[0]
+
     def test_agrees_with_winding_oracle(self):
         rng = np.random.default_rng(43)
         checked = 0

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sattraffic import ingest
+from sattraffic import ingest, ioutil
 from sattraffic.errors import ParseError, TimestampError
 from sattraffic.geo import GeoPoint
 from sattraffic.ingest import (
@@ -211,7 +211,7 @@ class TestMovementEdges:
         assert isinstance(got[1], ParseError if "95" in first else OverflowError)
 
 
-CHUNK = ingest._CHUNK_LINES
+CHUNK = ioutil.CHUNK_LINES
 
 
 def chunk_log(rows, bad_at):
@@ -268,7 +268,7 @@ def test_all_distinct_timestamps(chunk):
     text = distinct_stamp_log(3000)
     stamps = [line.split(",")[1] for line in text.splitlines()[1:]]
     assert len(set(stamps)) == len(stamps)
-    with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+    with mock.patch.object(ioutil, "CHUNK_LINES", chunk):
         got, want = load_both(text)
     assert_same_outcome(*got, *want)
     assert all(len(block) for block in got[0])

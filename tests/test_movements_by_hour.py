@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sattraffic import ingest
+from sattraffic import ioutil
 from sattraffic.errors import ParseError
 from sattraffic.geo import GeoPoint
 from sattraffic.ingest import (
@@ -30,7 +30,6 @@ from sattraffic.ingest import (
     Terminal,
     TerminalBlock,
     TrafficType,
-    _check_header,
     _coord,
     _parse_timestamp,
     load_aero,
@@ -38,7 +37,7 @@ from sattraffic.ingest import (
     load_maritime,
     load_maritime_by_hour,
 )
-from sattraffic.ioutil import open_input
+from sattraffic.ioutil import check_header, open_input
 
 import oracles
 from oracles import TerminalList
@@ -50,7 +49,7 @@ def load_one_hour(source, hour, header, id_name, traffic_type, demand_mbps, bbox
     bad = 0
     out = 0
     with open_input(source) as (fh, path):
-        _check_header(fh, header, path)
+        check_header(fh, header, path)
         for lineno, rawline in enumerate(fh, start=2):
             line = rawline.rstrip("\r\n")
             if not line:
@@ -264,7 +263,7 @@ def test_chunked_columns_match_parent_loader(kind, lines, crlf, blanks, defects,
     text = render(header, lines, crlf, blanks)
 
     cfg = movement_config(demand, bbox)
-    with mock.patch.object(ingest, "_CHUNK_LINES", chunk):
+    with mock.patch.object(ioutil, "CHUNK_LINES", chunk):
         got = outcome(lambda: by_hour(io.StringIO(text), cfg))
         single = outcome(lambda: [one_hour(io.StringIO(text), single_hour, cfg)])
     want = outcome(lambda: oracles.load_movements(
