@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadThresholdsError, UnknownUserError
 from .ingest import TerminalBlock
-from .ioutil import write_table
+from .ioutil import frozen, write_table
 from .linkbudget import interference  # noqa: F401  bench/tracer.py hooks it here
 from .traffic import build_traffic_matrix, per_beam_demand
 
@@ -34,7 +34,7 @@ class HourlyProfile:
     demand_mbps: np.ndarray
 
     def __post_init__(self):
-        demand = np.asarray(self.demand_mbps, dtype=float)
+        demand = frozen(self.demand_mbps, float, "demand_mbps")
         if demand.ndim != 3 or demand.shape[1] != HOURS or demand.shape[2] != 3:
             raise ValueError("profile must have shape (beams, 24, 3)")
         if (demand < 0.0).any() or not np.isfinite(demand).all():
@@ -43,8 +43,8 @@ class HourlyProfile:
         zero = peaks == 0.0
         scale = np.where(zero, 1.0, peaks)
         normalized = demand / scale[:, None, :]
-        for arr in (demand, normalized, zero):
-            arr.setflags(write=False)
+        normalized.setflags(write=False)
+        zero.setflags(write=False)
         object.__setattr__(self, "demand_mbps", demand)
         object.__setattr__(self, "normalized", normalized)
         object.__setattr__(self, "all_zero", zero)
@@ -79,14 +79,13 @@ def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
     if len(aero_by_hour) != HOURS or len(maritime_by_hour) != HOURS:
         raise ValueError("profiles need movers for each hour 0..23")
     fss_demand = per_beam_demand(build_traffic_matrix(footprints, pattern, fss, (), ()))
-    aero = [TerminalBlock.of(block) for block in aero_by_hour]
-    maritime = [TerminalBlock.of(block) for block in maritime_by_hour]
     hour_of_row = np.repeat(
-        np.tile(np.arange(HOURS), 2), [len(block) for block in aero + maritime]
+        np.tile(np.arange(HOURS), 2),
+        [len(block) for block in (*aero_by_hour, *maritime_by_hour)],
     )
     T = build_traffic_matrix(
         footprints, pattern, (),
-        TerminalBlock.concat(*aero), TerminalBlock.concat(*maritime),
+        TerminalBlock.concat(*aero_by_hour), TerminalBlock.concat(*maritime_by_hour),
     )
     demand = np.zeros((pattern.beams, HOURS, 3))
     # unbuffered, so each total is added in row order
@@ -136,10 +135,9 @@ class SweepResult:
     watts: np.ndarray
 
     def __post_init__(self):
-        watts = np.asarray(self.watts, dtype=float)
+        watts = frozen(self.watts, float, "watts")
         if watts.shape != (len(self.users), len(self.sizes)):
             raise ValueError("watts must be users x sizes")
-        watts.setflags(write=False)
         object.__setattr__(self, "watts", watts)
 
 

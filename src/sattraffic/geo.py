@@ -48,13 +48,14 @@ def check_locations(lat_deg, lon_deg):
         GeoPoint(float(lat[invalid[0]]), float(lon[invalid[0]]))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Satellite and link parameters with Ka-band GEO defaults.
 
-    Every value must be finite and the satellite latitude in [-90, 90]. The
-    wavelength is derived from the carrier unless given explicitly, in
-    which case it must be consistent with the speed of light.
+    Every value must be finite and the satellite latitude in [-90, 90].
+    wavelength_m is not a parameter: it is always the speed of light over
+    the carrier frequency, so replace() with another carrier derives the
+    matching wavelength.
     """
 
     sat_lat_deg: float = 0.0
@@ -62,16 +63,16 @@ class ScenarioConfig:
     altitude_m: float = GEO_ALTITUDE_M
     earth_radius_m: float = EARTH_RADIUS_M
     carrier_freq_hz: float = 19.5e9
-    wavelength_m: float = field(default=None)
+    wavelength_m: float = field(init=False)
     rx_gain_db: float = 40.7
     total_power_w: float = 6000.0
     bandwidth_hz: float = 50e6
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        for name in (f.name for f in fields(self) if f.init):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not -90.0 <= self.sat_lat_deg <= 90.0:
             raise ValueError(f"sat_lat_deg {self.sat_lat_deg!r} outside [-90, 90]")
         if self.altitude_m <= 0:
@@ -84,18 +85,11 @@ class ScenarioConfig:
             raise ValueError("total power must be positive")
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth must be positive")
-        if self.wavelength_m is None:
-            self.wavelength_m = SPEED_OF_LIGHT / self.carrier_freq_hz
-            if math.isinf(self.wavelength_m):  # a subnormal carrier
-                raise ValueError(f"wavelength_m must be finite, got inf from "
-                                 f"carrier_freq_hz {self.carrier_freq_hz!r}")
-        else:
-            err = abs(self.wavelength_m * self.carrier_freq_hz - SPEED_OF_LIGHT)
-            if err > 1e-9 * SPEED_OF_LIGHT:
-                raise ValueError(
-                    "wavelength and carrier frequency are inconsistent: "
-                    f"lambda*f = {self.wavelength_m * self.carrier_freq_hz!r}"
-                )
+        wavelength = SPEED_OF_LIGHT / self.carrier_freq_hz
+        if math.isinf(wavelength):  # a subnormal carrier
+            raise ValueError(f"wavelength_m must be finite, got inf from "
+                             f"carrier_freq_hz {self.carrier_freq_hz!r}")
+        object.__setattr__(self, "wavelength_m", wavelength)
 
 
 def great_circle_distance(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:

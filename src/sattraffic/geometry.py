@@ -73,7 +73,7 @@ class Polygon:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Triangulation:
     """Triangles over a deduplicated point set, each triple CCW."""
 

@@ -29,7 +29,7 @@ from .errors import (
     TimestampError,
 )
 from .geo import GeoPoint, check_locations
-from .ioutil import check_header, open_input, read_chunks, write_table
+from .ioutil import check_header, frozen, open_input, read_chunks, write_table
 from .pattern import BeamPattern, write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
@@ -203,33 +203,34 @@ def parse_config(source):
         raise ParseError(str(exc), None, path) from exc
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class TerminalBlock(Sequence):
     """Terminals as read-only columns, with the records dropped on the way.
 
     lat_deg, lon_deg, type (TrafficType values) and demand_mbps hold one row
-    per terminal and ids the matching ids; every location is one GeoPoint
-    accepts. The loaders fill the columns directly; indexing and iteration
-    build Terminal objects on demand, so a block also reads as the sequence
-    of its terminals.
+    per terminal, each a read-only copy of the column given, and ids the
+    matching ids; every location is one GeoPoint accepts. The loaders fill
+    the columns directly; indexing and iteration build Terminal objects on
+    demand, so a block also reads as the sequence of its terminals.
     """
 
-    def __init__(self, ids, lat_deg, lon_deg, type, demand_mbps,
-                 dropped_bad_coords=0, dropped_out_of_box=0):
-        self.ids = tuple(ids)
-        for name, values, dtype in (
-            ("lat_deg", lat_deg, float),
-            ("lon_deg", lon_deg, float),
-            ("type", type, np.int64),
-            ("demand_mbps", demand_mbps, float),
-        ):
-            column = np.array(values, dtype=dtype)
+    ids: tuple
+    lat_deg: np.ndarray
+    lon_deg: np.ndarray
+    type: np.ndarray
+    demand_mbps: np.ndarray
+    dropped_bad_coords: int = 0
+    dropped_out_of_box: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.ids))
+        for name, dtype in (("lat_deg", float), ("lon_deg", float), ("type", np.int64),
+                            ("demand_mbps", float)):
+            column = frozen(getattr(self, name), dtype, name)
             if column.shape != (len(self.ids),):
                 raise ValueError(f"{name} must hold one value per terminal")
-            column.setflags(write=False)
-            setattr(self, name, column)
+            object.__setattr__(self, name, column)
         check_locations(self.lat_deg, self.lon_deg)
-        self.dropped_bad_coords = dropped_bad_coords
-        self.dropped_out_of_box = dropped_out_of_box
 
     @classmethod
     def of(cls, terminals):
@@ -403,39 +404,26 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-class _Stamps:
-    """The distinct timestamp texts of one log, each parsed once.
-
-    A text's code indexes its UTC hour and its UTC instant in microseconds;
-    equal instants get equal microseconds, so they compare as the
-    datetimes do.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self.codes = {}
-        self.hour = []
-        self.micros = []
-
-    def add(self, text, lineno):
-        code = self.codes.get(text)
-        if code is None:
-            ts = _parse_timestamp(text, lineno, self.path)
-            code = self.codes[text] = len(self.hour)
-            self.hour.append(ts.hour)
-            self.micros.append((ts - _EPOCH) // _MICROSECOND)
-        return code
+def _add_stamp(text, hour_of, micros_of, lineno, path):
+    """Parse a timestamp text into hour_of and micros_of, its UTC hour and
+    its UTC instant in microseconds, unless they hold it already; equal
+    instants get equal microseconds, so they compare as the datetimes do."""
+    if text not in hour_of:
+        ts = _parse_timestamp(text, lineno, path)
+        hour_of[text] = ts.hour
+        micros_of[text] = (ts - _EPOCH) // _MICROSECOND
 
 
-def _fast_rows(texts, stamps):
-    """(ids, timestamp codes, lat, lon) of a chunk of well-formed lines.
+def _fast_rows(texts, hour_of, micros_of, path):
+    """(ids, hour, micros, lat, lon) of a chunk of well-formed lines.
 
     A NaN coordinate stands for a missing one. Returns None when some line
     has a defect, so that the line parser can name it.
     """
     fields = [text.split(",") for text in texts if text]
     if not fields:
-        return [], np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+        empty = np.empty(0, dtype=np.int64)
+        return [], empty, empty, np.empty(0), np.empty(0)
     if set(map(len, fields)) != {4}:
         return None
     id_texts, stamp_texts, lat_texts, lon_texts = zip(*fields)
@@ -445,24 +433,24 @@ def _fast_rows(texts, stamps):
     n = len(ids)
     try:
         for text in dict.fromkeys(stamp_texts):
-            stamps.add(text, None)
+            _add_stamp(text, hour_of, micros_of, None, path)
         lat = np.fromiter(map(float, lat_texts), float, n)
         lon = np.fromiter(map(float, lon_texts), float, n)
     except (TimestampError, ValueError, OverflowError):
         # the line parser raises it, or the error of an earlier line
         return None
-    codes = np.fromiter(map(stamps.codes.__getitem__, stamp_texts), np.int64, n)
     present = ~(np.isnan(lat) | np.isnan(lon))
     if np.isinf(lat).any() or np.isinf(lon).any() or not (
         (lat[present] >= -90.0) & (lat[present] <= 90.0)
     ).all():
         return None
-    return ids, codes, lat, lon
+    return (ids, np.fromiter(map(hour_of.__getitem__, stamp_texts), np.int64, n),
+            np.fromiter(map(micros_of.__getitem__, stamp_texts), np.int64, n), lat, lon)
 
 
-def _line_rows(texts, lineno, stamps, id_name, path):
+def _line_rows(texts, lineno, hour_of, micros_of, id_name, path):
     """_fast_rows one line at a time: raises the error of the first bad line."""
-    ids, codes, lats, lons = [], [], [], []
+    ids, hours, instants, lats, lons = [], [], [], [], []
     for lineno, line in enumerate(texts, start=lineno):
         if not line:
             continue
@@ -472,7 +460,7 @@ def _line_rows(texts, lineno, stamps, id_name, path):
         ident = fields[0].strip()
         if not ident:
             raise ParseError(f"empty {id_name}", lineno, path)
-        code = stamps.add(fields[1], lineno)
+        _add_stamp(fields[1], hour_of, micros_of, lineno, path)
         # every row is validated before the hour filter, so a defective
         # log fails the same way whichever hours are being loaded
         lat = _coord(fields[2], "lat_deg", lineno, path)
@@ -482,10 +470,12 @@ def _line_rows(texts, lineno, stamps, id_name, path):
         elif not -90.0 <= lat <= 90.0:
             raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
         ids.append(ident)
-        codes.append(code)
+        hours.append(hour_of[fields[1]])
+        instants.append(micros_of[fields[1]])
         lats.append(lat)
         lons.append(lon)
-    return ids, np.array(codes, dtype=np.int64), np.array(lats), np.array(lons)
+    return (ids, np.array(hours, dtype=np.int64), np.array(instants, dtype=np.int64),
+            np.array(lats), np.array(lons))
 
 
 def _load_movements(source, hours, traffic_type, cfg):
@@ -510,21 +500,17 @@ def _load_movements(source, hours, traffic_type, cfg):
     bad = np.zeros(24, dtype=np.int64)
     out = np.zeros(24, dtype=np.int64)
     id_codes = {}  # id -> code, in the order first kept
-    # per chunk, the kept rows: id code, timestamp code, lat, lon
+    hour_of, micros_of = {}, {}  # by timestamp text: UTC hour, UTC microseconds
+    # per chunk, the kept rows: id code, hour, microseconds, lat, lon
     kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0), np.empty(0))]
+             np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
     with open_input(source) as (fh, path):
-        stamps = _Stamps(path)
         check_header(fh, header, path)
         for lineno, texts in read_chunks(fh):
-            rows = _fast_rows(texts, stamps)
+            rows = _fast_rows(texts, hour_of, micros_of, path)
             if rows is None:
-                rows = _line_rows(texts, lineno, stamps, id_name, path)
-            ids, codes, lat, lon = rows
-            # only this chunk's codes: a table of every distinct timestamp
-            # so far would make the read quadratic in the log's length
-            hour = np.fromiter(map(stamps.hour.__getitem__, codes.tolist()), np.int64,
-                               codes.size)
+                rows = _line_rows(texts, lineno, hour_of, micros_of, id_name, path)
+            ids, hour, micros, lat, lon = rows
             missing = np.isnan(lat) | np.isnan(lon)
             inside = (
                 (lat >= cfg.bbox.lat_min) & (lat <= cfg.bbox.lat_max)
@@ -536,15 +522,13 @@ def _load_movements(source, hours, traffic_type, cfg):
             kept.append((
                 np.array([id_codes.setdefault(ids[k], len(id_codes))
                           for k in keep.tolist()], dtype=np.int64),
-                codes[keep], lat[keep], lon[keep],
+                hour[keep], micros[keep], lat[keep], lon[keep],
             ))
 
-    idc, codes, lat, lon = (np.concatenate(column) for column in zip(*kept))
+    idc, hour, micros, lat, lon = (np.concatenate(column) for column in zip(*kept))
     names = list(id_codes)
     rank = np.empty(len(names), dtype=np.int64)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    hour = np.array(stamps.hour, dtype=np.int64)[codes]
-    micros = np.array(stamps.micros, dtype=np.int64)[codes]
     # lexsort is stable and the rows are in file order, so equal instants
     # go to the earlier row
     order = np.lexsort((micros, rank[idc], hour))

@@ -86,6 +86,23 @@ def _escape(s):
     return "".join(out)
 
 
+def frozen(values, dtype, name):
+    """A read-only, C-ordered copy of values as dtype, the way value objects
+    hold the arrays they are given. For an integer dtype, a value the cast
+    would change (a fraction, NaN, an infinity or one past the int64 range)
+    raises ValueError naming the column."""
+    given = np.asarray(values)
+    if np.issubdtype(dtype, np.integer) and given.dtype.kind == "f":
+        whole = (given == np.trunc(given)) & (np.abs(given) < 2.0**63)
+        bad = np.flatnonzero(~whole)
+        if bad.size:
+            raise ValueError(f"{name} must hold whole numbers, got "
+                             f"{float(given.flat[bad[0]])!r}")
+    column = np.array(given, dtype=dtype, order="C")
+    column.setflags(write=False)
+    return column
+
+
 def check_finite(columns):
     """Raise fmt_float's ValueError for the first non-finite value in row
     order of equal-length float columns."""

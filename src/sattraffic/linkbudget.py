@@ -11,7 +11,7 @@ association in traffic.py runs its own search over the contested terminals.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, check_locations, path_loss_db, slant_range
 from . import ioutil
-from .ioutil import check_finite, format_rows
+from .ioutil import check_finite, format_rows, frozen
 
 _TWO_PI = 2.0 * math.pi
 
@@ -193,6 +193,8 @@ class ChannelMatrix:
     matrix has row location[n-1]; column j-1 belongs to beam j. The
     diagnostics arrays run parallel to the users. nearest_sample holds the
     shared-grid sample index (0-based) that supplied every beam gain of the row.
+    Every array is a read-only copy of the one given; location, serving and
+    nearest_sample are int64 and reject values that are not whole numbers.
     """
 
     rows: np.ndarray
@@ -204,24 +206,18 @@ class ChannelMatrix:
     nearest_sample: np.ndarray
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=complex)
-        location = np.asarray(self.location, dtype=np.int64)
+        for name, dtype in dict(rows=complex, location=np.int64, serving=np.int64,
+                                distance_m=float, path_loss_db=float, interp_gain_db=float,
+                                nearest_sample=np.int64).items():
+            object.__setattr__(self, name, frozen(getattr(self, name), dtype, name))
+        rows, location = self.rows, self.location
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D array")
         if location.ndim != 1 or not ((location >= 0) & (location < len(rows))).all():
             raise ValueError("location must be a 1-D array of indices into rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "location", location)
-        n = location.shape[0]
-        for name in ("serving", "distance_m", "path_loss_db", "interp_gain_db",
-                     "nearest_sample"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must have one value per user")
-            object.__setattr__(self, name, arr)
-            arr.setflags(write=False)
-        rows.setflags(write=False)
-        location.setflags(write=False)
+        for f in fields(self)[2:]:  # the per-user columns
+            if getattr(self, f.name).shape != location.shape:
+                raise ValueError(f"{f.name} must have one value per user")
 
     @property
     def entries(self):
@@ -239,7 +235,7 @@ class ChannelMatrix:
         return self.rows.shape[1]
 
 
-def build_channel_matrix(T, pattern, cfg=None):
+def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
     """Assemble the complex channel matrix for every user of a traffic matrix.
 
     Per user: slant range to the satellite, free-space loss, then one entry
@@ -254,8 +250,6 @@ def build_channel_matrix(T, pattern, cfg=None):
         raise MismatchedBeamsError(
             f"traffic matrix has {T.beams} beams, pattern has {pattern.beams}"
         )
-    if cfg is None:
-        cfg = ScenarioConfig()
     n = T.n_users
     lam = cfg.wavelength_m
 

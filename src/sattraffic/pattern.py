@@ -10,7 +10,7 @@ planar (lat, lon) frame, of the samples within 3 dB of the beam peak.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .errors import (
 )
 # delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
-from .ioutil import check_header, open_input, read_chunks, write_table
+from .ioutil import check_header, frozen, open_input, read_chunks, write_table
 
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
@@ -35,20 +35,26 @@ _ROW = np.dtype([("beam", "i8"), ("lat", "f8"), ("lon", "f8"), ("gain", "f8"),
                  ("phase", "f8")])
 
 
+@dataclass(frozen=True, eq=False)
 class BeamPattern:
     """Immutable beam pattern over a shared sample grid.
 
     Stores the grid once and the per-beam quantities as (samples, beams)
-    arrays. The complex coefficient of sample j under beam i is
+    arrays, each a read-only copy of the array given; the phase is wrapped
+    into [0, 2*pi). The complex coefficient of sample j under beam i is
     10^(gain/20) * exp(i*phase), so its squared magnitude returns the gain
     via 10*log10(|.|^2). coefficients builds that matrix on each access.
     """
 
-    def __init__(self, lat_deg, lon_deg, gain_db, phase_rad):
-        lat = np.ascontiguousarray(lat_deg, dtype=float)
-        lon = np.ascontiguousarray(lon_deg, dtype=float)
-        gain = np.ascontiguousarray(gain_db, dtype=float)
-        phase = np.ascontiguousarray(phase_rad, dtype=float)
+    lat_deg: np.ndarray
+    lon_deg: np.ndarray
+    gain_db: np.ndarray
+    phase_rad: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, frozen(getattr(self, f.name), float, f.name))
+        lat, lon, gain, phase = self.lat_deg, self.lon_deg, self.gain_db, self.phase_rad
         if lat.ndim != 1 or lon.ndim != 1 or lat.shape != lon.shape:
             raise ValueError("lat and lon must be 1-D arrays of equal length")
         if lat.size < 1:
@@ -67,42 +73,21 @@ class BeamPattern:
             raise ValueError("sample latitude outside [-90, 90]")
         phase = np.mod(phase, _TWO_PI)
         phase[phase >= _TWO_PI] = 0.0  # mod of tiny negatives rounds up to 2*pi
-
-        for arr in (lat, lon, gain, phase):
-            arr.flags.writeable = False
-        self._lat = lat
-        self._lon = lon
-        self._gain = gain
-        self._phase = phase
+        phase.setflags(write=False)
+        object.__setattr__(self, "phase_rad", phase)
 
     @property
     def beams(self):
-        return self._gain.shape[1]
+        return self.gain_db.shape[1]
 
     @property
     def samples_per_beam(self):
-        return self._gain.shape[0]
-
-    @property
-    def lat_deg(self):
-        return self._lat
-
-    @property
-    def lon_deg(self):
-        return self._lon
-
-    @property
-    def gain_db(self):
-        return self._gain
-
-    @property
-    def phase_rad(self):
-        return self._phase
+        return self.gain_db.shape[0]
 
     @property
     def coefficients(self):
         """Complex (samples, beams) coefficient matrix, built on each access."""
-        coef = np.power(10.0, self._gain / 20.0) * np.exp(1j * self._phase)
+        coef = np.power(10.0, self.gain_db / 20.0) * np.exp(1j * self.phase_rad)
         coef.flags.writeable = False
         return coef
 

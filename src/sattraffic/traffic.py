@@ -15,7 +15,7 @@ import numpy as np
 
 from .geometry import polygon_contains_many
 from .ingest import TerminalBlock
-from .ioutil import write_table
+from .ioutil import frozen, write_table
 from .linkbudget import NearestSamples
 
 # column name, dtype
@@ -57,10 +57,9 @@ class TrafficMatrix:
             raise ValueError("excluded count cannot be negative")
         n = len(self.beam)
         for name, dtype in _COLUMNS:
-            arr = np.array(getattr(self, name), dtype=dtype)
+            arr = frozen(getattr(self, name), dtype, name)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must hold one value per user")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         bad = np.flatnonzero(
             (self.beam < 1) | (self.beam > self.beams)

@@ -7,7 +7,7 @@ the agreement is re-checked on every run.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -230,9 +230,13 @@ class TestScenarioConfig:
         cfg = ScenarioConfig()
         assert abs(cfg.wavelength_m * cfg.carrier_freq_hz - SPEED_OF_LIGHT) <= 1e-9 * SPEED_OF_LIGHT
 
-    def test_explicit_inconsistent_wavelength_rejected(self):
-        with pytest.raises(ValueError):
-            ScenarioConfig(wavelength_m=0.3)
+    def test_wavelength_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            ScenarioConfig(wavelength_m=SPEED_OF_LIGHT / 19.5e9)
+
+    def test_replace_derives_the_wavelength(self):
+        cfg = replace(ScenarioConfig(), carrier_freq_hz=20e9)
+        assert cfg.wavelength_m == SPEED_OF_LIGHT / 20e9
 
     def test_defaults(self):
         cfg = ScenarioConfig()
@@ -249,7 +253,7 @@ class TestScenarioConfig:
             ScenarioConfig(total_power_w=-5.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig)])
+    @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.init])
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ScenarioConfig(**{name: value})
