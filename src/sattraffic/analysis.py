@@ -154,17 +154,16 @@ def interference_sweep(H, cfg, sizes, users=None):
     """
     if users is None:
         users = range(1, H.n_users + 1)
-    users = [int(u) for u in users]
-    sizes = [int(s) for s in sizes]
-    for n in users:
-        if not 1 <= n <= H.n_users:
-            raise UnknownUserError(f"user {n} is not a row of the channel matrix")
+    rows = np.array([H.check_user(n) for n in users], dtype=np.int64)
+    sizes = list(sizes)
     for s in sizes:
+        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
+            raise ValueError(f"active-set size must be an integer, got {s!r}")
         if not 1 <= s <= H.beams:
             raise ValueError(f"active-set size {s} outside [1, {H.beams}]")
+    sizes = [int(s) for s in sizes]
 
-    watts = np.zeros((len(users), len(sizes)))
-    rows = np.array(users, dtype=np.int64) - 1
+    watts = np.zeros((len(rows), len(sizes)))
     location = H.location[rows]
     # |h|**2 per location through libm pow, as abs(complex) ** 2 in
     # interference(); squaring by multiplication differs in the last bit
@@ -179,7 +178,7 @@ def interference_sweep(H, cfg, sizes, users=None):
         if s > 1:
             share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
             watts[:, si] = total[:, si] * share
-    return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
+    return SweepResult(users=tuple((rows + 1).tolist()), sizes=tuple(sizes), watts=watts)
 
 
 PROFILE_HEADER = "beam,hour,type,demand_mbps,normalized"

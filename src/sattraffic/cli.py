@@ -29,6 +29,7 @@ from .analysis import (
 from .errors import SimulatorError
 from .geo import ScenarioConfig
 from .ingest import (
+    SYNTH_KINDS,
     IngestConfig,
     load_aero,
     load_aero_by_hour,
@@ -44,8 +45,6 @@ from .pattern import all_footprints, parse_pattern, write_borders_csv
 from .traffic import build_traffic_matrix, write_traffic_csv
 
 OUT_DIR_ENV = "SATTRAFFIC_OUT_DIR"
-
-_SYNTH_KINDS = ("pattern", "population", "aero", "maritime")
 
 
 class UsageError(SimulatorError):
@@ -331,7 +330,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     synth = subs.add_parser("synth", help="write a seeded synthetic input file")
-    synth.add_argument("kind", choices=_SYNTH_KINDS)
+    synth.add_argument("kind", choices=SYNTH_KINDS)
     synth.add_argument("--seed", type=int, required=True)
     synth.add_argument("--name", help="output file name (default <kind>.csv)")
     synth.add_argument("--param", action="append", metavar="NAME=VALUE",

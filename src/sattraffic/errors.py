@@ -40,11 +40,11 @@ class DegenerateFootprintError(SimulatorError):
         super().__init__(f"beam {beam_id}: {reason}")
 
 
-class NegativePopulationError(SimulatorError):
+class NegativePopulationError(ParseError):
     """Population cell with a negative or non-finite count."""
 
 
-class TimestampError(SimulatorError):
+class TimestampError(ParseError):
     """Unparseable timestamp in a movement log."""
 
 

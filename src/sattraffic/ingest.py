@@ -16,7 +16,7 @@ vessel feeds so the whole pipeline runs reproducibly from a seed.
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
 
@@ -29,7 +29,16 @@ from .errors import (
     TimestampError,
 )
 from .geo import GeoPoint, check_locations
-from .ioutil import check_header, frozen, open_input, read_chunks, write_table
+from .ioutil import (
+    check_header,
+    fields_of,
+    frozen,
+    load_chunk,
+    number,
+    open_input,
+    read_chunks,
+    write_table,
+)
 from .pattern import BeamPattern, write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
@@ -81,10 +90,9 @@ class BoundingBox:
             raise ValueError("bounding box must have positive extent")
 
     def contains(self, lat, lon):
-        return (
-            self.lat_min <= lat <= self.lat_max
-            and self.lon_min <= lon <= self.lon_max
-        )
+        """Whether (lat, lon) lies in the box, edges included; elementwise on arrays."""
+        return ((self.lat_min <= lat) & (lat <= self.lat_max)
+                & (self.lon_min <= lon) & (lon <= self.lon_max))
 
 
 DEFAULT_BBOX = BoundingBox(REGION_LAT[0], REGION_LAT[1], REGION_LON[0], REGION_LON[1])
@@ -146,18 +154,13 @@ def _with_settings(cfg, **settings):
     return replace(cfg, **{k: v for k, v in settings.items() if v is not None})
 
 
-_CONFIG_KEYS = {
-    "downscale",
-    "urban_density_threshold",
-    "urban_suppression_factor",
-    "fss_demand_mbps",
-    "aero_demand_mbps",
-    "maritime_demand_mbps",
-    "lat_min",
-    "lat_max",
-    "lon_min",
-    "lon_max",
-}
+# a config file's keys: IngestConfig's, UrbanPolicy's as urban_*, BoundingBox's
+_BOX_KEYS = [f.name for f in fields(BoundingBox)]
+_CONFIG_KEYS = (
+    {f.name for f in fields(IngestConfig)} - {"urban", "bbox"}
+    | {"urban_" + f.name for f in fields(UrbanPolicy)}
+    | set(_BOX_KEYS)
+)
 
 
 def parse_config(source):
@@ -191,8 +194,7 @@ def parse_config(source):
             raise ParseError(f"bad value {value!r} for {key}", lineno, path) from None
 
     # lat_/lon_ keys set the box, urban_ keys the policy, the rest are fields
-    box = {key: raw.pop(key) for key in ("lat_min", "lat_max", "lon_min", "lon_max")
-           if key in raw}
+    box = {key: raw.pop(key) for key in _BOX_KEYS if key in raw}
     urban = {key.removeprefix("urban_"): raw.pop(key) for key in list(raw)
              if key.startswith("urban_")}
     defaults = IngestConfig()
@@ -305,13 +307,9 @@ def _wrap_lon(lon_deg):
 
 def _coord(text, name, lineno, path):
     """Parse one coordinate; None means the record must be dropped."""
-    stripped = text.strip()
-    if stripped == "":
+    if not text.strip():
         return None
-    try:
-        v = float(stripped)
-    except ValueError:
-        raise ParseError(f"{name} {text!r} is not a number", lineno, path) from None
+    v = number(text, name, lineno, path)
     if math.isnan(v):
         return None
     if not math.isfinite(v):
@@ -337,25 +335,13 @@ def load_population(source, cfg=IngestConfig(), urban_policy=None, *, bbox=None)
     out = 0
     with open_input(source) as (fh, path):
         check_header(fh, POPULATION_HEADER, path)
-        for lineno, rawline in enumerate(fh, start=2):
-            line = rawline.rstrip("\r\n")
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 fields, got {len(fields)}", lineno, path)
-            lat = _coord(fields[0], "lat_deg", lineno, path)
-            lon = _coord(fields[1], "lon_deg", lineno, path)
-            try:
-                pop = float(fields[2])
-            except ValueError:
-                raise ParseError(
-                    f"population {fields[2]!r} is not a number", lineno, path
-                ) from None
-            if math.isnan(pop) or not math.isfinite(pop) or pop < 0:
+        for lineno, row in fields_of(fh, 2, 3, path):
+            lat = _coord(row[0], "lat_deg", lineno, path)
+            lon = _coord(row[1], "lon_deg", lineno, path)
+            pop = number(row[2], "population", lineno, path)
+            if not math.isfinite(pop) or pop < 0:
                 raise NegativePopulationError(
-                    f"{path}: line {lineno}: population must be finite and >= 0, "
-                    f"got {fields[2]}"
+                    f"population must be finite and >= 0, got {row[2]}", lineno, path
                 )
             if lat is None or lon is None:
                 bad += 1
@@ -392,9 +378,7 @@ def _parse_timestamp(text, lineno, path):
     try:
         dt = datetime.fromisoformat(stripped.replace("Z", "+00:00"))
     except ValueError:
-        raise TimestampError(
-            f"{path}: line {lineno}: unparseable timestamp {text!r}"
-        ) from None
+        raise TimestampError(f"unparseable timestamp {text!r}", lineno, path) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
     return dt.astimezone(timezone.utc)
@@ -414,68 +398,49 @@ def _add_stamp(text, hour_of, micros_of, lineno, path):
         micros_of[text] = (ts - _EPOCH) // _MICROSECOND
 
 
-def _fast_rows(texts, hour_of, micros_of, path):
-    """(ids, hour, micros, lat, lon) of a chunk of well-formed lines.
+# one movement row as np.loadtxt reads it: id and timestamp as their texts
+_MOVEMENT = np.dtype([("id", object), ("stamp", object), ("lat", "f8"), ("lon", "f8")])
 
-    A NaN coordinate stands for a missing one. Returns None when some line
-    has a defect, so that the line parser can name it.
-    """
-    fields = [text.split(",") for text in texts if text]
-    if not fields:
-        empty = np.empty(0, dtype=np.int64)
-        return [], empty, empty, np.empty(0), np.empty(0)
-    if set(map(len, fields)) != {4}:
+
+def _fast_rows(lines, hour_of, micros_of, path):
+    """A chunk's rows as ioutil.load_chunk reads them, ids stripped and
+    timestamps added to hour_of and micros_of; NaN stands for a missing
+    coordinate. None when a line has a defect or a blank coordinate, so that
+    the line parser names the defect or reads the coordinate as missing."""
+    rows = load_chunk(lines, _MOVEMENT)
+    if rows is None or np.isinf(rows["lon"]).any() or (np.abs(rows["lat"]) > 90.0).any():
         return None
-    id_texts, stamp_texts, lat_texts, lon_texts = zip(*fields)
-    ids = list(map(str.strip, id_texts))
-    if "" in ids:
+    rows["id"] = [ident.strip() for ident in rows["id"].tolist()]
+    if (rows["id"] == "").any():
         return None
-    n = len(ids)
     try:
-        for text in dict.fromkeys(stamp_texts):
+        for text in dict.fromkeys(rows["stamp"].tolist()):
             _add_stamp(text, hour_of, micros_of, None, path)
-        lat = np.fromiter(map(float, lat_texts), float, n)
-        lon = np.fromiter(map(float, lon_texts), float, n)
-    except (TimestampError, ValueError, OverflowError):
+    except (TimestampError, OverflowError):
         # the line parser raises it, or the error of an earlier line
         return None
-    present = ~(np.isnan(lat) | np.isnan(lon))
-    if np.isinf(lat).any() or np.isinf(lon).any() or not (
-        (lat[present] >= -90.0) & (lat[present] <= 90.0)
-    ).all():
-        return None
-    return (ids, np.fromiter(map(hour_of.__getitem__, stamp_texts), np.int64, n),
-            np.fromiter(map(micros_of.__getitem__, stamp_texts), np.int64, n), lat, lon)
+    return rows
 
 
-def _line_rows(texts, lineno, hour_of, micros_of, id_name, path):
-    """_fast_rows one line at a time: raises the error of the first bad line."""
-    ids, hours, instants, lats, lons = [], [], [], [], []
-    for lineno, line in enumerate(texts, start=lineno):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"expected 4 fields, got {len(fields)}", lineno, path)
-        ident = fields[0].strip()
+def _line_rows(lines, lineno, hour_of, micros_of, id_name, path):
+    """_fast_rows one line at a time, from line lineno: reads a blank
+    coordinate as missing and raises the error of the first bad line."""
+    rows = []
+    for lineno, row in fields_of(lines, lineno, 4, path):
+        ident = row[0].strip()
         if not ident:
             raise ParseError(f"empty {id_name}", lineno, path)
-        _add_stamp(fields[1], hour_of, micros_of, lineno, path)
+        _add_stamp(row[1], hour_of, micros_of, lineno, path)
         # every row is validated before the hour filter, so a defective
         # log fails the same way whichever hours are being loaded
-        lat = _coord(fields[2], "lat_deg", lineno, path)
-        lon = _coord(fields[3], "lon_deg", lineno, path)
+        lat = _coord(row[2], "lat_deg", lineno, path)
+        lon = _coord(row[3], "lon_deg", lineno, path)
         if lat is None or lon is None:
             lat = lon = math.nan
         elif not -90.0 <= lat <= 90.0:
             raise ParseError(f"lat_deg {lat} outside [-90, 90]", lineno, path)
-        ids.append(ident)
-        hours.append(hour_of[fields[1]])
-        instants.append(micros_of[fields[1]])
-        lats.append(lat)
-        lons.append(lon)
-    return (ids, np.array(hours, dtype=np.int64), np.array(instants, dtype=np.int64),
-            np.array(lats), np.array(lons))
+        rows.append((ident, row[1], lat, lon))
+    return np.array(rows, dtype=_MOVEMENT)
 
 
 def _load_movements(source, hours, traffic_type, cfg):
@@ -506,23 +471,24 @@ def _load_movements(source, hours, traffic_type, cfg):
              np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
     with open_input(source) as (fh, path):
         check_header(fh, header, path)
-        for lineno, texts in read_chunks(fh):
-            rows = _fast_rows(texts, hour_of, micros_of, path)
+        for lineno, lines in read_chunks(fh):
+            rows = _fast_rows(lines, hour_of, micros_of, path)
             if rows is None:
-                rows = _line_rows(texts, lineno, hour_of, micros_of, id_name, path)
-            ids, hour, micros, lat, lon = rows
+                rows = _line_rows(lines, lineno, hour_of, micros_of, id_name, path)
+            lat, lon = rows["lat"], rows["lon"]
+            hour = np.fromiter(map(hour_of.__getitem__, rows["stamp"].tolist()),
+                               np.int64, len(rows))
             missing = np.isnan(lat) | np.isnan(lon)
-            inside = (
-                (lat >= cfg.bbox.lat_min) & (lat <= cfg.bbox.lat_max)
-                & (lon >= cfg.bbox.lon_min) & (lon <= cfg.bbox.lon_max)
-            )
+            inside = cfg.bbox.contains(lat, lon)
             bad += np.bincount(hour[missing], minlength=24)
             out += np.bincount(hour[~missing & ~inside], minlength=24)
             keep = np.flatnonzero(wanted[hour] & inside)
+            ids, stamps = rows["id"][keep].tolist(), rows["stamp"][keep].tolist()
             kept.append((
-                np.array([id_codes.setdefault(ids[k], len(id_codes))
-                          for k in keep.tolist()], dtype=np.int64),
-                hour[keep], micros[keep], lat[keep], lon[keep],
+                np.array([id_codes.setdefault(i, len(id_codes)) for i in ids],
+                         dtype=np.int64),
+                hour[keep], np.array([micros_of[t] for t in stamps], dtype=np.int64),
+                lat[keep], lon[keep],
             ))
 
     idc, hour, micros, lat, lon = (np.concatenate(column) for column in zip(*kept))
@@ -761,19 +727,22 @@ def synth_maritime(out_path, seed, ships=120, lat_min=47.0, lat_max=57.0,
     )
 
 
+_GENERATORS = {
+    "pattern": synth_pattern,
+    "population": synth_population,
+    "aero": synth_aero,
+    "maritime": synth_maritime,
+}
+SYNTH_KINDS = tuple(_GENERATORS)
+
+
 def synth_generate(kind, params, seed, out_path):
     """Dispatch to one generator by kind; params is a keyword dict."""
-    generators = {
-        "pattern": synth_pattern,
-        "population": synth_population,
-        "aero": synth_aero,
-        "maritime": synth_maritime,
-    }
-    if kind not in generators:
+    if kind not in _GENERATORS:
         raise InvalidParamsError(
-            f"unknown kind {kind!r}; expected one of {sorted(generators)}"
+            f"unknown kind {kind!r}; expected one of {sorted(_GENERATORS)}"
         )
     try:
-        return generators[kind](out_path, seed, **dict(params))
+        return _GENERATORS[kind](out_path, seed, **dict(params))
     except TypeError as exc:
         raise InvalidParamsError(str(exc)) from exc

@@ -23,6 +23,8 @@ CHUNK_LINES = 1024
 
 # strings _escape leaves unchanged: no quote, backslash or control character
 _PLAIN = re.compile(r'[^"\\\x00-\x1f]*')
+# whitespace to np.loadtxt but not to int() or float()
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def fmt_float(x):
@@ -173,12 +175,52 @@ def check_header(fh, expected, path):
 
 
 def read_chunks(fh):
-    """(first line number, lines without their line ends) of the rest of fh,
-    CHUNK_LINES lines at a time; the line after the header is line 2."""
+    """(first line number, lines) of the rest of fh, CHUNK_LINES lines at a
+    time, line ends included; the line after the header is line 2."""
     lineno = 2
-    while lines := [raw.rstrip("\r\n") for raw in islice(fh, CHUNK_LINES)]:
+    while lines := list(islice(fh, CHUNK_LINES)):
         yield lineno, lines
         lineno += len(lines)
+
+
+def load_chunk(lines, dtype):
+    """The rows of a chunk of CSV lines as np.loadtxt reads them into dtype,
+    or None where it refuses them or could read a cell otherwise than int()
+    and float() do. A chunk of blank lines has no rows."""
+    text = "".join(lines)
+    if not text.strip("\r\n"):
+        return np.empty(0, dtype=dtype)  # loadtxt warns on input without data
+    if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
+        # loadtxt reads non-ASCII characters in an integer column as digits,
+        # and strips \x1c-\x1f as whitespace where int() and float() refuse
+        return None
+    try:
+        # loadtxt rejects some numbers that int() and float() read, such as
+        # 1_0, but reads no ASCII cell to another value
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError:
+        return None
+
+
+def fields_of(lines, lineno, n, path):
+    """(line number, fields) of each non-blank line, from line lineno: the
+    line split on commas, its line end stripped; ParseError unless n fields."""
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.rstrip("\r\n")
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != n:
+            raise ParseError(f"expected {n} fields, got {len(fields)}", lineno, path)
+        yield lineno, fields
+
+
+def number(text, name, lineno, path):
+    """float(text), or the ParseError that names the cell."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ParseError(f"{name} {text!r} is not a number", lineno, path) from None
 
 
 def sha256_file(path):

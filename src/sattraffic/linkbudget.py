@@ -234,6 +234,14 @@ class ChannelMatrix:
     def beams(self):
         return self.rows.shape[1]
 
+    def check_user(self, n):
+        """Validate a 1-based user number and return its row index."""
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+            raise UnknownUserError(f"user index must be an integer, got {n!r}")
+        if not 1 <= n <= self.n_users:
+            raise UnknownUserError(f"user {n} is not a row of the channel matrix")
+        return int(n) - 1
+
 
 def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
     """Assemble the complex channel matrix for every user of a traffic matrix.
@@ -307,15 +315,12 @@ def interference(H, n, active, power):
     beam id to watts. The serving beam never contributes. Beams are summed
     in id order so the result does not depend on set iteration order.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise UnknownUserError(f"user index must be an integer, got {n!r}")
-    if not 1 <= n <= H.n_users:
-        raise UnknownUserError(f"user {n} is not a row of the channel matrix")
+    user = H.check_user(n)
     beams = sorted(active)
     for j in beams:
         if not isinstance(j, (int, np.integer)) or not 1 <= j <= H.beams:
             raise ValueError(f"active set contains unknown beam {j!r}")
-    serving = int(H.serving[n - 1])
+    serving = int(H.serving[user])
     total = 0.0
     for j in beams:
         if j == serving:
@@ -329,7 +334,7 @@ def interference(H, n, active, power):
             watts = float(power)
         if watts < 0.0:
             raise ValueError("beam power must be non-negative")
-        total += watts * abs(H.rows[H.location[n - 1], j - 1]) ** 2
+        total += watts * abs(H.rows[H.location[user], j - 1]) ** 2
     return total
 
 

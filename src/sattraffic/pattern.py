@@ -22,14 +22,21 @@ from .errors import (
 )
 # delaunay is not called here; the benchmark tracer hooks it at this import site
 from .geometry import Polygon, convex_hull, delaunay
-from .ioutil import check_header, frozen, open_input, read_chunks, write_table
+from .ioutil import (
+    check_header,
+    fields_of,
+    frozen,
+    load_chunk,
+    number,
+    open_input,
+    read_chunks,
+    write_table,
+)
 
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
 
 _TWO_PI = 2.0 * math.pi
-# whitespace to np.loadtxt but not to int() or float()
-_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # one pattern row as np.loadtxt reads it
 _ROW = np.dtype([("beam", "i8"), ("lat", "f8"), ("lon", "f8"), ("gain", "f8"),
                  ("phase", "f8")])
@@ -120,10 +127,7 @@ def _parse_row(fields, lineno, path):
         raise ParseError(f"beam_id {fields[0]!r} is not an integer", lineno, path) from None
     values = []
     for name, text in zip(("lat_deg", "lon_deg", "gain_db", "phase_rad"), fields[1:]):
-        try:
-            v = float(text)
-        except ValueError:
-            raise ParseError(f"{name} {text!r} is not a number", lineno, path) from None
+        v = number(text, name, lineno, path)
         if not math.isfinite(v):
             raise ParseError(f"{name} must be finite, got {text}", lineno, path)
         values.append(v)
@@ -173,30 +177,16 @@ def parse_pattern(source):
 
 
 def _load_lines(lines, last):
-    """A chunk's rows as np.loadtxt reads them, or None.
-
-    last is the beam id of the row before the chunk (0 before the first).
-    The rows are kept only when they pass every check that _parse_lines
-    makes, so both give the same rows. Any other chunk returns None and goes
-    to _parse_lines, which raises the error that names the bad line.
-    """
-    if not any(lines):
-        return np.empty(0, dtype=_ROW)  # loadtxt warns on input without data
-    text = "\n".join(lines)
-    if not text.isascii() or any(c in text for c in _LOADTXT_ONLY_SPACE):
-        # loadtxt reads non-ASCII characters in an integer column as digits,
-        # and strips \x1c-\x1f as whitespace where int() and float() refuse
+    """A chunk's rows as ioutil.load_chunk reads them when they pass every
+    check of _parse_lines, or None; last is the beam id of the row before
+    the chunk (0 before the first). A chunk that gives None goes to
+    _parse_lines, which raises the error that names the bad line."""
+    rows = load_chunk(lines, _ROW)
+    if rows is None:
         return None
-    try:
-        # loadtxt rejects some numbers that int() and float() read, such as
-        # 1_0, but reads no ASCII cell to another value
-        rows = np.loadtxt(lines, dtype=_ROW, delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    beam = rows["beam"]
-    step = np.diff(beam, prepend=last)
+    step = np.diff(rows["beam"], prepend=last)
     ok = (
-        ((step == 1) | ((step == 0) & (beam >= 1))).all()
+        ((step == 1) | ((step == 0) & (rows["beam"] >= 1))).all()
         and all(np.isfinite(rows[name]).all() for name in _ROW.names[1:])
         and (np.abs(rows["lat"]) <= 90.0).all()
     )
@@ -206,12 +196,7 @@ def _load_lines(lines, last):
 def _parse_lines(lines, lineno, last, path):
     """_load_lines one line at a time, from line lineno: raises the first bad line's error."""
     rows = []
-    for lineno, line in enumerate(lines, start=lineno):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 5:
-            raise ParseError(f"expected 5 fields, got {len(fields)}", lineno, path)
+    for lineno, fields in fields_of(lines, lineno, 5, path):
         beam, values = _parse_row(fields, lineno, path)
         if beam == last + 1:
             last = beam

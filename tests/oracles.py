@@ -293,8 +293,7 @@ def load_population(source, downscale=1000, urban_policy=None, *,
                 ) from None
             if math.isnan(pop) or not math.isfinite(pop) or pop < 0:
                 raise NegativePopulationError(
-                    f"{path}: line {lineno}: population must be finite and >= 0, "
-                    f"got {fields[2]}"
+                    f"population must be finite and >= 0, got {fields[2]}", lineno, path
                 )
             if lat is None or lon is None:
                 bad += 1

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -396,6 +397,26 @@ class TestInterferenceSweep:
         sizes = range(1, H.beams + 1) if every_size else [2]
         with pytest.raises(UnknownUserError, match=f"user {bad} is not a row"):
             interference_sweep(H, cfg, sizes=sizes, users=[1, bad])
+
+    @pytest.mark.parametrize("bad", [1.9, 2.0, True, np.float64(2.0), "2"])
+    def test_user_must_be_an_integer(self, bad):
+        H, cfg = sweep_scenario()
+        with pytest.raises(UnknownUserError, match=f"got {re.escape(repr(bad))}"):
+            interference_sweep(H, cfg, sizes=[2], users=[1, bad])
+
+    @pytest.mark.parametrize("bad", [2.7, 3.0, True, np.float64(3.0), "3"])
+    def test_size_must_be_an_integer(self, bad):
+        H, cfg = sweep_scenario()
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(bad))}"):
+            interference_sweep(H, cfg, sizes=[1, bad])
+
+    def test_numpy_integers_accepted(self):
+        H, cfg = sweep_scenario()
+        sweep = interference_sweep(H, cfg, sizes=np.array([3]), users=np.array([2, 4]))
+        want = interference_sweep(H, cfg, sizes=[3], users=[2, 4])
+        assert (sweep.users, sweep.sizes) == ((2, 4), (3,))
+        assert {type(v) for v in sweep.users + sweep.sizes} == {int}
+        assert sweep.watts.tobytes() == want.watts.tobytes()
 
     def test_exhaustive_37_beams_matches_closed_form(self):
         rng = np.random.default_rng(37)

@@ -549,8 +549,7 @@ def test_read_chunks_keep_the_lines(text, n):
     lines = list(io.StringIO(text, newline=""))
     assert [first for first, _ in chunks] == list(range(2, len(lines) + 2, n))
     assert all(len(chunk) == n for _, chunk in chunks[:-1])
-    assert [line for _, chunk in chunks for line in chunk] == [
-        line.rstrip("\r\n") for line in lines]
+    assert [line for _, chunk in chunks for line in chunk] == lines
 
 
 def written_pattern_text(tmp_path, beams=3, samples=400, seed=3):
