@@ -258,8 +258,12 @@ def cmd_simulate(args):
         T, H = _hour_matrices(args, icfg, scfg)
         write_traffic_csv(T, outputs.add(out / "traffic.csv"))
         write_channel_csv(H, outputs.add(out / "channel.csv"))
-        summary_path = outputs.add(out / "channel_summary.json")
-        summary_path.write_text(channel_summary(H, T.excluded) + "\n", encoding="utf-8")
+        text = channel_summary(H, T.excluded)
+        with open(outputs.add(out / "channel_summary.json"), "w", encoding="utf-8") as fh:
+            # 64 Ki characters at a time, so that no whole copy of it is encoded
+            for lo in range(0, len(text), 1 << 16):
+                fh.write(text[lo : lo + (1 << 16)])
+            fh.write("\n")
     return 0
 
 

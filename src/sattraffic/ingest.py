@@ -381,7 +381,11 @@ def _parse_timestamp(text, lineno, path):
         raise TimestampError(f"unparseable timestamp {text!r}", lineno, path) from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc)
+    try:
+        return dt.astimezone(timezone.utc)
+    except OverflowError:  # the instant is before year 1 or after 9999 in UTC
+        raise TimestampError(f"timestamp {text!r} is outside the datetime range in UTC",
+                             lineno, path) from None
 
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -416,7 +420,7 @@ def _fast_rows(lines, hour_of, micros_of, path):
     try:
         for text in dict.fromkeys(rows["stamp"].tolist()):
             _add_stamp(text, hour_of, micros_of, None, path)
-    except (TimestampError, OverflowError):
+    except TimestampError:
         # the line parser raises it, or the error of an earlier line
         return None
     return rows

@@ -89,11 +89,20 @@ def _escape(s):
 
 
 def frozen(values, dtype, name):
-    """A read-only, C-ordered copy of values as dtype, the way value objects
-    hold the arrays they are given. For an integer dtype, a value the cast
-    would change (a fraction, NaN, an infinity or one past the int64 range)
-    raises ValueError naming the column."""
+    """values as a read-only, C-ordered array of dtype, the way value objects
+    hold the arrays they are given.
+
+    An array that is already read-only, C-ordered, of dtype and owns its
+    memory is handed over: it is kept as it is, not copied, so a builder
+    that freezes its finished array and keeps no writeable view of it hands
+    it to the object without a second copy. Anything else is copied, so the
+    caller's array stays writeable and theirs. For an integer dtype, a value
+    the cast would change (a fraction, NaN, an infinity or one past the
+    int64 range) raises ValueError naming the column."""
     given = np.asarray(values)
+    if (given.dtype == dtype and given.flags.owndata and given.flags.c_contiguous
+            and not given.flags.writeable):
+        return given
     if np.issubdtype(dtype, np.integer) and given.dtype.kind == "f":
         whole = (given == np.trunc(given)) & (np.abs(given) < 2.0**63)
         bad = np.flatnonzero(~whole)

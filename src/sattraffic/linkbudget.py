@@ -24,8 +24,13 @@ from .ioutil import check_finite, format_rows, frozen
 _TWO_PI = 2.0 * math.pi
 
 # angle-matrix elements per block when scanning the sample grid; the rows per
-# block shrink as the grid grows, so memory stays flat in the grid size
-_BLOCK_ELEMENTS = 1 << 16
+# block shrink as the grid grows, so memory stays flat in the grid size. A
+# block makes about five temporaries of its size, ~0.6 MB at 1 << 14; at
+# 1 << 16 association on the benchmark's M inputs peaked at 2.6 MB, not 1.7
+_BLOCK_ELEMENTS = 1 << 14
+# channel entries per block when building the rows; each makes a few complex
+# temporaries, so memory stays flat in the locations beside the rows themselves
+_ROW_ELEMENTS = 1 << 12
 # distinct query locations per latitude band
 _BAND_ROWS = 64
 # half-width of the first band, in median steps between the grid's distinct
@@ -193,8 +198,11 @@ class ChannelMatrix:
     matrix has row location[n-1]; column j-1 belongs to beam j. The
     diagnostics arrays run parallel to the users. nearest_sample holds the
     shared-grid sample index (0-based) that supplied every beam gain of the row.
-    Every array is a read-only copy of the one given; location, serving and
-    nearest_sample are int64 and reject values that are not whole numbers.
+    Every array is held through ioutil.frozen: one that is already read-only,
+    C-ordered, of the field's dtype and owns its memory, as
+    build_channel_matrix gives, is kept as it is, and any other is copied.
+    location, serving and nearest_sample are int64 and reject values that
+    are not whole numbers.
     """
 
     rows: np.ndarray
@@ -250,7 +258,9 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
     per beam from the gain of the nearest sample. The phase is set by the
     sub-wavelength remainder of the slant range, identical across the row.
     Range, loss and phase are functions of location, so they are computed
-    once per distinct location of the nearest-sample search.
+    once per distinct location of the nearest-sample search, and the rows
+    are filled into one array a block of locations at a time; the finished
+    arrays are frozen and handed to the ChannelMatrix without a copy.
     The per-user interpolated gain of the serving beam is carried along as a
     diagnostic and does not enter the entries.
     """
@@ -278,47 +288,58 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
 
     # BeamPattern.coefficients, then 10*log10(|c|**2), at the nearest samples:
-    # every step is elementwise, so the bits are the whole grid's gathered
-    nearest = index.nearest
-    amp = np.abs(np.power(10.0, pattern.gain_db[nearest] / 20.0)
-                 * np.exp(1j * pattern.phase_rad[nearest]))
-    np.square(amp, out=amp)
-    np.log10(amp, out=amp)
-    amp *= 10.0
-    amp -= loss[:, None]
-    amp += cfg.rx_gain_db
-    amp /= 20.0
-    np.power(10.0, amp, out=amp)
-    rows = amp * np.exp(1j * phase)[:, None]
+    # every step is elementwise, so the bits are the whole grid's gathered,
+    # whatever the block of locations
+    rows = np.empty((m, pattern.beams), dtype=complex)
+    rotation = np.exp(1j * phase)
+    step = max(1, _ROW_ELEMENTS // pattern.beams)
+    for lo in range(0, m, step):
+        near = index.nearest[lo : lo + step]
+        amp = np.abs(np.power(10.0, pattern.gain_db[near] / 20.0)
+                     * np.exp(1j * pattern.phase_rad[near]))
+        np.square(amp, out=amp)
+        np.log10(amp, out=amp)
+        amp *= 10.0
+        amp -= loss[lo : lo + step, None]
+        amp += cfg.rx_gain_db
+        amp /= 20.0
+        np.power(10.0, amp, out=amp)
+        np.multiply(amp, rotation[lo : lo + step, None], out=rows[lo : lo + step])
 
     gamma = np.empty(n)
     for j in np.unique(serving):
         sel = serving == j
         gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
 
+    # the finished arrays, frozen here, are handed to the ChannelMatrix uncopied
     inverse = index.inverse
-    return ChannelMatrix(
+    columns = dict(
         rows=rows,
         location=inverse,
         serving=serving,
         distance_m=dist[inverse],
         path_loss_db=loss[inverse],
         interp_gain_db=gamma,
-        nearest_sample=nearest[inverse],
+        nearest_sample=index.nearest[inverse],
     )
+    for column in columns.values():
+        column.setflags(write=False)
+    return ChannelMatrix(**columns)
 
 
 def interference(H, n, active, power):
     """Total co-channel power a user receives from other active beams.
 
-    power is either one wattage applied to every beam or a mapping from
+    active holds integer beam ids (a bool is refused, not read as beam 0 or
+    1). power is either one wattage applied to every beam or a mapping from
     beam id to watts. The serving beam never contributes. Beams are summed
     in id order so the result does not depend on set iteration order.
     """
     user = H.check_user(n)
     beams = sorted(active)
     for j in beams:
-        if not isinstance(j, (int, np.integer)) or not 1 <= j <= H.beams:
+        if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
+                or not 1 <= j <= H.beams):
             raise ValueError(f"active set contains unknown beam {j!r}")
     serving = int(H.serving[user])
     total = 0.0
@@ -405,14 +426,19 @@ def channel_summary(H, excluded):
     """channel_summary.json's text: counts and the per-user link diagnostics.
 
     The bytes are those of ioutil.canonical_json over the plain summary data,
-    with each user's object formatted by one % template.
+    with each user's object formatted by one % template. The users are
+    formatted ioutil.BLOCK_ROWS lines of text at a time, and the text is
+    joined once.
     """
-    per_user = "[]"
-    if H.n_users:
-        columns = (H.distance_m, H.interp_gain_db, H.path_loss_db,
-                   np.arange(1, H.n_users + 1))
-        per_user = "[\n" + format_rows(columns, _SUMMARY_USER)[:-2] + "\n  ]"
-    return (
-        f'{{\n  "beams": {H.beams},\n  "excluded_terminals": {excluded},\n'
-        f'  "per_user": {per_user},\n  "users": {H.n_users}\n}}'
-    )
+    n = H.n_users
+    columns = (H.distance_m, H.interp_gain_db, H.path_loss_db, np.arange(1, n + 1))
+    step = max(1, ioutil.BLOCK_ROWS // _SUMMARY_USER.count("\n"))
+    users = [format_rows([col[lo : lo + step] for col in columns], _SUMMARY_USER)
+             for lo in range(0, n, step)]
+    if users:
+        users[-1] = users[-1][:-2]  # no comma after the last user
+    return "".join([
+        f'{{\n  "beams": {H.beams},\n  "excluded_terminals": {excluded},\n  "per_user": ',
+        *(["[\n", *users, "\n  ]"] if users else ["[]"]),
+        f',\n  "users": {n}\n}}',
+    ])

@@ -47,10 +47,12 @@ class BeamPattern:
     """Immutable beam pattern over a shared sample grid.
 
     Stores the grid once and the per-beam quantities as (samples, beams)
-    arrays, each a read-only copy of the array given; the phase is wrapped
-    into [0, 2*pi). The complex coefficient of sample j under beam i is
-    10^(gain/20) * exp(i*phase), so its squared magnitude returns the gain
-    via 10*log10(|.|^2). coefficients builds that matrix on each access.
+    arrays, held through ioutil.frozen: a read-only, C-ordered float64 array
+    that owns its memory, as parse_pattern gives, is kept as it is, and any
+    other is copied. The phase is wrapped into [0, 2*pi). The complex
+    coefficient of sample j under beam i is 10^(gain/20) * exp(i*phase), so
+    its squared magnitude returns the gain via 10*log10(|.|^2). coefficients
+    builds that matrix on each access.
     """
 
     lat_deg: np.ndarray
@@ -144,36 +146,100 @@ def parse_pattern(source):
     with the offending line; structural violations raise SchemaError. The
     body is read CHUNK_LINES (1,024) lines at a time, never as one string:
     np.loadtxt parses each chunk, and a chunk it cannot read or whose rows
-    fail a check goes through the line parser, which finds the error.
+    fail a check goes through the line parser, which finds the error. Each
+    chunk's gain and phase go straight into per-beam columns (_Beams), whose
+    counts and grid are checked against beam 1 as they fill; the columns
+    are stacked once, and the finished arrays are handed to the BeamPattern
+    without a copy.
     """
-    parts = []
-    last = 0  # beam id of the last row read
+    beams = _Beams()
     with open_input(source) as (fh, path):
         check_header(fh, PATTERN_HEADER, path)
         for lineno, lines in read_chunks(fh):
-            rows = _load_lines(lines, last)
+            rows = _load_lines(lines, beams.beam)
             if rows is None:
-                rows = _parse_lines(lines, lineno, last, path)
+                rows = _parse_lines(lines, lineno, beams.beam, path)
             if rows.size:
-                parts.append(rows)
-                last = int(rows["beam"][-1])
-    if not parts:
-        raise SchemaError("pattern file has no sample rows")
-    rows = np.concatenate(parts)
-    del parts
-    counts = np.bincount(rows["beam"])[1:]  # beams 1..last, grouped in order
-    mu = int(counts[0])
-    # the first k beams have mu samples each: k is the index of the first
-    # beam with another count, or every beam (counts[0] is mu)
-    k = int(np.argmax(counts != mu)) or last
-    lat, lon = (rows[name][: k * mu].reshape(k, mu) for name in ("lat", "lon"))
-    differs = np.flatnonzero(((lat != lat[0]) | (lon != lon[0])).any(axis=1))
-    if differs.size:
-        raise SchemaError(f"beam {differs[0] + 1} sample grid differs from beam 1")
-    if k < last:
-        raise SchemaError(f"beam {k + 1} has {counts[k]} samples, expected {mu}")
-    gain, phase = (rows[name].reshape(last, mu).T for name in ("gain", "phase"))
-    return BeamPattern(lat[0], lon[0], gain, phase)
+                beams.add(rows)
+    return beams.pattern()
+
+
+class _Beams:
+    """A pattern's rows gathered into one gain and one phase column per beam.
+
+    Rows arrive grouped by beam, ids 1, 2, ... in order. Beam 1's rows are
+    kept until beam 2 begins; they give the grid and its length mu. Every
+    later beam fills columns of mu values and is checked against beam 1's
+    grid as it fills. The first beam whose count or grid differs is kept
+    as the defect, a count beating a grid on the same beam, and raised only
+    once every line has been read, so a line error later in the file still
+    comes first; past the defect, rows are checked but not stored.
+    """
+
+    def __init__(self):
+        self.first = []  # beam 1's row pieces, until it ends
+        self.lat = self.lon = None  # beam 1's grid, once it has ended
+        self.gain, self.phase = [], []  # one column of mu values per beam
+        self.beam = self.count = 0  # the last row's beam (0 before any), its rows so far
+        self.defect = None  # (beam, message) of the first defective beam
+
+    def add(self, rows):
+        """Take a chunk's rows, already checked for grouping against the last beam."""
+        starts = np.flatnonzero(np.diff(rows["beam"])) + 1
+        for part in np.split(rows, starts):
+            beam = int(part["beam"][0])
+            if beam != self.beam:
+                self._end_beam()
+                self.beam, self.count = beam, 0
+            lo = self.count
+            self.count += part.size
+            if beam == 1:
+                self.first.append(part)
+            elif self.defect is None and self.count <= self.lat.size:
+                if lo == 0:
+                    self.gain.append(np.empty(self.lat.size))
+                    self.phase.append(np.empty(self.lat.size))
+                hi = self.count
+                if ((part["lat"] != self.lat[lo:hi]).any()
+                        or (part["lon"] != self.lon[lo:hi]).any()):
+                    self.defect = beam, f"beam {beam} sample grid differs from beam 1"
+                self.gain[-1][lo:hi] = part["gain"]
+                self.phase[-1][lo:hi] = part["phase"]
+
+    def _end_beam(self):
+        if self.beam == 1:
+            pieces, self.first = self.first, []
+            self.lat, self.lon, gain, phase = (
+                np.concatenate([piece[name] for piece in pieces])
+                for name in ("lat", "lon", "gain", "phase")
+            )
+            self.gain.append(gain)
+            self.phase.append(phase)
+        elif self.beam and self.count != self.lat.size and (
+                self.defect is None or self.defect[0] == self.beam):
+            self.defect = self.beam, (
+                f"beam {self.beam} has {self.count} samples, expected {self.lat.size}")
+
+    def pattern(self):
+        """The BeamPattern of every row added, or the first defect's SchemaError."""
+        if not self.beam:
+            raise SchemaError("pattern file has no sample rows")
+        self._end_beam()
+        if self.defect is not None:
+            raise SchemaError(self.defect[1])
+        gain, phase = _stacked(self.gain), _stacked(self.phase)
+        for grid in (self.lat, self.lon):
+            grid.setflags(write=False)
+        return BeamPattern(self.lat, self.lon, gain, phase)
+
+
+def _stacked(columns):
+    """The columns as one read-only (samples, beams) array; the list is
+    emptied, so the columns are freed before the next array is stacked."""
+    stacked = np.column_stack(columns)
+    columns.clear()
+    stacked.setflags(write=False)
+    return stacked
 
 
 def _load_lines(lines, last):

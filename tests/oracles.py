@@ -35,9 +35,13 @@ list that carries the dropped counts.
 
 The library parses a pattern CSV a chunk of lines at a time, with
 np.loadtxt where it can and the line parser for a chunk where it cannot,
-and checks the beam counts and grids once on the joined rows. _parse_rows
-below is the whole-file line parser it replaced: it reads every line
-through the one-line parser and checks each beam's rows as lists.
+and checks each beam's count and grid against beam 1 as its columns fill.
+_parse_rows below is the whole-file line parser it replaced: it reads every
+line through the one-line parser and checks each beam's rows as lists once
+the file has been read.
+
+The movement oracle reads each timestamp with utc_timestamp below, its own
+reading of the loaders' rules, not the library's parser.
 
 The library's synth writers draw the rows vehicle by vehicle and format
 them a block at a time. synth_population and synth_movements below make the
@@ -46,6 +50,7 @@ same draws and write one row at a time through fmt_float.
 
 import math
 from dataclasses import dataclass
+from datetime import datetime, timedelta
 from itertools import combinations
 
 import numpy as np
@@ -58,7 +63,12 @@ from sattraffic.analysis import (
     HourlyProfile,
     SweepResult,
 )
-from sattraffic.errors import NegativePopulationError, ParseError, SchemaError
+from sattraffic.errors import (
+    NegativePopulationError,
+    ParseError,
+    SchemaError,
+    TimestampError,
+)
 from sattraffic.geo import GeoPoint, path_loss_db, slant_range
 from sattraffic.ingest import (
     DEFAULT_BBOX,
@@ -69,7 +79,6 @@ from sattraffic.ingest import (
     _check_box,
     _coord,
     _diurnal_counts,
-    _parse_timestamp,
     _require,
 )
 from sattraffic.ioutil import check_header, fmt_float, open_input
@@ -325,6 +334,21 @@ def load_population(source, downscale=1000, urban_policy=None, *,
     return TerminalList(terminals, dropped_bad_coords=bad, dropped_out_of_box=out)
 
 
+def utc_timestamp(text, lineno, path):
+    """The naive UTC datetime of a timestamp text, read as UTC without an
+    offset, or the TimestampError the loaders raise: for a text fromisoformat
+    refuses, and for an instant outside years 1..9999 in UTC."""
+    try:
+        dt = datetime.fromisoformat(text.strip().replace("Z", "+00:00"))
+    except ValueError:
+        raise TimestampError(f"unparseable timestamp {text!r}", lineno, path) from None
+    try:
+        return dt.replace(tzinfo=None) - (dt.utcoffset() or timedelta(0))
+    except OverflowError:
+        raise TimestampError(f"timestamp {text!r} is outside the datetime range in UTC",
+                             lineno, path) from None
+
+
 def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bbox):
     """A movement log read once, row by row; one TerminalList per hour, in order."""
     for hour in hours:
@@ -346,7 +370,7 @@ def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bb
             ident = fields[0].strip()
             if not ident:
                 raise ParseError(f"empty {id_name}", lineno, path)
-            ts = _parse_timestamp(fields[1], lineno, path)
+            ts = utc_timestamp(fields[1], lineno, path)
             lat = _coord(fields[2], "lat_deg", lineno, path)
             lon = _coord(fields[3], "lon_deg", lineno, path)
             missing = lat is None or lon is None

@@ -225,8 +225,10 @@ class TestWriters:
                           channel(entries), root, 2)
 
     @settings(max_examples=120, deadline=None)
-    @given(st.data(), st.integers(0, 5), st.integers(0, 10**6))
-    def test_channel_summary(self, data, users, excluded):
+    @given(st.data(), st.integers(0, 5), st.integers(0, 10**6),
+           st.sampled_from([6, 12, 18, 1 << 14]))
+    def test_channel_summary(self, data, users, excluded, block):
+        # a block of 6, 12 or 18 lines of text holds 1, 2 or 3 users
         columns = [np.array(data.draw(st.lists(VALUES, min_size=users, max_size=users)))
                    for _ in range(3)]
         H = ChannelMatrix(rows=np.zeros((1, 2)), location=np.zeros(users, dtype=int),
@@ -238,11 +240,12 @@ class TestWriters:
                 oracles.channel_summary(H) | {"excluded_terminals": excluded}
             )
         except ValueError as exc:
-            with pytest.raises(ValueError) as info:
+            with block_rows(block), pytest.raises(ValueError) as info:
                 channel_summary(H, excluded)
             assert str(info.value) == str(exc)
         else:
-            assert channel_summary(H, excluded) == want
+            with block_rows(block):
+                assert channel_summary(H, excluded) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.lists(FINITE.map(abs), min_size=1, max_size=6),
@@ -470,7 +473,8 @@ def with_field(row, k, text):
 
 
 # whether parse_pattern's loadtxt path reads every chunk: a count or grid
-# defect is found on the joined rows, after every chunk went through loadtxt
+# defect is found as the per-beam columns fill, after the chunk went through
+# loadtxt
 NAMED = {
     "lf": (body(GRID), True),
     "crlf": (body(GRID, "\r\n"), True),
@@ -662,6 +666,90 @@ def test_parse_peak_memory_stays_below_four_times_the_file(tmp_path):
         tracemalloc.stop()
     assert pattern.gain_db.shape == (3540, 37)
     assert peak < 4 * size
+
+
+def test_parse_peak_memory_stays_below_two_and_a_half_times_its_arrays(tmp_path):
+    # the M pattern again: each chunk's gain and phase go straight into
+    # per-beam columns, and the stacked arrays reach the BeamPattern
+    # uncopied, so the parse holds little beyond the arrays it returns
+    path = tmp_path / "pattern.csv"
+    synth_pattern(path, 1, beams=37, spacing_deg=1.5, radius3db_deg=1.0, pitch_deg=0.2)
+    tracemalloc.start()
+    try:
+        pattern = parse_pattern(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pattern.gain_db.shape == (3540, 37)
+    assert peak <= 2.5 * (pattern.gain_db.nbytes + pattern.phase_rad.nbytes)
+
+
+def stream_rows(samples, beams, counts=(), edits=()):
+    """Rows of beams 1..beams over a grid of `samples` points, in order.
+
+    counts maps a beam to another number of rows; rows past the grid's
+    length go on with new points. edits maps (beam, row of the beam) to the
+    latitude that row gets in place of the grid's."""
+    counts, edits = dict(counts), dict(edits)
+    return [
+        f"{b},{edits.get((b, k), 50 + k % 7 * 0.5)},{4 + k * 0.25},"
+        f"{-1.5 * b - k / 8},{0.25 * b + k / 16}"
+        for b in range(1, beams + 1) for k in range(counts.get(b, samples))
+    ]
+
+
+# lines per chunk, n; each case builds its rows from n so that the state
+# parse_pattern carries from chunk to chunk (beam 1's rows, the beam and
+# count of the last row, the first defect) meets a chunk boundary where the
+# name says. The outcome is what the oracle gives too: the gain's (samples,
+# beams) shape, or the exception type and a part of its message.
+STREAM_CASES = {
+    "beams_end_on_chunk_ends": lambda n: (stream_rows(n, 3), (n, 3)),
+    "beam_1_spans_several_chunks": lambda n: (stream_rows(3 * n + 1, 2), (3 * n + 1, 2)),
+    "several_boundaries_in_one_chunk": lambda n: (stream_rows(2, 9), (2, 9)),
+    "short_beam_ends_on_a_chunk_end": lambda n: (
+        stream_rows(2 * n, 3, counts={2: n}),
+        (SchemaError, f"beam 2 has {n} samples, expected {2 * n}")),
+    "grid_defect_on_a_chunk_last_line": lambda n: (
+        stream_rows(n, 3, edits={(2, n - 1): 49.75}),
+        (SchemaError, "beam 2 sample grid differs from beam 1")),
+    "grid_defect_after_beam_1_spans_chunks": lambda n: (
+        stream_rows(3 * n + 1, 3, edits={(2, 0): 49.75}),
+        (SchemaError, "beam 2 sample grid differs from beam 1")),
+    "short_beam_among_boundaries_in_one_chunk": lambda n: (
+        stream_rows(2, 9, counts={5: 1}),
+        (SchemaError, "beam 5 has 1 samples, expected 2")),
+    "long_beam_among_boundaries_in_one_chunk": lambda n: (
+        stream_rows(2, 9, counts={4: 3}),
+        (SchemaError, "beam 4 has 3 samples, expected 2")),
+    "grid_defect_past_beam_1_length": lambda n: (
+        stream_rows(n + 1, 3, counts={2: n + 3}, edits={(2, n + 2): 49.75}),
+        (SchemaError, f"beam 2 has {n + 3} samples, expected {n + 1}")),
+    "count_beats_grid_on_the_same_beam": lambda n: (
+        stream_rows(n + 1, 3, counts={2: n + 2}, edits={(2, 0): 49.75}),
+        (SchemaError, f"beam 2 has {n + 2} samples, expected {n + 1}")),
+    "grid_defect_before_a_later_short_beam": lambda n: (
+        stream_rows(n + 1, 4, counts={3: n}, edits={(2, n): 49.75}),
+        (SchemaError, "beam 2 sample grid differs from beam 1")),
+    "line_error_after_a_count_defect": lambda n: (
+        stream_rows(n + 1, 3, counts={2: 1})[:-1] + ["3,fifty,4,0,0"],
+        (ParseError, "lat_deg 'fifty' is not a number")),
+    "grouping_error_after_a_grid_defect": lambda n: (
+        stream_rows(n + 1, 3, edits={(2, 0): 49.75}) + ["1,50,4,0,0"],
+        (SchemaError, "beam ids must be grouped and contiguous from 1: saw beam 1")),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, ioutil.CHUNK_LINES])
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+def test_state_carried_between_chunks(name, n):
+    rows, outcome = STREAM_CASES[name](n)
+    with chunk_lines(n):
+        got = assert_same_parse(body(rows))
+    if outcome[0] in (ParseError, SchemaError):
+        assert got[0] is outcome[0] and outcome[1] in got[1]
+    else:
+        assert got[2][0] == outcome
 
 
 class LinesOnly(io.StringIO):

@@ -479,6 +479,25 @@ class TestSimulate:
         assert not (out / "traffic.csv").exists()
 
 
+    @pytest.mark.parametrize("stamp", ["0001-01-01T00:30:00+01:00",
+                                       "9999-12-31T23:30:00-01:00"])
+    def test_timestamp_outside_the_utc_range_exits_one(self, inputs, tmp_path, capsys,
+                                                        stamp):
+        bad = tmp_path / "bad_aero.csv"
+        bad.write_text("flight_id,timestamp_iso8601_utc,lat_deg,lon_deg\n"
+                       f"f1,{stamp},50,5\n")
+        rc = cli.main(
+            ["simulate",
+             "--pattern", str(inputs["pattern"]),
+             "--population", str(inputs["population"]),
+             "--aero", str(bad),
+             "--maritime", str(inputs["maritime"]),
+             "--hour", "9", "--out-dir", str(tmp_path / "out")]
+        )
+        assert rc == 1
+        assert f"line 2: timestamp '{stamp}' is outside the datetime range in UTC" in (
+            capsys.readouterr().err)
+
     def test_out_of_range_latitude_in_another_hour_exits_one(self, inputs, tmp_path,
                                                              capsys):
         bad = tmp_path / "bad_aero.csv"

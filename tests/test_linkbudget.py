@@ -18,7 +18,17 @@ from sattraffic.geo import (
     path_loss_db,
     slant_range,
 )
-from sattraffic.ingest import TrafficType, synth_pattern
+from sattraffic.ingest import (
+    IngestConfig,
+    TrafficType,
+    load_aero,
+    load_maritime,
+    load_population,
+    synth_aero,
+    synth_maritime,
+    synth_pattern,
+    synth_population,
+)
 from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
@@ -28,8 +38,8 @@ from sattraffic.linkbudget import (
     interference,
     write_channel_csv,
 )
-from sattraffic.pattern import BeamPattern, parse_pattern
-from sattraffic.traffic import TrafficMatrix
+from sattraffic.pattern import BeamPattern, all_footprints, parse_pattern
+from sattraffic.traffic import TrafficMatrix, build_traffic_matrix
 
 import oracles
 from oracles import SamplePoint, beam_samples, interpolate_gain
@@ -428,6 +438,17 @@ class TestInterference:
         with pytest.raises(ValueError, match="unknown beam"):
             interference(channel, 1, {1, 9}, 10.0)
 
+    @pytest.mark.parametrize("beam", [True, False, np.True_, 2.0, np.float64(2.0)])
+    def test_beam_must_be_an_integer(self, channel, beam):
+        # True is not beam 1, as the sweep's user and size checks refuse bools
+        message = f"^active set contains unknown beam {re.escape(repr(beam))}$"
+        with pytest.raises(ValueError, match=message):
+            interference(channel, 1, {beam, 3}, 1.0)
+
+    def test_numpy_integer_beams_accepted(self, channel):
+        assert interference(channel, 1, {np.int64(1), np.int32(3)}, 1.0) == interference(
+            channel, 1, {1, 3}, 1.0)
+
     def test_missing_power_entry(self, channel):
         with pytest.raises(ValueError, match="no power"):
             interference(channel, 1, {1, 2}, {1: 10.0})
@@ -489,3 +510,30 @@ def test_channel_stage_peak_memory_stays_below_half_a_per_user_matrix(tmp_path):
         tracemalloc.stop()
     assert peak < users * 37 * np.dtype(complex).itemsize / 2
     assert H.n_users == users and sweep.watts.shape == (users, 2)
+
+
+def test_channel_build_peak_memory_stays_below_twice_its_rows(tmp_path):
+    # the benchmark's M inputs at hour 9: the rows are filled a block of
+    # locations at a time and handed to the ChannelMatrix uncopied, so the
+    # build holds little beyond the rows it returns
+    synth_pattern(tmp_path / "pattern.csv", 1, beams=37, spacing_deg=1.5,
+                  radius3db_deg=1.0, pitch_deg=0.2)
+    synth_population(tmp_path / "population.csv", 2, cells=600, urban_fraction=0.15)
+    synth_aero(tmp_path / "aero.csv", 3, flights=2000)
+    synth_maritime(tmp_path / "maritime.csv", 4, ships=1200)
+    pattern = parse_pattern(tmp_path / "pattern.csv")
+    cfg = IngestConfig()
+    T = build_traffic_matrix(
+        all_footprints(pattern), pattern,
+        load_population(tmp_path / "population.csv", cfg),
+        load_aero(tmp_path / "aero.csv", 9, cfg),
+        load_maritime(tmp_path / "maritime.csv", 9, cfg),
+    )
+    tracemalloc.start()
+    try:
+        H = build_channel_matrix(T, pattern, ScenarioConfig())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert H.rows.shape[1] == 37 and len(H.rows) > 1000
+    assert peak <= 2 * H.rows.nbytes

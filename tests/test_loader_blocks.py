@@ -208,7 +208,10 @@ class TestMovementEdges:
         rows = [first, "f1,0001-01-01T00:30:00+01:00,50,10"]
         got, want = load_both(aero_text(rows))
         assert_same_outcome(*got, *want)
-        assert isinstance(got[1], ParseError if "95" in first else OverflowError)
+        assert type(got[1]) is (ParseError if "95" in first else TimestampError)
+        if "95" not in first:
+            assert str(got[1]).endswith("line 3: timestamp '0001-01-01T00:30:00+01:00' "
+                                        "is outside the datetime range in UTC")
 
 
 CHUNK = ioutil.CHUNK_LINES

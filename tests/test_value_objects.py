@@ -1,8 +1,10 @@
 """How the pipeline's value objects hold their data.
 
-Every array a value object is given is held as a read-only, C-ordered copy
-(ioutil.frozen), so the caller's array stays writeable and a later write to
-it cannot reach the object; integer columns refuse values a cast would
+Every array a value object is given is held read-only and C-ordered through
+ioutil.frozen. An array that is already read-only, C-ordered, of the
+column's dtype and owns its memory is handed over as it is; any other is
+copied, so the caller's writeable array stays writeable and a later write to
+it cannot reach the object. Integer columns refuse values a cast would
 change; and the objects are frozen dataclasses, so no attribute can be
 reassigned after the constructor's checks have run.
 """
@@ -20,6 +22,7 @@ from sattraffic.analysis import HourlyProfile, SweepResult
 from sattraffic.geo import ScenarioConfig
 from sattraffic.geometry import delaunay
 from sattraffic.ingest import TerminalBlock
+from sattraffic.ioutil import frozen
 from sattraffic.linkbudget import ChannelMatrix
 from sattraffic.pattern import BeamPattern
 from sattraffic.traffic import TrafficMatrix
@@ -83,6 +86,41 @@ def test_caller_arrays_stay_the_callers(name):
         value = getattr(obj, f.name)
         if isinstance(value, np.ndarray):
             assert not value.flags.writeable and value.flags.c_contiguous
+
+
+def read_only(values, dtype=float, order="C"):
+    column = np.array(values, dtype=dtype, order=order)
+    column.setflags(write=False)
+    return column
+
+
+@pytest.mark.parametrize("column, dtype", [
+    (read_only([1.0, 2.0]), float),
+    (read_only([[1, 2], [3, 4]], np.int64), np.int64),
+    (read_only([[1j, 2.0]], complex), complex),
+])
+def test_frozen_hands_over_an_owned_read_only_c_ordered_array(column, dtype):
+    assert frozen(column, dtype, "x") is column
+
+
+@pytest.mark.parametrize("given", [
+    np.arange(6.0).reshape(2, 3),  # writeable
+    read_only(np.arange(8.0).reshape(2, 4))[:, 1:],  # a view
+    read_only(np.arange(8.0).reshape(2, 4))[:1],  # a C-ordered view
+    read_only(np.arange(6.0).reshape(2, 3), order="F"),
+    read_only(np.arange(6.0).reshape(2, 3), np.float32),
+    read_only(np.arange(6).reshape(2, 3), np.int64),
+    np.arange(6.0).reshape(2, 3).tolist(),
+], ids=["writeable", "view", "c_ordered_view", "fortran", "float32", "int64", "list"])
+def test_frozen_copies_any_other_array(given):
+    held = frozen(given, float, "x")
+    assert held is not given and not np.shares_memory(held, np.asarray(given))
+    assert held.dtype == np.float64 and held.flags.c_contiguous
+    assert held.flags.owndata and not held.flags.writeable
+    assert np.array_equal(held, np.asarray(given, dtype=float))
+    if isinstance(given, np.ndarray) and given.flags.writeable:
+        given += 1  # the caller's array stays theirs
+        assert not np.array_equal(held, given)
 
 
 @pytest.mark.parametrize("make, name, value", [
