@@ -83,10 +83,10 @@ def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
         np.tile(np.arange(HOURS), 2),
         [len(block) for block in (*aero_by_hour, *maritime_by_hour)],
     )
-    T = build_traffic_matrix(
-        footprints, pattern, (),
-        TerminalBlock.concat(*aero_by_hour), TerminalBlock.concat(*maritime_by_hour),
-    )
+    # the movers cross one concatenation and go in whole as the aeronautical
+    # block; association reads each row's traffic type from its type column
+    movers = TerminalBlock.concat(*aero_by_hour, *maritime_by_hour)
+    T = build_traffic_matrix(footprints, pattern, (), movers, ())
     demand = np.zeros((pattern.beams, HOURS, 3))
     # unbuffered, so each total is added in row order
     np.add.at(demand, (T.beam - 1, hour_of_row[T.row], T.type - 1), T.demand_mbps)

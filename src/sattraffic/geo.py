@@ -92,6 +92,12 @@ class ScenarioConfig:
         object.__setattr__(self, "wavelength_m", wavelength)
 
 
+def _check_positive(name, value):
+    """Raise a ValueError naming the argument unless it is finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def great_circle_distance(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:
     """Distance along the sphere as atan2(|u x v|, u . v) of the unit vectors.
 
@@ -101,8 +107,7 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADI
     points only negates each cross-product component, so the result is
     exactly symmetric.
     """
-    if radius_m <= 0:
-        raise ValueError("radius must be positive")
+    _check_positive("radius_m", radius_m)
     u, v = _unit_vector(a), _unit_vector(b)
     cross = math.hypot(
         u[1] * v[2] - u[2] * v[1],
@@ -135,8 +140,11 @@ def slant_range(
 
     Exactly h at the sub-satellite point; at most R + (R+h) anywhere.
     """
-    if altitude_m <= 0 or earth_radius_m <= 0:
-        raise ValueError("altitude and radius must be positive")
+    for name, value in (("sat_lat_deg", sat_lat_deg), ("sat_lon_deg", sat_lon_deg)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    _check_positive("altitude_m", altitude_m)
+    _check_positive("earth_radius_m", earth_radius_m)
     q = earth_radius_m / (earth_radius_m + altitude_m)
     t = (
         math.cos(math.radians(sat_lon_deg - user.lon_deg))
@@ -150,8 +158,6 @@ def slant_range(
 
 def path_loss_db(distance_m: float, wavelength_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d/lambda) in dB."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
-    if wavelength_m <= 0:
-        raise ValueError("wavelength must be positive")
+    _check_positive("distance_m", distance_m)
+    _check_positive("wavelength_m", wavelength_m)
     return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength_m)

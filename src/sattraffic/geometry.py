@@ -6,27 +6,28 @@ is a documented approximation that holds for footprint-scale regions away
 from the poles and the antimeridian, and pattern.beam_footprint rejects
 samples that reach a pole or span more than 180 degrees of longitude.
 
-The Delaunay triangulation is the projected lower convex hull of the input
-lifted onto the paraboloid z = x^2 + y^2: a triangle is a downward-facing
-facet exactly when every other lifted point lies above its lifted plane,
-which is the classical in-circumcircle test. Points are inserted
-incrementally; each insertion carves out the facets whose lifted plane the
-new point falls below and re-fans the cavity. A single symbolic vertex at
-infinity closes the hull, so conflicts with the unbounded faces reduce to
-orientation tests against hull edges and never depend on arbitrary bounding
-coordinates.
+The Delaunay triangulation starts from a sweep in lexicographic order: the
+leading collinear run is fanned to the first point off its line, and each
+later point is joined to every hull edge it strictly sees. Lawson flips then
+replace each edge whose opposite vertex lies inside the circumcircle of the
+triangle across it, until none does. Lifting the points onto the paraboloid
+z = x^2 + y^2 makes that in-circle test a lower-hull test, so every flip
+lowers the lifted surface and the flips end at the lower convex hull.
 
 Degeneracies are resolved deterministically. Co-circular ties are broken by
 pushing the lifted point with the lowest index infinitesimally further down
 the paraboloid, which makes the diagonal through the lowest-index vertex of
-a co-circular set win. Orientation and in-circle signs come from a floating
-filter backed by exact rational arithmetic: when the float determinant is
-within its forward error bound the sign is recomputed with Fractions, so
-the incremental construction stays consistent even for point sets that mix
-very different coordinate scales. Inputs are first scaled uniformly to the
-unit square (one scale for both axes, so circles stay circles); collinearity
-of the whole input and point-on-boundary checks use an absolute 1e-12
-tolerance in that normalized frame.
+a co-circular set win; under this one perturbed test the triangulation is
+unique, whatever order the flips run in. Orientation and in-circle signs
+come from a floating filter backed by exact rational arithmetic: when the
+float determinant is within its forward error bound the sign is recomputed
+with Fractions, so the construction stays consistent even for point sets
+that mix very different coordinate scales. Inputs are first scaled
+uniformly to the unit square (one scale for both axes, so circles stay
+circles); collinearity of the whole input and point-on-boundary checks use
+an absolute 1e-12 tolerance in that normalized frame. Distinct inputs that
+coincide after that scaling are one vertex, and the highest index among
+them stands for it; the others appear in no triangle.
 """
 
 import math
@@ -118,277 +119,125 @@ def _noncollinear_witness(x, y):
     return 0, j, k
 
 
-class _LiftedLowerHull:
-    """Incremental lower hull of paraboloid-lifted points.
+def _orient(x, y, a, b, c):
+    """Exact sign of the turn a->b->c: 1 left, -1 right, 0 collinear."""
+    t1 = (x[b] - x[a]) * (y[c] - y[a])
+    t2 = (y[b] - y[a]) * (x[c] - x[a])
+    det = t1 - t2
+    bound = _FILTER * (abs(t1) + abs(t2))
+    if det > bound:
+        return 1
+    if det < -bound:
+        return -1
+    e1 = (Fraction(x[b]) - Fraction(x[a])) * (Fraction(y[c]) - Fraction(y[a]))
+    e2 = (Fraction(y[b]) - Fraction(y[a])) * (Fraction(x[c]) - Fraction(x[a]))
+    if e1 > e2:
+        return 1
+    if e1 < e2:
+        return -1
+    return 0
 
-    Faces are either finite triangles (projected downward facets) or
-    unbounded faces pairing a hull edge with the vertex at infinity.
-    Cached circumcircle data acts as a coarse numpy prefilter; the exact
-    predicates make every final decision. Unbounded faces store the hull
-    edge directed so the triangulation lies to its right.
+
+def _incircle(x, y, a, b, c, d):
+    """True when d lies strictly inside the circumcircle of CCW (a, b, c).
+
+    Equivalently, lifted d lies below the plane of lifted (a, b, c). The
+    float determinant is trusted outside its error bound; otherwise the sign
+    is recomputed exactly. An exact zero falls through to the index-graded
+    paraboloid perturbation: the lowest index among the four points decides.
     """
-
-    def __init__(self, x, y, witness):
-        self.n = len(x)
-        self.inf = self.n  # symbolic vertex closing the hull
-        self.x = np.concatenate([x, [0.0]])
-        self.y = np.concatenate([y, [0.0]])
-        cap = 64
-        self.tris = [None] * cap
-        self.alive = np.zeros(cap, dtype=bool)
-        self.ccx = np.zeros(cap)
-        self.ccy = np.zeros(cap)
-        self.cr2 = np.zeros(cap)
-        self.count = 0
-        a, b, c = witness
-        if self._orient_sign(a, b, c) < 0:
-            b, c = c, b
-        self._push(a, b, c)
-        self._push(b, a, self.inf)
-        self._push(c, b, self.inf)
-        self._push(a, c, self.inf)
-
-    def _push(self, a, b, c):
-        if self.count == len(self.alive):
-            grow = len(self.alive)
-            self.tris.extend([None] * grow)
-            self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
-            self.ccx = np.concatenate([self.ccx, np.zeros(grow)])
-            self.ccy = np.concatenate([self.ccy, np.zeros(grow)])
-            self.cr2 = np.concatenate([self.cr2, np.zeros(grow)])
-        # keep the symbolic vertex in the last slot
-        if a == self.inf:
-            a, b, c = b, c, a
-        elif b == self.inf:
-            a, b, c = c, a, b
-        t = self.count
-        self.tris[t] = (a, b, c)
-        if c == self.inf:
-            ux, uy, r2 = 0.0, 0.0, math.inf
-        else:
-            ux, uy, r2 = self._circumdata(a, b, c)
-        self.ccx[t], self.ccy[t], self.cr2[t] = ux, uy, r2
-        self.alive[t] = True
-        self.count += 1
-
-    def _circumdata(self, a, b, c):
-        """Circumcircle with the radius padded by a forward error bound.
-
-        Computed relative to vertex a so the conditioning depends only on
-        triangle shape, not on where the triangle sits. The padding keeps
-        the coarse circumcircle prefilter a superset of the true conflicts;
-        exact predicates make the final call.
-        """
-        x, y = self.x, self.y
-        ax, ay = x[a], y[a]
-        dx1, dy1 = x[b] - ax, y[b] - ay
-        dx2, dy2 = x[c] - ax, y[c] - ay
-        den = 2.0 * (dx1 * dy2 - dy1 * dx2)
-        if den == 0.0:
-            return 0.0, 0.0, math.inf
-        d1 = dx1 * dx1 + dy1 * dy1
-        d2 = dx2 * dx2 + dy2 * dy2
-        ox = (dy2 * d1 - dy1 * d2) / den
-        oy = (dx1 * d2 - dx2 * d1) / den
-        pad = (
-            1e-13
-            * (abs(dy2 * d1) + abs(dy1 * d2) + abs(dx1 * d2) + abs(dx2 * d1))
-            / abs(den)
-        )
-        r = math.sqrt(ox * ox + oy * oy) + 2.0 * pad
-        return ax + ox, ay + oy, r * r
-
-    def _exact_cofactors(self, a, b, c, d):
-        """Exact rational cofactors of the in-circle determinant's last column."""
-        xa, ya = Fraction(self.x[a]), Fraction(self.y[a])
-        xb, yb = Fraction(self.x[b]), Fraction(self.y[b])
-        xc, yc = Fraction(self.x[c]), Fraction(self.y[c])
-        xd, yd = Fraction(self.x[d]), Fraction(self.y[d])
-        adx, ady = xa - xd, ya - yd
-        bdx, bdy = xb - xd, yb - yd
-        cdx, cdy = xc - xd, yc - yd
-        cof_a = bdx * cdy - bdy * cdx
-        cof_b = ady * cdx - adx * cdy
-        cof_c = adx * bdy - ady * bdx
-        lifts = (adx * adx + ady * ady, bdx * bdx + bdy * bdy, cdx * cdx + cdy * cdy)
-        return (cof_a, cof_b, cof_c), lifts
-
-    def _below_lifted_plane(self, a, b, c, d):
-        """True when lifted point d lies below the plane of lifted (a, b, c).
-
-        Equivalent to: d is strictly inside the circumcircle of the CCW
-        triangle (a, b, c). The float determinant is trusted outside its
-        error bound; otherwise the sign is recomputed exactly. An exact zero
-        falls through to the index-graded paraboloid perturbation: the
-        lowest index among the four points decides.
-        """
-        x, y = self.x, self.y
-        adx, ady = x[a] - x[d], y[a] - y[d]
-        bdx, bdy = x[b] - x[d], y[b] - y[d]
-        cdx, cdy = x[c] - x[d], y[c] - y[d]
-        cof_a = bdx * cdy - bdy * cdx
-        cof_b = ady * cdx - adx * cdy
-        cof_c = adx * bdy - ady * bdx
-        la = adx * adx + ady * ady
-        lb = bdx * bdx + bdy * bdy
-        lc = cdx * cdx + cdy * cdy
-        det = la * cof_a + lb * cof_b + lc * cof_c
-        bound = _FILTER * (
-            la * (abs(bdx * cdy) + abs(bdy * cdx))
-            + lb * (abs(ady * cdx) + abs(adx * cdy))
-            + lc * (abs(adx * bdy) + abs(ady * bdx))
-        )
-        if det > bound:
-            return True
-        if det < -bound:
-            return False
-        cofs, lifts = self._exact_cofactors(a, b, c, d)
-        exact = lifts[0] * cofs[0] + lifts[1] * cofs[1] + lifts[2] * cofs[2]
-        if exact > 0:
-            return True
-        if exact < 0:
-            return False
-        # perturbation series: lower index => larger downward push
-        for _, coef in sorted(
-            (
-                (a, -cofs[0]),
-                (b, -cofs[1]),
-                (c, -cofs[2]),
-                (d, cofs[0] + cofs[1] + cofs[2]),
-            )
-        ):
-            if coef > 0:
-                return True
-            if coef < 0:
-                return False
+    adx, ady = x[a] - x[d], y[a] - y[d]
+    bdx, bdy = x[b] - x[d], y[b] - y[d]
+    cdx, cdy = x[c] - x[d], y[c] - y[d]
+    cof_a = bdx * cdy - bdy * cdx
+    cof_b = ady * cdx - adx * cdy
+    cof_c = adx * bdy - ady * bdx
+    la = adx * adx + ady * ady
+    lb = bdx * bdx + bdy * bdy
+    lc = cdx * cdx + cdy * cdy
+    det = la * cof_a + lb * cof_b + lc * cof_c
+    bound = _FILTER * (
+        la * (abs(bdx * cdy) + abs(bdy * cdx))
+        + lb * (abs(ady * cdx) + abs(adx * cdy))
+        + lc * (abs(adx * bdy) + abs(ady * bdx))
+    )
+    if det > bound:
+        return True
+    if det < -bound:
         return False
+    xd, yd = Fraction(x[d]), Fraction(y[d])
+    adx, ady = Fraction(x[a]) - xd, Fraction(y[a]) - yd
+    bdx, bdy = Fraction(x[b]) - xd, Fraction(y[b]) - yd
+    cdx, cdy = Fraction(x[c]) - xd, Fraction(y[c]) - yd
+    cof_a = bdx * cdy - bdy * cdx
+    cof_b = ady * cdx - adx * cdy
+    cof_c = adx * bdy - ady * bdx
+    exact = (
+        (adx * adx + ady * ady) * cof_a
+        + (bdx * bdx + bdy * bdy) * cof_b
+        + (cdx * cdx + cdy * cdy) * cof_c
+    )
+    if exact > 0:
+        return True
+    if exact < 0:
+        return False
+    # perturbation series: lower index => larger downward push
+    for _, coef in sorted(
+        ((a, -cof_a), (b, -cof_b), (c, -cof_c), (d, cof_a + cof_b + cof_c))
+    ):
+        if coef > 0:
+            return True
+        if coef < 0:
+            return False
+    return False
 
-    def _orient_sign(self, a, b, c):
-        """Exact sign of the turn a->b->c: 1 left, -1 right, 0 collinear."""
-        x, y = self.x, self.y
-        t1 = (x[b] - x[a]) * (y[c] - y[a])
-        t2 = (y[b] - y[a]) * (x[c] - x[a])
-        det = t1 - t2
-        bound = _FILTER * (abs(t1) + abs(t2))
-        if det > bound:
-            return 1
-        if det < -bound:
-            return -1
-        e1 = (Fraction(x[b]) - Fraction(x[a])) * (Fraction(y[c]) - Fraction(y[a]))
-        e2 = (Fraction(y[b]) - Fraction(y[a])) * (Fraction(x[c]) - Fraction(x[a]))
-        if e1 > e2:
-            return 1
-        if e1 < e2:
-            return -1
-        return 0
 
-    def _conflicts(self, t, p):
-        a, b, c = self.tris[t]
-        if c != self.inf:
-            return self._below_lifted_plane(a, b, c, p)
-        # unbounded face: conflict when p lies strictly on the open side of
-        # the hull edge, or on the edge's line strictly between its endpoints
-        # (the lifted point then sits below the chord of the lifted edge)
-        o = self._orient_sign(a, b, p)
-        if o != 0:
-            return o > 0
-        x, y = self.x, self.y
-        dot = (
-            (Fraction(x[a]) - Fraction(x[p])) * (Fraction(x[b]) - Fraction(x[p]))
-            + (Fraction(y[a]) - Fraction(y[p])) * (Fraction(y[b]) - Fraction(y[p]))
-        )
-        return dot < 0
+def _sweep(x, y, order):
+    """CCW triangles covering the hull of the points, given in lexicographic order.
 
-    def insert(self, p):
-        m = self.count
-        dx = self.ccx[:m] - self.x[p]
-        dy = self.ccy[:m] - self.y[p]
-        d2 = dx * dx + dy * dy
-        coarse = self.alive[:m] & (d2 * (1.0 - 1e-12) <= self.cr2[:m] * (1.0 + 1e-12))
-        bad = set()
-        for t in np.nonzero(coarse)[0]:
-            if self._conflicts(int(t), p):
-                bad.add(int(t))
-        if not bad:
-            t = self._find_containing(p)
-            if t is None:
-                raise RuntimeError("insertion point lost by the lifted hull")
-            bad.add(t)
+    The leading collinear run is fanned to the first point off its line;
+    every later point is joined to the hull edges it strictly sees, which
+    lie at the right ends of the lower and the upper chain.
+    """
+    k = 2
+    while _orient(x, y, order[0], order[1], order[k]) == 0:
+        k += 1
+    run, apex = order[:k], order[k]
+    if _orient(x, y, run[0], run[-1], apex) > 0:
+        tris = [(u, v, apex) for u, v in zip(run, run[1:])]
+        lower, upper = run + [apex], [run[0], apex]
+    else:
+        tris = [(v, u, apex) for u, v in zip(run, run[1:])]
+        lower, upper = [run[0], apex], run + [apex]
+    for p in order[k + 1 :]:
+        while len(lower) >= 2 and _orient(x, y, lower[-2], lower[-1], p) < 0:
+            tris.append((lower[-1], lower[-2], p))
+            lower.pop()
+        lower.append(p)
+        while len(upper) >= 2 and _orient(x, y, upper[-1], upper[-2], p) < 0:
+            tris.append((upper[-2], upper[-1], p))
+            upper.pop()
+        upper.append(p)
+    return tris
 
-        # safety net: with exact predicates the conflict cavity is already
-        # star-shaped from p, so this loop should never absorb anything
-        for _ in range(int(self.alive[: self.count].sum()) + 8):
-            boundary = self._cavity_boundary(bad)
-            fix = None
-            for u, v in boundary:
-                if u == self.inf or v == self.inf:
-                    continue
-                if self._orient_sign(u, v, p) <= 0:
-                    fix = (u, v)
-                    break
-            if fix is None:
-                break
-            t = self._neighbor_across(fix, bad)
-            if t is None:
-                raise RuntimeError("degenerate cavity boundary could not be repaired")
-            bad.add(t)
-        else:
-            raise RuntimeError("cavity repair did not converge")
 
-        for t in bad:
-            self.alive[t] = False
-        for u, v in boundary:
-            self._push(u, v, p)
-
-    def _cavity_boundary(self, bad):
-        directed = set()
-        for t in sorted(bad):
-            a, b, c = self.tris[t]
-            directed.update(((a, b), (b, c), (c, a)))
-        edges = []
-        for t in sorted(bad):
-            a, b, c = self.tris[t]
-            for u, v in ((a, b), (b, c), (c, a)):
-                if (v, u) not in directed:
-                    edges.append((u, v))
-        return edges
-
-    def _neighbor_across(self, edge, bad):
-        u, v = edge
-        for t in range(self.count):
-            if not self.alive[t] or t in bad:
-                continue
-            a, b, c = self.tris[t]
-            if (v, u) in ((a, b), (b, c), (c, a)):
-                return t
-        return None
-
-    def _find_containing(self, p):
-        for t in range(self.count):
-            if not self.alive[t]:
-                continue
-            a, b, c = self.tris[t]
-            if c == self.inf:
-                if self._orient_sign(a, b, p) >= 0:
-                    return t
-                continue
-            if (
-                self._orient_sign(a, b, p) >= 0
-                and self._orient_sign(b, c, p) >= 0
-                and self._orient_sign(c, a, p) >= 0
-            ):
-                return t
-        return None
-
-    def real_triangles(self):
-        out = []
-        for t in range(self.count):
-            if not self.alive[t]:
-                continue
-            tri = self.tris[t]
-            if tri[2] != self.inf:
-                out.append(tri)
-        return out
+def _flip(x, y, tris):
+    """Lawson edge flips until every interior edge passes the in-circle test."""
+    apex = {}  # directed edge -> third vertex of its CCW triangle
+    for a, b, c in tris:
+        apex[a, b], apex[b, c], apex[c, a] = c, a, b
+    stack = [(a, b) for a, b in apex if a < b]  # each edge once; hull edges never flip
+    while stack:
+        a, b = stack.pop()
+        c, d = apex.get((a, b)), apex.get((b, a))
+        if c is None or d is None or not _incircle(x, y, a, b, c, d):
+            continue
+        # (a, b, c) and (b, a, d) become (a, d, c) and (d, b, c)
+        del apex[a, b], apex[b, a]
+        apex[a, d], apex[d, c], apex[c, a] = c, a, d
+        apex[d, b], apex[b, c], apex[c, d] = c, d, b
+        stack += [(a, d), (d, b), (b, c), (c, a)]
+    return {_canonical_triple((a, b, c)) for (a, b), c in apex.items()}
 
 
 def _canonical_triple(tri):
@@ -403,26 +252,22 @@ def _canonical_triple(tri):
 def delaunay(points) -> Triangulation:
     """Delaunay triangulation of a planar point set.
 
-    Exact duplicate points are silently removed and counted in the result.
-    Raises CollinearInputError when fewer than three distinct points remain
-    or all of them are collinear.
+    Exact duplicate points are silently removed and counted in the result;
+    distinct points that coincide after normalization are kept in points,
+    but only the highest index among them is used by the triangles. Raises
+    CollinearInputError when fewer than three distinct points remain or all
+    of them are collinear.
     """
     unique, dupes = _dedup(points)
     if len(unique) < 3:
         raise CollinearInputError(f"need 3 distinct points, got {len(unique)}")
     x, y = _normalize(unique)
-    witness = _noncollinear_witness(x, y)
-    if witness is None:
+    if _noncollinear_witness(x, y) is None:
         raise CollinearInputError("all points are collinear")
-    # a near-collinear triangle's circumcircle overflows to inf, which the
-    # coarse prefilter reads as "may conflict"; exact predicates decide
-    with np.errstate(over="ignore"):
-        hull = _LiftedLowerHull(x, y, witness)
-        started = set(witness)
-        for p in range(len(unique)):
-            if p not in started:
-                hull.insert(p)
-    triangles = sorted(_canonical_triple(t) for t in hull.real_triangles())
+    x, y = x.tolist(), y.tolist()
+    last = {xy: i for i, xy in enumerate(zip(x, y))}
+    order = sorted(last.values(), key=lambda i: (x[i], y[i]))
+    triangles = sorted(_flip(x, y, _sweep(x, y, order)))
     return Triangulation(points=unique, triangles=triangles, duplicates_removed=dupes)
 
 

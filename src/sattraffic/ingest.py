@@ -252,10 +252,15 @@ class TerminalBlock(Sequence):
     def concat(cls, *parts):
         """One block of the terminals of every part, in order; drops add up."""
         blocks = [cls.of(part) for part in parts]
+
+        def joined(name):
+            column = np.concatenate([getattr(b, name) for b in blocks])
+            column.flags.writeable = False  # so that frozen keeps it, not a copy
+            return column
+
         return cls(
             [ident for b in blocks for ident in b.ids],
-            *(np.concatenate([getattr(b, name) for b in blocks])
-              for name in ("lat_deg", "lon_deg", "type", "demand_mbps")),
+            *map(joined, ("lat_deg", "lon_deg", "type", "demand_mbps")),
             dropped_bad_coords=sum(b.dropped_bad_coords for b in blocks),
             dropped_out_of_box=sum(b.dropped_out_of_box for b in blocks),
         )

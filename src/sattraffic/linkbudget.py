@@ -330,32 +330,34 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
 def interference(H, n, active, power):
     """Total co-channel power a user receives from other active beams.
 
-    active holds integer beam ids (a bool is refused, not read as beam 0 or
-    1). power is either one wattage applied to every beam or a mapping from
-    beam id to watts. The serving beam never contributes. Beams are summed
-    in id order so the result does not depend on set iteration order.
+    active is read as a set of integer beam ids (a bool is refused, not read
+    as beam 0 or 1). power is either one wattage applied to every beam or a
+    mapping from beam id to watts, which may omit the serving beam; every
+    wattage given for an active beam must be finite and non-negative. The
+    serving beam never contributes. Beams are summed in id order so the
+    result does not depend on set iteration order.
     """
     user = H.check_user(n)
-    beams = sorted(active)
-    for j in beams:
+    active = list(active)
+    for j in active:
         if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
                 or not 1 <= j <= H.beams):
             raise ValueError(f"active set contains unknown beam {j!r}")
     serving = int(H.serving[user])
+    watts = {}
+    for j in sorted(set(active)):
+        if not isinstance(power, Mapping):
+            watts[j] = float(power)
+        elif j in power:
+            watts[j] = float(power[j])
+        elif j != serving:
+            raise ValueError(f"no power given for beam {j}")
+        if not 0.0 <= watts.get(j, 0.0) < math.inf:
+            raise ValueError(f"beam {j} power must be finite and non-negative")
     total = 0.0
-    for j in beams:
-        if j == serving:
-            continue
-        if isinstance(power, Mapping):
-            try:
-                watts = float(power[j])
-            except KeyError:
-                raise ValueError(f"no power given for beam {j}") from None
-        else:
-            watts = float(power)
-        if watts < 0.0:
-            raise ValueError("beam power must be non-negative")
-        total += watts * abs(H.rows[H.location[user], j - 1]) ** 2
+    for j, w in watts.items():
+        if j != serving:
+            total += w * abs(H.rows[H.location[user], j - 1]) ** 2
     return total
 
 

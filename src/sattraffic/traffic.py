@@ -102,7 +102,10 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
             raise ValueError(f"duplicate footprint for beam {fp.beam_id}")
         seen.add(fp.beam_id)
 
-    terminals = TerminalBlock.concat(fss, aero, maritime)
+    blocks = [TerminalBlock.of(part) for part in (fss, aero, maritime)]
+    filled = [block for block in blocks if len(block)]
+    # a lone non-empty block is associated as it is, not copied
+    terminals = filled[0] if len(filled) == 1 else TerminalBlock.concat(*blocks)
     lats, lons = terminals.lat_deg, terminals.lon_deg
 
     inside = {

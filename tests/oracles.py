@@ -46,11 +46,17 @@ reading of the loaders' rules, not the library's parser.
 The library's synth writers draw the rows vehicle by vehicle and format
 them a block at a time. synth_population and synth_movements below make the
 same draws and write one row at a time through fmt_float.
+
+The library triangulates by a sweep and Lawson flips over filtered
+predicates. delaunay_triangles below lists every triple whose circumcircle
+holds no other point, each in-circle sign taken from the lifted 4x4
+determinant in Fractions.
 """
 
 import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -64,12 +70,14 @@ from sattraffic.analysis import (
     SweepResult,
 )
 from sattraffic.errors import (
+    CollinearInputError,
     NegativePopulationError,
     ParseError,
     SchemaError,
     TimestampError,
 )
 from sattraffic.geo import GeoPoint, path_loss_db, slant_range
+from sattraffic.geometry import _dedup, _noncollinear_witness, _normalize
 from sattraffic.ingest import (
     DEFAULT_BBOX,
     POPULATION_HEADER,
@@ -646,3 +654,57 @@ def synth_movements(out_path, seed, header, prefix, fleet, weights,
                         f"{fmt_float(rlat)},{fmt_float(rlon)}\n"
                     )
     return out_path
+
+
+def _turn(p, q, r):
+    """Exact cross product of q - p and r - p."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (r[0] - p[0]) * (q[1] - p[1])
+
+
+def _inside_lifted(pts, quad):
+    """Whether quad[3] lies strictly inside the circle of CCW quad[:3].
+
+    The sign of det[x, y, x^2 + y^2, 1] over the four rows, with every
+    lifted point pushed down by an infinitesimal that is larger the lower its
+    index. The determinant is linear in the lift column, so each push moves
+    it by minus that row's lift cofactor, and the lowest index decides a tie.
+    """
+    rows = [pts[i] for i in quad]
+    cofactors = [
+        (-1) ** i * _turn(*(rows[j] for j in range(4) if j != i)) for i in range(4)
+    ]
+    det = sum((x * x + y * y) * c for (x, y), c in zip(rows, cofactors))
+    if det != 0:
+        return det > 0
+    for _, c in sorted(zip(quad, cofactors)):
+        if c != 0:
+            return c < 0
+    return False
+
+
+def delaunay_triangles(points):
+    """Sorted canonical CCW triples with an empty perturbed circumcircle.
+
+    The library's deduplication, normalization and refusals come first. The
+    points must stay distinct after normalization.
+    """
+    unique, _ = _dedup(points)
+    if len(unique) < 3:
+        raise CollinearInputError(f"need 3 distinct points, got {len(unique)}")
+    x, y = _normalize(unique)
+    if _noncollinear_witness(x, y) is None:
+        raise CollinearInputError("all points are collinear")
+    pts = [(Fraction(a), Fraction(b)) for a, b in zip(x.tolist(), y.tolist())]
+    assert len(set(pts)) == len(pts), "points coincide after normalization"
+    triangles = []
+    for a, b, c in combinations(range(len(pts)), 3):
+        turn = _turn(pts[a], pts[b], pts[c])
+        if turn == 0:
+            continue
+        tri = (a, b, c) if turn > 0 else (a, c, b)
+        if not any(
+            _inside_lifted(pts, tri + (d,)) for d in range(len(pts)) if d not in tri
+        ):
+            triangles.append(tri)
+    return sorted(triangles)
+

@@ -105,6 +105,11 @@ class TestGreatCircle:
         with pytest.raises(ValueError):
             great_circle_distance(GeoPoint(0, 0), GeoPoint(1, 1), radius_m=0.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="^radius_m must be finite and positive"):
+            great_circle_distance(GeoPoint(0, 0), GeoPoint(1, 1), radius_m=radius)
+
 
 class TestSlantRange:
     def test_subsatellite_point_is_altitude(self):
@@ -159,6 +164,19 @@ class TestSlantRange:
         with pytest.raises(ValueError):
             slant_range(GeoPoint(0, 0), 0.0, 13.0, earth_radius_m=0.0)
 
+    @pytest.mark.parametrize("name, value, args", [
+        ("altitude_m", math.nan, {"altitude_m": math.nan}),
+        ("altitude_m", math.inf, {"altitude_m": math.inf}),
+        ("earth_radius_m", math.inf, {"earth_radius_m": math.inf}),
+        ("earth_radius_m", math.nan, {"earth_radius_m": math.nan}),
+        ("sat_lat_deg", math.nan, {"sat_lat_deg": math.nan}),
+        ("sat_lon_deg", -math.inf, {"sat_lon_deg": -math.inf}),
+    ])
+    def test_non_finite_params_rejected(self, name, value, args):
+        kwargs = {"sat_lat_deg": 0.0, "sat_lon_deg": 13.0, **args}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            slant_range(GeoPoint(0, 0), **kwargs)
+
 
 class TestPathLoss:
     def test_reference_distance_zero_db(self):
@@ -188,6 +206,16 @@ class TestPathLoss:
             path_loss_db(0.0, 0.015)
         with pytest.raises(ValueError):
             path_loss_db(1.0, -0.015)
+
+    @pytest.mark.parametrize("distance, wavelength, name", [
+        (math.nan, 0.015, "distance_m"),
+        (math.inf, 0.015, "distance_m"),
+        (1.0, math.inf, "wavelength_m"),
+        (1.0, math.nan, "wavelength_m"),
+    ])
+    def test_rejects_non_finite(self, distance, wavelength, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            path_loss_db(distance, wavelength)
 
 
 class TestGeoPoint:

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from sattraffic.errors import CollinearInputError
 from sattraffic.geometry import (
     Polygon,
@@ -174,6 +175,39 @@ class TestDelaunay:
         tri = delaunay(pts)
         assert incircle_violations(tri) == []
         assert len(tri.triangles) == 2
+
+    def test_triangles_match_empty_circle_oracle(self):
+        # the tie-break decides every degenerate family here; the oracle and
+        # the library must also refuse the same inputs with the same message
+        rng = np.random.default_rng(53)
+        ring = [(math.cos(math.pi * k / 4), math.sin(math.pi * k / 4)) for k in range(8)]
+        sets = []
+        for _ in range(50):
+            n = int(rng.integers(3, 13))
+            sets.append(rng.integers(0, 3, size=(n, 2)).astype(float).tolist())
+            keep = rng.permutation(8)[: int(rng.integers(3, 9))]
+            sets.append([ring[k] for k in keep] + [(0.0, 0.0)] * int(rng.integers(0, 2)))
+            m = int(rng.integers(2, 9))
+            run = [(float(j), 0.5 * j) for j in range(m)]
+            apexes = [(float(rng.integers(-2, m + 2)), float(rng.integers(-3, 4))) for _ in "ab"]
+            sets.append(run + apexes)
+            column = [(0.0, float(j)) for j in range(int(rng.integers(2, 7)))]
+            sets.append(column + rng.integers(1, 4, size=(int(rng.integers(1, 6)), 2)).tolist())
+            tiny = (rng.integers(1, 4, size=(3, 2)) * 1e-280).tolist()
+            sets.append(tiny + rng.uniform(0, 1, size=(int(rng.integers(0, 10)), 2)).tolist())
+        refused = 0
+        for pts in sets:
+            order = rng.permutation(len(pts))
+            pts = [pts[i] for i in order]
+            try:
+                expected = oracles.delaunay_triangles(pts)
+            except CollinearInputError as exc:
+                refused += 1
+                with pytest.raises(CollinearInputError, match=f"^{exc}$"):
+                    delaunay(pts)
+                continue
+            assert delaunay(pts).triangles == expected, pts
+        assert len(sets) - refused >= 200
 
     def test_all_points_referenced(self):
         rng = np.random.default_rng(41)

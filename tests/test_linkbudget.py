@@ -453,6 +453,27 @@ class TestInterference:
         with pytest.raises(ValueError, match="no power"):
             interference(channel, 1, {1, 2}, {1: 10.0})
 
+    def test_mapping_may_omit_serving_beam(self, channel):
+        assert interference(channel, 1, {1, 2}, {2: 10.0}) == interference(
+            channel, 1, {1, 2}, 10.0)
+
+    @pytest.mark.parametrize("active, power", [
+        ({1}, -1.0),
+        ({1, 2}, {1: -5.0, 2: 1.0}),
+        ({1, 2}, math.nan),
+        ({1, 2}, math.inf),
+        ({1, 2}, {1: 1.0, 2: math.nan}),
+    ])
+    def test_power_must_be_finite_and_non_negative(self, channel, active, power):
+        # the serving beam (1 for user 1) contributes nothing, but its power is checked
+        with pytest.raises(ValueError, match="power must be finite and non-negative"):
+            interference(channel, 1, active, power)
+
+    def test_active_is_read_as_a_set(self, channel):
+        assert interference(channel, 1, [2, 2], 1.0) == interference(channel, 1, [2], 1.0)
+        assert interference(channel, 1, iter([3, 2, 3]), 1.0) == interference(
+            channel, 1, {2, 3}, 1.0)
+
 
 class TestChannelOutputs:
     def test_csv_shape_and_determinism(self, tmp_path):

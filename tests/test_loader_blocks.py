@@ -9,6 +9,7 @@ counts, or the same exception with the same message.
 
 import io
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -403,6 +404,28 @@ class TestTerminalBlock:
         assert list(both) == [*block, fss]
         assert both.type.tolist() == [2, 2, 1]
         assert np.array_equal(both.demand_mbps, [10.0, 10.0, 2.5])
+
+    def test_concat_holds_one_copy_of_the_columns(self):
+        # the joined columns go to the block uncopied: beyond them concat
+        # holds the ids (a list and a tuple of references, ~17 bytes a row)
+        # and the location check's temporaries, where a second copy of the
+        # columns would add 32 bytes a row
+        n = 50_000
+        rng = np.random.default_rng(3)
+        parts = [
+            TerminalBlock([f"t{i}" for i in range(n)], rng.uniform(-80, 80, n),
+                          rng.uniform(-170, 170, n), np.full(n, 2), np.ones(n))
+            for _ in range(2)
+        ]
+        tracemalloc.start()
+        try:
+            both = TerminalBlock.concat(*parts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        columns = (both.lat_deg, both.lon_deg, both.type, both.demand_mbps)
+        assert peak < 2 * sum(column.nbytes for column in columns)
+        assert np.array_equal(both.lon_deg[n:], parts[1].lon_deg)
 
     def test_dropped_counts_kept(self):
         text = aero_text(["a,2026-01-15T09:00:00Z,nan,10", "b,2026-01-15T09:00:00Z,10,10"])
