@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadThresholdsError, UnknownUserError
+from .errors import BadThresholdsError
 from .ingest import TerminalBlock
 from .ioutil import frozen, write_table
 from .linkbudget import interference  # noqa: F401  bench/tracer.py hooks it here
@@ -171,13 +171,15 @@ def interference_sweep(H, cfg, sizes, users=None):
     serving = H.serving[rows][:, None]
     split = cfg.total_power_w / np.array(sizes, dtype=float)
     # interference() of every beam at P/s, the same additions in id order
-    total = np.zeros_like(watts)
+    term = np.empty_like(watts)
     for j in range(1, H.beams + 1):
-        total += np.where(serving == j, 0.0, gains[location, j - 1][:, None] * split)
+        gain = gains[location, j - 1][:, None]
+        gain[serving == j] = 0.0
+        watts += np.multiply(gain, split, out=term)
     for si, s in enumerate(sizes):
-        if s > 1:
-            share = (s - 1) / (H.beams - 1)  # exactly 1.0 at s = B
-            watts[:, si] = total[:, si] * share
+        # exactly 1.0 at s = B; 0 at s = 1 even where the total overflowed
+        watts[:, si] = watts[:, si] * ((s - 1) / (H.beams - 1)) if s > 1 else 0.0
+    watts.setflags(write=False)
     return SweepResult(users=tuple((rows + 1).tolist()), sizes=tuple(sizes), watts=watts)
 
 

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 bad input or usage, 2 internal invariant violation.
 
 import argparse
 import dataclasses
+import math
 import os
 import shutil
 import sys
@@ -95,9 +96,12 @@ def _parse_param(text):
     except ValueError:
         pass
     try:
-        return name, float(value)
+        number = float(value)
     except ValueError:
         raise UsageError(f"parameter {name} needs a numeric value") from None
+    if not math.isfinite(number):
+        raise UsageError(f"parameter {name} must be finite, got {value}")
+    return name, number
 
 
 def _check_hour(hour):

@@ -466,7 +466,8 @@ def _load_movements(source, hours, traffic_type, cfg):
     }[traffic_type]
     id_name = header.partition(",")[0]
     for hour in hours:
-        if not isinstance(hour, int) or isinstance(hour, bool) or not 0 <= hour <= 23:
+        if (not isinstance(hour, (int, np.integer)) or isinstance(hour, bool)
+                or not 0 <= hour <= 23):
             raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
     wanted = np.zeros(24, dtype=bool)
     wanted[list(hours)] = True

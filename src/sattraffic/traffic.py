@@ -108,14 +108,15 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
     terminals = filled[0] if len(filled) == 1 else TerminalBlock.concat(*blocks)
     lats, lons = terminals.lat_deg, terminals.lon_deg
 
-    inside = {
-        fp.beam_id: polygon_contains_many(fp.border, lats, lons)
-        for fp in footprints
-    }
-    beam_ids = sorted(inside)
+    # a row inside one footprint keeps the beam written here
     counts = np.zeros(len(terminals), dtype=np.int64)
-    for mask in inside.values():
-        counts += mask
+    chosen = np.zeros(len(terminals), dtype=np.int64)
+    contained = []
+    for fp in sorted(footprints, key=lambda fp: fp.beam_id):
+        rows = np.flatnonzero(polygon_contains_many(fp.border, lats, lons))
+        counts[rows] += 1
+        chosen[rows] = fp.beam_id
+        contained.append((fp.beam_id, rows))
 
     # gain comparisons are only needed where footprints overlap
     contested = np.flatnonzero(counts > 1)
@@ -123,19 +124,15 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
         lats[contested], lons[contested], pattern.lat_deg, pattern.lon_deg
     )
     best_gain = np.full(len(contested), -np.inf)
-    chosen = np.zeros(len(terminals), dtype=np.int64)
-    for j in beam_ids:
-        sel = inside[j][contested]
-        if not sel.any():
+    for j, rows in contained:
+        rows = rows[counts[rows] > 1]
+        if not rows.size:
             continue
-        gain = index.gain(pattern.gain_db[:, j - 1])[sel]
-        better = gain > best_gain[sel]
-        idx = np.flatnonzero(sel)[better]
-        best_gain[idx] = gain[better]
-        chosen[contested[idx]] = j
-    for j in beam_ids:
-        sole = inside[j] & (counts == 1)
-        chosen[sole] = j
+        at = np.searchsorted(contested, rows)
+        gain = index.gain(pattern.gain_db[:, j - 1])[at]
+        better = gain > best_gain[at]
+        best_gain[at[better]] = gain[better]
+        chosen[rows[better]] = j
 
     keep = np.flatnonzero(counts)
     return TrafficMatrix(

@@ -106,6 +106,20 @@ class TestSynth:
         assert rc == 1
         assert "numeric" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind, params, name", [
+        ("pattern", ["beams=1", "spacing_deg=inf"], "spacing_deg"),
+        ("population", ["cell_deg=inf", "cells=1"], "cell_deg"),
+        ("population", ["cells=1", "cell_deg=-inf"], "cell_deg"),
+        ("aero", ["flights=nan"], "flights"),
+    ])
+    def test_non_finite_param_refused_up_front(self, tmp_path, capsys, kind, params, name):
+        argv = ["synth", kind, "--seed", "1", "--out-dir", str(tmp_path)]
+        for param in params:
+            argv += ["--param", param]
+        assert cli.main(argv) == 1
+        assert f"parameter {name} must be finite" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_param_rejected_without_output(self, tmp_path, capsys):
         rc = cli.main(
             ["synth", "aero", "--seed", "1", "--out-dir", str(tmp_path),

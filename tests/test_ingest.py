@@ -311,6 +311,16 @@ class TestLoadAero:
         with pytest.raises(ValueError):
             load_aero(aero_file([]), 24)
 
+    def test_numpy_integer_hours_accepted_and_bools_refused(self):
+        # the rule of check_beam, check_user and the sweep's sizes
+        rows = ["F1,2026-01-15T09:05:00Z,50,10\n", "F2,2026-01-15T01:05:00Z,51,11\n"]
+        for load, log in ((load_aero, aero_file), (load_maritime, maritime_file)):
+            for hour in (np.int64(9), np.int32(9), np.uint8(9)):
+                assert [t.id for t in load(log(rows), hour)] == ["F1"]
+            for hour in (True, np.bool_(True), 9.0, np.float64(9.0), np.int64(24)):
+                with pytest.raises(ValueError, match="hour must be an integer"):
+                    load(log(rows), hour)
+
     def test_nan_coordinates_dropped(self):
         rows = [
             "F1,2026-01-15T08:05:00Z,nan,10\n",

@@ -162,17 +162,23 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.int64)
 
 
-def gaussian_pair_pattern(pitch=0.2):
-    """Two beams whose footprints overlap around lon 1.7."""
-    lats = np.arange(-1.6, 1.6 + 1e-9, pitch)
+def gaussian_pattern(centres, lat_max=1.6, pitch=0.2):
+    """Beams 3 dB down 1.2 degrees from their (lat, lon) centres, on a grid
+    from lat -1.6 to lat_max and lon -0.8 to 4.2."""
+    lats = np.arange(-1.6, lat_max + 1e-9, pitch)
     lons = np.arange(-0.8, 4.2 + 1e-9, pitch)
     glat = np.repeat(lats, len(lons))
     glon = np.tile(lons, len(lats))
     gain = np.column_stack([
         50.0 - 3.0 * ((glat - clat) ** 2 + (glon - clon) ** 2) / 1.2**2
-        for clat, clon in ((0.0, 1.0), (0.0, 2.4))
+        for clat, clon in centres
     ])
     return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+
+
+def gaussian_pair_pattern(pitch=0.2):
+    """Two beams whose footprints overlap around lon 1.7."""
+    return gaussian_pattern(((0.0, 1.0), (0.0, 2.4)), pitch=pitch)
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +273,60 @@ def test_contested_terminals(scene, tmp_path):
     )
     T = assert_matches_rows(scene, tmp_path, [], terminals(TrafficType.AERO, items), [])
     assert T.n_users == len(items)
+
+
+def crowded_pattern():
+    """Four beams whose footprints all cover the area around (0.3, 1.7).
+
+    Beams 2 and 4 have identical gain columns, so wherever both cover a
+    point their interpolated gains tie exactly and beam 2 must win."""
+    return gaussian_pattern(
+        ((0.0, 1.0), (0.0, 2.4), (0.9, 1.7), (0.0, 2.4)), lat_max=2.6
+    )
+
+
+@pytest.fixture(scope="module")
+def crowded():
+    pattern = crowded_pattern()
+    return pattern, all_footprints(pattern)
+
+
+crowded_coordinates = st.tuples(
+    st.one_of(st.sampled_from((0.0, -0.0, 0.2, 0.3, 0.9)), st.floats(-1.6, 2.6)),
+    st.one_of(st.sampled_from((1.0, 1.7, 2.0, 2.4)), st.floats(-1.0, 4.4)),
+)
+crowded_specs = st.lists(st.tuples(crowded_coordinates, demands), max_size=25)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fss=crowded_specs, aero=crowded_specs, maritime=crowded_specs,
+       order=st.one_of(st.just((3, 2, 1, 0)), st.permutations(range(4))))
+def test_columns_match_row_records_where_many_beams_overlap(
+    crowded, tmp_path_factory, fss, aero, maritime, order
+):
+    pattern, fps = crowded
+    assert_matches_rows(
+        (pattern, [fps[i] for i in order]), tmp_path_factory.mktemp("csv"),
+        *(terminals(kind, b) for kind, b in zip(TrafficType, (fss, aero, maritime))),
+    )
+
+
+def test_exact_gain_ties_go_to_the_lowest_beam_id(crowded, tmp_path):
+    pattern, fps = crowded
+    assert np.array_equal(pattern.gain_db[:, 1], pattern.gain_db[:, 3])
+    # inside every footprint: beams 2 and 4 tie and beat beams 1 and 3, then
+    # beam 3 wins over all four
+    items = [((lat, lon), 1.0) for lat in (-0.0, 0.2) for lon in (1.9, 2.0)]
+    items += [((0.9, 1.7), 1.0)]
+    assert all(
+        point_in_polygon(loc, fp.border) for loc, _ in items for fp in fps
+    )
+    # inside beams 2, 3 and 4 only, won by beam 3
+    items += [((0.5, 2.1), 1.0)]
+    assert [point_in_polygon((0.5, 2.1), fp.border) for fp in fps] == [
+        False, True, True, True
+    ]
+    T = assert_matches_rows(
+        (pattern, fps[::-1]), tmp_path, terminals(TrafficType.FSS, items), [], []
+    )
+    assert T.beam.tolist() == [2, 2, 2, 2, 3, 3]
