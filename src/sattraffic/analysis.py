@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadThresholdsError
 from .ingest import TerminalBlock
-from .ioutil import frozen, write_table
+from .ioutil import frozen, whole, write_table
 from .linkbudget import interference  # noqa: F401  bench/tracer.py hooks it here
 from .traffic import build_traffic_matrix, per_beam_demand
 
@@ -155,13 +155,7 @@ def interference_sweep(H, cfg, sizes, users=None):
     if users is None:
         users = range(1, H.n_users + 1)
     rows = np.array([H.check_user(n) for n in users], dtype=np.int64)
-    sizes = list(sizes)
-    for s in sizes:
-        if not isinstance(s, (int, np.integer)) or isinstance(s, bool):
-            raise ValueError(f"active-set size must be an integer, got {s!r}")
-        if not 1 <= s <= H.beams:
-            raise ValueError(f"active-set size {s} outside [1, {H.beams}]")
-    sizes = [int(s) for s in sizes]
+    sizes = [whole(s, "active-set size", 1, H.beams) for s in sizes]
 
     watts = np.zeros((len(rows), len(sizes)))
     location = H.location[rows]
@@ -214,14 +208,11 @@ def write_beam_class_csv(classes, path):
 
 
 def write_interference_csv(sweep, path):
-    sizes = len(sweep.sizes)
+    users = np.array(sweep.users, dtype=np.int64)
+    sizes = np.array(sweep.sizes, dtype=np.int64)
 
     def block(lo, hi):
-        user, size = np.divmod(np.arange(lo, hi), sizes)
-        return (
-            np.array(sweep.users, dtype=np.int64)[user],
-            np.array(sweep.sizes, dtype=np.int64)[size],
-            sweep.watts[user, size],
-        )
+        user, size = np.divmod(np.arange(lo, hi), len(sizes))
+        return users[user], sizes[size], sweep.watts[user, size]
 
-    write_table(path, INTERFERENCE_HEADER, len(sweep.users) * sizes, block)
+    write_table(path, INTERFERENCE_HEADER, len(users) * len(sizes), block)

@@ -40,7 +40,7 @@ from .ingest import (
     parse_config,
     synth_generate,
 )
-from .ioutil import canonical_json, sha256_file
+from .ioutil import canonical_json, sha256_file, whole
 from .linkbudget import build_channel_matrix, channel_summary, write_channel_csv
 from .pattern import all_footprints, parse_pattern, write_borders_csv
 from .traffic import build_traffic_matrix, write_traffic_csv
@@ -102,11 +102,6 @@ def _parse_param(text):
     if not math.isfinite(number):
         raise UsageError(f"parameter {name} must be finite, got {value}")
     return name, number
-
-
-def _check_hour(hour):
-    if not 0 <= hour <= 23:
-        raise UsageError(f"hour must be in 0..23, got {hour}")
 
 
 def _out_dir(args):
@@ -250,7 +245,7 @@ def cmd_footprints(args):
 
 
 def cmd_simulate(args):
-    _check_hour(args.hour)
+    whole(args.hour, "hour", 0, 23, UsageError)
     icfg = _ingest_config(args)
     scfg = ScenarioConfig()
     out = _out_dir(args)
@@ -303,7 +298,7 @@ def cmd_profile(args):
 
 
 def cmd_interference(args):
-    _check_hour(args.hour)
+    whole(args.hour, "hour", 0, 23, UsageError)
     sizes = _parse_sizes(args.sizes)
     users = None if args.users is None else _parse_users(args.users)
     icfg = _ingest_config(args)

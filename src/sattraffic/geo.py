@@ -27,16 +27,21 @@ class GeoPoint:
             raise ValueError(f"non-finite coordinates ({self.lat_deg}, {self.lon_deg})")
         if not -90.0 <= self.lat_deg <= 90.0:
             raise ValueError(f"latitude {self.lat_deg} outside [-90, 90]")
-        # normalize longitude into [-180, 180)
-        lon = self.lon_deg
-        if not -180.0 <= lon < 180.0:
-            lon = math.fmod(lon + 180.0, 360.0)
-            if lon < 0.0:
-                lon += 360.0
-            lon -= 180.0
-            if lon >= 180.0:  # a tiny negative remainder rounds up to 360
-                lon = -180.0
-            object.__setattr__(self, "lon_deg", lon)
+        if not -180.0 <= self.lon_deg < 180.0:
+            object.__setattr__(self, "lon_deg", float(wrap_lon(self.lon_deg)))
+
+
+def wrap_lon(lon_deg):
+    """Longitudes normalized into [-180, 180), as a new float array."""
+    lon = np.array(lon_deg, dtype=float)
+    wrap = ~((lon >= -180.0) & (lon < 180.0))
+    if wrap.any():
+        wrapped = np.fmod(lon[wrap] + 180.0, 360.0)
+        wrapped[wrapped < 0.0] += 360.0
+        wrapped -= 180.0
+        wrapped[wrapped >= 180.0] = -180.0  # a tiny negative remainder rounds up to 360
+        lon[wrap] = wrapped
+    return lon
 
 
 def check_locations(lat_deg, lon_deg):

@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
     TimestampError,
 )
-from .geo import GeoPoint, check_locations
+from .geo import GeoPoint, check_locations, wrap_lon
 from .ioutil import (
     check_header,
     fields_of,
@@ -37,6 +37,7 @@ from .ioutil import (
     number,
     open_input,
     read_chunks,
+    whole,
     write_table,
 )
 from .pattern import BeamPattern, write_pattern
@@ -133,9 +134,7 @@ class IngestConfig:
     bbox: BoundingBox = DEFAULT_BBOX
 
     def __post_init__(self):
-        downscale = self.downscale
-        if not isinstance(downscale, int) or isinstance(downscale, bool) or downscale < 1:
-            raise ValueError(f"downscale must be an integer >= 1, got {downscale!r}")
+        object.__setattr__(self, "downscale", whole(self.downscale, "downscale", 1))
         for name in ("fss_demand_mbps", "aero_demand_mbps", "maritime_demand_mbps"):
             v = getattr(self, name)
             if not math.isfinite(v) or v < 0:
@@ -297,19 +296,6 @@ class TerminalBlock(Sequence):
         return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
-def _wrap_lon(lon_deg):
-    """GeoPoint's longitude normalization over a column, bit for bit."""
-    lon = np.array(lon_deg, dtype=float)
-    wrap = ~((lon >= -180.0) & (lon < 180.0))
-    if wrap.any():
-        wrapped = np.fmod(lon[wrap] + 180.0, 360.0)
-        wrapped[wrapped < 0.0] += 360.0
-        wrapped -= 180.0
-        wrapped[wrapped >= 180.0] = -180.0
-        lon[wrap] = wrapped
-    return lon
-
-
 def _coord(text, name, lineno, path):
     """Parse one coordinate; None means the record must be dropped."""
     if not text.strip():
@@ -370,7 +356,7 @@ def load_population(source, cfg=IngestConfig(), urban_policy=None, *, bbox=None)
     return TerminalBlock(
         [f"fss-{serial}" for serial in range(1, n + 1)],
         np.repeat(np.array([lat for lat, _ in centers], dtype=float), counts),
-        _wrap_lon(np.repeat(np.array([lon for _, lon in centers], dtype=float), counts)),
+        wrap_lon(np.repeat(np.array([lon for _, lon in centers], dtype=float), counts)),
         np.full(n, TrafficType.FSS.value),
         np.full(n, cfg.fss_demand_mbps),
         dropped_bad_coords=bad,
@@ -397,25 +383,23 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 
 
-def _add_stamp(text, hour_of, micros_of, lineno, path):
-    """Parse a timestamp text into hour_of and micros_of, its UTC hour and
-    its UTC instant in microseconds, unless they hold it already; equal
-    instants get equal microseconds, so they compare as the datetimes do."""
-    if text not in hour_of:
-        ts = _parse_timestamp(text, lineno, path)
-        hour_of[text] = ts.hour
-        micros_of[text] = (ts - _EPOCH) // _MICROSECOND
+def _add_stamp(text, micros_of, lineno, path):
+    """Parse a timestamp text into micros_of, its UTC instant in microseconds
+    since the epoch, unless it holds it already; equal instants get equal
+    microseconds, so they compare as the datetimes do."""
+    if text not in micros_of:
+        micros_of[text] = (_parse_timestamp(text, lineno, path) - _EPOCH) // _MICROSECOND
 
 
 # one movement row as np.loadtxt reads it: id and timestamp as their texts
 _MOVEMENT = np.dtype([("id", object), ("stamp", object), ("lat", "f8"), ("lon", "f8")])
 
 
-def _fast_rows(lines, hour_of, micros_of, path):
+def _fast_rows(lines, micros_of, path):
     """A chunk's rows as ioutil.load_chunk reads them, ids stripped and
-    timestamps added to hour_of and micros_of; NaN stands for a missing
-    coordinate. None when a line has a defect or a blank coordinate, so that
-    the line parser names the defect or reads the coordinate as missing."""
+    timestamps added to micros_of; NaN stands for a missing coordinate.
+    None when a line has a defect or a blank coordinate, so that the line
+    parser names the defect or reads the coordinate as missing."""
     rows = load_chunk(lines, _MOVEMENT)
     if rows is None or np.isinf(rows["lon"]).any() or (np.abs(rows["lat"]) > 90.0).any():
         return None
@@ -424,14 +408,14 @@ def _fast_rows(lines, hour_of, micros_of, path):
         return None
     try:
         for text in dict.fromkeys(rows["stamp"].tolist()):
-            _add_stamp(text, hour_of, micros_of, None, path)
+            _add_stamp(text, micros_of, None, path)
     except TimestampError:
         # the line parser raises it, or the error of an earlier line
         return None
     return rows
 
 
-def _line_rows(lines, lineno, hour_of, micros_of, id_name, path):
+def _line_rows(lines, lineno, micros_of, id_name, path):
     """_fast_rows one line at a time, from line lineno: reads a blank
     coordinate as missing and raises the error of the first bad line."""
     rows = []
@@ -439,7 +423,7 @@ def _line_rows(lines, lineno, hour_of, micros_of, id_name, path):
         ident = row[0].strip()
         if not ident:
             raise ParseError(f"empty {id_name}", lineno, path)
-        _add_stamp(row[1], hour_of, micros_of, lineno, path)
+        _add_stamp(row[1], micros_of, lineno, path)
         # every row is validated before the hour filter, so a defective
         # log fails the same way whichever hours are being loaded
         lat = _coord(row[2], "lat_deg", lineno, path)
@@ -465,40 +449,36 @@ def _load_movements(source, hours, traffic_type, cfg):
         TrafficType.MARITIME: (MARITIME_HEADER, cfg.maritime_demand_mbps),
     }[traffic_type]
     id_name = header.partition(",")[0]
-    for hour in hours:
-        if (not isinstance(hour, (int, np.integer)) or isinstance(hour, bool)
-                or not 0 <= hour <= 23):
-            raise ValueError(f"hour must be an integer in [0, 23], got {hour!r}")
+    hours = [whole(hour, "hour", 0, 23) for hour in hours]
     wanted = np.zeros(24, dtype=bool)
-    wanted[list(hours)] = True
+    wanted[hours] = True
 
     bad = np.zeros(24, dtype=np.int64)
     out = np.zeros(24, dtype=np.int64)
     id_codes = {}  # id -> code, in the order first kept
-    hour_of, micros_of = {}, {}  # by timestamp text: UTC hour, UTC microseconds
+    micros_of = {}  # by timestamp text: UTC microseconds since the epoch
     # per chunk, the kept rows: id code, hour, microseconds, lat, lon
     kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
              np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
     with open_input(source) as (fh, path):
         check_header(fh, header, path)
         for lineno, lines in read_chunks(fh):
-            rows = _fast_rows(lines, hour_of, micros_of, path)
+            rows = _fast_rows(lines, micros_of, path)
             if rows is None:
-                rows = _line_rows(lines, lineno, hour_of, micros_of, id_name, path)
+                rows = _line_rows(lines, lineno, micros_of, id_name, path)
             lat, lon = rows["lat"], rows["lon"]
-            hour = np.fromiter(map(hour_of.__getitem__, rows["stamp"].tolist()),
-                               np.int64, len(rows))
+            micros = np.fromiter(map(micros_of.__getitem__, rows["stamp"].tolist()),
+                                 np.int64, len(rows))
+            hour = micros // 3_600_000_000 % 24  # UTC hour: the epoch is midnight
             missing = np.isnan(lat) | np.isnan(lon)
             inside = cfg.bbox.contains(lat, lon)
             bad += np.bincount(hour[missing], minlength=24)
             out += np.bincount(hour[~missing & ~inside], minlength=24)
             keep = np.flatnonzero(wanted[hour] & inside)
-            ids, stamps = rows["id"][keep].tolist(), rows["stamp"][keep].tolist()
             kept.append((
-                np.array([id_codes.setdefault(i, len(id_codes)) for i in ids],
-                         dtype=np.int64),
-                hour[keep], np.array([micros_of[t] for t in stamps], dtype=np.int64),
-                lat[keep], lon[keep],
+                np.array([id_codes.setdefault(i, len(id_codes))
+                          for i in rows["id"][keep].tolist()], dtype=np.int64),
+                hour[keep], micros[keep], lat[keep], lon[keep],
             ))
 
     idc, hour, micros, lat, lon = (np.concatenate(column) for column in zip(*kept))
@@ -511,7 +491,7 @@ def _load_movements(source, hours, traffic_type, cfg):
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(hour[order]) != 0) | (np.diff(rank[idc[order]]) != 0)
     pick = order[first]
-    idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], _wrap_lon(lon[pick])
+    idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], wrap_lon(lon[pick])
 
     blocks = []
     for h in hours:
@@ -604,7 +584,7 @@ def synth_pattern(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
     degree distance to the beam center, so the analytic -3 dB contour is a
     circle of radius radius3db_deg. Phases are seeded uniform [0, 2*pi).
     """
-    _require(isinstance(beams, int) and beams >= 1, "beams must be an integer >= 1")
+    beams = whole(beams, "beams", 1, error=InvalidParamsError)
     _require(spacing_deg > 0, "spacing_deg must be > 0")
     _require(radius3db_deg > 0, "radius3db_deg must be > 0")
     _require(pitch_deg > 0, "pitch_deg must be > 0")
@@ -643,7 +623,7 @@ def synth_population(out_path, seed, cells=400, lat_min=47.0, lat_max=57.0,
                      lon_min=0.0, lon_max=10.0, cell_deg=0.25,
                      urban_fraction=0.1):
     """Write a population file: mostly rural cells plus a few dense hotspots."""
-    _require(isinstance(cells, int) and cells >= 1, "cells must be an integer >= 1")
+    cells = whole(cells, "cells", 1, error=InvalidParamsError)
     _require(cell_deg > 0, "cell_deg must be > 0")
     _require(0.0 <= urban_fraction <= 1.0, "urban_fraction must lie in [0, 1]")
     _check_box(lat_min, lat_max, lon_min, lon_max)
@@ -685,7 +665,6 @@ def _synth_movements(out_path, seed, header, prefix, fleet, weights,
     The draws are made vehicle by vehicle, which fixes the stream; the rows
     are then formatted a block at a time.
     """
-    _require(isinstance(fleet, int) and fleet >= 1, "count must be an integer >= 1")
     _check_box(lat_min, lat_max, lon_min, lon_max)
     rng = np.random.default_rng(seed)
     counts = _diurnal_counts(fleet, weights)
@@ -723,7 +702,8 @@ def synth_aero(out_path, seed, flights=150, lat_min=47.0, lat_max=57.0,
                lon_min=0.0, lon_max=10.0):
     """Write a flight log whose hourly activity has two diurnal peaks."""
     return _synth_movements(
-        out_path, seed, AERO_HEADER, "f", flights, _AERO_INTENSITY,
+        out_path, seed, AERO_HEADER, "f",
+        whole(flights, "flights", 1, error=InvalidParamsError), _AERO_INTENSITY,
         lat_min, lat_max, lon_min, lon_max, max_extra_records=3,
     )
 
@@ -732,7 +712,8 @@ def synth_maritime(out_path, seed, ships=120, lat_min=47.0, lat_max=57.0,
                    lon_min=0.0, lon_max=10.0):
     """Write a vessel log whose hourly activity peaks in the morning."""
     return _synth_movements(
-        out_path, seed, MARITIME_HEADER, "s", ships, _MARITIME_INTENSITY,
+        out_path, seed, MARITIME_HEADER, "s",
+        whole(ships, "ships", 1, error=InvalidParamsError), _MARITIME_INTENSITY,
         lat_min, lat_max, lon_min, lon_max, max_extra_records=2,
     )
 

@@ -114,6 +114,20 @@ def frozen(values, dtype, name):
     return column
 
 
+def whole(value, name, lo, hi=None, error=ValueError):
+    """int(value) for an int or numpy integer, never a bool, in [lo, hi]
+    (no upper bound without hi): the one rule for every count, index and
+    hour a caller gives. Anything else raises error naming the value."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer and lo <= value and (hi is None or value <= hi):
+        return int(value)
+    if hi is None:
+        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+    if not integer:
+        raise error(f"{name} must be an integer, got {value!r}")
+    raise error(f"{name} {value} outside [{lo}, {hi}]")
+
+
 def check_finite(columns):
     """Raise fmt_float's ValueError for the first non-finite value in row
     order of equal-length float columns."""

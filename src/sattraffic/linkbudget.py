@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, check_locations, path_loss_db, slant_range
 from . import ioutil
-from .ioutil import check_finite, format_rows, frozen
+from .ioutil import check_finite, format_rows, frozen, whole
 
 _TWO_PI = 2.0 * math.pi
 
@@ -244,11 +244,7 @@ class ChannelMatrix:
 
     def check_user(self, n):
         """Validate a 1-based user number and return its row index."""
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-            raise UnknownUserError(f"user index must be an integer, got {n!r}")
-        if not 1 <= n <= self.n_users:
-            raise UnknownUserError(f"user {n} is not a row of the channel matrix")
-        return int(n) - 1
+        return whole(n, "user", 1, self.n_users, UnknownUserError) - 1
 
 
 def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
@@ -338,11 +334,7 @@ def interference(H, n, active, power):
     result does not depend on set iteration order.
     """
     user = H.check_user(n)
-    active = list(active)
-    for j in active:
-        if (not isinstance(j, (int, np.integer)) or isinstance(j, bool)
-                or not 1 <= j <= H.beams):
-            raise ValueError(f"active set contains unknown beam {j!r}")
+    active = [whole(j, "active beam", 1, H.beams) for j in active]
     serving = int(H.serving[user])
     watts = {}
     for j in sorted(set(active)):

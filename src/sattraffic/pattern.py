@@ -30,6 +30,7 @@ from .ioutil import (
     number,
     open_input,
     read_chunks,
+    whole,
     write_table,
 )
 
@@ -102,11 +103,7 @@ class BeamPattern:
 
     def check_beam(self, beam_id):
         """Validate a 1-based beam id and return its column index."""
-        if not isinstance(beam_id, (int, np.integer)) or isinstance(beam_id, bool):
-            raise ValueError(f"beam id must be an integer, got {beam_id!r}")
-        if not 1 <= beam_id <= self.beams:
-            raise ValueError(f"beam id {beam_id} outside [1, {self.beams}]")
-        return int(beam_id) - 1
+        return whole(beam_id, "beam id", 1, self.beams) - 1
 
 
 @dataclass(frozen=True)

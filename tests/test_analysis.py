@@ -395,7 +395,8 @@ class TestInterferenceSweep:
     def test_unknown_user_rejected(self, every_size, bad):
         H, cfg = sweep_scenario()
         sizes = range(1, H.beams + 1) if every_size else [2]
-        with pytest.raises(UnknownUserError, match=f"user {bad} is not a row"):
+        with pytest.raises(UnknownUserError,
+                           match=re.escape(f"user {bad} outside [1, {H.n_users}]")):
             interference_sweep(H, cfg, sizes=sizes, users=[1, bad])
 
     @pytest.mark.parametrize("bad", [1.9, 2.0, True, np.float64(2.0), "2"])

@@ -732,7 +732,7 @@ class TestInterferenceCommand:
              "--sizes", "2", "--users", "1,99999", "--out-dir", str(tmp_path)]
         )
         assert rc == 1
-        assert "user 99999 is not a row of the channel matrix" in capsys.readouterr().err
+        assert "user 99999 outside [1, " in capsys.readouterr().err
         assert not (tmp_path / "interference.csv").exists()
 
 

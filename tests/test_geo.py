@@ -23,8 +23,8 @@ from sattraffic.geo import (
     great_circle_distance,
     path_loss_db,
     slant_range,
+    wrap_lon,
 )
-from sattraffic.ingest import _wrap_lon
 
 SAT_LON = 13.0
 
@@ -243,7 +243,7 @@ class TestGeoPoint:
         again = GeoPoint(10.0, wrapped).lon_deg
         assert math.copysign(1.0, again) == math.copysign(1.0, wrapped)
         assert again == wrapped
-        column = _wrap_lon([lon, wrapped])
+        column = wrap_lon([lon, wrapped])
         assert column.tobytes() == np.array([wrapped, wrapped]).tobytes()
 
     def test_latitude_range_enforced(self):

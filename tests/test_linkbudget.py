@@ -435,13 +435,13 @@ class TestInterference:
             interference(channel, 0, {1, 2}, 10.0)
 
     def test_unknown_beam(self, channel):
-        with pytest.raises(ValueError, match="unknown beam"):
+        with pytest.raises(ValueError, match=r"^active beam 9 outside \[1, 7\]$"):
             interference(channel, 1, {1, 9}, 10.0)
 
     @pytest.mark.parametrize("beam", [True, False, np.True_, 2.0, np.float64(2.0)])
     def test_beam_must_be_an_integer(self, channel, beam):
         # True is not beam 1, as the sweep's user and size checks refuse bools
-        message = f"^active set contains unknown beam {re.escape(repr(beam))}$"
+        message = f"^active beam must be an integer, got {re.escape(repr(beam))}$"
         with pytest.raises(ValueError, match=message):
             interference(channel, 1, {beam, 3}, 1.0)
 
