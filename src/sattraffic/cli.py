@@ -124,6 +124,9 @@ class _OutputSet:
     propagates, so the output directory keeps the earlier run's files and
     manifest byte for byte. No manifest ever names a file that is gone or
     has changed.
+
+    Each command does its work in one call inside the block, so that none
+    of its arrays is still live when the exit hashes the outputs.
     """
 
     def __init__(self, out_dir, *, command, config, inputs=(), seed=None):
@@ -254,16 +257,22 @@ def cmd_simulate(args):
         config=_config_values(icfg, scfg, {"hour": args.hour}),
         inputs=_demand_inputs(args),
     ) as outputs:
-        T, H = _hour_matrices(args, icfg, scfg)
-        write_traffic_csv(T, outputs.add(out / "traffic.csv"))
-        write_channel_csv(H, outputs.add(out / "channel.csv"))
-        text = channel_summary(H, T.excluded)
-        with open(outputs.add(out / "channel_summary.json"), "w", encoding="utf-8") as fh:
-            # 64 Ki characters at a time, so that no whole copy of it is encoded
-            for lo in range(0, len(text), 1 << 16):
-                fh.write(text[lo : lo + (1 << 16)])
-            fh.write("\n")
+        _simulate(args, icfg, scfg, outputs)
     return 0
+
+
+def _simulate(args, icfg, scfg, outputs):
+    """The traffic, channel and summary outputs, staged in outputs."""
+    T, H = _hour_matrices(args, icfg, scfg)
+    out = outputs.out_dir
+    write_traffic_csv(T, outputs.add(out / "traffic.csv"))
+    write_channel_csv(H, outputs.add(out / "channel.csv"))
+    text = channel_summary(H, T.excluded)
+    with open(outputs.add(out / "channel_summary.json"), "w", encoding="utf-8") as fh:
+        # 64 Ki characters at a time, so that no whole copy of it is encoded
+        for lo in range(0, len(text), 1 << 16):
+            fh.write(text[lo : lo + (1 << 16)])
+        fh.write("\n")
 
 
 def cmd_profile(args):
@@ -281,20 +290,25 @@ def cmd_profile(args):
         out, command="profile", config=_config_values(icfg, extra=extra),
         inputs=_demand_inputs(args),
     ) as outputs:
-        pattern = parse_pattern(args.pattern)
-        footprints = all_footprints(pattern)
-        fss = load_population(args.population, icfg) if args.population else ()
-        aero = maritime = [()] * 24
-        if args.aero:
-            aero = load_aero_by_hour(args.aero, icfg)
-        if args.maritime:
-            maritime = load_maritime_by_hour(args.maritime, icfg)
-        profile = hourly_profiles(fss, aero, maritime, footprints, pattern)
-        classes = classify_beams(profile, thresholds)
-
-        write_profile_csv(profile, outputs.add(out / "profile.csv"))
-        write_beam_class_csv(classes, outputs.add(out / "beam_class.csv"))
+        _profile(args, icfg, thresholds, outputs)
     return 0
+
+
+def _profile(args, icfg, thresholds, outputs):
+    """The profile and beam-class outputs, staged in outputs."""
+    pattern = parse_pattern(args.pattern)
+    footprints = all_footprints(pattern)
+    fss = load_population(args.population, icfg) if args.population else ()
+    aero = maritime = [()] * 24
+    if args.aero:
+        aero = load_aero_by_hour(args.aero, icfg)
+    if args.maritime:
+        maritime = load_maritime_by_hour(args.maritime, icfg)
+    profile = hourly_profiles(fss, aero, maritime, footprints, pattern)
+    classes = classify_beams(profile, thresholds)
+
+    write_profile_csv(profile, outputs.add(outputs.out_dir / "profile.csv"))
+    write_beam_class_csv(classes, outputs.add(outputs.out_dir / "beam_class.csv"))
 
 
 def cmd_interference(args):
@@ -309,10 +323,15 @@ def cmd_interference(args):
         config=_config_values(icfg, scfg, {"hour": args.hour, "sizes": sizes}),
         inputs=_demand_inputs(args),
     ) as outputs:
-        _, H = _hour_matrices(args, icfg, scfg)
-        sweep = interference_sweep(H, scfg, sizes, users=users)
-        write_interference_csv(sweep, outputs.add(out / "interference.csv"))
+        _interference(args, icfg, scfg, sizes, users, outputs)
     return 0
+
+
+def _interference(args, icfg, scfg, sizes, users, outputs):
+    """The interference sweep's output, staged in outputs."""
+    _, H = _hour_matrices(args, icfg, scfg)
+    sweep = interference_sweep(H, scfg, sizes, users=users)
+    write_interference_csv(sweep, outputs.add(outputs.out_dir / "interference.csv"))
 
 
 def _add_common(sub):

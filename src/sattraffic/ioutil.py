@@ -4,7 +4,6 @@ All output floats use one canonical form (9 significant digits) so repeated
 runs of the same command produce byte-identical files that diff cleanly.
 """
 
-import hashlib
 import math
 import re
 from contextlib import contextmanager
@@ -247,6 +246,8 @@ def number(text, name, lineno, path):
 
 
 def sha256_file(path):
+    import hashlib  # loads OpenSSL; only the manifest needs it, after the work
+
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 16), b""):

@@ -42,6 +42,24 @@ _BAND_STEPS = 2.0
 _BAND_MARGIN = 1e-6
 
 
+def _band_half_width(band_lat):
+    """_BAND_STEPS median steps between the distinct latitudes of the sorted,
+    finite band_lat, or 180.0 without two of them.
+
+    The steps are the positive differences of band_lat, and their median is
+    np.median's: the middle one, or the mean of the middle two. The median
+    equals np.median(np.diff(np.unique(band_lat))) bit for bit; those calls
+    would import numpy.ma (~1 MB) on a process's first search.
+    """
+    steps = np.diff(band_lat)
+    steps = np.sort(steps[steps > 0.0])
+    if not steps.size:
+        return 180.0
+    mid = steps.size // 2
+    median = steps[mid] if steps.size % 2 else (steps[mid - 1] + steps[mid]) / 2.0
+    return _BAND_STEPS * float(median)
+
+
 def _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
     """Clamped cosines of the central angles, one row per user.
 
@@ -108,10 +126,8 @@ class NearestSamples:
         by_lat = np.argsort(grid_lat, kind="stable")
         band_lat = grid_lat[by_lat]
         band_rad = np.radians(band_lat)
-        steps = np.diff(np.unique(band_lat))
-        half_width = _BAND_STEPS * float(np.median(steps)) if steps.size else 180.0
         # from at least the margin's width, 22 doublings reach the whole grid
-        half_width = max(half_width, math.degrees(_BAND_MARGIN))
+        half_width = max(_band_half_width(band_lat), math.degrees(_BAND_MARGIN))
         pending = np.argsort(lat, kind="stable")
         while pending.size:
             if not half_width < 180.0:
@@ -303,7 +319,9 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
         np.multiply(amp, rotation[lo : lo + step, None], out=rows[lo : lo + step])
 
     gamma = np.empty(n)
-    for j in np.unique(serving):
+    # the serving beam ids in increasing order, as np.unique gives them, but
+    # without importing numpy.ma (~1 MB) as np.unique does
+    for j in np.flatnonzero(np.bincount(serving)):
         sel = serving == j
         gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
 

@@ -21,6 +21,7 @@ from sattraffic.analysis import (
     write_beam_class_csv,
     write_interference_csv,
     write_profile_csv,
+    _percentile,
 )
 from sattraffic.errors import BadThresholdsError, UnknownUserError
 from sattraffic.geo import GeoPoint, ScenarioConfig
@@ -289,6 +290,22 @@ class TestClassifyBeams:
         labels = [c.label for c in classify_beams(profile)]
         assert labels[0] == "cold" and labels[-1] == "hot"
         assert "warm" in labels
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.sampled_from([0.0, 1.0, 2.5, 1e300, -1e300, 1e-300]),
+            st.floats(-1e300, 1e300),
+            st.floats(-1e-300, 1e-300),
+        ),
+        min_size=1, max_size=80,
+    ))
+    def test_percentile_matches_numpy_bit_for_bit(self, values):
+        # the default thresholds are numpy's linear percentile, written out
+        means = np.array(values)
+        for q in (25, 75):
+            want = float(np.percentile(means, q))
+            assert np.float64(_percentile(means, q)).tobytes() == np.float64(want).tobytes()
 
     def test_flat_load_all_warm(self):
         demand = np.full((4, 24, 3), 2.0)

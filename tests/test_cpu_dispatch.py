@@ -32,27 +32,36 @@ AVX512 = [
 ]
 ENABLED = [name for name in AVX512 if umath.__cpu_features__.get(name)]
 
-# runs the three commands into out/<command>, then prints which of the
-# targets named on its command line this process's numpy has enabled
-RUN = """
-import json, sys
-try:
-    from numpy._core import _multiarray_umath as umath
-except ImportError:
-    from numpy.core import _multiarray_umath as umath
+# runs simulate, profile and interference on the inputs into out/<command>
+COMMANDS = """
+import sys
 from sattraffic.cli import main
-inputs, out, targets = sys.argv[1], sys.argv[2], sys.argv[3:]
+inputs, out = sys.argv[1], sys.argv[2]
 demand = [f"--{kind}={inputs}/{kind}.csv"
           for kind in ("pattern", "population", "aero", "maritime")]
 for argv in (["simulate", *demand, "--hour", "9"], ["profile", *demand],
              ["interference", *demand, "--hour", "9", "--sizes", "1..7"]):
     if main([*argv, "--out-dir", f"{out}/{argv[0]}"]) != 0:
         sys.exit(1)
+"""
+
+# then prints which of the targets named on its command line this process's
+# numpy has enabled
+RUN = COMMANDS + """
+import json
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:
+    from numpy.core import _multiarray_umath as umath
+targets = sys.argv[3:]
 print(json.dumps({name: bool(umath.__cpu_features__.get(name)) for name in targets}))
 """
 
 
-def run(inputs, out, disabled):
+def child(script, *argv, disabled=()):
+    """The JSON of the last line script prints, run with argv in a fresh
+    interpreter that imports this sattraffic, with the numpy CPU targets
+    named in disabled turned off."""
     env = dict(os.environ)
     env.pop("NPY_DISABLE_CPU_FEATURES", None)
     if disabled:
@@ -60,11 +69,27 @@ def run(inputs, out, disabled):
     src = str(Path(sattraffic.__file__).parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     done = subprocess.run(
-        [sys.executable, "-c", RUN, str(inputs), str(out), *ENABLED],
+        [sys.executable, "-c", script, *map(str, argv)],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def run(inputs, out, disabled):
+    return child(RUN, inputs, out, *ENABLED, disabled=disabled)
+
+
+def synth_s(inputs):
+    """ROADMAP's S scenario in inputs: 7 beams, ~12k terminals."""
+    for kind, seed, params in (
+        ("pattern", 91, []),
+        ("population", 92, ["--param", "cells=1000", "--param", "urban_fraction=0.15"]),
+        ("aero", 93, ["--param", "flights=800"]),
+        ("maritime", 94, ["--param", "ships=600"]),
+    ):
+        argv = ["synth", kind, "--seed", str(seed), "--out-dir", str(inputs), *params]
+        assert cli.main(argv) == 0
 
 
 def outputs(root):
@@ -77,15 +102,7 @@ def outputs(root):
 @pytest.mark.skipif(not ENABLED, reason="numpy dispatches no AVX-512 code on this host")
 def test_outputs_do_not_depend_on_avx512_dispatch(tmp_path):
     inputs = tmp_path / "inputs"
-    # ROADMAP's S scenario: 7 beams, ~12k terminals
-    for kind, seed, params in (
-        ("pattern", 91, []),
-        ("population", 92, ["--param", "cells=1000", "--param", "urban_fraction=0.15"]),
-        ("aero", 93, ["--param", "flights=800"]),
-        ("maritime", 94, ["--param", "ships=600"]),
-    ):
-        argv = ["synth", kind, "--seed", str(seed), "--out-dir", str(inputs), *params]
-        assert cli.main(argv) == 0
+    synth_s(inputs)
     assert all(run(inputs, tmp_path / "default", []).values())
     assert not any(run(inputs, tmp_path / "baseline", ENABLED).values())
     default, baseline = outputs(tmp_path / "default"), outputs(tmp_path / "baseline")

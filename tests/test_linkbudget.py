@@ -29,6 +29,7 @@ from sattraffic.ingest import (
     synth_pattern,
     synth_population,
 )
+from sattraffic import linkbudget
 from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
@@ -224,6 +225,22 @@ class TestBuildChannelMatrix:
         for name in ("entries", "serving", "distance_m", "path_loss_db",
                      "interp_gain_db", "nearest_sample"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("beams", [[4], [7, 2, 7, 5, 2], [3, 1, 6, 1, 2, 4, 5, 7]])
+    def test_serving_beam_gains_are_taken_in_np_unique_order(self, beams, monkeypatch):
+        pattern = seven_beam_pattern(pitch=0.5)
+        T = matrix_for(pattern, [(52.0 + 0.1 * i, 5.0) for i in range(len(beams))], beams)
+        columns = [pattern.gain_db[:, k].tobytes() for k in range(pattern.beams)]
+        taken = []
+        gain = linkbudget.NearestSamples.gain
+
+        def record(index, gains_db):
+            taken.append(columns.index(np.asarray(gains_db).tobytes()) + 1)
+            return gain(index, gains_db)
+
+        monkeypatch.setattr(linkbudget.NearestSamples, "gain", record)
+        build_channel_matrix(T, pattern)
+        assert taken == np.unique(T.beam).tolist()
 
     @pytest.mark.parametrize("locs", [
         [(52.0, 5.0), (math.nan, 5.0)],

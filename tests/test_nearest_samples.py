@@ -258,6 +258,27 @@ def rows_scanned(lat, lon, glat, glon, **band):
     return [scanned.count(point) for point in zip(lat, lon)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.5, 52.25]), coords),
+                min_size=1, max_size=60))
+def test_band_half_width_matches_median_of_distinct_steps(lat):
+    # the plain form: numpy's median of the steps between distinct latitudes
+    steps = np.diff(np.unique(lat))
+    want = linkbudget._BAND_STEPS * float(np.median(steps)) if steps.size else 180.0
+    assert bits(linkbudget._band_half_width(np.sort(lat))) == bits(want)
+
+
+@pytest.mark.parametrize("lat, want", [
+    ([52.0], 180.0),
+    ([52.0] * 5, 180.0),
+    ([0.0, -0.0, 0.0], 180.0),
+    ([1.0, 1.0, 2.0, 2.0, 2.0, 4.0], 2.0 * 1.5),
+    ([1.0, 1.0, 2.0, 3.0, 3.0, 5.0], 2.0 * 1.0),
+])
+def test_band_half_width_of_single_and_repeated_latitudes(lat, want):
+    assert linkbudget._band_half_width(np.sort(lat)) == want
+
+
 def test_narrow_band_makes_every_location_fall_back():
     glat, glon = regular_grid(8, 8, 0.5)
     lat = [0.1, 1.3, 2.2, 3.4, 0.1]
