@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import BadThresholdsError
 from .ingest import TerminalBlock
-from .ioutil import frozen, whole, write_table
+from .ioutil import frozen, real, whole, write_table
 from .linkbudget import interference  # noqa: F401  bench/tracer.py hooks it here
 from .traffic import build_traffic_matrix, per_beam_demand
 
@@ -34,11 +34,9 @@ class HourlyProfile:
     demand_mbps: np.ndarray
 
     def __post_init__(self):
-        demand = frozen(self.demand_mbps, float, "demand_mbps")
+        demand = frozen(self.demand_mbps, float, "demand_mbps", 0)
         if demand.ndim != 3 or demand.shape[1] != HOURS or demand.shape[2] != 3:
             raise ValueError("profile must have shape (beams, 24, 3)")
-        if (demand < 0.0).any() or not np.isfinite(demand).all():
-            raise ValueError("demand totals must be finite and non-negative")
         peaks = demand.max(axis=1)
         zero = peaks == 0.0
         scale = np.where(zero, 1.0, peaks)
@@ -106,10 +104,9 @@ def classify_beams(profile, thresholds=None):
     if thresholds is None:
         lower, upper = _percentile(means, 25), _percentile(means, 75)
     else:
-        lower, upper = float(thresholds[0]), float(thresholds[1])
-        if not (math.isfinite(lower) and math.isfinite(upper)):
-            raise BadThresholdsError("thresholds must be finite")
-        if lower < 0.0 or upper <= lower:
+        lower = real(thresholds[0], "lower", 0, error=BadThresholdsError)
+        upper = real(thresholds[1], "upper", error=BadThresholdsError)
+        if upper <= lower:
             raise BadThresholdsError(
                 f"thresholds must satisfy upper > lower >= 0, got ({lower}, {upper})"
             )

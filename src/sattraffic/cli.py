@@ -11,7 +11,6 @@ Exit codes: 0 success, 1 bad input or usage, 2 internal invariant violation.
 
 import argparse
 import dataclasses
-import math
 import os
 import shutil
 import sys
@@ -40,7 +39,7 @@ from .ingest import (
     parse_config,
     synth_generate,
 )
-from .ioutil import canonical_json, sha256_file, whole
+from .ioutil import canonical_json, real, sha256_file, whole
 from .linkbudget import build_channel_matrix, channel_summary, write_channel_csv
 from .pattern import all_footprints, parse_pattern, write_borders_csv
 from .traffic import build_traffic_matrix, write_traffic_csv
@@ -99,9 +98,7 @@ def _parse_param(text):
         number = float(value)
     except ValueError:
         raise UsageError(f"parameter {name} needs a numeric value") from None
-    if not math.isfinite(number):
-        raise UsageError(f"parameter {name} must be finite, got {value}")
-    return name, number
+    return name, real(number, f"parameter {name}", error=UsageError)
 
 
 def _out_dir(args):

@@ -9,10 +9,15 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .ioutil import real
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 EARTH_RADIUS_M = 6_371_000.0  # mean Earth radius
 GEO_ALTITUDE_M = 35_786_000.0
+
+# the bounds of every latitude: a location's, the satellite's, a column's
+LATITUDE = (-90, 90)
 
 
 @dataclass(frozen=True)
@@ -23,12 +28,11 @@ class GeoPoint:
     lon_deg: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lat_deg) and math.isfinite(self.lon_deg)):
-            raise ValueError(f"non-finite coordinates ({self.lat_deg}, {self.lon_deg})")
-        if not -90.0 <= self.lat_deg <= 90.0:
-            raise ValueError(f"latitude {self.lat_deg} outside [-90, 90]")
-        if not -180.0 <= self.lon_deg < 180.0:
-            object.__setattr__(self, "lon_deg", float(wrap_lon(self.lon_deg)))
+        object.__setattr__(self, "lat_deg", real(self.lat_deg, "latitude", *LATITUDE))
+        lon = real(self.lon_deg, "longitude")
+        if not -180.0 <= lon < 180.0:
+            lon = float(wrap_lon(lon))
+        object.__setattr__(self, "lon_deg", lon)
 
 
 def wrap_lon(lon_deg):
@@ -44,20 +48,12 @@ def wrap_lon(lon_deg):
     return lon
 
 
-def check_locations(lat_deg, lon_deg):
-    """Raise GeoPoint's ValueError for the first location it would reject."""
-    lat = np.asarray(lat_deg, dtype=float)
-    lon = np.asarray(lon_deg, dtype=float)
-    invalid = np.flatnonzero(~(np.abs(lat) <= 90.0) | ~np.isfinite(lon))
-    if invalid.size:
-        GeoPoint(float(lat[invalid[0]]), float(lon[invalid[0]]))
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Satellite and link parameters with Ka-band GEO defaults.
 
-    Every value must be finite and the satellite latitude in [-90, 90].
+    Every value must be finite, the satellite latitude in [-90, 90] and the
+    altitude, Earth radius, carrier, power and bandwidth above 0.
     wavelength_m is not a parameter: it is always the speed of light over
     the carrier frequency, so replace() with another carrier derives the
     matching wavelength.
@@ -75,21 +71,8 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for name in (f.name for f in fields(self) if f.init):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-        if not -90.0 <= self.sat_lat_deg <= 90.0:
-            raise ValueError(f"sat_lat_deg {self.sat_lat_deg!r} outside [-90, 90]")
-        if self.altitude_m <= 0:
-            raise ValueError("altitude must be positive")
-        if self.earth_radius_m <= 0:
-            raise ValueError("earth radius must be positive")
-        if self.carrier_freq_hz <= 0:
-            raise ValueError("carrier frequency must be positive")
-        if self.total_power_w <= 0:
-            raise ValueError("total power must be positive")
-        if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth must be positive")
+            bounds = _SCENARIO_BOUNDS.get(name, {})
+            object.__setattr__(self, name, real(getattr(self, name), name, **bounds))
         wavelength = SPEED_OF_LIGHT / self.carrier_freq_hz
         if math.isinf(wavelength):  # a subnormal carrier
             raise ValueError(f"wavelength_m must be finite, got inf from "
@@ -97,10 +80,11 @@ class ScenarioConfig:
         object.__setattr__(self, "wavelength_m", wavelength)
 
 
-def _check_positive(name, value):
-    """Raise a ValueError naming the argument unless it is finite and > 0."""
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+_POSITIVE = dict(lo=0, strict=True)
+# real()'s bounds of ScenarioConfig's values; the others need only be finite
+_SCENARIO_BOUNDS = dict(sat_lat_deg=dict(lo=LATITUDE[0], hi=LATITUDE[1]), **dict.fromkeys(
+    ("altitude_m", "earth_radius_m", "carrier_freq_hz", "total_power_w", "bandwidth_hz"),
+    _POSITIVE))
 
 
 def great_circle_distance(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADIUS_M) -> float:
@@ -112,7 +96,7 @@ def great_circle_distance(a: GeoPoint, b: GeoPoint, radius_m: float = EARTH_RADI
     points only negates each cross-product component, so the result is
     exactly symmetric.
     """
-    _check_positive("radius_m", radius_m)
+    radius_m = real(radius_m, "radius_m", **_POSITIVE)
     u, v = _unit_vector(a), _unit_vector(b)
     cross = math.hypot(
         u[1] * v[2] - u[2] * v[1],
@@ -143,13 +127,13 @@ def slant_range(
         d = (R+h) * sqrt(1 + q^2 - 2 q (cos(dlon) cos(lat_s) cos(lat_u)
                                         + sin(lat_s) sin(lat_u))),  q = R/(R+h)
 
-    Exactly h at the sub-satellite point; at most R + (R+h) anywhere.
+    Exactly h at the sub-satellite point; at most R + (R+h) anywhere. The
+    satellite's position, altitude and radius take ScenarioConfig's bounds.
     """
-    for name, value in (("sat_lat_deg", sat_lat_deg), ("sat_lon_deg", sat_lon_deg)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    _check_positive("altitude_m", altitude_m)
-    _check_positive("earth_radius_m", earth_radius_m)
+    sat_lat_deg = real(sat_lat_deg, "sat_lat_deg", *LATITUDE)
+    sat_lon_deg = real(sat_lon_deg, "sat_lon_deg")
+    altitude_m = real(altitude_m, "altitude_m", **_POSITIVE)
+    earth_radius_m = real(earth_radius_m, "earth_radius_m", **_POSITIVE)
     q = earth_radius_m / (earth_radius_m + altitude_m)
     t = (
         math.cos(math.radians(sat_lon_deg - user.lon_deg))
@@ -163,6 +147,6 @@ def slant_range(
 
 def path_loss_db(distance_m: float, wavelength_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d/lambda) in dB."""
-    _check_positive("distance_m", distance_m)
-    _check_positive("wavelength_m", wavelength_m)
+    distance_m = real(distance_m, "distance_m", **_POSITIVE)
+    wavelength_m = real(wavelength_m, "wavelength_m", **_POSITIVE)
     return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength_m)

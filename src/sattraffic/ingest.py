@@ -19,6 +19,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from enum import IntEnum
+from functools import partial
 
 import numpy as np
 
@@ -28,8 +29,9 @@ from .errors import (
     ParseError,
     TimestampError,
 )
-from .geo import GeoPoint, check_locations, wrap_lon
+from .geo import LATITUDE, GeoPoint, wrap_lon
 from .ioutil import (
+    FINITE,
     check_header,
     fields_of,
     frozen,
@@ -37,6 +39,7 @@ from .ioutil import (
     number,
     open_input,
     read_chunks,
+    real,
     whole,
     write_table,
 )
@@ -57,6 +60,10 @@ class TrafficType(IntEnum):
     MARITIME = 3
 
 
+# the bounds of a type column
+TYPES = (min(TrafficType).value, max(TrafficType).value)
+
+
 @dataclass(frozen=True)
 class Terminal:
     """One demand source: a fixed site, a flight, or a vessel."""
@@ -69,10 +76,7 @@ class Terminal:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValueError("terminal id must be a non-empty string")
-        demand = float(self.demand_mbps)
-        if not math.isfinite(demand) or demand < 0.0:
-            raise ValueError(f"demand must be finite and >= 0, got {self.demand_mbps}")
-        object.__setattr__(self, "demand_mbps", demand)
+        object.__setattr__(self, "demand_mbps", real(self.demand_mbps, "demand_mbps", 0))
         object.__setattr__(self, "type", TrafficType(self.type))
 
 
@@ -84,9 +88,8 @@ class BoundingBox:
     lon_max: float
 
     def __post_init__(self):
-        vals = (self.lat_min, self.lat_max, self.lon_min, self.lon_max)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("bounding box values must be finite")
+        for f in fields(self):
+            object.__setattr__(self, f.name, real(getattr(self, f.name), f.name))
         if not (self.lat_min < self.lat_max and self.lon_min < self.lon_max):
             raise ValueError("bounding box must have positive extent")
 
@@ -112,10 +115,8 @@ class UrbanPolicy:
     suppression_factor: float = 0.5
 
     def __post_init__(self):
-        if not math.isfinite(self.density_threshold) or self.density_threshold < 0:
-            raise ValueError("density threshold must be finite and >= 0")
-        if not 0.0 <= self.suppression_factor <= 1.0:
-            raise ValueError("suppression factor must lie in [0, 1]")
+        for name, bounds in (("density_threshold", (0,)), ("suppression_factor", (0, 1))):
+            object.__setattr__(self, name, real(getattr(self, name), name, *bounds))
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,7 @@ class IngestConfig:
     def __post_init__(self):
         object.__setattr__(self, "downscale", whole(self.downscale, "downscale", 1))
         for name in ("fss_demand_mbps", "aero_demand_mbps", "maritime_demand_mbps"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0")
+            object.__setattr__(self, name, real(getattr(self, name), name, 0))
 
 
 def _with_settings(cfg, **settings):
@@ -210,7 +209,8 @@ class TerminalBlock(Sequence):
 
     lat_deg, lon_deg, type (TrafficType values) and demand_mbps hold one row
     per terminal, each a read-only copy of the column given, and ids the
-    matching ids; every location is one GeoPoint accepts. The loaders fill
+    matching ids. Every value is one a Terminal accepts: latitudes in
+    [-90, 90], finite longitudes and demands >= 0. The loaders fill
     the columns directly; indexing and iteration build Terminal objects on
     demand, so a block also reads as the sequence of its terminals.
     """
@@ -225,13 +225,12 @@ class TerminalBlock(Sequence):
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        for name, dtype in (("lat_deg", float), ("lon_deg", float), ("type", np.int64),
-                            ("demand_mbps", float)):
-            column = frozen(getattr(self, name), dtype, name)
+        for name, dtype, bounds in (("lat_deg", float, LATITUDE), ("lon_deg", float, FINITE),
+                                    ("type", np.int64, TYPES), ("demand_mbps", float, (0,))):
+            column = frozen(getattr(self, name), dtype, name, *bounds)
             if column.shape != (len(self.ids),):
                 raise ValueError(f"{name} must hold one value per terminal")
             object.__setattr__(self, name, column)
-        check_locations(self.lat_deg, self.lon_deg)
 
     @classmethod
     def of(cls, terminals):
@@ -545,7 +544,14 @@ def _require(cond, message):
         raise InvalidParamsError(message)
 
 
+# a generator's real-valued parameter
+_param = partial(real, error=InvalidParamsError)
+
+
 def _check_box(lat_min, lat_max, lon_min, lon_max):
+    """The box as floats; InvalidParamsError unless it lies in the study region."""
+    lat_min, lat_max = _param(lat_min, "lat_min"), _param(lat_max, "lat_max")
+    lon_min, lon_max = _param(lon_min, "lon_min"), _param(lon_max, "lon_max")
     _require(
         REGION_LAT[0] <= lat_min < lat_max <= REGION_LAT[1],
         f"latitude range [{lat_min}, {lat_max}] outside {list(REGION_LAT)}",
@@ -554,6 +560,7 @@ def _check_box(lat_min, lat_max, lon_min, lon_max):
         REGION_LON[0] <= lon_min < lon_max <= REGION_LON[1],
         f"longitude range [{lon_min}, {lon_max}] outside {list(REGION_LON)}",
     )
+    return lat_min, lat_max, lon_min, lon_max
 
 
 def _hex_centers(n, lat0, lon0, spacing):
@@ -585,10 +592,11 @@ def synth_pattern(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
     circle of radius radius3db_deg. Phases are seeded uniform [0, 2*pi).
     """
     beams = whole(beams, "beams", 1, error=InvalidParamsError)
-    _require(spacing_deg > 0, "spacing_deg must be > 0")
-    _require(radius3db_deg > 0, "radius3db_deg must be > 0")
-    _require(pitch_deg > 0, "pitch_deg must be > 0")
-    _require(math.isfinite(peak_gain_db), "peak_gain_db must be finite")
+    center_lat, center_lon = _param(center_lat, "center_lat"), _param(center_lon, "center_lon")
+    spacing_deg = _param(spacing_deg, "spacing_deg", 0, strict=True)
+    radius3db_deg = _param(radius3db_deg, "radius3db_deg", 0, strict=True)
+    pitch_deg = _param(pitch_deg, "pitch_deg", 0, strict=True)
+    peak_gain_db = _param(peak_gain_db, "peak_gain_db")
 
     centers = _hex_centers(beams, center_lat, center_lon, spacing_deg)
     margin = radius3db_deg + 2.0 * pitch_deg
@@ -596,7 +604,7 @@ def synth_pattern(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
     lat_max = max(c[0] for c in centers) + margin
     lon_min = min(c[1] for c in centers) - margin
     lon_max = max(c[1] for c in centers) + margin
-    _check_box(lat_min, lat_max, lon_min, lon_max)
+    lat_min, lat_max, lon_min, lon_max = _check_box(lat_min, lat_max, lon_min, lon_max)
 
     lat_steps = int(round((lat_max - lat_min) / pitch_deg)) + 1
     lon_steps = int(round((lon_max - lon_min) / pitch_deg)) + 1
@@ -624,9 +632,9 @@ def synth_population(out_path, seed, cells=400, lat_min=47.0, lat_max=57.0,
                      urban_fraction=0.1):
     """Write a population file: mostly rural cells plus a few dense hotspots."""
     cells = whole(cells, "cells", 1, error=InvalidParamsError)
-    _require(cell_deg > 0, "cell_deg must be > 0")
-    _require(0.0 <= urban_fraction <= 1.0, "urban_fraction must lie in [0, 1]")
-    _check_box(lat_min, lat_max, lon_min, lon_max)
+    cell_deg = _param(cell_deg, "cell_deg", 0, strict=True)
+    urban_fraction = _param(urban_fraction, "urban_fraction", 0, 1)
+    lat_min, lat_max, lon_min, lon_max = _check_box(lat_min, lat_max, lon_min, lon_max)
 
     rng = np.random.default_rng(seed)
     nlat = max(1, int((lat_max - lat_min) / cell_deg))
@@ -665,7 +673,7 @@ def _synth_movements(out_path, seed, header, prefix, fleet, weights,
     The draws are made vehicle by vehicle, which fixes the stream; the rows
     are then formatted a block at a time.
     """
-    _check_box(lat_min, lat_max, lon_min, lon_max)
+    lat_min, lat_max, lon_min, lon_max = _check_box(lat_min, lat_max, lon_min, lon_max)
     rng = np.random.default_rng(seed)
     counts = _diurnal_counts(fleet, weights)
     # per active vehicle and hour: its number, the hour, its record count,

@@ -87,7 +87,13 @@ def _escape(s):
     return "".join(out)
 
 
-def frozen(values, dtype, name):
+# bounds that hold a value or column to finite numbers and nothing more
+FINITE = (-math.inf, math.inf)
+# the types real() reads as numbers, floats first, as most values are
+_REAL = (float, int, np.floating, np.integer)
+
+
+def frozen(values, dtype, name, lo=None, hi=math.inf):
     """values as a read-only, C-ordered array of dtype, the way value objects
     hold the arrays they are given.
 
@@ -97,19 +103,24 @@ def frozen(values, dtype, name):
     it to the object without a second copy. Anything else is copied, so the
     caller's array stays writeable and theirs. For an integer dtype, a value
     the cast would change (a fraction, NaN, an infinity or one past the
-    int64 range) raises ValueError naming the column."""
-    given = np.asarray(values)
-    if (given.dtype == dtype and given.flags.owndata and given.flags.c_contiguous
-            and not given.flags.writeable):
-        return given
-    if np.issubdtype(dtype, np.integer) and given.dtype.kind == "f":
-        whole = (given == np.trunc(given)) & (np.abs(given) < 2.0**63)
-        bad = np.flatnonzero(~whole)
-        if bad.size:
-            raise ValueError(f"{name} must hold whole numbers, got "
-                             f"{float(given.flat[bad[0]])!r}")
-    column = np.array(given, dtype=dtype, order="C")
-    column.setflags(write=False)
+    int64 range) raises ValueError naming the column. Given lo (FINITE for
+    no bounds), every value, kept or copied, must be finite and in [lo, hi],
+    or real's ValueError names the column and the first value that is not."""
+    column = np.asarray(values)
+    if not (column.dtype == dtype and column.flags.owndata and column.flags.c_contiguous
+            and not column.flags.writeable):
+        if np.issubdtype(dtype, np.integer) and column.dtype.kind == "f":
+            whole = (column == np.trunc(column)) & (np.abs(column) < 2.0**63)
+            bad = np.flatnonzero(~whole)
+            if bad.size:
+                raise ValueError(f"{name} must hold whole numbers, got "
+                                 f"{float(column.flat[bad[0]])!r}")
+        column = np.array(column, dtype=dtype, order="C")
+        column.setflags(write=False)
+    if lo is not None:
+        inside = np.isfinite(column) & (lo <= column) & (column <= hi)
+        if not inside.all():
+            real(column.flat[np.argmin(inside)].item(), name, lo, hi)
     return column
 
 
@@ -125,6 +136,26 @@ def whole(value, name, lo, hi=None, error=ValueError):
     if not integer:
         raise error(f"{name} must be an integer, got {value!r}")
     raise error(f"{name} {value} outside [{lo}, {hi}]")
+
+
+def real(value, name, lo=-math.inf, hi=math.inf, error=ValueError, strict=False):
+    """float(value) for an int, float or numpy number, never a bool or a str,
+    finite and in [lo, hi] (lo excluded if strict): the one rule for every
+    real number a caller gives. Anything else raises error naming the value,
+    in whole's three forms."""
+    number = isinstance(value, _REAL) and not isinstance(value, bool)
+    try:
+        x = float(value) if number else math.nan
+    except OverflowError:  # an int past the float range
+        x = math.nan
+    if (lo < x if strict else lo <= x) and x <= hi and math.isfinite(x):
+        return x
+    if hi == math.inf:
+        bound = "" if lo == -math.inf else f" {'>' if strict else '>='} {lo}"
+        raise error(f"{name} must be a finite number{bound}, got {value!r}")
+    if not math.isfinite(x):
+        raise error(f"{name} must be a finite number, got {value!r}")
+    raise error(f"{name} {value} outside {'(' if strict else '['}{lo}, {hi}]")
 
 
 def check_finite(columns):

@@ -17,9 +17,9 @@ from itertools import chain
 import numpy as np
 
 from .errors import MismatchedBeamsError, UnknownUserError
-from .geo import GeoPoint, ScenarioConfig, check_locations, path_loss_db, slant_range
+from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
 from . import ioutil
-from .ioutil import check_finite, format_rows, frozen, whole
+from .ioutil import check_finite, format_rows, frozen, real, whole
 
 _TWO_PI = 2.0 * math.pi
 
@@ -192,18 +192,25 @@ class NearestSamples:
             self.top_k[sub] = cand[cols[pick]]
             dk[sub] = dc[pick]
 
-    def gain(self, gains_db):
+    def gain(self, gains_db, beam=None):
         """Inverse-distance-squared gain over the k nearest samples, per row.
 
-        gains_db holds one beam's gain at every grid sample. A point sitting
-        exactly on a sample takes that sample's gain.
+        gains_db holds one beam's gain at every grid sample; or, given beam,
+        the 0-based beam of each query row, every beam's as (samples, beams),
+        and each row blends its own beam's gains. A point sitting exactly on
+        a sample takes that sample's gain.
         """
         gains_db = np.asarray(gains_db, dtype=float)
-        gk = gains_db[self.top_k]
-        vals = np.sum(self._w * gk, axis=1) / self._w_sum
-        vals[self._zero] = gk[self._zero, 0]
-        vals[self._has_eq] = gains_db[self._eq_idx[self._has_eq]]
-        return vals[self.inverse]
+        if beam is None:  # blended once per distinct point, then spread to the rows
+            points, spread, gains_db, beam = slice(None), self.inverse, gains_db[:, None], 0
+        else:  # blended once per row, at the row's point
+            points, spread, beam = self.inverse, slice(None), np.asarray(beam)
+        gk = gains_db[self.top_k[points], np.expand_dims(beam, -1)]
+        vals = np.sum(self._w[points] * gk, axis=1) / self._w_sum[points]
+        zero, exact = self._zero[points], self._has_eq[points]
+        vals[zero] = gk[zero, 0]
+        vals[exact] = gains_db[self._eq_idx[points], beam][exact]
+        return vals[spread]
 
 
 @dataclass(frozen=True)
@@ -218,7 +225,7 @@ class ChannelMatrix:
     C-ordered, of the field's dtype and owns its memory, as
     build_channel_matrix gives, is kept as it is, and any other is copied.
     location, serving and nearest_sample are int64 and reject values that
-    are not whole numbers.
+    are not whole numbers, and each location indexes rows.
     """
 
     rows: np.ndarray
@@ -237,8 +244,9 @@ class ChannelMatrix:
         rows, location = self.rows, self.location
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D array")
-        if location.ndim != 1 or not ((location >= 0) & (location < len(rows))).all():
+        if location.ndim != 1:
             raise ValueError("location must be a 1-D array of indices into rows")
+        frozen(location, np.int64, "location", 0, len(rows) - 1)  # checks, never copies
         for f in fields(self)[2:]:  # the per-user columns
             if getattr(self, f.name).shape != location.shape:
                 raise ValueError(f"{f.name} must have one value per user")
@@ -280,11 +288,9 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
         raise MismatchedBeamsError(
             f"traffic matrix has {T.beams} beams, pattern has {pattern.beams}"
         )
-    n = T.n_users
     lam = cfg.wavelength_m
 
     serving = T.beam
-    check_locations(T.lat_deg, T.lon_deg)
     index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
     m = len(index.lat_deg)
     dist = np.empty(m)
@@ -318,12 +324,7 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
         np.power(10.0, amp, out=amp)
         np.multiply(amp, rotation[lo : lo + step, None], out=rows[lo : lo + step])
 
-    gamma = np.empty(n)
-    # the serving beam ids in increasing order, as np.unique gives them, but
-    # without importing numpy.ma (~1 MB) as np.unique does
-    for j in np.flatnonzero(np.bincount(serving)):
-        sel = serving == j
-        gamma[sel] = index.gain(pattern.gain_db[:, j - 1])[sel]
+    gamma = index.gain(pattern.gain_db, serving - 1)
 
     # the finished arrays, frozen here, are handed to the ChannelMatrix uncopied
     inverse = index.inverse
@@ -347,7 +348,7 @@ def interference(H, n, active, power):
     active is read as a set of integer beam ids (a bool is refused, not read
     as beam 0 or 1). power is either one wattage applied to every beam or a
     mapping from beam id to watts, which may omit the serving beam; every
-    wattage given for an active beam must be finite and non-negative. The
+    wattage given for an active beam goes through ioutil.real, >= 0. The
     serving beam never contributes. Beams are summed in id order so the
     result does not depend on set iteration order.
     """
@@ -357,13 +358,11 @@ def interference(H, n, active, power):
     watts = {}
     for j in sorted(set(active)):
         if not isinstance(power, Mapping):
-            watts[j] = float(power)
+            watts[j] = real(power, f"beam {j} power", 0)
         elif j in power:
-            watts[j] = float(power[j])
+            watts[j] = real(power[j], f"beam {j} power", 0)
         elif j != serving:
             raise ValueError(f"no power given for beam {j}")
-        if not 0.0 <= watts.get(j, 0.0) < math.inf:
-            raise ValueError(f"beam {j} power must be finite and non-negative")
     total = 0.0
     for j, w in watts.items():
         if j != serving:

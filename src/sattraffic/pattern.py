@@ -21,8 +21,10 @@ from .errors import (
     SchemaError,
 )
 # delaunay is not called here; the benchmark tracer hooks it at this import site
+from .geo import LATITUDE
 from .geometry import Polygon, convex_hull, delaunay
 from .ioutil import (
+    FINITE,
     check_header,
     fields_of,
     frozen,
@@ -50,7 +52,8 @@ class BeamPattern:
     Stores the grid once and the per-beam quantities as (samples, beams)
     arrays, held through ioutil.frozen: a read-only, C-ordered float64 array
     that owns its memory, as parse_pattern gives, is kept as it is, and any
-    other is copied. The phase is wrapped into [0, 2*pi). The complex
+    other is copied. Every value must be finite and every latitude in
+    [-90, 90]. The phase is wrapped into [0, 2*pi). The complex
     coefficient of sample j under beam i is 10^(gain/20) * exp(i*phase), so
     its squared magnitude returns the gain via 10*log10(|.|^2). coefficients
     builds that matrix on each access.
@@ -62,8 +65,9 @@ class BeamPattern:
     phase_rad: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, frozen(getattr(self, f.name), float, f.name))
+        for f, bounds in zip(fields(self), (LATITUDE, FINITE, FINITE, FINITE)):
+            column = frozen(getattr(self, f.name), float, f.name, *bounds)
+            object.__setattr__(self, f.name, column)
         lat, lon, gain, phase = self.lat_deg, self.lon_deg, self.gain_db, self.phase_rad
         if lat.ndim != 1 or lon.ndim != 1 or lat.shape != lon.shape:
             raise ValueError("lat and lon must be 1-D arrays of equal length")
@@ -75,12 +79,6 @@ class BeamPattern:
             raise ValueError("phase must match the gain array shape")
         if gain.shape[1] < 1:
             raise ValueError("pattern needs at least one beam")
-        if not np.isfinite(lat).all() or not np.isfinite(lon).all():
-            raise ValueError("sample locations must be finite")
-        if not np.isfinite(gain).all() or not np.isfinite(phase).all():
-            raise ValueError("gains and phases must be finite")
-        if (np.abs(lat) > 90.0).any():
-            raise ValueError("sample latitude outside [-90, 90]")
         phase = np.mod(phase, _TWO_PI)
         phase[phase >= _TWO_PI] = 0.0  # mod of tiny negatives rounds up to 2*pi
         phase.setflags(write=False)

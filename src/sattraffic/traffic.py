@@ -13,20 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geo import LATITUDE
 from .geometry import polygon_contains_many
-from .ingest import TerminalBlock
-from .ioutil import frozen, write_table
+from .ingest import TYPES, TerminalBlock
+from .ioutil import FINITE, frozen, whole, write_table
 from .linkbudget import NearestSamples
-
-# column name, dtype
-_COLUMNS = (
-    ("beam", np.int64),
-    ("lat_deg", float),
-    ("lon_deg", float),
-    ("type", np.int64),
-    ("demand_mbps", float),
-    ("row", np.int64),
-)
 
 
 @dataclass(frozen=True)
@@ -37,6 +28,7 @@ class TrafficMatrix:
     user; row is the user's 0-based row among the terminals the matrix was
     built from, and defaults to the user's own row. beams is the pattern's
     beam count and excluded the number of terminals outside every footprint.
+    Each beam lies in [1, beams]; the other columns hold what a block's do.
     """
 
     beam: np.ndarray
@@ -51,26 +43,18 @@ class TrafficMatrix:
     def __post_init__(self):
         if self.row is None:
             object.__setattr__(self, "row", np.arange(len(self.beam)))
-        if self.beams < 1:
-            raise ValueError("a traffic matrix needs at least one beam")
-        if self.excluded < 0:
-            raise ValueError("excluded count cannot be negative")
+        object.__setattr__(self, "beams", whole(self.beams, "beams", 1))
+        object.__setattr__(self, "excluded", whole(self.excluded, "excluded", 0))
         n = len(self.beam)
-        for name, dtype in _COLUMNS:
-            arr = frozen(getattr(self, name), dtype, name)
+        for name, dtype, bounds in (
+            ("beam", np.int64, (1, self.beams)), ("lat_deg", float, LATITUDE),
+            ("lon_deg", float, FINITE), ("type", np.int64, TYPES),
+            ("demand_mbps", float, (0,)), ("row", np.int64, ()),
+        ):
+            arr = frozen(getattr(self, name), dtype, name, *bounds)
             if arr.shape != (n,):
                 raise ValueError(f"{name} must hold one value per user")
             object.__setattr__(self, name, arr)
-        bad = np.flatnonzero(
-            (self.beam < 1) | (self.beam > self.beams)
-            | (self.type < 1) | (self.type > 3) | ~(self.demand_mbps >= 0.0)
-        )
-        if bad.size:
-            i = bad[0]
-            raise ValueError(
-                f"user {i + 1} has beam {self.beam[i]} of {self.beams}, type "
-                f"{self.type[i]} or demand {self.demand_mbps[i]} out of range"
-            )
 
     @property
     def n_users(self):

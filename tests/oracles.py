@@ -267,6 +267,18 @@ def build_channel_matrix(T, pattern, cfg):
     )
 
 
+def serving_gain_by_beam(index, gain_db, serving):
+    """Each query row's gain under its 1-based serving beam, with one
+    NearestSamples.gain call per serving beam over every row, keeping the
+    rows that beam serves: the loop that one gather of each row's serving
+    beam replaced in build_channel_matrix."""
+    gamma = np.empty(len(serving))
+    for j in np.unique(serving):
+        sel = serving == j
+        gamma[sel] = index.gain(gain_db[:, j - 1])[sel]
+    return gamma
+
+
 class TerminalList(list):
     """Terminal list that also reports how many records were dropped."""
 

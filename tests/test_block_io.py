@@ -119,6 +119,8 @@ FINITE = st.one_of(
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 VALUES = st.one_of(FINITE, FINITE, FINITE, NON_FINITE)
 BLOCKS = st.sampled_from([1, 2, 3, 7, 1 << 14])
+# the latitudes a traffic matrix holds
+LATITUDES = st.one_of(FINITE.map(lambda v: math.fmod(v, 90.0)), st.sampled_from([-90.0, 90.0]))
 
 
 @pytest.fixture(scope="module")
@@ -156,11 +158,10 @@ class TestWriters:
         n = data.draw(st.integers(0, 12))
         T = TrafficMatrix(
             beam=data.draw(st.lists(st.integers(1, beams), min_size=n, max_size=n)),
-            lat_deg=data.draw(st.lists(VALUES, min_size=n, max_size=n)),
-            lon_deg=data.draw(st.lists(VALUES, min_size=n, max_size=n)),
+            lat_deg=data.draw(st.lists(LATITUDES, min_size=n, max_size=n)),
+            lon_deg=data.draw(st.lists(FINITE, min_size=n, max_size=n)),
             type=data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)),
-            demand_mbps=data.draw(st.lists(
-                st.one_of(FINITE.map(abs), st.just(math.inf)), min_size=n, max_size=n)),
+            demand_mbps=data.draw(st.lists(FINITE.map(abs), min_size=n, max_size=n)),
             beams=beams,
             excluded=0,
         )
@@ -317,7 +318,7 @@ class TestWriters:
         n = ioutil.BLOCK_ROWS + 1234
         rng = np.random.default_rng(5)
         T = TrafficMatrix(
-            beam=rng.integers(1, 4, n), lat_deg=rng.normal(0, 30, n),
+            beam=rng.integers(1, 4, n), lat_deg=np.clip(rng.normal(0, 30, n), -90, 90),
             lon_deg=rng.normal(0, 1e-300, n), type=rng.integers(1, 4, n),
             demand_mbps=np.abs(rng.normal(0, 1e5, n)), beams=3, excluded=0,
         )

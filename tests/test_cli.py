@@ -117,7 +117,7 @@ class TestSynth:
         for param in params:
             argv += ["--param", param]
         assert cli.main(argv) == 1
-        assert f"parameter {name} must be finite" in capsys.readouterr().err
+        assert f"parameter {name} must be a finite number, got " in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_unknown_param_rejected_without_output(self, tmp_path, capsys):

@@ -107,7 +107,7 @@ class TestGreatCircle:
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
     def test_non_finite_radius_rejected(self, radius):
-        with pytest.raises(ValueError, match="^radius_m must be finite and positive"):
+        with pytest.raises(ValueError, match="^radius_m must be a finite number > 0"):
             great_circle_distance(GeoPoint(0, 0), GeoPoint(1, 1), radius_m=radius)
 
 
@@ -174,7 +174,7 @@ class TestSlantRange:
     ])
     def test_non_finite_params_rejected(self, name, value, args):
         kwargs = {"sat_lat_deg": 0.0, "sat_lon_deg": 13.0, **args}
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             slant_range(GeoPoint(0, 0), **kwargs)
 
 
@@ -214,7 +214,7 @@ class TestPathLoss:
         (1.0, math.nan, "wavelength_m"),
     ])
     def test_rejects_non_finite(self, distance, wavelength, name):
-        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0"):
             path_loss_db(distance, wavelength)
 
 
@@ -283,7 +283,7 @@ class TestScenarioConfig:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", [f.name for f in fields(ScenarioConfig) if f.init])
     def test_non_finite_field_rejected(self, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             ScenarioConfig(**{name: value})
 
     def test_derived_wavelength_must_be_finite(self):

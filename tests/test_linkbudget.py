@@ -227,34 +227,31 @@ class TestBuildChannelMatrix:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
     @pytest.mark.parametrize("beams", [[4], [7, 2, 7, 5, 2], [3, 1, 6, 1, 2, 4, 5, 7]])
-    def test_serving_beam_gains_are_taken_in_np_unique_order(self, beams, monkeypatch):
+    def test_serving_beam_gains_match_the_per_beam_loop(self, beams):
         pattern = seven_beam_pattern(pitch=0.5)
-        T = matrix_for(pattern, [(52.0 + 0.1 * i, 5.0) for i in range(len(beams))], beams)
-        columns = [pattern.gain_db[:, k].tobytes() for k in range(pattern.beams)]
-        taken = []
-        gain = linkbudget.NearestSamples.gain
+        # odd users sit exactly on a sample
+        locs = [(pattern.lat_deg[7 * i], pattern.lon_deg[7 * i]) if i % 2
+                else (52.0 + 0.1 * i, 5.0) for i in range(len(beams))]
+        T = matrix_for(pattern, locs, beams)
+        index = linkbudget.NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg,
+                                          pattern.lon_deg)
+        want = oracles.serving_gain_by_beam(index, pattern.gain_db, T.beam)
+        got = build_channel_matrix(T, pattern).interp_gain_db
+        assert got.tobytes() == want.tobytes()
 
-        def record(index, gains_db):
-            taken.append(columns.index(np.asarray(gains_db).tobytes()) + 1)
-            return gain(index, gains_db)
-
-        monkeypatch.setattr(linkbudget.NearestSamples, "gain", record)
-        build_channel_matrix(T, pattern)
-        assert taken == np.unique(T.beam).tolist()
-
-    @pytest.mark.parametrize("locs", [
-        [(52.0, 5.0), (math.nan, 5.0)],
-        [(52.0, 5.0), (52.0, math.inf), (95.0, 5.0)],
-        [(-95.0, 5.0), (95.0, 5.0)],
-        [(52.0, 5.0), (math.inf, 5.0), (52.0, math.nan)],
+    @pytest.mark.parametrize("locs, message", [
+        ([(52.0, 5.0), (math.nan, 5.0)], "lat_deg must be a finite number, got nan"),
+        ([(52.0, 5.0), (52.0, math.inf), (95.0, 5.0)], "lat_deg 95.0 outside [-90, 90]"),
+        ([(-95.0, 5.0), (95.0, 5.0)], "lat_deg -95.0 outside [-90, 90]"),
+        ([(52.0, 5.0), (math.inf, 5.0), (52.0, math.nan)],
+         "lat_deg must be a finite number, got inf"),
+        ([(52.0, 5.0), (52.0, math.nan)], "lon_deg must be a finite number, got nan"),
     ])
-    def test_first_invalid_location_fails_as_user_by_user(self, locs):
+    def test_the_traffic_matrix_refuses_an_invalid_location(self, locs, message):
+        # so the channel build needs no location check of its own
         pattern = seven_beam_pattern(pitch=0.5)
-        T = matrix_for(pattern, locs)
-        with pytest.raises(ValueError) as want:
-            oracles.build_channel_matrix(T, pattern, ScenarioConfig())
-        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            build_channel_matrix(T, pattern, ScenarioConfig())
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            matrix_for(pattern, locs)
 
     def test_single_user_at_sample_composes_module_oracles(self):
         # one beam, uniform 50 dB gain, user at the sub-satellite point
@@ -357,10 +354,15 @@ class TestChannelMatrix:
         assert (H.n_users, H.beams) == (3, 2)
 
     # not 1-D, or pointing outside rows
-    @pytest.mark.parametrize("location", [[[0, 1]], 0, [0, 2], [-1, 0], [3]])
-    def test_location_must_index_rows(self, location):
-        with pytest.raises(ValueError,
-                           match=r"^location must be a 1-D array of indices into rows$"):
+    @pytest.mark.parametrize("location, message", [
+        ([[0, 1]], "location must be a 1-D array of indices into rows"),
+        (0, "location must be a 1-D array of indices into rows"),
+        ([0, 2], "location 2 outside [0, 1]"),
+        ([-1, 0], "location -1 outside [0, 1]"),
+        ([3], "location 3 outside [0, 1]"),
+    ])
+    def test_location_must_index_rows(self, location, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             channel_of(np.ones((2, 3)), location)
 
     def test_no_users_and_no_rows(self):
@@ -483,7 +485,7 @@ class TestInterference:
     ])
     def test_power_must_be_finite_and_non_negative(self, channel, active, power):
         # the serving beam (1 for user 1) contributes nothing, but its power is checked
-        with pytest.raises(ValueError, match="power must be finite and non-negative"):
+        with pytest.raises(ValueError, match="power must be a finite number >= 0, got "):
             interference(channel, 1, active, power)
 
     def test_active_is_read_as_a_set(self, channel):

@@ -130,7 +130,8 @@ class TestPopulationEdges:
     def test_negative_demand_raises_before_any_file_is_read(self):
         # the loaders take their demand from an IngestConfig, which refuses it
         for demand in (-1, math.nan, math.inf):
-            with pytest.raises(ValueError, match=r"^fss_demand_mbps must be finite and >= 0$"):
+            with pytest.raises(ValueError,
+                               match=rf"^fss_demand_mbps must be a finite number >= 0, got {demand}$"):
                 IngestConfig(fss_demand_mbps=demand)
 
 
@@ -172,7 +173,7 @@ class TestMovementEdges:
     def test_negative_demand_raises_before_any_file_is_read(self):
         # the loaders take their demand from an IngestConfig, which refuses it
         for name in ("aero_demand_mbps", "maritime_demand_mbps"):
-            with pytest.raises(ValueError, match=rf"^{name} must be finite and >= 0$"):
+            with pytest.raises(ValueError, match=rf"^{name} must be a finite number >= 0, got -1$"):
                 IngestConfig(**{name: -1})
 
     def test_crlf_and_blank_lines(self):
@@ -437,9 +438,9 @@ class TestTerminalBlock:
             TerminalBlock(["a"], [1.0], [], [1], [2.0])
 
     @pytest.mark.parametrize("lat, lon, message", [
-        (95.0, 1.0, "latitude 95.0 outside"),
-        (math.nan, 1.0, "non-finite"),
-        (1.0, -math.inf, "non-finite"),
+        (95.0, 1.0, r"^lat_deg 95.0 outside \[-90, 90\]$"),
+        (math.nan, 1.0, "^lat_deg must be a finite number, got nan$"),
+        (1.0, -math.inf, "^lon_deg must be a finite number, got -inf$"),
     ])
     def test_locations_checked_as_geopoint_does(self, lat, lon, message):
         with pytest.raises(ValueError, match=message):

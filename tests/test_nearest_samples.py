@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from sattraffic import linkbudget
 from sattraffic.linkbudget import NearestSamples, _cos_angles
 
-from oracles import argmax_nearest, idw_gain
+from oracles import argmax_nearest, idw_gain, serving_gain_by_beam
 
 # module constants of the band search, patched per run
 BANDS = (
@@ -228,6 +228,44 @@ class TestAgainstOracle:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             NearestSamples([0.0], [0.0], [], [])
+
+
+def assert_gather_matches_the_loop(lat, lon, glat, glon, gains, serving):
+    """gain with a beam per row is the per-beam loop's result, bit for bit."""
+    index = NearestSamples(lat, lon, glat, glon)
+    serving = np.asarray(serving, dtype=np.int64)
+    want = serving_gain_by_beam(index, gains, serving)
+    assert np.array_equal(bits(index.gain(gains, serving - 1)), bits(want))
+    return index
+
+
+class TestServingBeamGather:
+    @settings(max_examples=100, deadline=None)
+    @given(grid_and_queries(), st.integers(1, 4), st.data())
+    def test_random_points_hits_and_repeats(self, case, beams, data):
+        lat, lon, glat, glon, gains = case
+        gains = np.stack([gains + 7.0 * b for b in range(beams)], axis=1)
+        serving = data.draw(st.lists(st.integers(1, beams), min_size=lat.size,
+                                     max_size=lat.size))
+        assert_gather_matches_the_loop(lat, lon, glat, glon, gains, serving)
+
+    def test_exact_hit_and_zero_distance(self):
+        # query 0 sits on sample 0, beside a sample whose angle rounds to
+        # zero; query 1 is that same neighbour's zero-distance case without
+        # an exact hit; query 2 repeats query 0 under another beam
+        glat = np.array([13.56, 13.559999999999995, 13.6, 13.5])
+        glon = np.array([50.08, 50.08, 50.08, 50.08])
+        lat, lon = [13.56, 13.560000000000002, 13.56], [50.08, 50.08, 50.08]
+        gains = np.array([[40.0, 1.0], [45.0, 2.0], [30.0, 3.0], [20.0, 4.0]])
+        index = assert_gather_matches_the_loop(lat, lon, glat, glon, gains, [1, 2, 2])
+        assert index._has_eq[index.inverse].tolist() == [True, False, True]
+        assert index._zero[index.inverse].tolist() == [True, True, True]
+        assert index.gain(gains, [0, 1, 1]).tolist() == [40.0, 2.0, 1.0]
+
+    def test_empty_query(self):
+        glat, glon = regular_grid(2, 2, 0.5)
+        index = NearestSamples([], [], glat, glon)
+        assert index.gain(np.ones((4, 3)), np.empty(0, dtype=np.int64)).shape == (0,)
 
 
 def test_distinct_locations_are_searched_once():
