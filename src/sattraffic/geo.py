@@ -36,10 +36,11 @@ class GeoPoint:
 
 
 def wrap_lon(lon_deg):
-    """Longitudes normalized into [-180, 180), as a new float array."""
-    lon = np.array(lon_deg, dtype=float)
-    wrap = ~((lon >= -180.0) & (lon < 180.0))
-    if wrap.any():
+    """Longitudes normalized into [-180, 180): lon_deg itself if a float array inside."""
+    lon = np.asarray(lon_deg, dtype=float)
+    if lon.size and not (-180.0 <= lon.min() and lon.max() < 180.0):
+        lon = np.array(lon)
+        wrap = ~((lon >= -180.0) & (lon < 180.0))
         wrapped = np.fmod(lon[wrap] + 180.0, 360.0)
         wrapped[wrapped < 0.0] += 360.0
         wrapped -= 180.0

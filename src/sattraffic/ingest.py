@@ -35,6 +35,7 @@ from .ioutil import (
     check_header,
     fields_of,
     frozen,
+    hold_columns,
     load_chunk,
     number,
     open_input,
@@ -60,8 +61,10 @@ class TrafficType(IntEnum):
     MARITIME = 3
 
 
-# the bounds of a type column
-TYPES = (min(TrafficType).value, max(TrafficType).value)
+# a terminal's columns as (name, dtype, bounds of every value)
+TERMINAL_COLUMNS = (("lat_deg", float, LATITUDE), ("lon_deg", float, FINITE),
+                    ("type", np.int64, (min(TrafficType).value, max(TrafficType).value)),
+                    ("demand_mbps", float, (0,)))
 
 
 @dataclass(frozen=True)
@@ -208,11 +211,11 @@ class TerminalBlock(Sequence):
     """Terminals as read-only columns, with the records dropped on the way.
 
     lat_deg, lon_deg, type (TrafficType values) and demand_mbps hold one row
-    per terminal, each a read-only copy of the column given, and ids the
-    matching ids. Every value is one a Terminal accepts: latitudes in
-    [-90, 90], finite longitudes and demands >= 0. The loaders fill
-    the columns directly; indexing and iteration build Terminal objects on
-    demand, so a block also reads as the sequence of its terminals.
+    per terminal through ioutil.frozen, and ids the matching ids. Every value
+    is one a Terminal accepts: latitudes in [-90, 90], finite longitudes,
+    wrapped into [-180, 180) as a GeoPoint's are, and demands >= 0. The
+    loaders fill the columns directly; indexing and iteration build Terminal
+    objects on demand, so a block also reads as the sequence of its terminals.
     """
 
     ids: tuple
@@ -225,12 +228,8 @@ class TerminalBlock(Sequence):
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        for name, dtype, bounds in (("lat_deg", float, LATITUDE), ("lon_deg", float, FINITE),
-                                    ("type", np.int64, TYPES), ("demand_mbps", float, (0,))):
-            column = frozen(getattr(self, name), dtype, name, *bounds)
-            if column.shape != (len(self.ids),):
-                raise ValueError(f"{name} must hold one value per terminal")
-            object.__setattr__(self, name, column)
+        hold_columns(self, TERMINAL_COLUMNS, len(self.ids), "terminal")
+        object.__setattr__(self, "lon_deg", frozen(wrap_lon(self.lon_deg), float, "lon_deg"))
 
     @classmethod
     def of(cls, terminals):
@@ -355,7 +354,7 @@ def load_population(source, cfg=IngestConfig(), urban_policy=None, *, bbox=None)
     return TerminalBlock(
         [f"fss-{serial}" for serial in range(1, n + 1)],
         np.repeat(np.array([lat for lat, _ in centers], dtype=float), counts),
-        wrap_lon(np.repeat(np.array([lon for _, lon in centers], dtype=float), counts)),
+        np.repeat(np.array([lon for _, lon in centers], dtype=float), counts),
         np.full(n, TrafficType.FSS.value),
         np.full(n, cfg.fss_demand_mbps),
         dropped_bad_coords=bad,
@@ -490,7 +489,7 @@ def _load_movements(source, hours, traffic_type, cfg):
     first = np.ones(len(order), dtype=bool)
     first[1:] = (np.diff(hour[order]) != 0) | (np.diff(rank[idc[order]]) != 0)
     pick = order[first]
-    idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], wrap_lon(lon[pick])
+    idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], lon[pick]
 
     blocks = []
     for h in hours:

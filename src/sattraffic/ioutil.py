@@ -117,11 +117,22 @@ def frozen(values, dtype, name, lo=None, hi=math.inf):
                                  f"{float(column.flat[bad[0]])!r}")
         column = np.array(column, dtype=dtype, order="C")
         column.setflags(write=False)
-    if lo is not None:
-        inside = np.isfinite(column) & (lo <= column) & (column <= hi)
-        if not inside.all():
+    if lo is not None and column.size:
+        least, most = column.min(), column.max()  # no mask of the column's size
+        if not (np.isfinite(least) and np.isfinite(most) and lo <= least and most <= hi):
+            inside = np.isfinite(column) & (lo <= column) & (column <= hi)
             real(column.flat[np.argmin(inside)].item(), name, lo, hi)
     return column
+
+
+def hold_columns(obj, columns, n, each):
+    """Set each (name, dtype, bounds) column of the frozen dataclass obj to
+    frozen's array of it, which must hold n values, one per each."""
+    for name, dtype, bounds in columns:
+        column = frozen(getattr(obj, name), dtype, name, *bounds)
+        if column.shape != (n,):
+            raise ValueError(f"{name} must hold one value per {each}")
+        object.__setattr__(obj, name, column)
 
 
 def whole(value, name, lo, hi=None, error=ValueError):

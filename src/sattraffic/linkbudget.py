@@ -11,7 +11,7 @@ association in traffic.py runs its own search over the contested terminals.
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .errors import MismatchedBeamsError, UnknownUserError
 from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
 from . import ioutil
-from .ioutil import check_finite, format_rows, frozen, real, whole
+from .ioutil import check_finite, format_rows, frozen, hold_columns, real, whole
 
 _TWO_PI = 2.0 * math.pi
 
@@ -99,7 +99,7 @@ class NearestSamples:
 
     All beams share the grid, so one index serves every beam's gain.
     lat_deg and lon_deg hold the distinct query points, and inverse maps
-    each query row to its point; gain() answers per query row.
+    each query row to its point; gain() answers at the points it is given.
     """
 
     def __init__(self, lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
@@ -192,25 +192,21 @@ class NearestSamples:
             self.top_k[sub] = cand[cols[pick]]
             dk[sub] = dc[pick]
 
-    def gain(self, gains_db, beam=None):
-        """Inverse-distance-squared gain over the k nearest samples, per row.
+    def gain(self, gains_db, beam, points):
+        """Inverse-distance-squared gain over the k nearest samples, at each point.
 
-        gains_db holds one beam's gain at every grid sample; or, given beam,
-        the 0-based beam of each query row, every beam's as (samples, beams),
-        and each row blends its own beam's gains. A point sitting exactly on
-        a sample takes that sample's gain.
+        gains_db holds every beam's gain at every grid sample, as (samples,
+        beams). points indexes the distinct points (inverse maps the query
+        rows to theirs), and beam is one 0-based beam or one per point; each
+        point blends its beam's gains. A point sitting exactly on a sample
+        takes that sample's gain.
         """
-        gains_db = np.asarray(gains_db, dtype=float)
-        if beam is None:  # blended once per distinct point, then spread to the rows
-            points, spread, gains_db, beam = slice(None), self.inverse, gains_db[:, None], 0
-        else:  # blended once per row, at the row's point
-            points, spread, beam = self.inverse, slice(None), np.asarray(beam)
         gk = gains_db[self.top_k[points], np.expand_dims(beam, -1)]
         vals = np.sum(self._w[points] * gk, axis=1) / self._w_sum[points]
         zero, exact = self._zero[points], self._has_eq[points]
         vals[zero] = gk[zero, 0]
         vals[exact] = gains_db[self._eq_idx[points], beam][exact]
-        return vals[spread]
+        return vals
 
 
 @dataclass(frozen=True)
@@ -225,7 +221,8 @@ class ChannelMatrix:
     C-ordered, of the field's dtype and owns its memory, as
     build_channel_matrix gives, is kept as it is, and any other is copied.
     location, serving and nearest_sample are int64 and reject values that
-    are not whole numbers, and each location indexes rows.
+    are not whole numbers; each location indexes rows, each serving beam
+    lies in [1, beams] and each nearest sample is >= 0.
     """
 
     rows: np.ndarray
@@ -237,19 +234,16 @@ class ChannelMatrix:
     nearest_sample: np.ndarray
 
     def __post_init__(self):
-        for name, dtype in dict(rows=complex, location=np.int64, serving=np.int64,
-                                distance_m=float, path_loss_db=float, interp_gain_db=float,
-                                nearest_sample=np.int64).items():
-            object.__setattr__(self, name, frozen(getattr(self, name), dtype, name))
-        rows, location = self.rows, self.location
+        rows = frozen(self.rows, complex, "rows")
         if rows.ndim != 2:
             raise ValueError("rows must be a 2-D array")
-        if location.ndim != 1:
-            raise ValueError("location must be a 1-D array of indices into rows")
-        frozen(location, np.int64, "location", 0, len(rows) - 1)  # checks, never copies
-        for f in fields(self)[2:]:  # the per-user columns
-            if getattr(self, f.name).shape != location.shape:
-                raise ValueError(f"{f.name} must have one value per user")
+        object.__setattr__(self, "rows", rows)
+        hold_columns(self, (
+            ("location", np.int64, (0, len(rows) - 1)),
+            ("serving", np.int64, (1, rows.shape[1])), ("distance_m", float, ()),
+            ("path_loss_db", float, ()), ("interp_gain_db", float, ()),
+            ("nearest_sample", np.int64, (0,)),
+        ), np.size(self.location), "user")
 
     @property
     def entries(self):
@@ -290,7 +284,6 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
         )
     lam = cfg.wavelength_m
 
-    serving = T.beam
     index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
     m = len(index.lat_deg)
     dist = np.empty(m)
@@ -324,14 +317,14 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
         np.power(10.0, amp, out=amp)
         np.multiply(amp, rotation[lo : lo + step, None], out=rows[lo : lo + step])
 
-    gamma = index.gain(pattern.gain_db, serving - 1)
+    gamma = index.gain(pattern.gain_db, T.beam - 1, index.inverse)
 
     # the finished arrays, frozen here, are handed to the ChannelMatrix uncopied
     inverse = index.inverse
     columns = dict(
         rows=rows,
         location=inverse,
-        serving=serving,
+        serving=T.beam,
         distance_m=dist[inverse],
         path_loss_db=loss[inverse],
         interp_gain_db=gamma,

@@ -32,6 +32,7 @@ from .ioutil import (
     number,
     open_input,
     read_chunks,
+    real,
     whole,
     write_table,
 )
@@ -113,8 +114,8 @@ class BeamFootprint:
     peak_gain_db: float
 
     def __post_init__(self):
-        if self.beam_id < 1:
-            raise ValueError("beam ids are 1-based")
+        object.__setattr__(self, "beam_id", whole(self.beam_id, "beam_id", 1))
+        object.__setattr__(self, "peak_gain_db", real(self.peak_gain_db, "peak_gain_db"))
 
 
 def _parse_row(fields, lineno, path):
@@ -313,7 +314,7 @@ def beam_footprint(pattern, beam_id):
         border = convex_hull(list(zip(lat.tolist(), lon.tolist())))
     except CollinearInputError as exc:
         raise DegenerateFootprintError(beam_id, str(exc)) from exc
-    return BeamFootprint(beam_id=int(beam_id), border=border, peak_gain_db=peak)
+    return BeamFootprint(beam_id=beam_id, border=border, peak_gain_db=peak)
 
 
 def all_footprints(pattern):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geo import LATITUDE
+from .geo import wrap_lon
 from .geometry import polygon_contains_many
-from .ingest import TYPES, TerminalBlock
-from .ioutil import FINITE, frozen, whole, write_table
+from .ingest import TERMINAL_COLUMNS, TerminalBlock
+from .ioutil import frozen, hold_columns, whole, write_table
 from .linkbudget import NearestSamples
 
 
@@ -28,7 +28,7 @@ class TrafficMatrix:
     user; row is the user's 0-based row among the terminals the matrix was
     built from, and defaults to the user's own row. beams is the pattern's
     beam count and excluded the number of terminals outside every footprint.
-    Each beam lies in [1, beams]; the other columns hold what a block's do.
+    Each beam lies in [1, beams] and each row is >= 0; the rest hold what a block's do.
     """
 
     beam: np.ndarray
@@ -45,16 +45,9 @@ class TrafficMatrix:
             object.__setattr__(self, "row", np.arange(len(self.beam)))
         object.__setattr__(self, "beams", whole(self.beams, "beams", 1))
         object.__setattr__(self, "excluded", whole(self.excluded, "excluded", 0))
-        n = len(self.beam)
-        for name, dtype, bounds in (
-            ("beam", np.int64, (1, self.beams)), ("lat_deg", float, LATITUDE),
-            ("lon_deg", float, FINITE), ("type", np.int64, TYPES),
-            ("demand_mbps", float, (0,)), ("row", np.int64, ()),
-        ):
-            arr = frozen(getattr(self, name), dtype, name, *bounds)
-            if arr.shape != (n,):
-                raise ValueError(f"{name} must hold one value per user")
-            object.__setattr__(self, name, arr)
+        hold_columns(self, (("beam", np.int64, (1, self.beams)), *TERMINAL_COLUMNS,
+                            ("row", np.int64, (0,))), len(self.beam), "user")
+        object.__setattr__(self, "lon_deg", frozen(wrap_lon(self.lon_deg), float, "lon_deg"))
 
     @property
     def n_users(self):
@@ -72,9 +65,9 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
     pure function of location and the result is shuffle-invariant.
 
     The grid search behind those gains runs once per distinct location of
-    the contested terminals and serves every beam: each gain blends the
-    three nearest samples, ranked by central angle with distance ties going
-    to the lower sample index.
+    the contested terminals and serves every beam. Each beam's gain is
+    blended at its own contested rows only, from the three nearest samples
+    ranked by central angle, distance ties going to the lower sample index.
     """
     footprints = list(footprints)
     if not footprints:
@@ -110,10 +103,8 @@ def build_traffic_matrix(footprints, pattern, fss, aero, maritime):
     best_gain = np.full(len(contested), -np.inf)
     for j, rows in contained:
         rows = rows[counts[rows] > 1]
-        if not rows.size:
-            continue
         at = np.searchsorted(contested, rows)
-        gain = index.gain(pattern.gain_db[:, j - 1])[at]
+        gain = index.gain(pattern.gain_db, j - 1, index.inverse[at])
         better = gain > best_gain[at]
         best_gain[at[better]] = gain[better]
         chosen[rows[better]] = j

@@ -3,11 +3,20 @@
 The library keeps a pattern as (samples, beams) arrays and interpolates
 gains through NearestSamples, which scans a latitude band of the grid per
 block of locations. idw_gain and argmax_nearest scan the whole grid for
-every point, once per beam. The other oracles search through them, never
-through NearestSamples, so they cannot share a fault of the band search.
+every point, once per beam. The other oracles, but for the three blend
+oracles below, search through them, never through NearestSamples, so they
+cannot share a fault of the band search.
 The first oracles are the plain views the tests compare against: one sample
 as a SamplePoint, one beam's samples in grid order, and the gain at a point
 interpolated from such samples.
+
+NearestSamples.gain blends each point's own beam at the points it is
+given. spread_gain below is the form it replaced, which blended one beam at
+every distinct point of the index and spread the values to the query rows;
+contested_gains_by_spread runs association's comparisons through it, and
+serving_gain_by_beam the channel's serving-beam gains. These three take
+their nearest samples from a NearestSamples index and stand in for its
+blend only.
 
 The library's interference sweep reduces the exhaustive mean to a closed
 form. interference_sweep below is the plain version: it lists every set and
@@ -77,7 +86,12 @@ from sattraffic.errors import (
     TimestampError,
 )
 from sattraffic.geo import GeoPoint, path_loss_db, slant_range
-from sattraffic.geometry import _dedup, _noncollinear_witness, _normalize
+from sattraffic.geometry import (
+    _dedup,
+    _noncollinear_witness,
+    _normalize,
+    polygon_contains_many,
+)
 from sattraffic.ingest import (
     DEFAULT_BBOX,
     POPULATION_HEADER,
@@ -93,6 +107,7 @@ from sattraffic.ioutil import check_header, fmt_float, open_input
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
     ChannelMatrix,
+    NearestSamples,
     _cos_angles,
     interference,
 )
@@ -267,15 +282,57 @@ def build_channel_matrix(T, pattern, cfg):
     )
 
 
+def spread_gain(index, gains_db):
+    """One beam's gain, gains_db per grid sample, blended once at every
+    distinct point of index and then spread to its query rows: the form of
+    NearestSamples.gain that took one gain column."""
+    gains_db = np.asarray(gains_db, dtype=float)
+    gk = gains_db[index.top_k]
+    vals = np.sum(index._w * gk, axis=1) / index._w_sum
+    vals[index._zero] = gk[index._zero, 0]
+    vals[index._has_eq] = gains_db[index._eq_idx][index._has_eq]
+    return vals[index.inverse]
+
+
+def contested_gains_by_spread(footprints, pattern, terminals):
+    """The gains association compares, from blends of every contested point.
+
+    terminals is a TerminalBlock. Per beam in id order: (beam id, its
+    contested rows, their gains), each beam's gain blended by spread_gain
+    at every contested location and then kept at the beam's own rows; and
+    the beam each contested row goes to, ties to the lowest id. This is
+    association's second pass from before it blended only the rows a beam
+    contains.
+    """
+    lats, lons = terminals.lat_deg, terminals.lon_deg
+    inside = [(fp.beam_id, polygon_contains_many(fp.border, lats, lons))
+              for fp in sorted(footprints, key=lambda fp: fp.beam_id)]
+    contested = np.sum([mask for _, mask in inside], axis=0, dtype=np.int64) > 1
+    rows_of = np.flatnonzero(contested)
+    index = NearestSamples(lats[rows_of], lons[rows_of], pattern.lat_deg, pattern.lon_deg)
+    per_beam = []
+    best = np.full(rows_of.size, -np.inf)
+    chosen = np.zeros(rows_of.size, dtype=np.int64)
+    for j, mask in inside:
+        rows = np.flatnonzero(mask & contested)
+        at = np.searchsorted(rows_of, rows)
+        gains = spread_gain(index, pattern.gain_db[:, j - 1])[at]
+        per_beam.append((j, rows, gains))
+        better = gains > best[at]
+        best[at[better]] = gains[better]
+        chosen[at[better]] = j
+    return per_beam, dict(zip(rows_of.tolist(), chosen.tolist()))
+
+
 def serving_gain_by_beam(index, gain_db, serving):
     """Each query row's gain under its 1-based serving beam, with one
-    NearestSamples.gain call per serving beam over every row, keeping the
-    rows that beam serves: the loop that one gather of each row's serving
-    beam replaced in build_channel_matrix."""
+    spread_gain per serving beam over every row, keeping the rows that beam
+    serves: the loop that one gather of each row's serving beam replaced in
+    build_channel_matrix."""
     gamma = np.empty(len(serving))
     for j in np.unique(serving):
         sel = serving == j
-        gamma[sel] = index.gain(gain_db[:, j - 1])[sel]
+        gamma[sel] = spread_gain(index, gain_db[:, j - 1])[sel]
     return gamma
 
 

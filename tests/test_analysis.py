@@ -7,7 +7,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sattraffic.analysis import (
@@ -292,6 +292,7 @@ class TestClassifyBeams:
         assert "warm" in labels
 
     @settings(max_examples=400, deadline=None)
+    @example([0.0] * 3 + [1.0] + [0.0] * 9 + [-0.0, 0.0])
     @given(st.lists(
         st.one_of(
             st.sampled_from([0.0, 1.0, 2.5, 1e300, -1e300, 1e-300]),

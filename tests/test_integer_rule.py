@@ -22,6 +22,7 @@ from sattraffic import cli
 from sattraffic.analysis import interference_sweep
 from sattraffic.errors import InvalidParamsError, UnknownUserError
 from sattraffic.geo import ScenarioConfig
+from sattraffic.geometry import Polygon
 from sattraffic.ingest import (
     AERO_HEADER,
     MARITIME_HEADER,
@@ -31,11 +32,12 @@ from sattraffic.ingest import (
     synth_generate,
 )
 from sattraffic.linkbudget import ChannelMatrix, interference
-from sattraffic.pattern import BeamPattern
+from sattraffic.pattern import BeamFootprint, BeamPattern
 
 PATTERN = BeamPattern(
     np.array([50.0, 50.0, 51.0]), np.array([5.0, 6.0, 5.0]), np.zeros((3, 3)), np.zeros((3, 3))
 )
+BORDER = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
 CHANNEL = ChannelMatrix(
     rows=np.array([[1.0, 0.5, 0.25j], [0.5, 1.0, 0.5]]), location=[0, 1], serving=[1, 2],
     distance_m=np.ones(2), path_loss_db=np.ones(2), interp_gain_db=np.ones(2),
@@ -51,6 +53,8 @@ def synth(kind, param):
 SITES = {
     "check_beam": (lambda v, tmp: PATTERN.check_beam(v), "beam id", 1, 3, ValueError),
     "check_user": (lambda v, tmp: CHANNEL.check_user(v), "user", 1, 2, UnknownUserError),
+    "BeamFootprint.beam_id": (lambda v, tmp: BeamFootprint(v, BORDER, 50.0), "beam_id", 1,
+                              None, ValueError),
     "interference": (lambda v, tmp: interference(CHANNEL, 1, {v}, 1.0),
                      "active beam", 1, 3, ValueError),
     "interference_sweep": (lambda v, tmp: interference_sweep(CHANNEL, ScenarioConfig(), [v]),
@@ -112,6 +116,7 @@ def test_indices_come_back_as_ints():
     index = CHANNEL.check_user(np.int32(2))
     assert (index, type(index)) == (1, int)
     assert type(IngestConfig(downscale=np.int64(5)).downscale) is int
+    assert type(BeamFootprint(np.int64(2), BORDER, 50.0).beam_id) is int
     sweep = interference_sweep(CHANNEL, ScenarioConfig(), [np.int64(2)])
     assert type(sweep.sizes[0]) is int
 

@@ -355,8 +355,8 @@ class TestChannelMatrix:
 
     # not 1-D, or pointing outside rows
     @pytest.mark.parametrize("location, message", [
-        ([[0, 1]], "location must be a 1-D array of indices into rows"),
-        (0, "location must be a 1-D array of indices into rows"),
+        ([[0, 1]], "location must hold one value per user"),
+        (0, "location must hold one value per user"),
         ([0, 2], "location 2 outside [0, 1]"),
         ([-1, 0], "location -1 outside [0, 1]"),
         ([3], "location 3 outside [0, 1]"),

@@ -433,6 +433,16 @@ class TestTerminalBlock:
         block = load_aero(io.StringIO(text), 9)
         assert (block.dropped_bad_coords, block.dropped_out_of_box, block.dropped) == (1, 1, 2)
 
+    def test_longitudes_wrap_as_a_geopoints_do(self):
+        block = TerminalBlock(["a", "b"], [52.0, 52.0], [365.0, -180.0], [1, 1], [2.0, 2.0])
+        assert block.lon_deg.tolist() == [5.0, -180.0]
+        assert not block.lon_deg.flags.writeable
+        assert block[0].location.lon_deg == 5.0 and block == list(block)
+        lon = np.array([5.0, -180.0])
+        lon.setflags(write=False)
+        kept = TerminalBlock(["a", "b"], [52.0, 52.0], lon, [1, 1], [2.0, 2.0])
+        assert kept.lon_deg is lon  # nothing to wrap: handed over uncopied
+
     def test_column_length_checked(self):
         with pytest.raises(ValueError, match="lon_deg"):
             TerminalBlock(["a"], [1.0], [], [1], [2.0])

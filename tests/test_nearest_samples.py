@@ -50,7 +50,8 @@ def assert_matches_oracle(lat, lon, glat, glon, gains):
         assert index.inverse.shape == (len(lat),)
         assert np.array_equal(index.nearest[index.inverse], want_near)
         assert np.array_equal(index.top_k[index.inverse], want_idx)
-        assert np.array_equal(bits(index.gain(gains)), bits(want_gain))
+        assert np.array_equal(bits(index.gain(np.asarray(gains)[:, None], 0, index.inverse)),
+                              bits(want_gain))
 
 
 def regular_grid(n_lat, n_lon, pitch, lat0=0.0, lon0=0.0):
@@ -151,7 +152,7 @@ class TestAgainstOracle:
         index = NearestSamples([], [], glat, glon)
         assert index.nearest.shape == (0,)
         assert index.top_k.shape == (0, 3)
-        assert index.gain(np.arange(9.0)).shape == (0,)
+        assert index.gain(np.arange(9.0)[:, None], 0, index.inverse).shape == (0,)
         assert_matches_oracle([], [], glat, glon, np.arange(9.0))
 
     def test_many_points_across_blocks(self):
@@ -235,7 +236,7 @@ def assert_gather_matches_the_loop(lat, lon, glat, glon, gains, serving):
     index = NearestSamples(lat, lon, glat, glon)
     serving = np.asarray(serving, dtype=np.int64)
     want = serving_gain_by_beam(index, gains, serving)
-    assert np.array_equal(bits(index.gain(gains, serving - 1)), bits(want))
+    assert np.array_equal(bits(index.gain(gains, serving - 1, index.inverse)), bits(want))
     return index
 
 
@@ -260,12 +261,13 @@ class TestServingBeamGather:
         index = assert_gather_matches_the_loop(lat, lon, glat, glon, gains, [1, 2, 2])
         assert index._has_eq[index.inverse].tolist() == [True, False, True]
         assert index._zero[index.inverse].tolist() == [True, True, True]
-        assert index.gain(gains, [0, 1, 1]).tolist() == [40.0, 2.0, 1.0]
+        assert index.gain(gains, [0, 1, 1], index.inverse).tolist() == [40.0, 2.0, 1.0]
 
     def test_empty_query(self):
         glat, glon = regular_grid(2, 2, 0.5)
         index = NearestSamples([], [], glat, glon)
-        assert index.gain(np.ones((4, 3)), np.empty(0, dtype=np.int64)).shape == (0,)
+        no_beams = np.empty(0, dtype=np.int64)
+        assert index.gain(np.ones((4, 3)), no_beams, index.inverse).shape == (0,)
 
 
 def test_distinct_locations_are_searched_once():

@@ -28,6 +28,7 @@ from sattraffic.geo import (
     path_loss_db,
     slant_range,
 )
+from sattraffic.geometry import Polygon
 from sattraffic.ingest import (
     BoundingBox,
     IngestConfig,
@@ -39,7 +40,7 @@ from sattraffic.ingest import (
     synth_generate,
 )
 from sattraffic.linkbudget import ChannelMatrix, interference
-from sattraffic.pattern import BeamPattern
+from sattraffic.pattern import BeamFootprint, BeamPattern
 from sattraffic.traffic import TrafficMatrix
 
 INF = math.inf
@@ -50,6 +51,7 @@ CHANNEL = ChannelMatrix(
     nearest_sample=[0, 1],
 )
 PROFILE = HourlyProfile(np.ones((2, 24, 3)))
+BORDER = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
 
 # call(value, tmp_path) -> the value as the site keeps it, or None where it
 # keeps none; name in the message; bounds; whether lo itself is refused;
@@ -118,6 +120,8 @@ SITES = {
     "path_loss_db.wavelength_m": Site(
         call_with(path_loss_db, distance_m=1.0, wavelength_m=None), "wavelength_m",
         **POSITIVE),
+    "BeamFootprint.peak_gain_db": Site(
+        attr(lambda v: BeamFootprint(1, BORDER, v), "peak_gain_db"), "peak_gain_db"),
     "Terminal.demand_mbps": Site(
         attr(lambda v: Terminal("a", POINT, TrafficType.FSS, v), "demand_mbps"),
         "demand_mbps", 0),
@@ -247,10 +251,11 @@ def pattern(**columns):
     return BeamPattern(**{**given, **columns})
 
 
-def channel(location):
-    return ChannelMatrix(rows=np.ones((2, 2)), location=location, serving=[1, 1],
-                         distance_m=np.ones(2), path_loss_db=np.ones(2),
-                         interp_gain_db=np.ones(2), nearest_sample=[0, 0])
+def channel(**columns):
+    given = dict(rows=np.ones((2, 2)), location=[0, 1], serving=[1, 1],
+                 distance_m=np.ones(2), path_loss_db=np.ones(2),
+                 interp_gain_db=np.ones(2), nearest_sample=[0, 0])
+    return ChannelMatrix(**{**given, **columns})
 
 
 # (make(column), good column, dtype, bad value, message); the bad value takes
@@ -274,6 +279,8 @@ COLUMNS = {
                            "type 0 outside [1, 3]"),
     "TrafficMatrix.demand_mbps": (lambda c: traffic(demand_mbps=c), [2.0, 10.0], float, INF,
                                   "demand_mbps must be a finite number >= 0, got inf"),
+    "TrafficMatrix.row": (lambda c: traffic(row=c), [0, 1], np.int64, -3,
+                          "row must be a finite number >= 0, got -3"),
     "BeamPattern.lat_deg": (lambda c: pattern(lat_deg=c), [50.0, 51.0], float, -90.5,
                             "lat_deg -90.5 outside [-90, 90]"),
     "BeamPattern.lon_deg": (lambda c: pattern(lon_deg=c), [5.0, 6.0], float, -INF,
@@ -285,7 +292,12 @@ COLUMNS = {
     "HourlyProfile.demand_mbps": (HourlyProfile, [[[1.0] * 3] * 24], float,
                                   [[1.0] * 3] * 23 + [[1.0, 1.0, -1.0]],
                                   "demand_mbps must be a finite number >= 0, got -1.0"),
-    "ChannelMatrix.location": (channel, [0, 1], np.int64, 2, "location 2 outside [0, 1]"),
+    "ChannelMatrix.location": (lambda c: channel(location=c), [0, 1], np.int64, 2,
+                               "location 2 outside [0, 1]"),
+    "ChannelMatrix.serving": (lambda c: channel(serving=c), [1, 2], np.int64, 3,
+                              "serving 3 outside [1, 2]"),
+    "ChannelMatrix.nearest_sample": (lambda c: channel(nearest_sample=c), [0, 5], np.int64,
+                                     -4, "nearest_sample must be a finite number >= 0, got -4"),
 }
 
 

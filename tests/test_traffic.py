@@ -196,6 +196,17 @@ class TestBuildTrafficMatrix:
             T.row[0] = 0
         assert matrix([(1, 0.0, 0.0, 1, 2.0)] * 3, beams=1).row.tolist() == [0, 1, 2]
 
+    def test_a_block_and_the_list_of_its_terminals_associate_alike(self):
+        # 360.5 and -359.5 wrap to 0.5, inside the unit square
+        block = TerminalBlock(["a", "b", "c"], [0.5, 0.5, 0.5], [360.5, -359.5, 0.5],
+                              [1, 2, 3], [2.0, 10.0, 8.0])
+        fps, pattern = [square_footprint()], square_pattern()
+        by_block = build_traffic_matrix(fps, pattern, block, [], [])
+        by_list = build_traffic_matrix(fps, pattern, list(block), [], [])
+        assert by_block.n_users == 3
+        for name in ("beam", "lat_deg", "lon_deg", "type", "demand_mbps", "row"):
+            assert getattr(by_block, name).tobytes() == getattr(by_list, name).tobytes()
+
     def test_empty_footprints_rejected(self):
         with pytest.raises(ValueError):
             build_traffic_matrix([], square_pattern(), [], [], [])
@@ -268,6 +279,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="lat_deg"):
             TrafficMatrix([1, 1], [0.0], [0.0, 0.0], [1, 1], [2.0, 2.0],
                           beams=1, excluded=0)
+
+    def test_longitudes_wrap_as_a_geopoints_do(self):
+        T = matrix([(1, 0.0, 365.0, 1, 2.0), (1, 0.0, -180.0, 1, 2.0)], beams=1)
+        assert T.lon_deg.tolist() == [5.0, -180.0]
+        assert not T.lon_deg.flags.writeable
 
     def test_columns_read_only(self):
         beam = np.array([1, 2])
