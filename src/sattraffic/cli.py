@@ -264,12 +264,7 @@ def _simulate(args, icfg, scfg, outputs):
     out = outputs.out_dir
     write_traffic_csv(T, outputs.add(out / "traffic.csv"))
     write_channel_csv(H, outputs.add(out / "channel.csv"))
-    text = channel_summary(H, T.excluded)
-    with open(outputs.add(out / "channel_summary.json"), "w", encoding="utf-8") as fh:
-        # 64 Ki characters at a time, so that no whole copy of it is encoded
-        for lo in range(0, len(text), 1 << 16):
-            fh.write(text[lo : lo + (1 << 16)])
-        fh.write("\n")
+    channel_summary(H, T.excluded, outputs.add(out / "channel_summary.json"))
 
 
 def cmd_profile(args):

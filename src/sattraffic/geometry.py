@@ -32,7 +32,6 @@ them stands for it; the others appear in no triangle.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -129,6 +128,8 @@ def _orient(x, y, a, b, c):
         return 1
     if det < -bound:
         return -1
+    from fractions import Fraction  # loads decimal; only near-degenerate input needs it
+
     e1 = (Fraction(x[b]) - Fraction(x[a])) * (Fraction(y[c]) - Fraction(y[a]))
     e2 = (Fraction(y[b]) - Fraction(y[a])) * (Fraction(x[c]) - Fraction(x[a]))
     if e1 > e2:
@@ -165,6 +166,8 @@ def _incircle(x, y, a, b, c, d):
         return True
     if det < -bound:
         return False
+    from fractions import Fraction
+
     xd, yd = Fraction(x[d]), Fraction(y[d])
     adx, ady = Fraction(x[a]) - xd, Fraction(y[a]) - yd
     bdx, bdy = Fraction(x[b]) - xd, Fraction(y[b]) - yd

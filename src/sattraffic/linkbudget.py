@@ -426,23 +426,24 @@ _SUMMARY_USER = (
 )
 
 
-def channel_summary(H, excluded):
-    """channel_summary.json's text: counts and the per-user link diagnostics.
+def channel_summary(H, excluded, path):
+    """Write channel_summary.json: counts and the per-user link diagnostics.
 
-    The bytes are those of ioutil.canonical_json over the plain summary data,
-    with each user's object formatted by one % template. The users are
-    formatted ioutil.BLOCK_ROWS lines of text at a time, and the text is
-    joined once.
+    The bytes are those of ioutil.canonical_json over the plain summary data
+    and a line end, with each user's object formatted by one % template. The
+    users are formatted and written ioutil.BLOCK_ROWS lines of text at a
+    time, so one block's text is held at once. A non-finite value raises
+    fmt_float's ValueError for the first one in user order.
     """
     n = H.n_users
-    columns = (H.distance_m, H.interp_gain_db, H.path_loss_db, np.arange(1, n + 1))
     step = max(1, ioutil.BLOCK_ROWS // _SUMMARY_USER.count("\n"))
-    users = [format_rows([col[lo : lo + step] for col in columns], _SUMMARY_USER)
-             for lo in range(0, n, step)]
-    if users:
-        users[-1] = users[-1][:-2]  # no comma after the last user
-    return "".join([
-        f'{{\n  "beams": {H.beams},\n  "excluded_terminals": {excluded},\n  "per_user": ',
-        *(["[\n", *users, "\n  ]"] if users else ["[]"]),
-        f',\n  "users": {n}\n}}',
-    ])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f'{{\n  "beams": {H.beams},\n  "excluded_terminals": {excluded},\n'
+                 '  "per_user": ' + ("[\n" if n else "[]"))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            text = format_rows([H.distance_m[lo:hi], H.interp_gain_db[lo:hi],
+                                H.path_loss_db[lo:hi], np.arange(lo + 1, hi + 1)],
+                               _SUMMARY_USER)
+            fh.write(text if hi < n else text[:-2])  # no comma after the last user
+        fh.write(("\n  ]" if n else "") + f',\n  "users": {n}\n}}\n')

@@ -92,6 +92,33 @@ def channel(rows, location=None):
                          nearest_sample=zeros)
 
 
+def summary_matrix(distance_m, path_loss_db, interp_gain_db):
+    """A channel matrix of one location whose users have these diagnostics."""
+    users = len(distance_m)
+    return ChannelMatrix(rows=np.zeros((1, 2)), location=np.zeros(users, dtype=int),
+                         serving=np.ones(users, dtype=np.int64),
+                         distance_m=distance_m, path_loss_db=path_loss_db,
+                         interp_gain_db=interp_gain_db, nearest_sample=np.zeros(users))
+
+
+def assert_same_summary(H, excluded, root, block):
+    """channel_summary writes canonical_json's text of the oracle's summary
+    and a line end, or raises the ValueError that canonical_json raises."""
+    path = root / "channel_summary.json"
+    try:
+        want = ioutil.canonical_json(
+            oracles.channel_summary(H) | {"excluded_terminals": excluded}
+        ) + "\n"
+    except ValueError as exc:
+        with block_rows(block), pytest.raises(ValueError) as info:
+            channel_summary(H, excluded, path)
+        assert str(info.value) == str(exc)
+    else:
+        with block_rows(block):
+            channel_summary(H, excluded, path)
+        assert path.read_bytes() == want.encode("utf-8")
+
+
 def overflows(z):
     """Whether abs(z) overflows, read through oracles.magnitude: a bare
     abs(z) with a NaN part raises OverflowError or not by the errno an
@@ -121,7 +148,7 @@ FINITE = st.one_of(
 )
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 VALUES = st.one_of(FINITE, FINITE, FINITE, NON_FINITE)
-BLOCKS = st.sampled_from([1, 2, 3, 7, 1 << 14])
+BLOCKS = st.sampled_from([1, 2, 3, 7, 1 << 12, 1 << 14])
 # the (real, imag) parts of a channel entry whose abs() does not overflow; the
 # filter is in the strategy, so that a failing draw replays without an assume
 ENTRY = st.tuples(VALUES, VALUES).filter(lambda part: not overflows(complex(*part)))
@@ -199,7 +226,7 @@ class TestWriters:
         assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
                           channel(rows, picks), root, block)
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 1 << 14])
+    @pytest.mark.parametrize("block", [1, 2, 5, 1 << 12, 1 << 14])
     def test_channel_signed_zeros(self, root, block):
         zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
         rows = [[a, b] for a in zeros for b in zeros[:2]]
@@ -209,7 +236,7 @@ class TestWriters:
                           channel(rows + rows[::-1], location), root, block)
 
     @pytest.mark.parametrize("first,later", [(math.inf, math.nan), (math.nan, math.inf)])
-    @pytest.mark.parametrize("block", [2, 6, 9, 1 << 14])
+    @pytest.mark.parametrize("block", [2, 6, 9, 1 << 12, 1 << 14])
     def test_channel_first_non_finite_raises(self, root, first, later, block):
         # the first bad value in user order raises, though the later one's
         # location comes first in rows
@@ -230,26 +257,30 @@ class TestWriters:
 
     @settings(max_examples=120, deadline=None)
     @given(st.data(), st.integers(0, 5), st.integers(0, 10**6),
-           st.sampled_from([6, 12, 18, 1 << 14]))
-    def test_channel_summary(self, data, users, excluded, block):
+           st.sampled_from([6, 12, 18, 1 << 12, 1 << 14]))
+    def test_channel_summary(self, root, data, users, excluded, block):
         # a block of 6, 12 or 18 lines of text holds 1, 2 or 3 users
         columns = [np.array(data.draw(st.lists(VALUES, min_size=users, max_size=users)))
                    for _ in range(3)]
-        H = ChannelMatrix(rows=np.zeros((1, 2)), location=np.zeros(users, dtype=int),
-                          serving=np.ones(users, dtype=np.int64),
-                          distance_m=columns[0], path_loss_db=columns[1],
-                          interp_gain_db=columns[2], nearest_sample=np.zeros(users))
-        try:
-            want = ioutil.canonical_json(
-                oracles.channel_summary(H) | {"excluded_terminals": excluded}
-            )
-        except ValueError as exc:
-            with block_rows(block), pytest.raises(ValueError) as info:
-                channel_summary(H, excluded)
-            assert str(info.value) == str(exc)
-        else:
-            with block_rows(block):
-                assert channel_summary(H, excluded) == want
+        assert_same_summary(summary_matrix(*columns), excluded, root, block)
+
+    @pytest.mark.parametrize("block", [6, 12, 1 << 12, 1 << 14])
+    def test_channel_summary_zero_users(self, root, block):
+        assert_same_summary(summary_matrix([], [], []), 7, root, block)
+
+    @pytest.mark.parametrize("block", [6, 12, 1 << 12, 1 << 14])
+    def test_channel_summary_non_finite_in_a_later_block(self, root, block):
+        # 2,000 users cross blocks of 682 users at 1 << 12 lines; the first bad
+        # value in user order is user 1,500's path loss, not user 1,900's
+        # distance, which a scan of one column after another would find first
+        rng = np.random.default_rng(3)
+        columns = [rng.normal(0.0, 1e3, 2000) for _ in range(3)]
+        columns[1][1499] = math.nan
+        columns[0][1899] = -math.inf
+        H = summary_matrix(*columns)
+        with pytest.raises(ValueError, match="non-finite value in output: nan"):
+            ioutil.canonical_json(oracles.channel_summary(H))
+        assert_same_summary(H, 0, root, block)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 2), st.lists(FINITE.map(abs), min_size=1, max_size=6),
@@ -376,7 +407,7 @@ def set_entry(rows, location, user, beam, value):
 
 
 @pytest.mark.parametrize("bad", [None, "earlier", "later"])
-@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 14])
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 1 << 12, 1 << 14])
 @pytest.mark.parametrize("beams", [1, 12])
 def test_channel_rows_share_phases_and_fill_user_numbers(root, beams, block, bad):
     # 1005 users cross 9/10, 99/100 and 999/1000, in one block at 1 << 14;

@@ -406,7 +406,7 @@ class TestSimulate:
         assert cli.main(argv) == 0
         before = snapshot(out)
 
-        def interrupted(H, excluded):
+        def interrupted(H, excluded, path):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli, "channel_summary", interrupted)

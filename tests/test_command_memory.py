@@ -2,10 +2,12 @@
 
 simulate, profile and interference do their work in one call inside the
 output set, so that none of their arrays is still live when the manifest is
-hashed. They never import numpy.ma (~1 MB), which np.unique, np.median and
-np.percentile import on first use, and importing the command line does not
-load OpenSSL (~3.6 MB of resident memory), which only the manifest's
-hashing needs.
+hashed. footprints, simulate, profile and interference never import
+numpy.ma (~1 MB), which np.unique, np.median and np.percentile import on
+first use, nor fractions and decimal (~0.3-0.5 MB), which only the exact
+fallback of the Delaunay predicates needs, and no command triangulates.
+Importing the command line does not load OpenSSL (~3.6 MB of resident
+memory), which only the manifest's hashing needs.
 """
 
 import tracemalloc
@@ -59,9 +61,28 @@ def test_stage_data_is_released_before_the_manifest_is_hashed(
     assert live[0] < peak / 10
 
 
-def test_commands_never_import_numpy_ma(inputs, tmp_path):
-    script = COMMANDS + 'print("true" if "numpy.ma" in sys.modules else "false")\n'
-    assert child(script, inputs, tmp_path) is False
+# simulate, profile and interference, then footprints, in one process; then
+# prints which of the modules no command needs it holds
+LOADED = COMMANDS + """
+if main(["footprints", f"{inputs}/pattern.csv", "--out-dir", f"{out}/footprints"]) != 0:
+    sys.exit(1)
+import json
+print(json.dumps([name for name in ("numpy.ma", "fractions", "decimal", "_decimal",
+                                    "_pydecimal") if name in sys.modules]))
+"""
+
+
+@pytest.fixture(scope="module")
+def loaded(inputs, tmp_path_factory):
+    return set(child(LOADED, inputs, tmp_path_factory.mktemp("out")))
+
+
+def test_commands_never_import_numpy_ma(loaded):
+    assert "numpy.ma" not in loaded
+
+
+def test_commands_never_import_fractions_or_decimal(loaded):
+    assert not loaded & {"fractions", "decimal", "_decimal", "_pydecimal"}
 
 
 def test_importing_the_command_line_leaves_openssl_unloaded():

@@ -509,12 +509,13 @@ class TestChannelOutputs:
         assert len(lines) == 1 + 2 * 7
         assert lines[1].split(",")[:2] == ["1", "1"]
 
-    def test_summary_diagnostics(self):
+    def test_summary_diagnostics(self, tmp_path):
         pattern = seven_beam_pattern(pitch=0.5)
         cfg = ScenarioConfig()
         T = matrix_for(pattern, [(52.0, 5.0)])
         H = build_channel_matrix(T, pattern, cfg)
-        info = json.loads(channel_summary(H, 0))
+        channel_summary(H, 0, tmp_path / "channel_summary.json")
+        info = json.loads((tmp_path / "channel_summary.json").read_text())
         assert info["users"] == 1
         assert info["beams"] == 7
         rec = info["per_user"][0]
