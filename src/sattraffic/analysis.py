@@ -162,7 +162,9 @@ def interference_sweep(H, cfg, sizes, users=None):
     """Mean interference per user for each active-set size.
 
     Active sets always contain the user's serving beam and share the total
-    power equally, P/s per beam. The mean is over every such set of size s.
+    power equally, P/s per beam. Beam j reaches the user with |h_j|**2, the
+    square of its location's magnitude at j; the channel's phases do not
+    enter. The mean is over every such set of size s.
     Each other beam lies in (s-1)/(B-1) of those sets, so the mean is the
     full-set interference scaled by that fraction: exact, O(B) per (user,
     size), and 0 at s = 1. It adds the beams' terms for all users and sizes
@@ -176,9 +178,9 @@ def interference_sweep(H, cfg, sizes, users=None):
 
     watts = np.zeros((len(rows), len(sizes)))
     location = H.location[rows]
-    # |h|**2 per location through libm pow, as abs(complex) ** 2 in
+    # |h|**2 per location through libm pow, as magnitude ** 2 in
     # interference(); squaring by multiplication differs in the last bit
-    gains = np.float_power(np.hypot(H.rows.real, H.rows.imag), 2.0)
+    gains = np.float_power(H.magnitude, 2.0)
     serving = H.serving[rows][:, None]
     split = cfg.total_power_w / np.array(sizes, dtype=float)
     # interference() of every beam at P/s, the same additions in id order

@@ -135,12 +135,19 @@ def slant_range(
     sat_lon_deg = real(sat_lon_deg, "sat_lon_deg")
     altitude_m = real(altitude_m, "altitude_m", **_POSITIVE)
     earth_radius_m = real(earth_radius_m, "earth_radius_m", **_POSITIVE)
+    return _slant_range(user.lat_deg, user.lon_deg, sat_lat_deg, sat_lon_deg,
+                        altitude_m, earth_radius_m)
+
+
+def _slant_range(lat_deg, lon_deg, sat_lat_deg, sat_lon_deg, altitude_m, earth_radius_m):
+    """slant_range's arithmetic on floats it does not check: a GeoPoint's
+    latitude and longitude and ScenarioConfig's satellite values."""
     q = earth_radius_m / (earth_radius_m + altitude_m)
     t = (
-        math.cos(math.radians(sat_lon_deg - user.lon_deg))
+        math.cos(math.radians(sat_lon_deg - lon_deg))
         * math.cos(math.radians(sat_lat_deg))
-        * math.cos(math.radians(user.lat_deg))
-        + math.sin(math.radians(sat_lat_deg)) * math.sin(math.radians(user.lat_deg))
+        * math.cos(math.radians(lat_deg))
+        + math.sin(math.radians(sat_lat_deg)) * math.sin(math.radians(lat_deg))
     )
     t = max(-1.0, min(1.0, t))
     return (earth_radius_m + altitude_m) * math.sqrt(1.0 + q * q - 2.0 * q * t)
@@ -150,4 +157,9 @@ def path_loss_db(distance_m: float, wavelength_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d/lambda) in dB."""
     distance_m = real(distance_m, "distance_m", **_POSITIVE)
     wavelength_m = real(wavelength_m, "wavelength_m", **_POSITIVE)
+    return _path_loss_db(distance_m, wavelength_m)
+
+
+def _path_loss_db(distance_m, wavelength_m):
+    """path_loss_db's arithmetic on positive floats it does not check."""
     return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength_m)

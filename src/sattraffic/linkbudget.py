@@ -1,23 +1,26 @@
-"""Per-user channel coefficients from beam gains, slant range, and phase.
+"""Per-user channel magnitudes and phases from beam gains and slant range.
 
-Each user of the traffic matrix gets one complex entry per beam: the gain of
-the beam's nearest pattern sample, minus free-space loss over the slant
-range, plus the receive antenna gain, rotated by the sub-wavelength remainder
-of the slant range. Users at one location share one row of entries. All beams
-share one sample grid, so one nearest-sample search per distinct location
-(NearestSamples) supplies the rows and the interpolated-gain diagnostic;
-association in traffic.py runs its own search over the contested terminals.
+Each user of the traffic matrix gets one magnitude per beam, from the gain
+of the beam's nearest pattern sample, minus free-space loss over the slant
+range, plus the receive antenna gain, all in dB; and one phase, the
+sub-wavelength remainder of the slant range, shared by its beams. Users at
+one location share one row of magnitudes and one phase. The pattern's own
+phase reaches no output. All beams share one sample grid, so one
+nearest-sample search per distinct location (NearestSamples) supplies the
+rows and the interpolated-gain diagnostic; association in traffic.py runs
+its own search over the contested terminals.
 """
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import MismatchedBeamsError, UnknownUserError
-from .geo import GeoPoint, ScenarioConfig, path_loss_db, slant_range
+# slant_range is not called here; the benchmark tracer hooks it at this import site
+from .geo import ScenarioConfig, _path_loss_db, _slant_range, slant_range
 from . import ioutil
 from .ioutil import check_finite, format_rows, frozen, hold_columns, real, whole
 
@@ -28,9 +31,6 @@ _TWO_PI = 2.0 * math.pi
 # block makes about five temporaries of its size, ~0.6 MB at 1 << 14; at
 # 1 << 16 association on the benchmark's M inputs peaked at 2.6 MB, not 1.7
 _BLOCK_ELEMENTS = 1 << 14
-# channel entries per block when building the rows; each makes a few complex
-# temporaries, so memory stays flat in the locations beside the rows themselves
-_ROW_ELEMENTS = 1 << 12
 # distinct query locations per latitude band
 _BAND_ROWS = 64
 # half-width of the first band, in median steps between the grid's distinct
@@ -211,21 +211,23 @@ class NearestSamples:
 
 @dataclass(frozen=True)
 class ChannelMatrix:
-    """Complex per-user, per-beam channel entries with link diagnostics.
+    """Per-user, per-beam channel magnitudes and phases with link diagnostics.
 
-    rows holds one row per distinct location, and user n of the traffic
-    matrix has row location[n-1]; column j-1 belongs to beam j. The
-    diagnostics arrays run parallel to the users. nearest_sample holds the
-    shared-grid sample index (0-based) that supplied every beam gain of the row.
+    magnitude holds one row per distinct location, column j-1 for beam j,
+    and phase_rad the one phase, in radians, that the entries of that row
+    share; user n of the traffic matrix has location[n-1]. The diagnostics
+    arrays run parallel to the users. nearest_sample holds the shared-grid
+    sample index (0-based) that supplied every beam gain of the row.
     Every array is held through ioutil.frozen: one that is already read-only,
     C-ordered, of the field's dtype and owns its memory, as
     build_channel_matrix gives, is kept as it is, and any other is copied.
     location, serving and nearest_sample are int64 and reject values that
-    are not whole numbers; each location indexes rows, each serving beam
+    are not whole numbers; each location indexes the rows, each serving beam
     lies in [1, beams] and each nearest sample is >= 0.
     """
 
-    rows: np.ndarray
+    magnitude: np.ndarray
+    phase_rad: np.ndarray
     location: np.ndarray
     serving: np.ndarray
     distance_m: np.ndarray
@@ -234,21 +236,23 @@ class ChannelMatrix:
     nearest_sample: np.ndarray
 
     def __post_init__(self):
-        rows = frozen(self.rows, complex, "rows")
-        if rows.ndim != 2:
-            raise ValueError("rows must be a 2-D array")
-        object.__setattr__(self, "rows", rows)
+        magnitude = frozen(self.magnitude, float, "magnitude")
+        if magnitude.ndim != 2:
+            raise ValueError("magnitude must be a 2-D array")
+        object.__setattr__(self, "magnitude", magnitude)
+        hold_columns(self, (("phase_rad", float, ()),), len(magnitude), "location")
         hold_columns(self, (
-            ("location", np.int64, (0, len(rows) - 1)),
-            ("serving", np.int64, (1, rows.shape[1])), ("distance_m", float, ()),
+            ("location", np.int64, (0, len(magnitude) - 1)),
+            ("serving", np.int64, (1, magnitude.shape[1])), ("distance_m", float, ()),
             ("path_loss_db", float, ()), ("interp_gain_db", float, ()),
             ("nearest_sample", np.int64, (0,)),
         ), np.size(self.location), "user")
 
     @property
     def entries(self):
-        """The (users, beams) matrix rows[location], built on each access."""
-        entries = self.rows[self.location]
+        """The complex (users, beams) matrix of the rows magnitude *
+        e^(i phase_rad) at each user's location, built on each access."""
+        entries = (self.magnitude * np.exp(1j * self.phase_rad)[:, None])[self.location]
         entries.setflags(write=False)
         return entries
 
@@ -258,7 +262,7 @@ class ChannelMatrix:
 
     @property
     def beams(self):
-        return self.rows.shape[1]
+        return self.magnitude.shape[1]
 
     def check_user(self, n):
         """Validate a 1-based user number and return its row index."""
@@ -266,63 +270,49 @@ class ChannelMatrix:
 
 
 def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
-    """Assemble the complex channel matrix for every user of a traffic matrix.
+    """Assemble the channel matrix for every user of a traffic matrix.
 
-    Per user: slant range to the satellite, free-space loss, then one entry
-    per beam from the gain of the nearest sample. The phase is set by the
-    sub-wavelength remainder of the slant range, identical across the row.
-    Range, loss and phase are functions of location, so they are computed
-    once per distinct location of the nearest-sample search, and the rows
-    are filled into one array a block of locations at a time; the finished
-    arrays are frozen and handed to the ChannelMatrix without a copy.
-    The per-user interpolated gain of the serving beam is carried along as a
-    diagnostic and does not enter the entries.
+    Per location: slant range to the satellite, free-space loss, and the
+    phase, the sub-wavelength remainder of the slant range in [0, 2*pi);
+    then one magnitude per beam, 10^((gain - loss + rx_gain_db) / 20), from
+    the dB gain of the nearest sample. Range, loss and phase are functions
+    of location, so they are computed once per distinct location of the
+    nearest-sample search, through geo's unchecked cores: ScenarioConfig
+    has checked the satellite, and the TrafficMatrix has bounded the
+    latitudes and wrapped the longitudes as a GeoPoint does. The
+    finished arrays are frozen and handed to the ChannelMatrix without a
+    copy. The per-user interpolated gain of the serving beam is carried
+    along as a diagnostic and does not enter the magnitudes.
     """
     if T.beams != pattern.beams:
         raise MismatchedBeamsError(
             f"traffic matrix has {T.beams} beams, pattern has {pattern.beams}"
         )
     lam = cfg.wavelength_m
+    sat = (cfg.sat_lat_deg, cfg.sat_lon_deg, cfg.altitude_m, cfg.earth_radius_m)
 
     index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
-    m = len(index.lat_deg)
-    dist = np.empty(m)
-    loss = np.empty(m)
-    phase = np.empty(m)
-    for i, (lat, lon) in enumerate(zip(index.lat_deg.tolist(), index.lon_deg.tolist())):
-        d = slant_range(
-            GeoPoint(lat, lon), cfg.sat_lat_deg, cfg.sat_lon_deg,
-            cfg.altitude_m, cfg.earth_radius_m,
-        )
-        dist[i] = d
-        loss[i] = path_loss_db(d, lam)
-        phase[i] = _TWO_PI * math.fmod(d, lam) / lam
+    dist = np.array([_slant_range(lat, lon, *sat) for lat, lon in
+                     zip(index.lat_deg.tolist(), index.lon_deg.tolist())])
+    loss = np.array([_path_loss_db(d, lam) for d in dist.tolist()])
+    # np.fmod is exact, as math.fmod is, and the product and quotient are
+    # rounded as Python's are
+    phase = _TWO_PI * np.fmod(dist, lam) / lam
+    phase[phase >= _TWO_PI] = 0.0
 
-    # BeamPattern.coefficients, then 10*log10(|c|**2), at the nearest samples:
-    # every step is elementwise, so the bits are the whole grid's gathered,
-    # whatever the block of locations
-    rows = np.empty((m, pattern.beams), dtype=complex)
-    rotation = np.exp(1j * phase)
-    step = max(1, _ROW_ELEMENTS // pattern.beams)
-    for lo in range(0, m, step):
-        near = index.nearest[lo : lo + step]
-        amp = np.abs(np.power(10.0, pattern.gain_db[near] / 20.0)
-                     * np.exp(1j * pattern.phase_rad[near]))
-        np.square(amp, out=amp)
-        np.log10(amp, out=amp)
-        amp *= 10.0
-        amp -= loss[lo : lo + step, None]
-        amp += cfg.rx_gain_db
-        amp /= 20.0
-        np.power(10.0, amp, out=amp)
-        np.multiply(amp, rotation[lo : lo + step, None], out=rows[lo : lo + step])
+    magnitude = pattern.gain_db[index.nearest]
+    magnitude -= loss[:, None]
+    magnitude += cfg.rx_gain_db
+    magnitude /= 20.0
+    np.power(10.0, magnitude, out=magnitude)
 
     gamma = index.gain(pattern.gain_db, T.beam - 1, index.inverse)
 
     # the finished arrays, frozen here, are handed to the ChannelMatrix uncopied
     inverse = index.inverse
     columns = dict(
-        rows=rows,
+        magnitude=magnitude,
+        phase_rad=phase,
         location=inverse,
         serving=T.beam,
         distance_m=dist[inverse],
@@ -359,7 +349,7 @@ def interference(H, n, active, power):
     total = 0.0
     for j, w in watts.items():
         if j != serving:
-            total += w * abs(H.rows[H.location[user], j - 1]) ** 2
+            total += w * H.magnitude[H.location[user], j - 1] ** 2
     return total
 
 
@@ -368,27 +358,14 @@ CHANNEL_HEADER = "user,beam,magnitude,phase_rad"
 _USER = "@"
 
 
-def _magnitude_phase(z):
-    """abs(z) and the angle of z in [0, 2*pi), elementwise, as two arrays."""
-    # not np.abs or np.arctan2: they can miss abs(complex) and math.atan2 by an ulp
-    with np.errstate(over="ignore"):  # an overflow to inf fails as non-finite
-        magnitude = np.hypot(z.real, z.imag)
-    phase = np.fromiter(
-        map(math.atan2, z.imag.tolist(), z.real.tolist()), float, z.size
-    )
-    phase[phase < 0.0] += _TWO_PI
-    phase[phase >= _TWO_PI] = 0.0
-    return magnitude, phase
-
-
 def write_channel_csv(H, path):
     """Long-format channel entries, one row per (user, beam), canonical floats.
 
     In each block of users the row of each distinct location is formatted
-    once, by one % over a template with the beam ids written in and each
-    distinct phase formatted once; each user's text is its location's with
-    the user number put in. A non-finite value still raises for the first
-    one in user order.
+    once, by one % over a template with the beam ids written in and the
+    location's phase formatted once; each user's text is its location's
+    with the user number put in. A non-finite value still raises for the
+    first one in user order, the magnitude of an entry before its phase.
     """
     beams = H.beams
     n_users = H.n_users if beams else 0
@@ -400,17 +377,16 @@ def write_channel_csv(H, path):
         for lo in range(0, n_users, step):
             locations, inverse = np.unique(H.location[lo : lo + step],
                                            return_inverse=True)
-            magnitude, phase = _magnitude_phase(H.rows[locations].ravel())
+            # fmt_float's form: adding 0.0 prints -0.0 as 0
+            magnitude = H.magnitude[locations] + 0.0
+            phase = H.phase_rad[locations]
             # the block's values in user order, for the first non-finite one
-            check_finite([col.reshape(-1, beams)[inverse].ravel()
-                          for col in (magnitude, phase)])
-            # np.unique puts -0.0 with 0.0, and format_rows prints both as 0
-            values, slot = np.unique(phase, return_inverse=True)
-            texts = np.array(format_rows((values,)).split("\n"), dtype=object)
-            # hypot is never -0.0, so %.9g prints the magnitude as fmt_float does
-            rows = ((row * locations.size) % tuple(chain.from_iterable(
-                zip(magnitude.tolist(), texts[slot].tolist())
-            ))).split("\0")
+            check_finite([magnitude[inverse].ravel(), np.repeat(phase[inverse], beams)])
+            # each entry's magnitude, then its location's phase text
+            texts = format_rows((phase,)).split("\n")
+            values = chain.from_iterable(chain.from_iterable(
+                map(zip, magnitude.tolist(), map(repeat, texts))))
+            rows = ((row * locations.size) % tuple(values)).split("\0")
             users = map(str, range(lo + 1, lo + inverse.size + 1))
             fh.write("".join([rows[r].replace(_USER, user)
                               for user, r in zip(users, inverse.tolist())]))

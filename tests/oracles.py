@@ -19,8 +19,9 @@ their nearest samples from a NearestSamples index and stand in for its
 blend only.
 
 The library's interference sweep reduces the exhaustive mean to a closed
-form. interference_sweep below is the plain version: it lists every set and
-averages interference() over the sets with math.fsum.
+form. interference_sweep below is the plain version: it lists every set,
+adds each set's interference from the complex entries as interference()
+adds it from the magnitudes, and averages over the sets with math.fsum.
 
 The library writes its CSV files a block of columns at a time. The row
 writers below format one value per call through fmt_float and give the
@@ -30,12 +31,18 @@ hourly_profiles below associates the movers hour by hour, 25 calls in
 all; the library associates the movers of every hour in one call.
 
 build_channel_matrix below computes the slant range, loss and phase once
-per user; the library computes them once per distinct location.
+per user, through the public, checked slant_range and path_loss_db, and
+holds the channel as a ComplexChannel: one complex entry per user and beam,
+10^((gain - loss + rx_gain_db) / 20) * e^(i phase). The library computes
+them once per distinct location, through geo's unchecked cores, and holds
+real magnitudes plus one phase per location.
 
 The library formats each distinct channel row once per block of users, and
 writes channel_summary.json's text with one template per user.
-write_channel_csv below formats every entry, and channel_summary returns
-the plain data that ioutil.canonical_json serializes.
+write_channel_csv below formats every entry's magnitude and phase, and
+write_complex_channel_csv every complex entry's abs() and angle, the form in
+which the library wrote the channel when it held it complex; channel_summary
+returns the plain data that ioutil.canonical_json serializes.
 
 The library's loaders return TerminalBlocks, columns filled a chunk of lines
 at a time. load_population and load_movements below are the loaders they
@@ -104,13 +111,7 @@ from sattraffic.ingest import (
     _require,
 )
 from sattraffic.ioutil import check_header, fmt_float, open_input
-from sattraffic.linkbudget import (
-    CHANNEL_HEADER,
-    ChannelMatrix,
-    NearestSamples,
-    _cos_angles,
-    interference,
-)
+from sattraffic.linkbudget import CHANNEL_HEADER, NearestSamples, _cos_angles
 from sattraffic.pattern import BORDERS_HEADER, PATTERN_HEADER, BeamPattern, _parse_row
 from sattraffic.traffic import TRAFFIC_HEADER, build_traffic_matrix, per_beam_demand
 
@@ -189,9 +190,15 @@ def idw_gain(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg, gains_db):
 
 
 def argmax_nearest(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
-    """Per point, the first sample of maximal cosine over the whole grid."""
-    t = _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg)
-    return np.argmax(t, axis=1)
+    """Per point, the first sample of maximal cosine over the whole grid,
+    256 points at a time."""
+    lat_deg, lon_deg = np.asarray(lat_deg, dtype=float), np.asarray(lon_deg, dtype=float)
+    nearest = np.empty(lat_deg.size, dtype=np.int64)
+    for lo in range(0, lat_deg.size, 256):
+        t = _cos_angles(lat_deg[lo : lo + 256], lon_deg[lo : lo + 256],
+                        grid_lat_deg, grid_lon_deg)
+        nearest[lo : lo + 256] = np.argmax(t, axis=1)
+    return nearest
 
 
 def interpolate_gain(user, samples):
@@ -207,10 +214,12 @@ def interpolate_gain(user, samples):
 
 
 def interference_sweep(H, cfg, sizes, users=None):
-    """Mean interference per user and set size, one interference() per set.
+    """Mean interference per user and set size, set by set.
 
-    Lists every set of the size that holds the serving beam.
+    Lists every set of the size that holds the serving beam, and adds each
+    other active beam's P/s * |h|**2, h the complex entry, in id order.
     """
+    entries = H.entries
     if users is None:
         users = range(1, H.n_users + 1)
     users = [int(u) for u in users]
@@ -221,11 +230,13 @@ def interference_sweep(H, cfg, sizes, users=None):
         others = [j for j in range(1, H.beams + 1) if j != serving]
         for si, s in enumerate(sizes):
             split = cfg.total_power_w / s
-            sets = [{serving, *combo} for combo in combinations(others, s - 1)]
-            total = math.fsum(
-                interference(H, n, active, split) for active in sets
-            )
-            watts[ui, si] = total / len(sets)
+            totals = []
+            for combo in combinations(others, s - 1):
+                total = 0.0
+                for j in combo:
+                    total += split * abs(entries[n - 1, j - 1]) ** 2
+                totals.append(total)
+            watts[ui, si] = math.fsum(totals) / len(totals)
     return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
 
 
@@ -242,8 +253,29 @@ def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
     return HourlyProfile(demand_mbps=demand)
 
 
+@dataclass(frozen=True)
+class ComplexChannel:
+    """A channel held as one complex entry per user and beam, user n in row
+    n-1, with the per-user link diagnostics of a ChannelMatrix."""
+
+    entries: np.ndarray
+    serving: np.ndarray
+    distance_m: np.ndarray
+    path_loss_db: np.ndarray
+    interp_gain_db: np.ndarray
+    nearest_sample: np.ndarray
+
+    @property
+    def n_users(self):
+        return self.entries.shape[0]
+
+    @property
+    def beams(self):
+        return self.entries.shape[1]
+
+
 def build_channel_matrix(T, pattern, cfg):
-    """The channel matrix with range, loss and phase computed user by user."""
+    """The channel with range, loss and phase computed user by user."""
     n = T.n_users
     lam = cfg.wavelength_m
     dist = np.empty(n)
@@ -259,9 +291,7 @@ def build_channel_matrix(T, pattern, cfg):
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
 
     nearest = argmax_nearest(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
-    amp_db = 10.0 * np.log10(np.abs(pattern.coefficients[nearest, :]) ** 2)
-    amp_db -= loss[:, None]
-    amp_db += cfg.rx_gain_db
+    amp_db = pattern.gain_db[nearest, :] - loss[:, None] + cfg.rx_gain_db
     entries = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)[:, None]
     gamma = np.empty(n)
     for j in np.unique(T.beam):
@@ -271,9 +301,8 @@ def build_channel_matrix(T, pattern, cfg):
             pattern.gain_db[:, j - 1],
         )
         gamma[sel] = gains
-    return ChannelMatrix(
-        rows=entries,
-        location=np.arange(n),
+    return ComplexChannel(
+        entries=entries,
         serving=T.beam,
         distance_m=dist,
         path_loss_db=loss,
@@ -563,21 +592,34 @@ def entry_phase(z):
     return theta
 
 
-def write_channel_csv(H, path):
-    entries = H.entries
-
+def _write_channel(path, H, entry):
+    """channel.csv with entry(user, beam), 0-based, giving each entry's
+    magnitude and phase."""
     def rows():
         for i in range(H.n_users):
             for j in range(H.beams):
-                z = complex(entries[i, j])
-                yield (
-                    str(i + 1),
-                    str(j + 1),
-                    fmt_float(magnitude(z)),
-                    fmt_float(entry_phase(z)),
-                )
+                mag, phase = entry(i, j)
+                yield str(i + 1), str(j + 1), fmt_float(mag), fmt_float(phase)
 
     write_csv(path, CHANNEL_HEADER.split(","), rows())
+
+
+def write_channel_csv(H, path):
+    """A ChannelMatrix entry by entry: the magnitude of the user's location
+    at the beam, then that location's phase."""
+    _write_channel(path, H, lambda i, j: (H.magnitude[H.location[i], j],
+                                          H.phase_rad[H.location[i]]))
+
+
+def write_complex_channel_csv(H, path):
+    """Complex entries entry by entry: abs(z), then the angle of z in [0, 2*pi)."""
+    entries = H.entries
+
+    def entry(i, j):
+        z = complex(entries[i, j])
+        return magnitude(z), entry_phase(z)
+
+    _write_channel(path, H, entry)
 
 
 def channel_summary(H):

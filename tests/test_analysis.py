@@ -1,6 +1,5 @@
 """Profiles, beam classification, and the interference sweep."""
 
-import cmath
 import math
 import re
 from itertools import combinations
@@ -440,15 +439,14 @@ class TestInterferenceSweep:
     def test_exhaustive_37_beams_matches_closed_form(self):
         rng = np.random.default_rng(37)
         beams, n_users = 37, 4
-        mags = 10.0 ** rng.uniform(-9.0, -2.0, size=(n_users, beams))
-        H = channel(mags * np.exp(1j * rng.uniform(0.0, 2 * math.pi, mags.shape)),
+        H = channel(10.0 ** rng.uniform(-9.0, -2.0, size=(n_users, beams)),
                     rng.integers(1, beams + 1, size=n_users))
         cfg = ScenarioConfig()
         sweep = interference_sweep(H, cfg, sizes=[1, 18, 37])
         for ui, n in enumerate(sweep.users):
             serving = int(H.serving[n - 1])
             others = math.fsum(
-                abs(H.entries[n - 1, j - 1]) ** 2
+                H.magnitude[n - 1, j - 1] ** 2
                 for j in range(1, beams + 1) if j != serving
             )
             for si, s in enumerate(sweep.sizes):
@@ -460,17 +458,21 @@ class TestInterferenceSweep:
         assert not sweep.watts[:, 0].any()
 
 
-def channel(rows, serving, location=None):
-    """A ChannelMatrix with the given rows and serving beams, zero diagnostics.
+def channel(magnitude, serving, location=None, phase_rad=None):
+    """A ChannelMatrix with the given rows of magnitudes and serving beams,
+    zero diagnostics and, unless given, zero phases.
 
     location gives each user's row; by default user n has row n-1.
     """
-    rows = np.asarray(rows, dtype=complex)
+    magnitude = np.asarray(magnitude, dtype=float)
     if location is None:
-        location = np.arange(rows.shape[0])
+        location = np.arange(magnitude.shape[0])
+    if phase_rad is None:
+        phase_rad = np.zeros(len(magnitude))
     n = len(location)
     return ChannelMatrix(
-        rows=rows,
+        magnitude=magnitude,
+        phase_rad=phase_rad,
         location=location,
         serving=np.asarray(serving, dtype=np.int64),
         distance_m=np.zeros(n),
@@ -488,16 +490,15 @@ def channels(draw, max_beams=8, max_users=4):
     n_rows = draw(st.integers(1, max_users))
     magnitude = st.one_of(st.just(0.0), st.floats(-9.0, -2.0).map(lambda e: 10.0**e))
     phase = st.floats(0.0, 2 * math.pi)
-    rows = [
-        [draw(magnitude) * cmath.exp(1j * draw(phase)) for _ in range(beams)]
-        for _ in range(n_rows)
-    ]
+    rows = [[draw(magnitude) for _ in range(beams)] for _ in range(n_rows)]
+    phases = [draw(phase) for _ in rows]
     if draw(st.booleans()):
         rows.append(rows[0])
+        phases.append(phases[0])
     location = draw(st.lists(st.integers(0, len(rows) - 1), min_size=1,
                              max_size=max_users))
     serving = [draw(st.integers(1, beams)) for _ in location]
-    return channel(rows, serving, location)
+    return channel(rows, serving, location, phases)
 
 
 def users_of(H):
@@ -549,9 +550,9 @@ def test_exhaustive_37_beams_bit_matches_per_user_interference():
     rng = np.random.default_rng(3737)
     beams, n_users = 37, 50
     mags = 10.0 ** rng.uniform(-12.0, 3.0, size=(20, beams))
-    H = channel(mags * np.exp(1j * rng.uniform(0.0, 2 * math.pi, mags.shape)),
-                rng.integers(1, beams + 1, size=n_users),
-                rng.integers(0, len(mags), size=n_users))
+    H = channel(mags, rng.integers(1, beams + 1, size=n_users),
+                rng.integers(0, len(mags), size=n_users),
+                rng.uniform(0.0, 2 * math.pi, len(mags)))
     cfg = ScenarioConfig()
     sizes = list(range(beams, 0, -1))
     users = list(range(n_users, 0, -1))
@@ -560,8 +561,8 @@ def test_exhaustive_37_beams_bit_matches_per_user_interference():
 
 
 def test_exhaustive_squares_gains_as_interference_does():
-    # magnitudes whose libm pow(x, 2), as in abs(complex) ** 2, and x * x
-    # differ in the last bit
+    # magnitudes whose libm pow(x, 2), as in interference()'s magnitude ** 2,
+    # and x * x differ in the last bit
     candidates = (10.0 ** np.random.default_rng(2).uniform(-9.0, -2.0, 100_000)).tolist()
     mags = [x for x in candidates if x ** 2 != x * x][:36]
     if not mags:

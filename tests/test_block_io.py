@@ -35,12 +35,7 @@ from sattraffic.errors import ParseError, SchemaError
 from sattraffic.geometry import Polygon
 from sattraffic.ioutil import read_chunks
 from sattraffic.ingest import synth_pattern
-from sattraffic.linkbudget import (
-    ChannelMatrix,
-    _magnitude_phase,
-    channel_summary,
-    write_channel_csv,
-)
+from sattraffic.linkbudget import ChannelMatrix, channel_summary, write_channel_csv
 from sattraffic.pattern import (
     PATTERN_HEADER,
     BeamFootprint,
@@ -77,16 +72,16 @@ def assert_same_bytes(new, old, obj, root, block=None):
     assert got == written(old, obj, root / "old.csv")
 
 
-def channel(rows, location=None):
-    """A channel matrix of the given rows with zero diagnostics.
+def channel(magnitude, phase_rad, location=None):
+    """A channel matrix of the given rows of magnitudes and their phases,
+    with zero diagnostics.
 
     location gives each user's row; by default user n has row n-1.
     """
-    rows = np.asarray(rows, dtype=complex)
     if location is None:
-        location = np.arange(len(rows))
+        location = np.arange(len(magnitude))
     zeros = np.zeros(len(location))
-    return ChannelMatrix(rows=rows, location=location,
+    return ChannelMatrix(magnitude=magnitude, phase_rad=phase_rad, location=location,
                          serving=np.ones(len(location), dtype=np.int64),
                          distance_m=zeros, path_loss_db=zeros, interp_gain_db=zeros,
                          nearest_sample=zeros)
@@ -95,7 +90,8 @@ def channel(rows, location=None):
 def summary_matrix(distance_m, path_loss_db, interp_gain_db):
     """A channel matrix of one location whose users have these diagnostics."""
     users = len(distance_m)
-    return ChannelMatrix(rows=np.zeros((1, 2)), location=np.zeros(users, dtype=int),
+    return ChannelMatrix(magnitude=np.zeros((1, 2)), phase_rad=np.zeros(1),
+                         location=np.zeros(users, dtype=int),
                          serving=np.ones(users, dtype=np.int64),
                          distance_m=distance_m, path_loss_db=path_loss_db,
                          interp_gain_db=interp_gain_db, nearest_sample=np.zeros(users))
@@ -119,17 +115,6 @@ def assert_same_summary(H, excluded, root, block):
         assert path.read_bytes() == want.encode("utf-8")
 
 
-def overflows(z):
-    """Whether abs(z) overflows, read through oracles.magnitude: a bare
-    abs(z) with a NaN part raises OverflowError or not by the errno an
-    earlier call left, so a draw filtered on it may not replay."""
-    try:
-        oracles.magnitude(z)
-    except OverflowError:
-        return True
-    return False
-
-
 def near_boundary(digits, exp, ulps, negative):
     """A float ulps steps from a value halfway between two 9-digit decimals."""
     x = float(f"{digits}5e{exp}")
@@ -149,9 +134,6 @@ FINITE = st.one_of(
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 VALUES = st.one_of(FINITE, FINITE, FINITE, NON_FINITE)
 BLOCKS = st.sampled_from([1, 2, 3, 7, 1 << 12, 1 << 14])
-# the (real, imag) parts of a channel entry whose abs() does not overflow; the
-# filter is in the strategy, so that a failing draw replays without an assume
-ENTRY = st.tuples(VALUES, VALUES).filter(lambda part: not overflows(complex(*part)))
 # the latitudes a traffic matrix holds
 LATITUDES = st.one_of(FINITE.map(lambda v: math.fmod(v, 90.0)), st.sampled_from([-90.0, 90.0]))
 
@@ -204,11 +186,11 @@ class TestWriters:
     @given(st.data(), st.integers(1, 4), BLOCKS)
     def test_channel(self, root, data, beams, block):
         users = data.draw(st.integers(0, 5))
-        parts = data.draw(st.lists(ENTRY, min_size=users * beams, max_size=users * beams))
-        entries = np.array([complex(re, im) for re, im in parts],
-                           dtype=complex).reshape(users, beams)
-        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, channel(entries),
-                          root, block)
+        magnitude = data.draw(st.lists(VALUES, min_size=users * beams,
+                                       max_size=users * beams))
+        phase = data.draw(st.lists(VALUES, min_size=users, max_size=users))
+        H = channel(np.reshape(magnitude, (users, beams)), phase)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data(), st.integers(1, 4), BLOCKS)
@@ -216,44 +198,44 @@ class TestWriters:
         # users at a few locations repeat locations inside a block of users and
         # across block boundaries; a repeated row gives two distinct locations
         # with the same bits
-        row = st.lists(ENTRY, min_size=beams, max_size=beams)
+        row = st.tuples(st.lists(VALUES, min_size=beams, max_size=beams), VALUES)
         pool = data.draw(st.lists(row, min_size=1, max_size=3))
         if data.draw(st.booleans()):
             pool.append(pool[0])
         picks = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=12))
-        rows = np.array([[complex(re, im) for re, im in r] for r in pool],
-                        dtype=complex).reshape(len(pool), beams)
-        assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
-                          channel(rows, picks), root, block)
+        H = channel([mags for mags, _ in pool], [phase for _, phase in pool], picks)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 1 << 12, 1 << 14])
     def test_channel_signed_zeros(self, root, block):
-        zeros = [0.0, -0.0, complex(0.0, -0.0), complex(-0.0, 0.0), complex(-0.0, -0.0)]
-        rows = [[a, b] for a in zeros for b in zeros[:2]]
-        # locations 10..19 hold the bits of 9..0, and 0..9 repeat
-        location = [*range(10), *range(10, 20), *range(10)]
-        assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
-                          channel(rows + rows[::-1], location), root, block)
+        zeros = [0.0, -0.0]
+        rows = [([a, b], p) for a in zeros for b in zeros for p in zeros]
+        rows += rows[::-1]
+        # locations 8..15 hold the bits of 7..0, and 0..7 repeat
+        location = [*range(8), *range(8, 16), *range(8)]
+        H = channel([mags for mags, _ in rows], [p for _, p in rows], location)
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
 
     @pytest.mark.parametrize("first,later", [(math.inf, math.nan), (math.nan, math.inf)])
     @pytest.mark.parametrize("block", [2, 6, 9, 1 << 12, 1 << 14])
     def test_channel_first_non_finite_raises(self, root, first, later, block):
-        # the first bad value in user order raises, though the later one's
-        # location comes first in rows
-        good = [1.0 + 2.0j, 3.0 - 1.0j, -0.5j]
-        earlier = [1.0, complex(first, 1.0), 2.0]
-        rows = [[1.0, 2.0, complex(0.0, later)], good, earlier]
+        # the first bad value in user order raises, as a magnitude or as a
+        # phase, though the later one's location comes first in the rows
         want = (ValueError, f"non-finite value in output: {first!r}")
-        H = channel(rows, [1, 2, 1, 0, 2])
-        with block_rows(block):
-            assert written(write_channel_csv, H, root / "new.csv") == want
-        assert written(oracles.write_channel_csv, H, root / "old.csv") == want
+        for magnitude, phase in (
+            ([[1.0, 2.0, later], [1.0, 3.0, 0.5], [1.0, first, 2.0]], [0.25, 0.5, 1.5]),
+            ([[1.0, 2.0, later], [1.0, 3.0, 0.5], [1.0, 2.0, 2.0]], [0.25, 0.5, first]),
+        ):
+            H = channel(magnitude, phase, [1, 2, 1, 0, 2])
+            with block_rows(block):
+                assert written(write_channel_csv, H, root / "new.csv") == want
+            assert written(oracles.write_channel_csv, H, root / "old.csv") == want
 
     @pytest.mark.parametrize("users,beams", [(0, 1), (0, 3), (1, 1), (6, 1)])
     def test_channel_zero_users_and_one_beam(self, root, users, beams):
-        entries = (np.arange(users * beams) % 2 + 0.5j).reshape(users, beams)
+        magnitude = (np.arange(users * beams) % 2 + 0.5).reshape(users, beams)
         assert_same_bytes(write_channel_csv, oracles.write_channel_csv,
-                          channel(entries), root, 2)
+                          channel(magnitude, np.full(users, 1.5)), root, 2)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data(), st.integers(0, 5), st.integers(0, 10**6),
@@ -334,17 +316,8 @@ class TestWriters:
         pattern = BeamPattern(lat, lon, gain, phase)
         assert_same_bytes(write_pattern, oracles.write_pattern, pattern, root, block)
 
-    def test_magnitude_overflow_is_non_finite(self, root):
-        # abs(complex) raised OverflowError here; the block writer reports the
-        # overflowed magnitude like any other non-finite value
-        H = channel([[1.0, 1e308 + 1.7e308j]])
-        assert written(oracles.write_channel_csv, H, root / "old.csv") == (
-            OverflowError, "absolute value too large")
-        assert written(write_channel_csv, H, root / "new.csv") == (
-            ValueError, "non-finite value in output: inf")
-
     def test_nan_entry_is_non_finite(self, root):
-        H = channel([[2.0 + 5e-324j], [complex(0.0, math.nan)]])
+        H = channel([[2.0], [math.nan]], [5e-324, 0.0])
         assert written(write_channel_csv, H, root / "new.csv") == (
             ValueError, "non-finite value in output: nan")
 
@@ -357,31 +330,17 @@ class TestWriters:
             demand_mbps=np.abs(rng.normal(0, 1e5, n)), beams=3, excluded=0,
         )
         assert_same_bytes(write_traffic_csv, oracles.write_traffic_csv, T, root)
-        entries = rng.normal(size=(n // 3, 3)) + 1j * rng.normal(size=(n // 3, 3))
-        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, channel(entries),
-                          root)
-
-
-def test_magnitude_and_phase_are_bitwise_python_scalars():
-    rng = np.random.default_rng(7)
-    n = 200_000
-    magnitude = 10.0 ** rng.uniform(-8, 8, n)
-    angle = rng.uniform(-math.pi, math.pi, n)
-    z = magnitude * np.exp(1j * angle)
-    axes = [complex(re, im) for re in (0.0, -0.0, 1.0, -1.0, 1e-300)
-            for im in (0.0, -0.0, 1.0, -1.0, -1e-300)]
-    z = np.concatenate([z, axes])
-    got_mag, got_phase = _magnitude_phase(z)
-    want_mag = np.array([abs(v) for v in z.tolist()])
-    want_phase = np.array([oracles.entry_phase(v) for v in z.tolist()])
-    assert np.array_equal(got_mag.view(np.int64), want_mag.view(np.int64))
-    assert np.array_equal(got_phase.view(np.int64), want_phase.view(np.int64))
+        H = channel(np.abs(rng.normal(size=(n // 3, 3))), rng.uniform(0, 2 * math.pi, n // 3))
+        assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root)
 
 
 # phases a few ulps either side of values halfway between two 9-digit
-# decimals, so that entries of one row differ in the last bits and some of
-# them print differently
+# decimals, so that the phases of some locations differ in the last bits and
+# print differently
 HALFWAY_PHASES = [1.234567885, 0.01234567885, 2.345678915, -0.5, 3.0]
+# the ulps of location r from HALFWAY_PHASES[r % 5]: locations 0 and 5, and 3
+# and 8, share a phase; 1 and 6, and 2 and 7, print apart
+PHASE_ULPS = [0, -1, -1, 0, 0, 0, 1, 0, 0]
 
 
 def ulps_from(x, k):
@@ -390,20 +349,23 @@ def ulps_from(x, k):
     return x
 
 
-def phase_rows(rng, rows, beams):
-    """rows distinct channel rows, each entry at its row's phase plus -2..2 ulps."""
-    theta = np.array([[ulps_from(HALFWAY_PHASES[r % len(HALFWAY_PHASES)],
-                                 int(rng.integers(-2, 3))) for _ in range(beams)]
-                      for r in range(rows)])
-    return 10.0 ** rng.uniform(-6, 3, (rows, beams)) * np.exp(1j * theta)
+def phase_rows(rng, beams):
+    """Magnitudes and a phase for each location of PHASE_ULPS."""
+    phase = np.array([ulps_from(HALFWAY_PHASES[r % len(HALFWAY_PHASES)], k)
+                      for r, k in enumerate(PHASE_ULPS)])
+    return 10.0 ** rng.uniform(-6, 3, (len(phase), beams)), phase
 
 
-def set_entry(rows, location, user, beam, value):
-    """Give user (0-based) a location of its own whose row has value at beam."""
-    row = rows[location[user]].copy()
-    row[beam] = value
-    location[user] = len(rows)
-    return np.vstack([rows, row[None, :]])
+def set_entry(magnitude, phase, location, user, value, beam=None):
+    """Give user (0-based) a location of its own whose row has value at beam,
+    or as its phase without a beam."""
+    row, theta = magnitude[location[user]].copy(), phase[location[user]]
+    if beam is None:
+        theta = value
+    else:
+        row[beam] = value
+    location[user] = len(magnitude)
+    return np.vstack([magnitude, row[None, :]]), np.append(phase, theta)
 
 
 @pytest.mark.parametrize("bad", [None, "earlier", "later"])
@@ -413,21 +375,19 @@ def test_channel_rows_share_phases_and_fill_user_numbers(root, beams, block, bad
     # 1005 users cross 9/10, 99/100 and 999/1000, in one block at 1 << 14;
     # locations 9 and 10 hold the bits of 0 and 1
     rng = np.random.default_rng(beams * 100 + block)
-    pool = phase_rows(rng, 9, beams)
-    rows = np.vstack([pool, pool[:2]])
-    location = rng.integers(0, len(rows), 1005)
-    _, phase = _magnitude_phase(pool.ravel())
-    phase = phase.reshape(pool.shape)
-    # the cases the test is about: a row whose phases differ in the last bits,
-    # and phases repeated across rows
-    assert beams == 1 or any(len(set(row.tolist())) > 1 for row in phase)
+    magnitude, phase = phase_rows(rng, beams)
+    # the cases the test is about: phases an ulp apart that print apart, and
+    # phases repeated across locations
+    assert ioutil.fmt_float(phase[1]) != ioutil.fmt_float(phase[6])
     assert len(np.unique(phase)) < phase.size
+    magnitude, phase = np.vstack([magnitude, magnitude[:2]]), np.append(phase, phase[:2])
+    location = rng.integers(0, len(phase), 1005)
     if bad == "earlier":
-        rows = set_entry(rows, location, 4, beams - 1, complex(math.nan, 1.0))
-        rows = set_entry(rows, location, 999, 0, math.inf)
+        magnitude, phase = set_entry(magnitude, phase, location, 4, math.nan, beams - 1)
+        magnitude, phase = set_entry(magnitude, phase, location, 999, math.inf)
     elif bad == "later":
-        rows = set_entry(rows, location, 999, beams // 2, complex(1.0, math.inf))
-    H = channel(rows, location)
+        magnitude, phase = set_entry(magnitude, phase, location, 999, math.inf, beams // 2)
+    H = channel(magnitude, phase, location)
     assert_same_bytes(write_channel_csv, oracles.write_channel_csv, H, root, block)
     if bad is None:
         with block_rows(block):

@@ -19,6 +19,8 @@ from sattraffic.geo import (
     GEO_ALTITUDE_M,
     SPEED_OF_LIGHT,
     GeoPoint,
+    _path_loss_db,
+    _slant_range,
     ScenarioConfig,
     great_circle_distance,
     path_loss_db,
@@ -176,6 +178,39 @@ class TestSlantRange:
         kwargs = {"sat_lat_deg": 0.0, "sat_lon_deg": 13.0, **args}
         with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
             slant_range(GeoPoint(0, 0), **kwargs)
+
+
+# the poles, the default satellite's sub-satellite point, both sides of the
+# antimeridian, longitudes that wrap onto it, and the signed zeros
+CORE_POINTS = [(90.0, 0.0), (-90.0, 13.0), (0.0, 13.0), (0.0, 179.99999999999997),
+               (12.5, -180.0), (-33.0, 180.0), (45.0, -179.99999999999997),
+               (-0.0, -0.0), (0.0, 193.0), (60.0, -540.0), (1e-300, 360.0)]
+# (sat_lat_deg, sat_lon_deg, altitude_m, earth_radius_m)
+SATELLITES = [(0.0, 13.0, GEO_ALTITUDE_M, EARTH_RADIUS_M),
+              (0.0, 179.5, GEO_ALTITUDE_M, EARTH_RADIUS_M),
+              (-20.0, -180.0, 550e3, 6_378_137.0), (90.0, 0.0, 1.0, EARTH_RADIUS_M)]
+
+
+def bits(x):
+    return float(x).hex()
+
+
+class TestUncheckedCores:
+    """The channel build's cores run slant_range's and path_loss_db's
+    arithmetic on a location's latitude and its longitude wrapped as a
+    GeoPoint wraps it."""
+
+    @pytest.mark.parametrize("sat", SATELLITES)
+    def test_cores_match_the_public_functions_bit_for_bit(self, sat):
+        rng = np.random.default_rng(23)
+        points = CORE_POINTS + list(zip(rng.uniform(-90.0, 90.0, 300).tolist(),
+                                        rng.uniform(-200.0, 200.0, 300).tolist()))
+        wrapped = wrap_lon([lon for _, lon in points]).tolist()
+        lam = ScenarioConfig().wavelength_m
+        for (lat, lon), core_lon in zip(points, wrapped):
+            d = slant_range(GeoPoint(lat, lon), *sat)
+            assert bits(_slant_range(lat, core_lon, *sat)) == bits(d)
+            assert bits(_path_loss_db(d, lam)) == bits(path_loss_db(d, lam))
 
 
 class TestPathLoss:

@@ -39,7 +39,8 @@ PATTERN = BeamPattern(
 )
 BORDER = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
 CHANNEL = ChannelMatrix(
-    rows=np.array([[1.0, 0.5, 0.25j], [0.5, 1.0, 0.5]]), location=[0, 1], serving=[1, 2],
+    magnitude=np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5]]), phase_rad=[0.0, 1.5],
+    location=[0, 1], serving=[1, 2],
     distance_m=np.ones(2), path_loss_db=np.ones(2), interp_gain_db=np.ones(2),
     nearest_sample=[0, 1],
 )

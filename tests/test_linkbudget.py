@@ -1,8 +1,10 @@
 """Channel-matrix assembly, gain interpolation, and interference sums."""
 
 import cmath
+import importlib
 import json
 import math
+import pkgutil
 import re
 import tracemalloc
 
@@ -29,7 +31,8 @@ from sattraffic.ingest import (
     synth_pattern,
     synth_population,
 )
-from sattraffic import linkbudget
+import sattraffic
+from sattraffic import cli, ioutil, linkbudget
 from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
@@ -220,7 +223,7 @@ class TestBuildChannelMatrix:
         got = build_channel_matrix(T, pattern, cfg)
         want = oracles.build_channel_matrix(T, pattern, cfg)
         # one row per distinct location bits: the signed zeros stay apart
-        assert len(got.rows) == len({(np.float64(a).tobytes(), np.float64(b).tobytes())
+        assert len(got.magnitude) == len({(np.float64(a).tobytes(), np.float64(b).tobytes())
                                      for a, b in locs})
         for name in ("entries", "serving", "distance_m", "path_loss_db",
                      "interp_gain_db", "nearest_sample"):
@@ -263,7 +266,7 @@ class TestBuildChannelMatrix:
         H = build_channel_matrix(T, pattern, cfg)
         pl = path_loss_db(cfg.altitude_m, cfg.wavelength_m)
         want = 10.0 ** ((50.0 - pl + 40.7) / 20.0)
-        assert abs(H.entries[0, 0]) == pytest.approx(want, rel=1e-12)
+        assert H.magnitude[0, 0] == pytest.approx(want, rel=1e-12)
         assert H.distance_m[0] == pytest.approx(cfg.altitude_m, rel=1e-9)
 
     def test_matches_straight_line_reimplementation(self):
@@ -278,30 +281,32 @@ class TestBuildChannelMatrix:
         H = build_channel_matrix(T, pattern, cfg)
         want, nearest = straight_line_channel(T, pattern, cfg)
         for n in range(len(locs)):
+            row = H.location[n]
             for j in range(7):
-                a, b = H.entries[n, j], want[n, j]
-                assert abs(abs(a) - abs(b)) <= 1e-9 * abs(b)
-                assert phase_distance(cmath.phase(a), cmath.phase(b)) <= 1e-9
+                b = want[n, j]
+                assert abs(H.magnitude[row, j] - abs(b)) <= 1e-9 * abs(b)
+                assert phase_distance(H.phase_rad[row], cmath.phase(b)) <= 1e-9
                 assert H.nearest_sample[n] == nearest[n, j]
 
-    def test_row_constant_phase(self):
+    def test_phase_is_the_sub_wavelength_remainder(self):
         pattern = seven_beam_pattern(pitch=0.5)
-        T = matrix_for(pattern, [(51.3, 4.7), (52.9, 6.1)], beams=[1, 3])
-        H = build_channel_matrix(T, pattern)
-        for n in range(2):
-            phases = np.angle(H.entries[n])
-            assert np.ptp(phases) <= 1e-9
+        cfg = ScenarioConfig()
+        T = matrix_for(pattern, [(51.3, 4.7), (52.9, 6.1), (51.3, 4.7)], beams=[1, 3, 2])
+        H = build_channel_matrix(T, pattern, cfg)
+        lam = cfg.wavelength_m
+        want = [2.0 * math.pi * math.fmod(d, lam) / lam for d in H.distance_m.tolist()]
+        assert H.phase_rad[H.location].tolist() == want
+        assert all(0.0 <= p < 2.0 * math.pi for p in want)
 
     def test_magnitude_decomposition(self):
         pattern = seven_beam_pattern(pitch=0.5)
         cfg = ScenarioConfig()
         T = matrix_for(pattern, [(51.7, 5.2)], beams=[2])
         H = build_channel_matrix(T, pattern, cfg)
-        coeff = pattern.coefficients
         for j in range(7):
-            g = 10.0 * math.log10(abs(coeff[H.nearest_sample[0], j]) ** 2)
+            g = pattern.gain_db[H.nearest_sample[0], j]
             want = g - H.path_loss_db[0] + cfg.rx_gain_db
-            assert abs(20.0 * math.log10(abs(H.entries[0, j])) - want) <= 1e-9
+            assert abs(20.0 * math.log10(H.magnitude[0, j]) - want) <= 1e-9
 
     def test_boresight_user_gets_peak_gain(self):
         pattern = seven_beam_pattern(pitch=0.5)
@@ -323,6 +328,33 @@ class TestBuildChannelMatrix:
         assert g5 == interpolate_gain(GeoPoint(*loc), beam_samples(pattern, 5))
         assert g2 != g5
 
+    def test_values_are_checked_once_whatever_the_locations(self, monkeypatch):
+        # ScenarioConfig has checked the satellite and the TrafficMatrix the
+        # locations, so the build calls ioutil.real no more often for 60
+        # distinct locations than for 2
+        calls = []
+        real = ioutil.real
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        for info in pkgutil.iter_modules(sattraffic.__path__):
+            module = importlib.import_module(f"sattraffic.{info.name}")
+            if getattr(module, "real", None) is real:
+                monkeypatch.setattr(module, "real", counted)
+        pattern = seven_beam_pattern(pitch=0.5)
+        cfg = ScenarioConfig()
+        rng = np.random.default_rng(44)
+        counts = []
+        for n in (2, 60):
+            T = matrix_for(pattern, list(zip(rng.uniform(49.0, 55.0, n).tolist(),
+                                             rng.uniform(2.0, 8.0, n).tolist())))
+            calls.clear()
+            build_channel_matrix(T, pattern, cfg)
+            counts.append(len(calls))
+        assert counts[0] == counts[1]
+
     def test_mismatched_beam_count(self):
         pattern = seven_beam_pattern(pitch=0.5)
         T = TrafficMatrix([], [], [], [], [], beams=3, excluded=0)
@@ -334,23 +366,24 @@ class TestBuildChannelMatrix:
         H = build_channel_matrix(matrix_for(pattern, [(52.0, 5.0)]), pattern)
         with pytest.raises(ValueError):
             H.entries[0, 0] = 0
-        for name in ("rows", "location"):
+        for name in ("magnitude", "phase_rad", "location"):
             with pytest.raises(ValueError, match="read-only"):
                 getattr(H, name)[0] = 0
 
 
-def channel_of(rows, location):
+def channel_of(magnitude, phase_rad, location):
     n = np.size(location)
-    return ChannelMatrix(rows=rows, location=location, serving=np.ones(n, dtype=int),
+    return ChannelMatrix(magnitude=magnitude, phase_rad=phase_rad, location=location,
+                         serving=np.ones(n, dtype=int),
                          distance_m=np.zeros(n), path_loss_db=np.zeros(n),
                          interp_gain_db=np.zeros(n), nearest_sample=np.zeros(n, dtype=int))
 
 
 class TestChannelMatrix:
     def test_entries_are_rows_at_location(self):
-        rows = np.array([[1.0, 2.0j], [3.0, -1.0]])
-        H = channel_of(rows, [1, 0, 1])
-        assert H.entries.tolist() == [[3.0, -1.0], [1.0, 2.0j], [3.0, -1.0]]
+        H = channel_of([[1.0, 2.0], [3.0, 0.5]], [0.5 * math.pi, 0.0], [1, 0, 1])
+        want = [[3.0, 0.5], [1.0j, 2.0j], [3.0, 0.5]]
+        assert np.abs(H.entries - want).max() <= 1e-15
         assert (H.n_users, H.beams) == (3, 2)
 
     # not 1-D, or pointing outside rows
@@ -363,15 +396,20 @@ class TestChannelMatrix:
     ])
     def test_location_must_index_rows(self, location, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            channel_of(np.ones((2, 3)), location)
+            channel_of(np.ones((2, 3)), np.zeros(2), location)
 
     def test_no_users_and_no_rows(self):
-        H = channel_of(np.zeros((0, 3)), [])
+        H = channel_of(np.zeros((0, 3)), [], [])
         assert H.entries.shape == (0, 3)
 
     def test_rows_must_be_two_dimensional(self):
-        with pytest.raises(ValueError, match="^rows must be a 2-D array$"):
-            channel_of(np.ones(3), [0])
+        with pytest.raises(ValueError, match="^magnitude must be a 2-D array$"):
+            channel_of(np.ones(3), [0.0], [0])
+
+    @pytest.mark.parametrize("phase", [[0.0], [0.0, 1.0, 2.0], [[0.0, 1.0]]])
+    def test_one_phase_per_row(self, phase):
+        with pytest.raises(ValueError, match="^phase_rad must hold one value per location$"):
+            channel_of(np.ones((2, 3)), phase, [0, 1])
 
 
 class TestNearestSample:
@@ -409,9 +447,9 @@ class TestInterference:
         assert interference(channel, 1, {1}, 60.0) == 0.0
 
     def test_single_interferer_arithmetic(self, channel):
-        a = channel.entries[0, 1]
+        a = channel.magnitude[channel.location[0], 1]
         got = interference(channel, 1, {1, 2}, 60.0)
-        assert got == 60.0 * abs(a) ** 2
+        assert got == 60.0 * a ** 2
 
     def test_matches_brute_force_sum(self, channel):
         rng = np.random.default_rng(31)
@@ -425,7 +463,7 @@ class TestInterference:
             want = 0.0
             for j in sorted(active):
                 if j != int(channel.serving[n - 1]):
-                    want += split * abs(channel.entries[n - 1, j - 1]) ** 2
+                    want += split * channel.magnitude[channel.location[n - 1], j - 1] ** 2
             assert interference(channel, n, active, split) == want
 
     def test_monotone_under_fixed_power(self, channel):
@@ -441,7 +479,7 @@ class TestInterference:
     def test_per_beam_power_mapping(self, channel):
         power = {j: 100.0 * j for j in range(1, 8)}
         want = sum(
-            power[j] * abs(channel.entries[0, j - 1]) ** 2
+            power[j] * channel.magnitude[channel.location[0], j - 1] ** 2
             for j in range(1, 8)
             if j != int(channel.serving[0])
         )
@@ -553,10 +591,11 @@ def test_channel_stage_peak_memory_stays_below_half_a_per_user_matrix(tmp_path):
     assert H.n_users == users and sweep.watts.shape == (users, 2)
 
 
-def test_channel_build_peak_memory_stays_below_twice_its_rows(tmp_path):
-    # the benchmark's M inputs at hour 9: the rows are filled a block of
-    # locations at a time and handed to the ChannelMatrix uncopied, so the
-    # build holds little beyond the rows it returns
+def test_channel_build_peak_memory_stays_below_four_times_its_magnitudes(tmp_path):
+    # the benchmark's M inputs at hour 9: the magnitudes are computed in place
+    # on the gathered gains and handed to the ChannelMatrix uncopied, so the
+    # build holds little beyond the rows it returns; the bound is twice the
+    # bytes of the complex rows the matrix once held
     synth_pattern(tmp_path / "pattern.csv", 1, beams=37, spacing_deg=1.5,
                   radius3db_deg=1.0, pitch_deg=0.2)
     synth_population(tmp_path / "population.csv", 2, cells=600, urban_fraction=0.15)
@@ -576,5 +615,39 @@ def test_channel_build_peak_memory_stays_below_twice_its_rows(tmp_path):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert H.rows.shape[1] == 37 and len(H.rows) > 1000
-    assert peak <= 2 * H.rows.nbytes
+    assert H.magnitude.shape[1] == 37 and len(H.magnitude) > 1000
+    assert peak <= 4 * H.magnitude.nbytes
+
+
+def test_s_hour_9_outputs_are_the_complex_channel_oracles(tmp_path):
+    # ROADMAP's S scenario at hour 9: channel.csv and interference.csv are the
+    # bytes of the channel held complex user by user, written through abs()
+    # and the angle of each entry and swept set by set
+    inputs = tmp_path / "inputs"
+    for kind, seed, params in (
+        ("pattern", 91, []),
+        ("population", 92, ["--param", "cells=1000", "--param", "urban_fraction=0.15"]),
+        ("aero", 93, ["--param", "flights=800"]),
+        ("maritime", 94, ["--param", "ships=600"]),
+    ):
+        argv = ["synth", kind, "--seed", str(seed), "--out-dir", str(inputs), *params]
+        assert cli.main(argv) == 0
+    demand = [f"--{kind}={inputs / kind}.csv"
+              for kind in ("pattern", "population", "aero", "maritime")]
+    out = tmp_path / "out"
+    assert cli.main(["simulate", *demand, "--hour", "9", "--out-dir", str(out)]) == 0
+    assert cli.main(["interference", *demand, "--hour", "9", "--sizes", "1..7",
+                     "--out-dir", str(out)]) == 0
+    pattern = parse_pattern(inputs / "pattern.csv")
+    T = build_traffic_matrix(
+        all_footprints(pattern), pattern, load_population(inputs / "population.csv"),
+        load_aero(inputs / "aero.csv", 9), load_maritime(inputs / "maritime.csv", 9),
+    )
+    cfg = ScenarioConfig()
+    C = oracles.build_channel_matrix(T, pattern, cfg)
+    assert C.n_users > 3000 and C.beams == 7
+    oracles.write_complex_channel_csv(C, tmp_path / "channel.csv")
+    oracles.write_interference_csv(oracles.interference_sweep(C, cfg, range(1, 8)),
+                                   tmp_path / "interference.csv")
+    for name in ("channel.csv", "interference.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name

@@ -68,9 +68,9 @@ def test_sweep_peak_stays_below_three_times_its_result():
     # beam on top of it would put the peak above 4 times it
     rng = np.random.default_rng(37)
     beams, locations, n = 37, 50, 20_000
-    mags = 10.0 ** rng.uniform(-12.0, -3.0, size=(locations, beams))
     H = ChannelMatrix(
-        rows=mags * np.exp(1j * rng.uniform(0.0, 2 * math.pi, mags.shape)),
+        magnitude=10.0 ** rng.uniform(-12.0, -3.0, size=(locations, beams)),
+        phase_rad=rng.uniform(0.0, 2 * math.pi, locations),
         location=rng.integers(0, locations, n),
         serving=rng.integers(1, beams + 1, n),
         distance_m=np.zeros(n),

@@ -46,7 +46,8 @@ from sattraffic.traffic import TrafficMatrix
 INF = math.inf
 POINT = GeoPoint(50.0, 5.0)
 CHANNEL = ChannelMatrix(
-    rows=np.array([[1.0, 0.5, 0.25j], [0.5, 1.0, 0.5]]), location=[0, 1], serving=[1, 2],
+    magnitude=np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5]]), phase_rad=[0.0, 1.5],
+    location=[0, 1], serving=[1, 2],
     distance_m=np.ones(2), path_loss_db=np.ones(2), interp_gain_db=np.ones(2),
     nearest_sample=[0, 1],
 )
@@ -252,7 +253,8 @@ def pattern(**columns):
 
 
 def channel(**columns):
-    given = dict(rows=np.ones((2, 2)), location=[0, 1], serving=[1, 1],
+    given = dict(magnitude=np.ones((2, 2)), phase_rad=np.zeros(2), location=[0, 1],
+                 serving=[1, 1],
                  distance_m=np.ones(2), path_loss_db=np.ones(2),
                  interp_gain_db=np.ones(2), nearest_sample=[0, 0])
     return ChannelMatrix(**{**given, **columns})

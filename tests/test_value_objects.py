@@ -37,7 +37,7 @@ def lat_lon():
 
 def channel_arrays():
     return [
-        np.ones((2, 3), dtype=complex), np.array([0, 1, 1]), np.array([1, 2, 3]),
+        np.ones((2, 3)), np.array([0.5, 1.5]), np.array([0, 1, 1]), np.array([1, 2, 3]),
         np.full(3, 3.6e7), np.full(3, 210.0), np.full(3, 40.0), np.array([0, 1, 1]),
     ]
 
@@ -156,15 +156,15 @@ def test_terminal_block_type_refuses_fractions():
 
 def test_channel_matrix_location_refuses_fractions():
     arrays = channel_arrays()
-    arrays[1] = np.array([0.5, 1.7, 1.0])
+    arrays[2] = np.array([0.5, 1.7, 1.0])
     with pytest.raises(ValueError, match=r"^location must hold whole numbers, got 0\.5"):
         ChannelMatrix(*arrays)
 
 
 def test_whole_floats_are_read_as_integers():
     arrays = channel_arrays()
-    arrays[1:3] = [np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])]
-    arrays[6] = np.zeros(3)
+    arrays[2:4] = [np.array([0.0, 1.0, 1.0]), np.array([1.0, 2.0, 3.0])]
+    arrays[7] = np.zeros(3)
     H = ChannelMatrix(*arrays)
     for column in (H.location, H.serving, H.nearest_sample):
         assert column.dtype == np.int64
