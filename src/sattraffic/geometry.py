@@ -30,12 +30,12 @@ coincide after that scaling are one vertex, and the highest index among
 them stands for it; the others appear in no triangle.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CollinearInputError
+from .ioutil import real
 
 _EPS = 1e-12  # witness / containment tolerance in normalized coordinates
 _FILTER = 1e-13  # float determinant below FILTER * term magnitude goes exact
@@ -48,14 +48,13 @@ class Polygon:
     vertices: tuple
 
     def __post_init__(self):
-        verts = tuple((float(x), float(y)) for x, y in self.vertices)
+        verts = tuple((real(x, "polygon vertex"), real(y, "polygon vertex"))
+                      for x, y in self.vertices)
         if len(verts) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         for i, v in enumerate(verts):
             if v == verts[i - 1]:
                 raise ValueError("polygon has repeated consecutive vertices")
-            if not (math.isfinite(v[0]) and math.isfinite(v[1])):
-                raise ValueError("polygon vertex is not finite")
         object.__setattr__(self, "vertices", verts)
 
     def signed_area(self):
@@ -86,9 +85,7 @@ def _dedup(points):
     seen = set()
     unique = []
     for p in points:
-        key = (float(p[0]), float(p[1]))
-        if not (math.isfinite(key[0]) and math.isfinite(key[1])):
-            raise ValueError(f"non-finite point {p!r}")
+        key = (real(p[0], "point"), real(p[1], "point"))
         if key not in seen:
             seen.add(key)
             unique.append(key)

@@ -67,6 +67,14 @@ TERMINAL_COLUMNS = (("lat_deg", float, LATITUDE), ("lon_deg", float, FINITE),
                     ("demand_mbps", float, (0,)))
 
 
+def _checked_ids(ids):
+    """ids as a tuple, each a non-empty str: the rule for a terminal's id."""
+    ids = tuple(ids)
+    if not all(isinstance(ident, str) and ident for ident in ids):
+        raise ValueError("terminal id must be a non-empty string")
+    return ids
+
+
 @dataclass(frozen=True)
 class Terminal:
     """One demand source: a fixed site, a flight, or a vessel."""
@@ -77,8 +85,7 @@ class Terminal:
     demand_mbps: float
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError("terminal id must be a non-empty string")
+        _checked_ids((self.id,))
         object.__setattr__(self, "demand_mbps", real(self.demand_mbps, "demand_mbps", 0))
         object.__setattr__(self, "type", TrafficType(self.type))
 
@@ -227,7 +234,7 @@ class TerminalBlock(Sequence):
     dropped_out_of_box: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "ids", tuple(self.ids))
+        object.__setattr__(self, "ids", _checked_ids(self.ids))
         hold_columns(self, TERMINAL_COLUMNS, len(self.ids), "terminal")
         object.__setattr__(self, "lon_deg", frozen(wrap_lon(self.lon_deg), float, "lon_deg"))
 

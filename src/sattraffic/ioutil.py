@@ -102,17 +102,23 @@ def frozen(values, dtype, name, lo=None, hi=math.inf):
     memory is handed over: it is kept as it is, not copied, so a builder
     that freezes its finished array and keeps no writeable view of it hands
     it to the object without a second copy. Anything else is copied, so the
-    caller's array stays writeable and theirs. For an integer dtype, a value
-    the cast would change (a fraction, NaN, an infinity or one past the
-    int64 range) raises ValueError naming the column. Given lo (FINITE for
-    no bounds), every value, kept or copied, must be finite and in [lo, hi],
-    or real's ValueError names the column and the first value that is not."""
+    caller's array stays writeable and theirs. A bool, str, bytes or object
+    column goes value by value through whole (for an integer dtype) or real,
+    which raise for its first bad value. For an integer dtype, a float the
+    cast would change (a fraction, NaN, an infinity or one past the int64
+    range) raises ValueError naming the column. Given lo (FINITE for no
+    bounds), every value, kept or copied, must be finite and in [lo, hi], or
+    real's ValueError names the column and the first value that is not."""
     column = np.asarray(values)
+    integer = np.issubdtype(dtype, np.integer)
+    if column.dtype.kind in "bSUO":
+        for value in np.asarray(values, dtype=object).ravel().tolist():
+            (whole if integer else real)(value, name, -math.inf if lo is None else lo, hi)
     if not (column.dtype == dtype and column.flags.owndata and column.flags.c_contiguous
             and not column.flags.writeable):
-        if np.issubdtype(dtype, np.integer) and column.dtype.kind == "f":
-            whole = (column == np.trunc(column)) & (np.abs(column) < 2.0**63)
-            bad = np.flatnonzero(~whole)
+        if integer and column.dtype.kind == "f":
+            integral = (column == np.trunc(column)) & (np.abs(column) < 2.0**63)
+            bad = np.flatnonzero(~integral)
             if bad.size:
                 raise ValueError(f"{name} must hold whole numbers, got "
                                  f"{float(column.flat[bad[0]])!r}")
@@ -136,14 +142,14 @@ def hold_columns(obj, columns, n, each):
         object.__setattr__(obj, name, column)
 
 
-def whole(value, name, lo, hi=None, error=ValueError):
-    """int(value) for an int or numpy integer, never a bool, in [lo, hi]
-    (no upper bound without hi): the one rule for every count, index and
-    hour a caller gives. Anything else raises error naming the value."""
+def whole(value, name, lo, hi=math.inf, error=ValueError):
+    """int(value) for an int or numpy integer, never a bool, in [lo, hi]:
+    the one rule for every count, index and hour a caller gives. Anything
+    else raises error naming the value."""
     integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if integer and lo <= value and (hi is None or value <= hi):
+    if integer and lo <= value <= hi:
         return int(value)
-    if hi is None:
+    if hi == math.inf:
         raise error(f"{name} must be an integer >= {lo}, got {value!r}")
     if not integer:
         raise error(f"{name} must be an integer, got {value!r}")

@@ -82,12 +82,12 @@ class NearestSamples:
     """Nearest pattern samples of query points, searched once per distinct point.
 
     Query rows are deduplicated on the exact bit patterns of (lat, lon), so
-    no two distinct inputs merge. The search keeps two results per distinct
-    point. `nearest` is the first sample of maximal cosine. `top_k` holds
-    the k = min(3, samples) closest samples by central angle (after an exact
-    coordinate hit is set to distance zero), ranked by (distance, sample
-    index): every sample within the k-th smallest distance is a candidate,
-    and a stable sort orders them.
+    no two distinct inputs merge. Each distinct point's samples are ranked
+    once, by the cosine of the central angle, greatest first, an exact
+    coordinate hit first of all (the computed cosine of a coincident pair is
+    not reliably 1) and ties to the lower sample index. `top_k` holds the
+    first k = min(3, samples) of that ranking and `nearest` its first
+    column, the sample whose gains make the channel's magnitudes.
 
     The central angle between two points is at least their latitude
     difference, so each block of latitude-sorted locations scans only the
@@ -95,7 +95,7 @@ class NearestSamples:
     A location is settled by that scan when its k-th distance plus
     _BAND_MARGIN is below the latitude gap to the nearest sample outside
     the band; the others are scanned again with the band twice as wide, up
-    to the whole grid. Both results are those of a scan of the whole grid.
+    to the whole grid. The ranking is that of a scan of the whole grid.
 
     All beams share the grid, so one index serves every beam's gain.
     lat_deg and lon_deg hold the distinct query points, and inverse maps
@@ -117,11 +117,8 @@ class NearestSamples:
         lat, lon = self.lat_deg, self.lon_deg = lat[first], lon[first]
         m = len(lat)
         k = min(3, grid_lat.size)
-        self.nearest = np.empty(m, dtype=np.int64)
         self.top_k = np.empty((m, k), dtype=np.int64)
         dk = np.empty((m, k))
-        self._eq_idx = np.empty(m, dtype=np.int64)
-        self._has_eq = np.empty(m, dtype=bool)
 
         by_lat = np.argsort(grid_lat, kind="stable")
         band_lat = grid_lat[by_lat]
@@ -153,14 +150,15 @@ class NearestSamples:
                 unsettled.append(rows[~(dk[rows, k - 1] + _BAND_MARGIN < gap)])
             pending = np.concatenate(unsettled)
             half_width *= 2.0
+        self.nearest = self.top_k[:, 0]
         # weights normalized by the nearest distance so equal distances get
         # exactly equal weight and near-hits cannot overflow
         with np.errstate(divide="ignore", invalid="ignore"):
             self._w = (dk[:, :1] / dk) ** 2
         self._w_sum = np.sum(self._w, axis=1)
-        # the angle can also round to exactly zero for a non-identical pair,
-        # which would make the normalized weights 0/0; both zero flavors take
-        # the nearest sample's value, coordinate equality winning
+        # the first distance is zero at a coordinate hit and where the angle
+        # to a distinct sample rounds to zero; either makes the normalized
+        # weights 0/0, so the point takes its first-ranked sample's gain
         self._zero = dk[:, 0] == 0.0
 
     def _scan(self, rows, cand, grid_lat, grid_lon, dk):
@@ -172,25 +170,17 @@ class NearestSamples:
             sub = rows[lo : lo + step]
             lat, lon = self.lat_deg[sub], self.lon_deg[sub]
             t = _cos_angles(lat, lon, glat, glon)
-            # max cosine = min distance; first occurrence keeps the lowest index
-            self.nearest[sub] = cand[np.argmax(t, axis=1)]
-            d = np.arccos(t, out=t)
-            # an exact coordinate hit short-circuits; the rounded central angle
-            # of a coincident pair is not reliably zero
-            eq = (lat[:, None] == glat) & (lon[:, None] == glon)
-            self._has_eq[sub] = eq.any(axis=1)
-            self._eq_idx[sub] = cand[np.argmax(eq, axis=1)]
-            d[eq] = 0.0
-            kth = np.partition(d, k - 1, axis=1)[:, k - 1 : k]
-            hits, cols = np.nonzero(d <= kth)
-            dc = d[hits, cols]
+            t[(lat[:, None] == glat) & (lon[:, None] == glon)] = 2.0  # hits rank first
+            kth = np.partition(t, t.shape[1] - k, axis=1)[:, -k, None]
+            hits, cols = np.nonzero(t >= kth)
+            tc = t[hits, cols]
             # nonzero lists columns in index order, so the stable sort by
-            # (row, distance) breaks distance ties toward the lower index
-            order = np.lexsort((dc, hits))
+            # (row, negated cosine) breaks ties toward the lower index
+            order = np.lexsort((-tc, hits))
             counts = np.bincount(hits, minlength=sub.size)
             pick = order[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
             self.top_k[sub] = cand[cols[pick]]
-            dk[sub] = dc[pick]
+            dk[sub] = np.arccos(np.minimum(tc[pick], 1.0))
 
     def gain(self, gains_db, beam, points):
         """Inverse-distance-squared gain over the k nearest samples, at each point.
@@ -198,14 +188,13 @@ class NearestSamples:
         gains_db holds every beam's gain at every grid sample, as (samples,
         beams). points indexes the distinct points (inverse maps the query
         rows to theirs), and beam is one 0-based beam or one per point; each
-        point blends its beam's gains. A point sitting exactly on a sample
-        takes that sample's gain.
+        point blends its beam's gains. A point at distance zero from its
+        first-ranked sample, as on a coordinate hit, takes that sample's gain.
         """
         gk = gains_db[self.top_k[points], np.expand_dims(beam, -1)]
         vals = np.sum(self._w[points] * gk, axis=1) / self._w_sum[points]
-        zero, exact = self._zero[points], self._has_eq[points]
+        zero = self._zero[points]
         vals[zero] = gk[zero, 0]
-        vals[exact] = gains_db[self._eq_idx[points], beam][exact]
         return vals
 
 

@@ -2,10 +2,12 @@
 
 The library keeps a pattern as (samples, beams) arrays and interpolates
 gains through NearestSamples, which scans a latitude band of the grid per
-block of locations. idw_gain and argmax_nearest scan the whole grid for
-every point, once per beam. The other oracles, but for the three blend
-oracles below, search through them, never through NearestSamples, so they
-cannot share a fault of the band search.
+block of locations and ranks each point's samples once. ranked_samples
+ranks the whole grid for every point, by a stable argsort of the cosines
+with coordinate hits first; idw_gain blends its first three samples, once
+per beam, and nearest_samples takes its first. The other oracles, but for
+the three blend oracles below, search through them, never through
+NearestSamples, so they cannot share a fault of the band search.
 The first oracles are the plain views the tests compare against: one sample
 as a SamplePoint, one beam's samples in grid order, and the gain at a point
 interpolated from such samples.
@@ -159,45 +161,51 @@ def beam_samples(pattern, beam_id):
     )
 
 
-def idw_gain(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg, gains_db):
-    """Inverse-distance-squared gain over the three nearest samples.
-
-    A user sitting exactly on a sample takes that sample's gain. Distance
-    ties are broken toward the lower sample index by the stable sort.
-    Returns the gains and the three nearest sample indices per user.
-    """
+def ranked_samples(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
+    """Per point, every sample of the grid ranked, and their cosines in that
+    order: a stable argsort of the cosines of the central angles, greatest
+    first, with an exact coordinate hit given cosine 2 so that it ranks
+    first, and ties toward the lower sample index."""
     lat_deg = np.asarray(lat_deg, dtype=float)
     lon_deg = np.asarray(lon_deg, dtype=float)
     grid_lat_deg = np.asarray(grid_lat_deg, dtype=float)
     grid_lon_deg = np.asarray(grid_lon_deg, dtype=float)
+    t = _cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg)
+    t[(lat_deg[:, None] == grid_lat_deg) & (lon_deg[:, None] == grid_lon_deg)] = 2.0
+    idx = np.argsort(-t, axis=1, kind="stable")
+    return idx, np.take_along_axis(t, idx, axis=1)
+
+
+def idw_gain(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg, gains_db):
+    """Inverse-distance-squared gain over the first three ranked samples.
+
+    A user at distance zero from its first-ranked sample, as a user sitting
+    exactly on a sample is, takes that sample's gain. Returns the gains and
+    the three first-ranked sample indices per user.
+    """
     gains_db = np.asarray(gains_db, dtype=float)
     k = min(3, len(gains_db))
-    d = np.arccos(_cos_angles(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg))
-    eq = (lat_deg[:, None] == grid_lat_deg) & (lon_deg[:, None] == grid_lon_deg)
-    has_eq = eq.any(axis=1)
-    eq_idx = np.argmax(eq, axis=1)
-    d[eq] = 0.0
-    idx = np.argsort(d, axis=1, kind="stable")[:, :k]
-    dk = np.take_along_axis(d, idx, axis=1)
+    idx, t = ranked_samples(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg)
+    idx = idx[:, :k]
+    dk = np.arccos(np.minimum(t[:, :k], 1.0))
     gk = gains_db[idx]
     with np.errstate(divide="ignore", invalid="ignore"):
         w = (dk[:, :1] / dk) ** 2
     vals = np.sum(w * gk, axis=1) / np.sum(w, axis=1)
     zero = dk[:, 0] == 0.0
     vals[zero] = gk[zero, 0]
-    vals[has_eq] = gains_db[eq_idx[has_eq]]
     return vals, idx
 
 
-def argmax_nearest(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
-    """Per point, the first sample of maximal cosine over the whole grid,
-    256 points at a time."""
+def nearest_samples(lat_deg, lon_deg, grid_lat_deg, grid_lon_deg):
+    """Per point, the first sample of ranked_samples' ranking, 256 points
+    at a time."""
     lat_deg, lon_deg = np.asarray(lat_deg, dtype=float), np.asarray(lon_deg, dtype=float)
     nearest = np.empty(lat_deg.size, dtype=np.int64)
     for lo in range(0, lat_deg.size, 256):
-        t = _cos_angles(lat_deg[lo : lo + 256], lon_deg[lo : lo + 256],
-                        grid_lat_deg, grid_lon_deg)
-        nearest[lo : lo + 256] = np.argmax(t, axis=1)
+        idx, _ = ranked_samples(lat_deg[lo : lo + 256], lon_deg[lo : lo + 256],
+                                grid_lat_deg, grid_lon_deg)
+        nearest[lo : lo + 256] = idx[:, 0]
     return nearest
 
 
@@ -290,7 +298,7 @@ def build_channel_matrix(T, pattern, cfg):
         loss[i] = path_loss_db(d, lam)
         phase[i] = _TWO_PI * math.fmod(d, lam) / lam
 
-    nearest = argmax_nearest(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
+    nearest = nearest_samples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
     amp_db = pattern.gain_db[nearest, :] - loss[:, None] + cfg.rx_gain_db
     entries = 10.0 ** (amp_db / 20.0) * np.exp(1j * phase)[:, None]
     gamma = np.empty(n)
@@ -319,7 +327,6 @@ def spread_gain(index, gains_db):
     gk = gains_db[index.top_k]
     vals = np.sum(index._w * gk, axis=1) / index._w_sum
     vals[index._zero] = gk[index._zero, 0]
-    vals[index._has_eq] = gains_db[index._eq_idx][index._has_eq]
     return vals[index.inverse]
 
 

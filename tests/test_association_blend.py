@@ -103,8 +103,14 @@ def block(points):
 
 def test_exact_hits_zero_distance_repeats_and_a_beam_without_contested_rows():
     index = NearestSamples(*zip(*POINTS[:4]), GRID_LAT, GRID_LON)
-    assert index._has_eq[index.inverse].tolist() == [True, True, True, False]
+    # the three hits rank first and give their own gains; the zero-distance
+    # query takes its first-ranked sample's
+    hits = [np.flatnonzero((GRID_LAT == lat) & (GRID_LON == lon))[0]
+            for lat, lon in POINTS[:3]]
+    assert index.top_k[index.inverse[:3], 0].tolist() == hits
     assert index._zero[index.inverse].tolist() == [True] * 4
+    by_sample = np.arange(2.0 * GRID_LAT.size).reshape(-1, 2)
+    assert index.gain(by_sample, 1, index.inverse[:3]).tolist() == by_sample[hits, 1].tolist()
     gains = np.random.default_rng(3).uniform(30.0, 50.0, (GRID_LAT.size, 3))
     # seven contested rows, each in beams 1 and 2
     assert assert_matches_the_spread_blend(FOOTPRINTS, pattern(gains), block(POINTS)) == 14

@@ -324,6 +324,24 @@ class TestPolygon:
         with pytest.raises(ValueError):
             Polygon(((0, 0), (0, 0), (1, 1), (0, 1)))
 
+    @pytest.mark.parametrize("vertex, shown", [
+        (("0", "0"), "'0'"), ((True, 0), "True"), ((0, math.nan), "nan"),
+        ((0, math.inf), "inf"), ((None, 0), "None"),
+    ])
+    def test_vertices_follow_the_real_rule(self, vertex, shown):
+        message = f"^polygon vertex must be a finite number, got {shown}$"
+        with pytest.raises(ValueError, match=message):
+            Polygon((vertex, (1, 0), (0, 1)))
+        with pytest.raises(ValueError, match=f"^point must be a finite number, got {shown}$"):
+            convex_hull([(1, 0), (0, 1), vertex, (1, 1)])
+        with pytest.raises(ValueError, match=f"^point must be a finite number, got {shown}$"):
+            delaunay([(1, 0), (0, 1), vertex, (1, 1)])
+
+    def test_numpy_coordinates_are_read_as_floats(self):
+        poly = Polygon([(np.float32(0.5), np.int64(0)), (1, 0), (0, 1)])
+        assert poly.vertices == ((0.5, 0.0), (1.0, 0.0), (0.0, 1.0))
+        assert all(type(c) is float for v in poly.vertices for c in v)
+
     def test_signed_area_ccw_positive(self):
         sq = Polygon(((0, 0), (2, 0), (2, 2), (0, 2)))
         assert sq.signed_area() == pytest.approx(4.0)

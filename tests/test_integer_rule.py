@@ -4,8 +4,9 @@ a bool, within the site's bounds.
 Every count, index and hour goes through ioutil.whole. Each site below is
 driven with the same values: numpy integers are accepted, bools, floats
 and out-of-range integers are refused with the site's error class and
-whole's message. A guard walks the package source so that the bool test
-stays in ioutil.
+whole's message. An integer column that numpy holds as bools, strings or
+objects is read value by value through whole too. A guard walks the
+package source so that the bool test stays in ioutil.
 """
 
 import argparse
@@ -27,12 +28,14 @@ from sattraffic.ingest import (
     AERO_HEADER,
     MARITIME_HEADER,
     IngestConfig,
+    TerminalBlock,
     load_aero,
     load_maritime,
     synth_generate,
 )
 from sattraffic.linkbudget import ChannelMatrix, interference
 from sattraffic.pattern import BeamFootprint, BeamPattern
+from sattraffic.traffic import TrafficMatrix
 
 PATTERN = BeamPattern(
     np.array([50.0, 50.0, 51.0]), np.array([5.0, 6.0, 5.0]), np.zeros((3, 3)), np.zeros((3, 3))
@@ -109,6 +112,55 @@ def test_other_values_are_refused_with_the_sites_error(site, value, integer, tmp
     expected = message(name, lo, hi, value, integer)
     with pytest.raises(error, match=f"^{re.escape(expected)}$"):
         call(value, tmp_path)
+
+
+def block(**columns):
+    given = dict(ids=["a", "b"], lat_deg=[50.0, 51.0], lon_deg=[5.0, 6.0], type=[1, 2],
+                 demand_mbps=[2.0, 10.0])
+    return TerminalBlock(**{**given, **columns})
+
+
+def traffic(**columns):
+    given = dict(beam=[1, 2], lat_deg=[50.0, 51.0], lon_deg=[5.0, 6.0], type=[1, 2],
+                 demand_mbps=[2.0, 10.0], beams=2, excluded=0)
+    return TrafficMatrix(**{**given, **columns})
+
+
+def channel(**columns):
+    given = dict(magnitude=np.ones((2, 2)), phase_rad=np.zeros(2), location=[0, 1],
+                 serving=[1, 1], distance_m=np.ones(2), path_loss_db=np.ones(2),
+                 interp_gain_db=np.ones(2), nearest_sample=[0, 0])
+    return ChannelMatrix(**{**given, **columns})
+
+
+# integer columns: (make(column), column whose first value that is not an
+# integer is a str or bool, message); a column numpy holds as bools, strings
+# or objects is read value by value through whole, as each scalar site reads
+# its value
+COLUMNS = {
+    "TerminalBlock.type-bool": (lambda c: block(type=c), [True, True],
+                                "type must be an integer, got True"),
+    "TerminalBlock.type-str": (lambda c: block(type=c), [1, "2"],
+                               "type must be an integer, got '2'"),
+    "TrafficMatrix.beam-str": (lambda c: traffic(beam=c), np.array(["1", "2"]),
+                               "beam must be an integer, got '1'"),
+    "TrafficMatrix.row-bool": (lambda c: traffic(row=c), [False, True],
+                               "row must be an integer >= 0, got False"),
+    "ChannelMatrix.location-object": (lambda c: channel(location=c), [0, None],
+                                      "location must be an integer, got None"),
+    "ChannelMatrix.serving-bytes": (lambda c: channel(serving=c), [b"1", 1],
+                                    "serving must be an integer, got b'1'"),
+    "ChannelMatrix.nearest_sample-bool": (lambda c: channel(nearest_sample=c),
+                                          np.array([True, False]),
+                                          "nearest_sample must be an integer >= 0, got True"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(COLUMNS))
+def test_an_integer_column_refuses_a_bool_or_a_string(site):
+    make, column, expected = COLUMNS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        make(column)
 
 
 def test_indices_come_back_as_ints():

@@ -288,6 +288,25 @@ class TestBuildChannelMatrix:
                 assert phase_distance(H.phase_rad[row], cmath.phase(b)) <= 1e-9
                 assert H.nearest_sample[n] == nearest[n, j]
 
+    def test_coordinate_hit_beside_a_zero_distance_neighbour(self):
+        # the first user sits on sample 0, whose computed angle rounds above
+        # that of sample 1 a few ulps away; the channel takes the hit's gains,
+        # as the straight-line oracle's great-circle search does
+        glat = np.array([13.56, 13.559999999999995, 13.6])
+        glon = np.full(3, 50.08)
+        gain = np.array([[40.0, 20.0], [45.0, 25.0], [30.0, 10.0]])
+        pattern = BeamPattern(glat, glon, gain, np.zeros_like(gain))
+        cfg = ScenarioConfig()
+        T = matrix_for(pattern, [(13.56, 50.08), (13.6, 50.08)], beams=[1, 2])
+        H = build_channel_matrix(T, pattern, cfg)
+        want, nearest = straight_line_channel(T, pattern, cfg)
+        assert H.nearest_sample.tolist() == nearest[:, 0].tolist() == [0, 2]
+        assert H.interp_gain_db.tolist() == [40.0, 10.0]
+        for n in range(2):
+            for j in range(2):
+                b = want[n, j]
+                assert abs(H.magnitude[H.location[n], j] - abs(b)) <= 1e-9 * abs(b)
+
     def test_phase_is_the_sub_wavelength_remainder(self):
         pattern = seven_beam_pattern(pitch=0.5)
         cfg = ScenarioConfig()

@@ -1,12 +1,13 @@
 """Shared nearest-sample index against the plain per-beam search it replaced.
 
 `oracles.idw_gain` is the full-grid implementation that association and the
-channel diagnostic used to run once per beam: a terminals x grid angle
-matrix, an exact-coordinate override, and a stable sort of every row.
-`oracles.argmax_nearest` is the channel's former nearest-sample pass. The
-index scans only a latitude band of the grid per block of locations, and
-must reproduce both bit for bit, with the band as shipped, narrow enough
-that locations fall back to wider bands, and wider than the grid.
+channel diagnostic used to run once per beam: a terminals x grid cosine
+matrix, exact coordinate hits set above 1, and a stable sort of every row.
+`oracles.nearest_samples` takes the first sample of that ranking, as the
+channel's magnitudes do. The index scans only a latitude band of the grid
+per block of locations, and must reproduce both bit for bit, with the band
+as shipped, narrow enough that locations fall back to wider bands, and
+wider than the grid.
 """
 
 import math
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from sattraffic import linkbudget
 from sattraffic.linkbudget import NearestSamples, _cos_angles
 
-from oracles import argmax_nearest, idw_gain, serving_gain_by_beam
+from oracles import idw_gain, nearest_samples, serving_gain_by_beam
 
 # module constants of the band search, patched per run
 BANDS = (
@@ -42,13 +43,14 @@ def assert_matches_oracle(lat, lon, glat, glon, gains):
     lat = np.asarray(lat, dtype=float)
     lon = np.asarray(lon, dtype=float)
     want_gain, want_idx = idw_gain(lat, lon, glat, glon, gains)
-    want_near = argmax_nearest(lat, lon, glat, glon)
+    want_near = nearest_samples(lat, lon, glat, glon)
     blocks = (linkbudget._BLOCK_ELEMENTS, 1, 2 * len(glat) + 1)
     for block, band in product(blocks, BANDS):
         with mock.patch.multiple(linkbudget, _BLOCK_ELEMENTS=block, **band):
             index = NearestSamples(lat, lon, glat, glon)
         assert index.inverse.shape == (len(lat),)
         assert np.array_equal(index.nearest[index.inverse], want_near)
+        assert np.array_equal(index.nearest, index.top_k[:, 0])
         assert np.array_equal(index.top_k[index.inverse], want_idx)
         assert np.array_equal(bits(index.gain(np.asarray(gains)[:, None], 0, index.inverse)),
                               bits(want_gain))
@@ -118,13 +120,15 @@ class TestAgainstOracle:
 
     def test_coordinate_hit_ranks_first(self):
         # the coincident sample's angle rounds to 1.5e-8 while a neighbour a
-        # few ulps away rounds to exactly zero; the hit must still rank first
+        # few ulps away rounds to exactly zero; the hit must still rank first,
+        # for the blend and for the channel's nearest sample alike
         glat = np.array([13.56, 13.559999999999995, 13.6])
         glon = np.array([50.08, 50.08, 50.08])
         d = np.arccos(_cos_angles([13.56], [50.08], glat, glon))[0]
         assert d[0] > d[1] == 0.0
         index = NearestSamples([13.56], [50.08], glat, glon)
         assert list(index.top_k[0]) == [0, 1, 2]
+        assert index.nearest[0] == 0
         assert_matches_oracle([13.56], [50.08], glat, glon, np.array([40.0, 45.0, 30.0]))
 
     def test_signed_zero_coordinates(self):
@@ -218,12 +222,13 @@ class TestAgainstOracle:
 
     def test_sample_whose_angle_rounds_to_zero_beyond_the_band_edge(self):
         # on the equator a sample 1e-8 rad north of the query computes to
-        # distance 0 and outranks three samples on the query's latitude by
-        # index; a band that leaves it out must not settle the query
+        # cosine 1 and outranks two samples on the query's latitude by index,
+        # behind only the coordinate hit, sample 1; a band that leaves it out
+        # must not settle the query
         glat = np.array([math.degrees(1e-8), 0.0, 0.0, 0.0, 1.0, -1.0, 2.0])
         glon = np.array([10.0, 10.0, 10.0 + 1e-8, 10.0 - 1e-8, 10.0, 10.0, 10.0])
         index = NearestSamples([0.0], [10.0], glat, glon)
-        assert list(index.top_k[0]) == [0, 1, 2]
+        assert list(index.top_k[0]) == [1, 0, 2]
         assert_matches_oracle([0.0], [10.0], glat, glon, np.arange(7.0))
 
     def test_empty_grid_rejected(self):
@@ -259,7 +264,9 @@ class TestServingBeamGather:
         lat, lon = [13.56, 13.560000000000002, 13.56], [50.08, 50.08, 50.08]
         gains = np.array([[40.0, 1.0], [45.0, 2.0], [30.0, 3.0], [20.0, 4.0]])
         index = assert_gather_matches_the_loop(lat, lon, glat, glon, gains, [1, 2, 2])
-        assert index._has_eq[index.inverse].tolist() == [True, False, True]
+        # the hit ranks first and gives its own gain; the neighbour ranks
+        # first where no sample is hit
+        assert index.top_k[index.inverse, 0].tolist() == [0, 1, 0]
         assert index._zero[index.inverse].tolist() == [True, True, True]
         assert index.gain(gains, [0, 1, 1], index.inverse).tolist() == [40.0, 2.0, 1.0]
 

@@ -50,7 +50,7 @@ def test_association_peak_stays_below_112_bytes_per_terminal(tmp_path):
     n = 50_000
     rng = np.random.default_rng(7)
     block = TerminalBlock(
-        range(n),
+        [str(i) for i in range(n)],
         rng.uniform(pattern.lat_deg.min(), pattern.lat_deg.max(), n),
         rng.uniform(pattern.lon_deg.min(), pattern.lon_deg.max(), n),
         np.ones(n, dtype=np.int64), np.ones(n),
@@ -111,7 +111,7 @@ def matrices(tmp_path_factory):
     repeats = rng.integers(1, 5, m)
     n = int(repeats.sum())
     block = TerminalBlock(
-        range(n),
+        [str(i) for i in range(n)],
         np.repeat(rng.uniform(pattern.lat_deg.min(), pattern.lat_deg.max(), m), repeats),
         np.repeat(rng.uniform(pattern.lon_deg.min(), pattern.lon_deg.max(), m), repeats),
         rng.integers(1, 4, n), rng.uniform(0.0, 50.0, n),

@@ -7,7 +7,8 @@ through ioutil.frozen's bounds. Each scalar site below is driven with the
 same values: numpy numbers are accepted as floats; bools, strings, None,
 NaN, infinities and out-of-bound numbers are refused with the site's error
 class and real's message. Each column site refuses a bad value whether the
-column is copied or handed over already frozen.
+column is copied or handed over already frozen, and reads a column that
+numpy holds as bools, strings or objects value by value through real.
 """
 
 import io
@@ -326,6 +327,46 @@ def test_a_column_refuses_a_value_outside_the_bounds(site, handed_over):
         assert not column.flags.writeable and column.flags.owndata
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         make(column)
+
+
+# (make(column), column whose first value that is not a number is a str or
+# bool, message); a column numpy holds as bools, strings or objects is read
+# value by value through real, as each scalar site reads its value
+NOT_NUMBERS = {
+    "TerminalBlock.lat_deg-str": (lambda c: block(lat_deg=c), [50.0, "51"],
+                                  "lat_deg must be a finite number, got '51'"),
+    "TerminalBlock.lat_deg-bool": (lambda c: block(lat_deg=c), [True, False],
+                                   "lat_deg must be a finite number, got True"),
+    "TerminalBlock.demand_mbps-str": (lambda c: block(demand_mbps=c), ["3", "4"],
+                                      "demand_mbps must be a finite number >= 0, got '3'"),
+    "TerminalBlock.demand_mbps-bytes": (lambda c: block(demand_mbps=c), [2.0, b"4"],
+                                        "demand_mbps must be a finite number >= 0, got b'4'"),
+    "TrafficMatrix.lon_deg-bool": (lambda c: traffic(lon_deg=c), np.array([True, True]),
+                                   "lon_deg must be a finite number, got True"),
+    "TrafficMatrix.demand_mbps-object": (lambda c: traffic(demand_mbps=c), [2.0, None],
+                                         "demand_mbps must be a finite number >= 0, got None"),
+    "BeamPattern.gain_db-str": (lambda c: pattern(gain_db=c), [[1.0], ["2"]],
+                                "gain_db must be a finite number, got '2'"),
+    "HourlyProfile.demand_mbps-bool": (HourlyProfile, np.ones((2, 24, 3), dtype=bool),
+                                       "demand_mbps must be a finite number >= 0, got True"),
+    "ChannelMatrix.distance_m-str": (lambda c: channel(distance_m=c), ["1", "2"],
+                                     "distance_m must be a finite number, got '1'"),
+    "ChannelMatrix.magnitude-bool": (lambda c: channel(magnitude=c), [[True] * 2] * 2,
+                                     "magnitude must be a finite number, got True"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NOT_NUMBERS))
+def test_a_column_refuses_a_bool_or_a_string(site):
+    make, column, expected = NOT_NUMBERS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        make(column)
+
+
+def test_the_block_of_the_bool_and_string_columns_is_refused():
+    # the block once held lat 52.0, type 1 and demand 3.0 here
+    with pytest.raises(ValueError, match=r"^lat_deg must be a finite number, got '52'$"):
+        TerminalBlock(["a"], ["52"], [5.0], [True], ["3"])
 
 
 def test_a_column_names_its_first_offending_value():

@@ -19,9 +19,9 @@ import pytest
 
 import sattraffic
 from sattraffic.analysis import HourlyProfile, SweepResult
-from sattraffic.geo import ScenarioConfig
+from sattraffic.geo import GeoPoint, ScenarioConfig
 from sattraffic.geometry import delaunay
-from sattraffic.ingest import TerminalBlock
+from sattraffic.ingest import Terminal, TerminalBlock, TrafficType
 from sattraffic.ioutil import frozen
 from sattraffic.linkbudget import ChannelMatrix
 from sattraffic.pattern import BeamPattern
@@ -152,6 +152,15 @@ def test_traffic_matrix_integer_columns_refuse_what_a_cast_would_change(bad):
 def test_terminal_block_type_refuses_fractions():
     with pytest.raises(ValueError, match=r"^type must hold whole numbers, got 2\.7"):
         TerminalBlock(("a",), [50.0], [10.0], [2.7], [10.0])
+
+
+@pytest.mark.parametrize("ident", ["", None, 7, b"a"])
+def test_terminal_block_checks_ids_as_a_terminal_does(ident):
+    message = "^terminal id must be a non-empty string$"
+    with pytest.raises(ValueError, match=message):
+        Terminal(ident, GeoPoint(50.0, 5.0), TrafficType.FSS, 2.0)
+    with pytest.raises(ValueError, match=message):
+        TerminalBlock(["a", ident], [50.0, 51.0], [5.0, 5.0], [1, 1], [2.0, 2.0])
 
 
 def test_channel_matrix_location_refuses_fractions():
