@@ -62,3 +62,7 @@ class UnknownUserError(SimulatorError):
 
 class BadThresholdsError(SimulatorError):
     """Classification thresholds that are not upper > lower >= 0."""
+
+
+class BelowHorizonError(SimulatorError):
+    """Location from which the satellite is not above the horizon."""

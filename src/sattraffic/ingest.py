@@ -5,8 +5,9 @@ population raster is down-scaled into fixed (FSS) terminals, and flight /
 vessel movement logs are reduced to one terminal per id per hour at the
 first position seen in that hour. A movement log is read once however many
 hours are asked for, a chunk of lines at a time, into columns of id,
-timestamp, lat and lon; each distinct timestamp text is parsed once, and
-one sort picks every id's first record per requested hour. Records with
+timestamp, lat and lon; each distinct timestamp text is parsed once, each
+chunk keeps only its first record per id and hour, and one more sort picks
+every id's first record per requested hour from those. Records with
 missing or NaN coordinates, and records outside the configured bounding
 box, are dropped and counted, never patched.
 
@@ -398,6 +399,7 @@ def _add_stamp(text, micros_of, lineno, path):
 
 # one movement row as np.loadtxt reads it: id and timestamp as their texts
 _MOVEMENT = np.dtype([("id", object), ("stamp", object), ("lat", "f8"), ("lon", "f8")])
+_HOUR_US = 3_600_000_000  # microseconds in an hour
 
 
 def _fast_rows(lines, micros_of, path):
@@ -408,8 +410,12 @@ def _fast_rows(lines, micros_of, path):
     rows = load_chunk(lines, _MOVEMENT)
     if rows is None or np.isinf(rows["lon"]).any() or (np.abs(rows["lat"]) > 90.0).any():
         return None
-    rows["id"] = [ident.strip() for ident in rows["id"].tolist()]
-    if (rows["id"] == "").any():
+    ids = rows["id"].tolist()
+    joined = "".join(ids)
+    # every character str.strip removes is a space or not printable
+    if " " in joined or not joined.isprintable():
+        rows["id"] = ids = [ident.strip() for ident in ids]
+    if not all(ids):
         return None
     try:
         for text in dict.fromkeys(rows["stamp"].tolist()):
@@ -441,13 +447,29 @@ def _line_rows(lines, lineno, micros_of, id_name, path):
     return np.array(rows, dtype=_MOVEMENT)
 
 
+def _firsts(key, micros):
+    """Positions of the first record of each (UTC hour, key) among records
+    in file order: the least (micros, position), in (hour, key) order.
+    lexsort is stable, so equal instants go to the earlier record."""
+    hour = micros // _HOUR_US % 24  # UTC hour: the epoch is midnight
+    group = hour * (int(key.max(initial=-1)) + 1) + key
+    order = np.lexsort((micros, group))
+    group = group[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = group[1:] != group[:-1]
+    return order[first]
+
+
 def _load_movements(source, hours, traffic_type, cfg):
     """Read a movement log once; one TerminalBlock per requested hour, in order.
 
     The log is parsed a chunk of lines at a time into columns, and only
-    the rows of requested hours that lie in cfg.bbox are kept. Each id's
+    the rows of requested hours that lie in cfg.bbox count. Each id's
     first record per hour is the least (timestamp, row) among them, picked
-    with one stable sort.
+    twice with a stable sort: each chunk keeps only its own first record
+    per (id, hour), so memory follows the vehicle-hours in a chunk rather
+    than its rows, and one pick over the chunks' survivors, in file order,
+    leaves the first of all.
     """
     header, demand = {
         TrafficType.AERO: (AERO_HEADER, cfg.aero_demand_mbps),
@@ -462,9 +484,9 @@ def _load_movements(source, hours, traffic_type, cfg):
     out = np.zeros(24, dtype=np.int64)
     id_codes = {}  # id -> code, in the order first kept
     micros_of = {}  # by timestamp text: UTC microseconds since the epoch
-    # per chunk, the kept rows: id code, hour, microseconds, lat, lon
-    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
+    # per chunk, its first record of each (id, hour): id code, microseconds,
+    # lat, lon; the hour follows from the microseconds
+    kept = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0))]
     with open_input(source) as (fh, path):
         check_header(fh, header, path)
         for lineno, lines in read_chunks(fh):
@@ -474,29 +496,27 @@ def _load_movements(source, hours, traffic_type, cfg):
             lat, lon = rows["lat"], rows["lon"]
             micros = np.fromiter(map(micros_of.__getitem__, rows["stamp"].tolist()),
                                  np.int64, len(rows))
-            hour = micros // 3_600_000_000 % 24  # UTC hour: the epoch is midnight
+            hour = micros // _HOUR_US % 24
             missing = np.isnan(lat) | np.isnan(lon)
             inside = cfg.bbox.contains(lat, lon)
             bad += np.bincount(hour[missing], minlength=24)
             out += np.bincount(hour[~missing & ~inside], minlength=24)
             keep = np.flatnonzero(wanted[hour] & inside)
-            kept.append((
-                np.array([id_codes.setdefault(i, len(id_codes))
-                          for i in rows["id"][keep].tolist()], dtype=np.int64),
-                hour[keep], micros[keep], lat[keep], lon[keep],
-            ))
+            idc = np.array([id_codes.setdefault(i, len(id_codes))
+                            for i in rows["id"][keep].tolist()], dtype=np.int64)
+            pick = _firsts(idc, micros[keep])
+            keep = keep[pick]
+            kept.append((idc[pick], micros[keep], lat[keep], lon[keep]))
 
-    idc, hour, micros, lat, lon = (np.concatenate(column) for column in zip(*kept))
+    idc, micros, lat, lon = (np.concatenate(column) for column in zip(*kept))
+    del kept  # free the chunks' columns before the pick
     names = list(id_codes)
     rank = np.empty(len(names), dtype=np.int64)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    # lexsort is stable and the rows are in file order, so equal instants
-    # go to the earlier row
-    order = np.lexsort((micros, rank[idc], hour))
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = (np.diff(hour[order]) != 0) | (np.diff(rank[idc[order]]) != 0)
-    pick = order[first]
-    idc, hour, lat, lon = idc[pick], hour[pick], lat[pick], lon[pick]
+    pick = _firsts(rank[idc], micros)
+    idc, lat, lon = idc[pick], lat[pick], lon[pick]
+    hour = micros[pick] // _HOUR_US % 24
+    del micros, pick  # only the picked columns live on through the blocks
 
     blocks = []
     for h in hours:

@@ -18,7 +18,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .errors import MismatchedBeamsError, UnknownUserError
+from .errors import BelowHorizonError, MismatchedBeamsError, UnknownUserError
 # slant_range is not called here; the benchmark tracer hooks it at this import site
 from .geo import ScenarioConfig, _path_loss_db, _slant_range, slant_range
 from . import ioutil
@@ -109,6 +109,10 @@ class NearestSamples:
         grid_lon = np.asarray(grid_lon_deg, dtype=float)
         if grid_lat.size == 0:
             raise ValueError("nearest-sample search needs at least one sample")
+        bad = np.flatnonzero(~(np.isfinite(lat) & np.isfinite(lon)))
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"query point {i} ({lat[i]}, {lon[i]}) is not finite")
         keys = np.stack([lat.view(np.int64), lon.view(np.int64)], axis=1)
         _, first, inverse = np.unique(
             keys, axis=0, return_index=True, return_inverse=True
@@ -146,7 +150,7 @@ class NearestSamples:
                     band_rad[z] - r if z < band_rad.size else np.inf,
                 )
                 # an excluded sample is at least gap away, so it cannot tie
-                # with or beat a kept one; NaN rows fail and go to the full scan
+                # with or beat a kept one
                 unsettled.append(rows[~(dk[rows, k - 1] + _BAND_MARGIN < gap)])
             pending = np.concatenate(unsettled)
             half_width *= 2.0
@@ -258,6 +262,32 @@ class ChannelMatrix:
         return whole(n, "user", 1, self.n_users, UnknownUserError) - 1
 
 
+def _subsatellite_cos(lat_deg, lon_deg, cfg):
+    """Cosine of the central angle between each (lat, lon) and the point
+    under the satellite, as geo's slant range computes it."""
+    sat_lat = math.radians(cfg.sat_lat_deg)
+    lat = np.radians(lat_deg)
+    return (np.cos(np.radians(cfg.sat_lon_deg - np.asarray(lon_deg, dtype=float)))
+            * math.cos(sat_lat) * np.cos(lat) + math.sin(sat_lat) * np.sin(lat))
+
+
+def _check_visible(index, cfg):
+    """Refuse the first user, in row order, whose location does not see the
+    satellite above the horizon. The free-space model needs a line of sight:
+    the cosine of the central angle to the sub-satellite point must exceed
+    q = R/(R+h), which is elevation above 0."""
+    q = cfg.earth_radius_m / (cfg.earth_radius_m + cfg.altitude_m)
+    t = _subsatellite_cos(index.lat_deg, index.lon_deg, cfg)
+    hidden = np.flatnonzero(~(t > q)[index.inverse])
+    if hidden.size:
+        i = index.inverse[hidden[0]]
+        c = min(1.0, max(-1.0, float(t[i])))
+        elevation = math.degrees(math.atan2(c - q, math.sqrt(1.0 - c * c)))
+        raise BelowHorizonError(
+            f"user {hidden[0]} at ({index.lat_deg[i]}, {index.lon_deg[i]}) does not see the "
+            f"satellite: elevation {elevation:.2f} deg is not above the horizon")
+
+
 def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
     """Assemble the channel matrix for every user of a traffic matrix.
 
@@ -281,6 +311,7 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
     sat = (cfg.sat_lat_deg, cfg.sat_lon_deg, cfg.altitude_m, cfg.earth_radius_m)
 
     index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
+    _check_visible(index, cfg)
     dist = np.array([_slant_range(lat, lon, *sat) for lat, lon in
                      zip(index.lat_deg.tolist(), index.lon_deg.tolist())])
     loss = np.array([_path_loss_db(d, lam) for d in dist.tolist()])

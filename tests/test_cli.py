@@ -639,6 +639,29 @@ def test_no_object_per_terminal(inputs, tmp_path, monkeypatch, command):
     assert dict(built) == {}
 
 
+@pytest.mark.parametrize("command", [["simulate", "--hour", "9"],
+                                     ["interference", "--hour", "9", "--sizes", "1"]])
+def test_users_below_the_horizon_leave_previous_run_alone(inputs, tmp_path, capsys,
+                                                         command):
+    # one beam whose footprint reaches the ingest box corner at 80N 40W,
+    # which the default satellite at 0N 13E sees at -2.68 deg
+    far = dict(inputs)
+    far["pattern"] = ingest.synth_pattern(tmp_path / "pattern.csv", 5, beams=1,
+                                          center_lat=78.5, center_lon=-38.5,
+                                          radius3db_deg=1.0, pitch_deg=0.25)
+    far["population"] = ingest.synth_population(
+        tmp_path / "population.csv", 6, cells=40, lat_min=78.0, lat_max=80.0,
+        lon_min=-40.0, lon_max=-37.0, urban_fraction=1.0)
+    out = tmp_path / "out"
+    argv = [command[0], "--out-dir", str(out), *command[1:]]
+    assert cli.main(argv + demand_argv(inputs)) == 0
+    before = snapshot(out)
+    capsys.readouterr()
+    assert cli.main(argv + demand_argv(far)) == 1
+    assert "does not see the satellite" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
 class TestInterferenceCommand:
     def test_rerun_identical(self, inputs, tmp_path):
         args = [

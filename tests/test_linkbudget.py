@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from sattraffic.analysis import interference_sweep
-from sattraffic.errors import MismatchedBeamsError, UnknownUserError
+from sattraffic.errors import BelowHorizonError, MismatchedBeamsError, UnknownUserError
 from sattraffic.geo import (
     GeoPoint,
     ScenarioConfig,
@@ -211,13 +211,19 @@ class TestBuildChannelMatrix:
         assert H.entries.shape == (0, 7)
         assert H.n_users == 0
 
-    def test_range_per_distinct_location_bit_matches_per_user(self):
+    # each satellite sees its spots: the one at 13E the signed zeros, the
+    # one above the antimeridian the spots on either side of it
+    @pytest.mark.parametrize("sat_lon, lons, far", [
+        (13.0, (2.0, 8.0), [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)]),
+        (180.0, (175.0, 180.0), [(52.0, 179.5), (-30.0, -179.0)]),
+    ])
+    def test_range_per_distinct_location_bit_matches_per_user(self, sat_lon, lons, far):
         pattern = seven_beam_pattern(pitch=0.5)
-        cfg = ScenarioConfig()
+        cfg = ScenarioConfig(sat_lon_deg=sat_lon)
         rng = np.random.default_rng(43)
-        spots = [(float(rng.uniform(49.0, 55.0)), float(rng.uniform(2.0, 8.0)))
+        spots = [(float(rng.uniform(49.0, 55.0)), float(rng.uniform(*lons)))
                  for _ in range(6)]
-        spots += [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (52.0, 179.5), (-30.0, -179.0)]
+        spots += far
         locs = [spots[int(k)] for k in rng.integers(0, len(spots), size=40)] + spots
         T = matrix_for(pattern, locs, beams=[int(b) for b in rng.integers(1, 8, len(locs))])
         got = build_channel_matrix(T, pattern, cfg)
@@ -373,6 +379,26 @@ class TestBuildChannelMatrix:
             build_channel_matrix(T, pattern, cfg)
             counts.append(len(calls))
         assert counts[0] == counts[1]
+
+    def test_location_below_the_horizon_refused(self):
+        # the default satellite is at 0N 13E; the ingest box corner 80N 40W
+        # is at -2.68 deg, where the slant range is a line through the Earth
+        pattern = seven_beam_pattern(pitch=0.5)
+        T = matrix_for(pattern, [(52.0, 5.0), (80.0, -40.0), (80.0, 50.0)])
+        with pytest.raises(BelowHorizonError,
+                           match=r"user 1 at \(80.0, -40.0\) .* elevation -2.68 deg"):
+            build_channel_matrix(T, pattern)
+
+    def test_location_at_the_horizon_refused(self):
+        # with R = c and h = 1 - c, both exact for c in [0.5, 1], q = R/(R+h)
+        # is the cosine c of the user at 60N under a satellite at 0N 0E
+        pattern = seven_beam_pattern(pitch=0.5)
+        c = float(linkbudget._subsatellite_cos([60.0], [0.0], ScenarioConfig(0.0, 0.0))[0])
+        cfg = ScenarioConfig(0.0, 0.0, altitude_m=1.0 - c, earth_radius_m=c)
+        assert cfg.earth_radius_m / (cfg.earth_radius_m + cfg.altitude_m) == c
+        build_channel_matrix(matrix_for(pattern, [(59.9, 0.0)]), pattern, cfg)
+        with pytest.raises(BelowHorizonError, match=r"user 0 at \(60.0, 0.0\) .* 0.00 deg"):
+            build_channel_matrix(matrix_for(pattern, [(60.0, 0.0)]), pattern, cfg)
 
     def test_mismatched_beam_count(self):
         pattern = seven_beam_pattern(pitch=0.5)

@@ -235,6 +235,16 @@ class TestAgainstOracle:
         with pytest.raises(ValueError):
             NearestSamples([0.0], [0.0], [], [])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_non_finite_query_point_rejected(self, row, column, value):
+        # a NaN row once indexed past its block's candidates (IndexError)
+        point = [[1.0, 1.0], [0.0, 0.0]]
+        point[column][row] = value
+        with pytest.raises(ValueError, match=rf"query point {row} \(.*\) is not finite"):
+            NearestSamples(*point, [0.0, 1.0, 2.0, 3.0], np.zeros(4))
+
 
 def assert_gather_matches_the_loop(lat, lon, glat, glon, gains, serving):
     """gain with a beam per row is the per-beam loop's result, bit for bit."""

@@ -1,6 +1,10 @@
-"""Peak memory of association, the interference sweep and the output stage,
-by tracemalloc.
+"""Peak memory of the movement loaders, association, the interference sweep
+and the output stage, by tracemalloc.
 
+Each chunk of a movement log keeps only its first record per (id, hour),
+so where a vehicle-hour's records lie together, as the synthetic logs
+write them, the loaders' peak follows the vehicle-hours kept, not the rows
+read.
 Association holds the rows inside each footprint, not one mask per beam, so
 its peak per terminal does not grow with the beam count. The sweep adds
 every beam's terms into the array it returns through one scratch array of
@@ -18,7 +22,13 @@ import pytest
 
 from sattraffic.analysis import interference_sweep
 from sattraffic.geo import ScenarioConfig
-from sattraffic.ingest import TerminalBlock, synth_pattern
+from sattraffic.ingest import (
+    AERO_HEADER,
+    TerminalBlock,
+    load_aero,
+    load_aero_by_hour,
+    synth_pattern,
+)
 from sattraffic.linkbudget import (
     ChannelMatrix,
     build_channel_matrix,
@@ -37,6 +47,47 @@ def peak_of(call):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def flight_log(path, records):
+    """A flight log of 500 flights in each of the 24 hours, each with the
+    given number of records a minute apart, in hour and then id order as
+    the synthetic logs are written: 12,000 vehicle-hours."""
+    rng = np.random.default_rng(records)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(AERO_HEADER + "\n")
+        for hour in range(24):
+            lat = rng.uniform(30.0, 75.0, 500)
+            lon = rng.uniform(-35.0, 45.0, 500)
+            fh.writelines(
+                f"f{v:03d},2026-01-15T{hour:02d}:{minute:02d}:00Z,"
+                f"{lat[v] + 0.01 * minute:.6f},{lon[v]:.6f}\n"
+                for v in range(500) for minute in range(records))
+    return path
+
+
+@pytest.fixture(scope="module")
+def flight_logs(tmp_path_factory):
+    """The log with one record per vehicle-hour and the one with twelve."""
+    root = tmp_path_factory.mktemp("logs")
+    return flight_log(root / "one.csv", 1), flight_log(root / "twelve.csv", 12)
+
+
+@pytest.mark.parametrize("load", [load_aero_by_hour, lambda path: [load_aero(path, 9)]],
+                         ids=["by_hour", "hour_9"])
+def test_movement_peak_follows_vehicle_hours_not_rows(flight_logs, load):
+    # holding every kept row until the end put the day's peak at 15.6 MB for
+    # twelve records per vehicle-hour against 1.9 MB for one, and hour 9's
+    # at 0.98 against 0.59 MB; here they are 1.17 against 1.15 MB and 0.68
+    # against 0.58 MB
+    one, twelve = flight_logs
+    load(one)  # imports what the loader imports on its first call
+    blocks, peak_one = peak_of(lambda: load(one))
+    blocks12, peak_twelve = peak_of(lambda: load(twelve))
+    kept = sum(map(len, blocks))
+    assert kept == sum(map(len, blocks12)) and kept in (12_000, 500)
+    assert peak_twelve < 1.25 * peak_one
+    assert peak_twelve < 128 * kept + (1 << 20)
 
 
 def test_association_peak_stays_below_112_bytes_per_terminal(tmp_path):

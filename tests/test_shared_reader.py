@@ -81,6 +81,28 @@ MOVEMENT_CASES = {
     # the earlier line's error comes first, in any chunk
     "bad_coordinate_before_bad_timestamp": (
         [*GOOD[:2], row(lat="fifty"), "f9,yesterday,50,5"], False),
+    # each chunk keeps its first record per (id, hour) and a last pick takes
+    # the first of those: one vehicle-hour's records spread over chunks,
+    # out of time order, with the first record in a late chunk
+    "vehicle_hour_across_chunks": (
+        [row("f1", 9, 40, "50"), row("f2", 9, 30, "41"), row("f1", 9, 35, "51"),
+         row("f1", 10, 5, "52"), row("f2", 9, 20, "42"), row("f3", 9, 0, "43"),
+         row("f1", 9, 50, "53"), row("f2", 9, 10, "44"), row("f1", 9, 12, "54"),
+         row("f1", 10, 1, "55"), row("f2", 9, 45, "46")], True),
+    "out_of_time_order": (
+        [row("f1", 9, m, str(40 + m / 4)) for m in range(59, 0, -6)]
+        + [row("f2", 8 + m % 3, m, str(45 + m / 8)) for m in range(50, 0, -7)], True),
+    # the same instant, in the same text or another offset, goes to the
+    # earlier row whichever chunks the rows fall in
+    "equal_instants_across_chunks": (
+        [row("f1", 9, 15, "50"), *GOOD[1:4], row("f1", 9, 15, "51"), *GOOD[:4],
+         "f1,2026-01-15T10:15:00+01:00,52,5", row("f1", 9, 15, "53"),
+         "f2,2026-01-15T04:31:00-04:30,54,5", row("f2", 9, 1, "55")], True),
+    # a chunk strips its ids only where one is padded
+    "padded_and_unpadded_ids": (
+        [row("f1", 9, 5, "50"), row(" f1", 9, 4, "51"), row("f2", 9, 3, "52"),
+         *GOOD, row("f2 ", 9, 3, "53"), row("\tf3", 9, 8, "54"), row("f3", 9, 8, "55"),
+         row("f1\t", 9, 4, "56"), row("f4", 9, 2, "57")], True),
 }
 
 # (loader, how the oracle is called): one hour, every hour, and the maritime log
