@@ -45,7 +45,7 @@ from .ioutil import (
     whole,
     write_table,
 )
-from .pattern import BeamPattern, write_pattern
+from .pattern import write_pattern
 
 POPULATION_HEADER = "lat_deg,lon_deg,population"
 AERO_HEADER = "flight_id,timestamp_iso8601_utc,lat_deg,lon_deg"
@@ -649,7 +649,7 @@ def synth_pattern(out_path, seed, beams=7, center_lat=52.0, center_lon=5.0,
         d2 = (glat - blat) ** 2 + (glon - blon) ** 2
         gain[:, i] = peaks[i] - 3.0 * d2 / (radius3db_deg * radius3db_deg)
         phase[:, i] = rng.uniform(0.0, 2.0 * math.pi, size=glat.size)
-    write_pattern(BeamPattern(glat, glon, gain, phase), out_path)
+    write_pattern(glat, glon, gain, phase, out_path)
     return out_path
 
 

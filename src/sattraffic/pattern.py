@@ -1,9 +1,11 @@
 """Beam-pattern ingestion and -3 dB footprint extraction.
 
-A pattern is a shared grid of sample locations plus per-beam gain and phase
-at every sample. Beams radiate over the same grid, which is what makes the
-per-sample coefficient matrix well formed, so the loader enforces one exact
-grid across beams instead of tolerating per-beam grids that almost agree.
+A pattern is a shared grid of sample locations plus per-beam gain at every
+sample. Beams radiate over the same grid, which is what makes the
+per-sample gain matrix well formed, so the loader enforces one exact grid
+across beams instead of tolerating per-beam grids that almost agree. The
+file's phase column is checked on parse, each cell a finite number, and not
+held: no output reads it.
 
 A footprint is the hull of the qualifying samples: the convex hull, in the
 planar (lat, lon) frame, of the samples within 3 dB of the beam peak.
@@ -40,7 +42,6 @@ from .ioutil import (
 PATTERN_HEADER = "beam_id,lat_deg,lon_deg,gain_db,phase_rad"
 BORDERS_HEADER = "beam_id,vertex_idx,lat_deg,lon_deg"
 
-_TWO_PI = 2.0 * math.pi
 # one pattern row as np.loadtxt reads it
 _ROW = np.dtype([("beam", "i8"), ("lat", "f8"), ("lon", "f8"), ("gain", "f8"),
                  ("phase", "f8")])
@@ -50,40 +51,31 @@ _ROW = np.dtype([("beam", "i8"), ("lat", "f8"), ("lon", "f8"), ("gain", "f8"),
 class BeamPattern:
     """Immutable beam pattern over a shared sample grid.
 
-    Stores the grid once and the per-beam quantities as (samples, beams)
-    arrays, held through ioutil.frozen: a read-only, C-ordered float64 array
-    that owns its memory, as parse_pattern gives, is kept as it is, and any
-    other is copied. Every value must be finite and every latitude in
-    [-90, 90]. The phase is wrapped into [0, 2*pi). The complex
-    coefficient of sample j under beam i is 10^(gain/20) * exp(i*phase), so
-    its squared magnitude returns the gain via 10*log10(|.|^2). coefficients
-    builds that matrix on each access.
+    Stores the grid once and the per-beam gains as a (samples, beams) array,
+    held through ioutil.frozen: a read-only, C-ordered float64 array that
+    owns its memory, as parse_pattern gives, is kept as it is, and any other
+    is copied. Every value must be finite and every latitude in [-90, 90].
+    The pattern holds no phase: parse_pattern checks the file's phase column
+    and keeps none of it, since no output reads it.
     """
 
     lat_deg: np.ndarray
     lon_deg: np.ndarray
     gain_db: np.ndarray
-    phase_rad: np.ndarray
 
     def __post_init__(self):
-        for f, bounds in zip(fields(self), (LATITUDE, FINITE, FINITE, FINITE)):
+        for f, bounds in zip(fields(self), (LATITUDE, FINITE, FINITE)):
             column = frozen(getattr(self, f.name), float, f.name, *bounds)
             object.__setattr__(self, f.name, column)
-        lat, lon, gain, phase = self.lat_deg, self.lon_deg, self.gain_db, self.phase_rad
+        lat, lon, gain = self.lat_deg, self.lon_deg, self.gain_db
         if lat.ndim != 1 or lon.ndim != 1 or lat.shape != lon.shape:
             raise ValueError("lat and lon must be 1-D arrays of equal length")
         if lat.size < 1:
             raise ValueError("pattern needs at least one sample location")
         if gain.ndim != 2 or gain.shape[0] != lat.size:
             raise ValueError("gain must have shape (samples, beams)")
-        if phase.shape != gain.shape:
-            raise ValueError("phase must match the gain array shape")
         if gain.shape[1] < 1:
             raise ValueError("pattern needs at least one beam")
-        phase = np.mod(phase, _TWO_PI)
-        phase[phase >= _TWO_PI] = 0.0  # mod of tiny negatives rounds up to 2*pi
-        phase.setflags(write=False)
-        object.__setattr__(self, "phase_rad", phase)
 
     @property
     def beams(self):
@@ -95,8 +87,9 @@ class BeamPattern:
 
     @property
     def coefficients(self):
-        """Complex (samples, beams) coefficient matrix, built on each access."""
-        coef = np.power(10.0, self.gain_db / 20.0) * np.exp(1j * self.phase_rad)
+        """Read-only (samples, beams) amplitudes 10^(gain/20), built on each
+        access, so that 10*log10(|.|^2) returns the gain."""
+        coef = np.power(10.0, self.gain_db / 20.0)
         coef.flags.writeable = False
         return coef
 
@@ -143,10 +136,10 @@ def parse_pattern(source):
     body is read CHUNK_LINES (1,024) lines at a time, never as one string:
     np.loadtxt parses each chunk, and a chunk it cannot read or whose rows
     fail a check goes through the line parser, which finds the error. Each
-    chunk's gain and phase go straight into per-beam columns (_Beams), whose
-    counts and grid are checked against beam 1 as they fill; the columns
-    are stacked once, and the finished arrays are handed to the BeamPattern
-    without a copy.
+    phase cell is checked as the other cells are, then dropped. Each chunk's
+    gains go straight into per-beam columns (_Beams), whose counts and grid
+    are checked against beam 1 as they fill; the columns are stacked once,
+    and the finished array is handed to the BeamPattern without a copy.
     """
     beams = _Beams()
     with open_input(source) as (fh, path):
@@ -161,7 +154,7 @@ def parse_pattern(source):
 
 
 class _Beams:
-    """A pattern's rows gathered into one gain and one phase column per beam.
+    """A pattern's rows gathered into one gain column per beam.
 
     Rows arrive grouped by beam, ids 1, 2, ... in order. Beam 1's rows are
     kept until beam 2 begins; they give the grid and its length mu. Every
@@ -175,7 +168,7 @@ class _Beams:
     def __init__(self):
         self.first = []  # beam 1's row pieces, until it ends
         self.lat = self.lon = None  # beam 1's grid, once it has ended
-        self.gain, self.phase = [], []  # one column of mu values per beam
+        self.gain = []  # one column of mu values per beam
         self.beam = self.count = 0  # the last row's beam (0 before any), its rows so far
         self.defect = None  # (beam, message) of the first defective beam
 
@@ -194,23 +187,20 @@ class _Beams:
             elif self.defect is None and self.count <= self.lat.size:
                 if lo == 0:
                     self.gain.append(np.empty(self.lat.size))
-                    self.phase.append(np.empty(self.lat.size))
                 hi = self.count
                 if ((part["lat"] != self.lat[lo:hi]).any()
                         or (part["lon"] != self.lon[lo:hi]).any()):
                     self.defect = beam, f"beam {beam} sample grid differs from beam 1"
                 self.gain[-1][lo:hi] = part["gain"]
-                self.phase[-1][lo:hi] = part["phase"]
 
     def _end_beam(self):
         if self.beam == 1:
             pieces, self.first = self.first, []
-            self.lat, self.lon, gain, phase = (
+            self.lat, self.lon, gain = (
                 np.concatenate([piece[name] for piece in pieces])
-                for name in ("lat", "lon", "gain", "phase")
+                for name in ("lat", "lon", "gain")
             )
             self.gain.append(gain)
-            self.phase.append(phase)
         elif self.beam and self.count != self.lat.size and (
                 self.defect is None or self.defect[0] == self.beam):
             self.defect = self.beam, (
@@ -223,19 +213,11 @@ class _Beams:
         self._end_beam()
         if self.defect is not None:
             raise SchemaError(self.defect[1])
-        gain, phase = _stacked(self.gain), _stacked(self.phase)
-        for grid in (self.lat, self.lon):
-            grid.setflags(write=False)
-        return BeamPattern(self.lat, self.lon, gain, phase)
-
-
-def _stacked(columns):
-    """The columns as one read-only (samples, beams) array; the list is
-    emptied, so the columns are freed before the next array is stacked."""
-    stacked = np.column_stack(columns)
-    columns.clear()
-    stacked.setflags(write=False)
-    return stacked
+        gain = np.column_stack(self.gain)
+        self.gain.clear()
+        for column in (self.lat, self.lon, gain):
+            column.setflags(write=False)
+        return BeamPattern(self.lat, self.lon, gain)
 
 
 def _load_lines(lines, last):
@@ -271,18 +253,20 @@ def _parse_lines(lines, lineno, last, path):
     return np.array(rows, dtype=_ROW)
 
 
-def write_pattern(pattern, path):
-    """Serialize a BeamPattern in canonical form (round-trips byte-identically)."""
-    samples = pattern.samples_per_beam
+def write_pattern(lat_deg, lon_deg, gain_db, phase_rad, path):
+    """Write a pattern file in canonical form (parse_pattern reads it back):
+    beam by beam, one row per sample of the (samples,) grid, with that
+    sample's values from the (samples, beams) gain and phase arrays."""
+    samples, beams = gain_db.shape
 
     def block(lo, hi):
         beam, sample = np.divmod(np.arange(lo, hi), samples)
         return (
-            beam + 1, pattern.lat_deg[sample], pattern.lon_deg[sample],
-            pattern.gain_db[sample, beam], pattern.phase_rad[sample, beam],
+            beam + 1, lat_deg[sample], lon_deg[sample],
+            gain_db[sample, beam], phase_rad[sample, beam],
         )
 
-    write_table(path, PATTERN_HEADER, pattern.beams * samples, block)
+    write_table(path, PATTERN_HEADER, beams * samples, block)
 
 
 def beam_footprint(pattern, beam_id):

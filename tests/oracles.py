@@ -56,7 +56,8 @@ np.loadtxt where it can and the line parser for a chunk where it cannot,
 and checks each beam's count and grid against beam 1 as its columns fill.
 _parse_rows below is the whole-file line parser it replaced: it reads every
 line through the one-line parser and checks each beam's rows as lists once
-the file has been read.
+the file has been read. It keeps the phase column, which the library checks
+and drops, and returns it beside the BeamPattern as a plain array.
 
 The movement oracle reads each timestamp with utc_timestamp below, its own
 reading of the loaders' rules, not the library's parser.
@@ -148,14 +149,17 @@ class SamplePoint:
         object.__setattr__(self, "phase_rad", normalize_phase(theta))
 
 
-def beam_samples(pattern, beam_id):
-    """The samples of one beam of a BeamPattern as SamplePoints, grid order."""
+def beam_samples(pattern, beam_id, phase_rad=None):
+    """The samples of one beam of a BeamPattern as SamplePoints, grid order,
+    with their phases from the (samples, beams) phase_rad, or 0 without one."""
     col = pattern.check_beam(beam_id)
+    if phase_rad is None:
+        phase_rad = np.zeros_like(pattern.gain_db)
     return tuple(
         SamplePoint(
             location=GeoPoint(pattern.lat_deg[j], pattern.lon_deg[j]),
             gain_db=pattern.gain_db[j, col],
-            phase_rad=pattern.phase_rad[j, col],
+            phase_rad=phase_rad[j, col],
         )
         for j in range(pattern.samples_per_beam)
     )
@@ -516,8 +520,9 @@ def load_movements(source, hours, header, id_name, traffic_type, demand_mbps, bb
 
 
 def _parse_rows(lines, path):
-    """The BeamPattern of a pattern body's lines, line ends kept or not; the
-    first of them is line 2."""
+    """(BeamPattern, phase) of a pattern body's lines, line ends kept or not,
+    phase the (samples, beams) array of the phase column; the first line is
+    line 2."""
     beams = []  # per beam: [lat list, lon list, gain list, phase list]
     for lineno, raw in enumerate(lines, start=2):
         line = raw.rstrip("\r\n")
@@ -551,7 +556,7 @@ def _parse_rows(lines, path):
 
     gain = np.column_stack([rec[2] for rec in beams])
     phase = np.column_stack([rec[3] for rec in beams])
-    return BeamPattern(beams[0][0], beams[0][1], gain, phase)
+    return BeamPattern(beams[0][0], beams[0][1], gain), phase
 
 
 def escape(s):
@@ -707,10 +712,10 @@ def write_interference_csv(sweep, path):
     write_csv(path, INTERFERENCE_HEADER.split(","), rows())
 
 
-def write_pattern(pattern, path):
-    grid = zip(pattern.lat_deg.tolist(), pattern.lon_deg.tolist())
+def write_pattern(lat_deg, lon_deg, gain_db, phase_rad, path):
+    grid = zip(lat_deg.tolist(), lon_deg.tolist())
     cells = [f"{fmt_float(lat)},{fmt_float(lon)}" for lat, lon in grid]
-    columns = zip(pattern.gain_db.T.tolist(), pattern.phase_rad.T.tolist())
+    columns = zip(gain_db.T.tolist(), phase_rad.T.tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(PATTERN_HEADER + "\n")
         for beam, (gains, phases) in enumerate(columns, start=1):

@@ -42,7 +42,7 @@ def row_pattern(centers=((0.0, 0.0), (0.0, 2.4), (0.0, 4.8)), r3=1.2, pitch=0.2)
         for clat, clon in centers
     ]
     gain = np.column_stack(cols)
-    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+    return BeamPattern(glat, glon, gain)
 
 
 def seven_beam_pattern():
@@ -60,7 +60,7 @@ def seven_beam_pattern():
         for clat, clon in centers
     ]
     gain = np.column_stack(cols)
-    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+    return BeamPattern(glat, glon, gain)
 
 
 def fss_at(ident, lat, lon, demand=2.0):

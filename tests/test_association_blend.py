@@ -92,7 +92,7 @@ POINTS = [
 
 
 def pattern(gains):
-    return BeamPattern(GRID_LAT, GRID_LON, gains, np.zeros_like(gains))
+    return BeamPattern(GRID_LAT, GRID_LON, gains)
 
 
 def block(points):

@@ -4,9 +4,10 @@ Every CSV writer formats a block of columns at a time, and parse_pattern
 reads the body a chunk of ioutil.CHUNK_LINES lines at a time (a piece, in
 the test names), through np.loadtxt or, for a chunk it cannot take, the
 line parser. The row writers and the whole-file line parser (_parse_rows)
-in oracles.py are the references: the bytes written, the parsed arrays bit
-for bit, and the type and message of every exception must agree, whatever
-the block and chunk sizes.
+in oracles.py are the references: the bytes written, the parsed grid and
+gains bit for bit, and the type and message of every exception must agree,
+whatever the block and chunk sizes. The pattern keeps no phase, so a phase
+cell shows only through the error a bad one raises.
 """
 
 import io
@@ -39,7 +40,6 @@ from sattraffic.linkbudget import ChannelMatrix, channel_summary, write_channel_
 from sattraffic.pattern import (
     PATTERN_HEADER,
     BeamFootprint,
-    BeamPattern,
     parse_pattern,
     write_borders_csv,
     write_pattern,
@@ -313,8 +313,9 @@ class TestWriters:
         cells = st.lists(FINITE, min_size=samples * beams, max_size=samples * beams)
         gain = np.array(data.draw(cells)).reshape(samples, beams)
         phase = np.array(data.draw(cells)).reshape(samples, beams)
-        pattern = BeamPattern(lat, lon, gain, phase)
-        assert_same_bytes(write_pattern, oracles.write_pattern, pattern, root, block)
+        columns = (np.array(lat), np.array(lon), gain, phase)
+        assert_same_bytes(lambda c, path: write_pattern(*c, path),
+                          lambda c, path: oracles.write_pattern(*c, path), columns, root, block)
 
     def test_nan_entry_is_non_finite(self, root):
         H = channel([[2.0], [math.nan]], [5e-324, 0.0])
@@ -410,17 +411,18 @@ def parse_oracle(text, path=None):
     fh = io.StringIO(text, newline="")
     if fh.readline().rstrip("\r\n") != PATTERN_HEADER:
         raise ParseError(f"expected header {PATTERN_HEADER!r}", 1, path)
-    return oracles._parse_rows(list(fh), path)
+    pattern, _ = oracles._parse_rows(list(fh), path)
+    return pattern
 
 
 def parsed(parse, text):
-    """The pattern arrays as bytes, or the exception type and message."""
+    """The pattern's grid and gain arrays as bytes, or the exception type and
+    message."""
     try:
         p = parse(text)
     except Exception as exc:
         return type(exc), str(exc)
-    return tuple((a.shape, a.tobytes()) for a in (p.lat_deg, p.lon_deg, p.gain_db,
-                                                   p.phase_rad))
+    return tuple((a.shape, a.tobytes()) for a in (p.lat_deg, p.lon_deg, p.gain_db))
 
 
 def assert_same_parse(text):
@@ -518,6 +520,11 @@ for name, value in [("1_0", "1_0"), ("nan", "nan"), ("inf", "inf"),
                     # loadtxt strips \x1c as whitespace; float() refuses it
                     ("file_separator", "3\x1c")]:
     NAMED[f"value_{name}"] = (body([with_field(GRID[0], 3, value)] + GRID[1:]), False)
+# the phase column is checked as the others are, though the pattern keeps none
+# of it; the bad cell sits on the last row, in a later chunk at 1 or 2 lines
+for name, value in [("nan", "nan"), ("inf", "inf"), ("1e400", "1e400"), ("empty", ""),
+                    ("1_0", "1_0"), ("arabic_digit", "\u0661"), ("word", "oops")]:
+    NAMED[f"phase_{name}"] = (body(GRID[:3] + [with_field(GRID[3], 4, value)]), False)
 
 
 # lines per chunk: a line per chunk, chunks cut at odd places, and the
@@ -556,8 +563,7 @@ def written_pattern_text(tmp_path, beams=3, samples=400, seed=3):
     lat = rng.uniform(-60, 60, samples)
     lon = rng.uniform(-170, 170, samples)
     gain = rng.normal(40, 5, (samples, beams))
-    pattern = BeamPattern(lat, lon, gain, rng.uniform(0, 6, gain.shape))
-    write_pattern(pattern, tmp_path / "p.csv")
+    write_pattern(lat, lon, gain, rng.uniform(0, 6, gain.shape), tmp_path / "p.csv")
     return (tmp_path / "p.csv").read_text()
 
 
@@ -585,6 +591,7 @@ def test_body_of_many_pieces(tmp_path, n):
 LATER_ROWS = {
     "extra_field": (lambda row: row + ",", False, False),
     "nan": (lambda row: with_field(row, 3, "nan"), False, False),
+    "phase_nan": (lambda row: with_field(row, 4, "nan"), False, False),
     "grid_differs": (lambda row: with_field(row, 2, "0.5"), False, True),
     "file_separator": (lambda row: with_field(row, 3, "3\x1c"), False, False),
     "arabic_digit": (lambda row: with_field(row, 3, "\u0661"), True, False),
@@ -664,9 +671,10 @@ def test_parse_peak_memory_stays_below_four_times_the_file(tmp_path):
 
 
 def test_parse_peak_memory_stays_below_two_and_a_half_times_its_arrays(tmp_path):
-    # the M pattern again: each chunk's gain and phase go straight into
-    # per-beam columns, and the stacked arrays reach the BeamPattern
-    # uncopied, so the parse holds little beyond the arrays it returns
+    # the M pattern again: each chunk's gains go straight into per-beam
+    # columns and its phases are checked and dropped, and the stacked gains
+    # reach the BeamPattern uncopied, so the parse holds little beyond the
+    # gain array it returns
     path = tmp_path / "pattern.csv"
     synth_pattern(path, 1, beams=37, spacing_deg=1.5, radius3db_deg=1.0, pitch_deg=0.2)
     tracemalloc.start()
@@ -676,7 +684,7 @@ def test_parse_peak_memory_stays_below_two_and_a_half_times_its_arrays(tmp_path)
     finally:
         tracemalloc.stop()
     assert pattern.gain_db.shape == (3540, 37)
-    assert peak <= 2.5 * (pattern.gain_db.nbytes + pattern.phase_rad.nbytes)
+    assert peak <= 2.5 * pattern.gain_db.nbytes
 
 
 def stream_rows(samples, beams, counts=(), edits=()):
@@ -800,8 +808,8 @@ def test_written_pattern_takes_fast_path(tmp_path):
     rng = np.random.default_rng(3)
     lat, lon = np.meshgrid(np.arange(40.0, 41.0, 0.1), np.arange(-0.3, 0.3, 0.1))
     gain = rng.normal(40, 5, (lat.size, 4))
-    pattern = BeamPattern(lat.ravel(), lon.ravel(), gain, rng.uniform(-7, 7, gain.shape))
-    write_pattern(pattern, tmp_path / "p.csv")
+    write_pattern(lat.ravel(), lon.ravel(), gain, rng.uniform(-7, 7, gain.shape),
+                  tmp_path / "p.csv")
     text = (tmp_path / "p.csv").read_text()
     assert fast_path_taken(text)
     assert assert_same_parse(text)[2][0] == (lat.size, 4)

@@ -2,6 +2,7 @@
 
 import collections
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -774,3 +775,24 @@ class TestTopLevel:
                        "--out-dir", str(tmp_path)])
         assert rc == 2
         assert "internal error" in capsys.readouterr().err
+
+
+def readme_commands():
+    """The README's fenced `sattraffic ...` commands in order, each as argv
+    without the program name, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in text.split("```")[1::2]:
+        for command in block.replace("\\\n", " ").splitlines():
+            if command.startswith("sattraffic "):
+                commands.append(shlex.split(command)[1:])
+    return commands
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == (
+        ["synth"] * 4 + ["footprints", "simulate", "profile", "interference"])
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

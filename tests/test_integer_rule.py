@@ -38,7 +38,7 @@ from sattraffic.pattern import BeamFootprint, BeamPattern
 from sattraffic.traffic import TrafficMatrix
 
 PATTERN = BeamPattern(
-    np.array([50.0, 50.0, 51.0]), np.array([5.0, 6.0, 5.0]), np.zeros((3, 3)), np.zeros((3, 3))
+    np.array([50.0, 50.0, 51.0]), np.array([5.0, 6.0, 5.0]), np.zeros((3, 3))
 )
 BORDER = Polygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))
 CHANNEL = ChannelMatrix(

@@ -97,7 +97,7 @@ def grid_pattern(gain_columns, lats, lons):
     glat = np.repeat(lats, len(lons))
     glon = np.tile(lons, len(lats))
     gain = np.column_stack([col(glat, glon) for col in gain_columns])
-    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+    return BeamPattern(glat, glon, gain)
 
 
 def seven_beam_pattern(pitch=0.25):
@@ -301,7 +301,7 @@ class TestBuildChannelMatrix:
         glat = np.array([13.56, 13.559999999999995, 13.6])
         glon = np.full(3, 50.08)
         gain = np.array([[40.0, 20.0], [45.0, 25.0], [30.0, 10.0]])
-        pattern = BeamPattern(glat, glon, gain, np.zeros_like(gain))
+        pattern = BeamPattern(glat, glon, gain)
         cfg = ScenarioConfig()
         T = matrix_for(pattern, [(13.56, 50.08), (13.6, 50.08)], beams=[1, 2])
         H = build_channel_matrix(T, pattern, cfg)

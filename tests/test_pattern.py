@@ -25,7 +25,7 @@ from sattraffic.pattern import (
 )
 from sattraffic.geo import GeoPoint
 
-from oracles import SamplePoint, beam_samples
+from oracles import SamplePoint, _parse_rows, beam_samples
 
 
 def gaussian_gain(peak, center, lat, lon, r3db):
@@ -43,8 +43,7 @@ def grid_pattern(beams_spec, lat0, lat1, lon0, lon1, pitch):
     gain = np.column_stack(
         [gaussian_gain(p, c, glat, glon, r) for (p, c, r) in beams_spec]
     )
-    phase = np.zeros_like(gain)
-    return BeamPattern(glat, glon, gain, phase)
+    return BeamPattern(glat, glon, gain)
 
 
 VALID_TWO_BEAM = (
@@ -128,15 +127,36 @@ class TestParsePattern:
         with pytest.raises(ParseError, match="line 2"):
             parse_pattern(io.StringIO(text))
 
+    @pytest.mark.parametrize("cell, message", [
+        ("nan", "phase_rad must be finite, got nan"),
+        ("-inf", "phase_rad must be finite, got -inf"),
+        ("1e400", "phase_rad must be finite, got 1e400"),
+        ("", "phase_rad '' is not a number"),
+        ("oops", "phase_rad 'oops' is not a number"),
+    ])
+    def test_bad_phase_reports_line(self, cell, message):
+        # the pattern keeps no phase, but every phase cell is still checked
+        lines = VALID_TWO_BEAM.split("\n")
+        lines[7] = lines[7].rsplit(",", 1)[0] + "," + cell
+        with pytest.raises(ParseError) as err:
+            parse_pattern(io.StringIO("\n".join(lines)))
+        assert str(err.value) == f"line 8: {message}"
+
     def test_write_then_parse_round_trip_is_byte_identical(self, tmp_path):
         pat = grid_pattern(
             [(52.3, (50.0, 10.0), 1.5), (51.1, (51.3, 11.2), 1.5)],
             48.0, 53.0, 8.0, 13.0, 0.5,
         )
+        phase = np.random.default_rng(1).uniform(0.0, 2 * math.pi, pat.gain_db.shape)
         first = tmp_path / "p1.csv"
         second = tmp_path / "p2.csv"
-        write_pattern(pat, first)
-        write_pattern(parse_pattern(first), second)
+        write_pattern(pat.lat_deg, pat.lon_deg, pat.gain_db, phase, first)
+        # parse_pattern keeps no phase; the line-parser oracle reads it back
+        with open(first, encoding="utf-8", newline="") as fh:
+            fh.readline()
+            _, phase_read = _parse_rows(list(fh), str(first))
+        back = parse_pattern(first)
+        write_pattern(back.lat_deg, back.lon_deg, back.gain_db, phase_read, second)
         assert first.read_bytes() == second.read_bytes()
 
 
@@ -155,14 +175,18 @@ class TestBeamPattern:
         # 10*log10(|B|^2) must return the stored gain
         back = 10.0 * np.log10(np.abs(coef) ** 2)
         assert np.allclose(back, pat.gain_db, rtol=0, atol=1e-12)
-        assert np.allclose(np.angle(coef) % (2 * math.pi), pat.phase_rad, atol=1e-12)
+
+    def test_pattern_holds_no_phase(self):
+        pat = parse_pattern(io.StringIO(VALID_TWO_BEAM))
+        assert not hasattr(pat, "phase_rad")
 
     def test_beam_samples_view(self):
-        pat = parse_pattern(io.StringIO(VALID_TWO_BEAM))
-        samples = beam_samples(pat, 2)
+        pat, phase = _parse_rows(VALID_TWO_BEAM.splitlines()[1:], None)
+        samples = beam_samples(pat, 2, phase)
         assert len(samples) == 4
         assert samples[0].location == GeoPoint(50.0, 10.0)
         assert samples[0].gain_db == 48.0
+        assert samples[1].phase_rad == 1.25
         with pytest.raises(ValueError):
             beam_samples(pat, 3)
 
@@ -175,15 +199,15 @@ class TestBeamPattern:
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            BeamPattern([50.0], [10.0, 11.0], [[52.0]], [[0.0]])
+            BeamPattern([50.0], [10.0, 11.0], [[52.0]])
         with pytest.raises(ValueError):
-            BeamPattern([50.0], [10.0], [[52.0], [51.0]], [[0.0], [0.0]])
+            BeamPattern([50.0], [10.0], [[52.0], [51.0]])
 
     def test_no_samples_or_no_beams_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            BeamPattern([], [], np.zeros((0, 1)), np.zeros((0, 1)))
+            BeamPattern([], [], np.zeros((0, 1)))
         with pytest.raises(ValueError, match="at least one beam"):
-            BeamPattern([50.0], [10.0], np.zeros((1, 0)), np.zeros((1, 0)))
+            BeamPattern([50.0], [10.0], np.zeros((1, 0)))
 
 
 class TestBeamFootprint:
@@ -207,14 +231,14 @@ class TestBeamFootprint:
         for i in range(9):
             if (lats[i], lons[i]) in corners:
                 gain[i] = 52.0
-        pat = BeamPattern(lats, lons, gain[:, None], np.zeros((9, 1)))
+        pat = BeamPattern(lats, lons, gain[:, None])
         fp = beam_footprint(pat, 1)
         assert set(fp.border.vertices) == set(corners)
 
     def test_uniform_gain_includes_all_samples(self):
         lats = np.repeat(np.arange(5.0), 5)
         lons = np.tile(np.arange(5.0), 5)
-        pat = BeamPattern(lats, lons, np.full((25, 1), 47.0), np.zeros((25, 1)))
+        pat = BeamPattern(lats, lons, np.full((25, 1), 47.0))
         fp = beam_footprint(pat, 1)
         assert set(fp.border.vertices) == {(0, 0), (0, 4), (4, 0), (4, 4)}
         for j in range(25):
@@ -225,7 +249,7 @@ class TestBeamFootprint:
         gain[4] = 52.0  # only the center sample is within 3 dB of the peak
         pat = BeamPattern(
             np.repeat([0.0, 1.0, 2.0], 3), np.tile([0.0, 1.0, 2.0], 3),
-            gain[:, None], np.zeros((9, 1)),
+            gain[:, None],
         )
         with pytest.raises(DegenerateFootprintError) as err:
             beam_footprint(pat, 1)
@@ -236,7 +260,7 @@ class TestBeamFootprint:
         lats = np.array([0.0, 0.0, 0.0, 0.0, 1.0])
         lons = np.array([0.0, 1.0, 2.0, 3.0, 0.0])
         gain = np.array([50.0, 50.0, 50.0, 50.0, 10.0])[:, None]
-        pat = BeamPattern(lats, lons, gain, np.zeros((5, 1)))
+        pat = BeamPattern(lats, lons, gain)
         with pytest.raises(DegenerateFootprintError):
             beam_footprint(pat, 1)
 
@@ -286,7 +310,7 @@ class TestAllFootprints:
         good = np.full(9, 50.0)
         bad = np.full(9, 30.0)
         bad[4] = 52.0
-        pat = BeamPattern(lats, lons, np.column_stack([good, bad]), np.zeros((9, 2)))
+        pat = BeamPattern(lats, lons, np.column_stack([good, bad]))
         with pytest.raises(DegenerateFootprintError) as err:
             all_footprints(pat)
         assert err.value.beam_id == 2
@@ -297,7 +321,7 @@ def grid_beam(lats, lons, gain_of):
     glat = np.repeat(np.asarray(lats, dtype=float), len(lons))
     glon = np.tile(np.asarray(lons, dtype=float), len(lats))
     gain = np.array([gain_of(a, b) for a, b in zip(glat, glon)])[:, None]
-    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+    return BeamPattern(glat, glon, gain)
 
 
 class TestPlanarFrame:
@@ -416,7 +440,7 @@ def small_patterns(draw):
         gains = st.floats(40.0, 50.0, allow_nan=False)
         gain = np.array(draw(st.lists(gains, min_size=n * beams, max_size=n * beams)))
     gain = gain.reshape(n, beams)
-    return BeamPattern(lats, lons, gain, np.zeros_like(gain))
+    return BeamPattern(lats, lons, gain)
 
 
 def outside_planar_frame(pattern, beam_id):
@@ -454,7 +478,7 @@ class TestHullOnlyMatchesTriangulation:
         ]
         messages = []
         for lats, lons, gains in cases:
-            pat = BeamPattern(lats, lons, np.array(gains)[:, None], np.zeros((len(gains), 1)))
+            pat = BeamPattern(lats, lons, np.array(gains)[:, None])
             got = outcome(beam_footprint, pat, 1)
             want = outcome(beam_footprint_oracle, pat, 1)
             assert got == want

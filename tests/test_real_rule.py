@@ -248,8 +248,7 @@ def traffic(**columns):
 
 
 def pattern(**columns):
-    given = dict(lat_deg=[50.0, 51.0], lon_deg=[5.0, 6.0], gain_db=np.zeros((2, 1)),
-                 phase_rad=np.zeros((2, 1)))
+    given = dict(lat_deg=[50.0, 51.0], lon_deg=[5.0, 6.0], gain_db=np.zeros((2, 1)))
     return BeamPattern(**{**given, **columns})
 
 
@@ -290,8 +289,6 @@ COLUMNS = {
                             "lon_deg must be a finite number, got -inf"),
     "BeamPattern.gain_db": (lambda c: pattern(gain_db=c), [[1.0], [2.0]], float, [math.nan],
                             "gain_db must be a finite number, got nan"),
-    "BeamPattern.phase_rad": (lambda c: pattern(phase_rad=c), [[1.0], [2.0]], float, [INF],
-                              "phase_rad must be a finite number, got inf"),
     "HourlyProfile.demand_mbps": (HourlyProfile, [[[1.0] * 3] * 24], float,
                                   [[1.0] * 3] * 23 + [[1.0, 1.0, -1.0]],
                                   "demand_mbps must be a finite number >= 0, got -1.0"),

@@ -25,7 +25,7 @@ def square_pattern():
     """One beam sampled on a 3x3 grid over the unit square, uniform gain."""
     lat = np.repeat([0.0, 0.5, 1.0], 3)
     lon = np.tile([0.0, 0.5, 1.0], 3)
-    return BeamPattern(lat, lon, np.full((9, 1), 50.0), np.zeros((9, 1)))
+    return BeamPattern(lat, lon, np.full((9, 1), 50.0))
 
 
 def square_footprint(beam_id=1):
@@ -46,7 +46,7 @@ def gaussian_pair_pattern(pitch=0.2):
         d2 = (glat - clat) ** 2 + (glon - clon) ** 2
         cols.append(50.0 - 3.0 * d2 / r3**2)
     gain = np.column_stack(cols)
-    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+    return BeamPattern(glat, glon, gain)
 
 
 def fss(ident, lat, lon, demand=2.0):

@@ -173,7 +173,7 @@ def gaussian_pattern(centres, lat_max=1.6, pitch=0.2):
         50.0 - 3.0 * ((glat - clat) ** 2 + (glon - clon) ** 2) / 1.2**2
         for clat, clon in centres
     ])
-    return BeamPattern(glat, glon, gain, np.zeros_like(gain))
+    return BeamPattern(glat, glon, gain)
 
 
 def gaussian_pair_pattern(pitch=0.2):

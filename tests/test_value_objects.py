@@ -52,8 +52,7 @@ GIVEN = {
     "HourlyProfile": (HourlyProfile, lambda: [np.ones((2, 24, 3))]),
     "SweepResult": (lambda watts: SweepResult((1, 2), (1, 2, 3), watts),
                     lambda: [np.ones((2, 3))]),
-    "BeamPattern": (BeamPattern, lambda: [*lat_lon(), np.full((3, 2), 40.0),
-                                          np.full((3, 2), 0.5)]),
+    "BeamPattern": (BeamPattern, lambda: [*lat_lon(), np.full((3, 2), 40.0)]),
     "TrafficMatrix": (lambda *columns: TrafficMatrix(*columns, beams=3, excluded=0),
                       lambda: [np.array([1, 2, 3]), *block_arrays()]),
     "TerminalBlock": (lambda *columns: TerminalBlock(("a", "b", "c"), *columns),
