@@ -5,7 +5,8 @@ take the hour-independent FSS block and 24 hourly mover blocks and make two
 associations, one of the FSS block and one of the movers of every hour;
 classification thresholds cut the per-beam mean demand, and the sweep
 gives the exact mean interference over every active-beam set that splits
-the total power equally, in closed form.
+the total power equally, in closed form, once per distinct (location,
+serving beam) pair of the swept users.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import BadThresholdsError
 from .ingest import TerminalBlock
-from .ioutil import frozen, real, whole, write_table
+from .ioutil import USER, frozen, hold_columns, real, whole, write_by_location, write_table
 from .linkbudget import interference  # noqa: F401  bench/tracer.py hooks it here
 from .traffic import build_traffic_matrix, per_beam_demand
 
@@ -145,17 +146,25 @@ def _percentile(values, q):
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Interference means, one row per swept user, one column per set size."""
+    """Interference means held as ChannelMatrix holds its rows: watts has one
+    row per distinct (location, serving beam) pair of the swept users and one
+    column per set size; user users[i] (>= 1) takes row pair[i]. Sizes go
+    through ioutil.whole, >= 1."""
 
-    users: tuple
+    users: np.ndarray
     sizes: tuple
     watts: np.ndarray
+    pair: np.ndarray
 
     def __post_init__(self):
+        sizes = tuple(whole(s, "active-set size", 1) for s in self.sizes)
         watts = frozen(self.watts, float, "watts")
-        if watts.shape != (len(self.users), len(self.sizes)):
-            raise ValueError("watts must be users x sizes")
+        if watts.ndim != 2 or watts.shape[1] != len(sizes):
+            raise ValueError("watts must be pairs x sizes")
+        object.__setattr__(self, "sizes", sizes)
         object.__setattr__(self, "watts", watts)
+        columns = (("users", np.int64, (1,)), ("pair", np.int64, (0, len(watts) - 1)))
+        hold_columns(self, columns, np.size(self.users), "user")
 
 
 def interference_sweep(H, cfg, sizes, users=None):
@@ -166,34 +175,33 @@ def interference_sweep(H, cfg, sizes, users=None):
     square of its location's magnitude at j; the channel's phases do not
     enter. The mean is over every such set of size s.
     Each other beam lies in (s-1)/(B-1) of those sets, so the mean is the
-    full-set interference scaled by that fraction: exact, O(B) per (user,
-    size), and 0 at s = 1. It adds the beams' terms for all users and sizes
-    at once, one beam at a time in id order, as interference() adds them
-    for one.
+    full-set interference scaled by that fraction: exact, O(B) per distinct
+    (location, serving beam) pair of the users and size, and 0 at s = 1. It
+    adds the beams' terms for all pairs and sizes at once, one beam at a
+    time in id order, as interference() adds them for one user.
     """
-    if users is None:
-        users = range(1, H.n_users + 1)
-    rows = np.array([H.check_user(n) for n in users], dtype=np.int64)
+    rows = (np.arange(H.n_users) if users is None else
+            np.array([H.check_user(n) for n in users], dtype=np.int64))
     sizes = [whole(s, "active-set size", 1, H.beams) for s in sizes]
+    keys, pair = np.unique(H.location[rows] * H.beams + H.serving[rows] - 1,
+                           return_inverse=True)
+    location, serving = np.divmod(keys, H.beams)
 
-    watts = np.zeros((len(rows), len(sizes)))
-    location = H.location[rows]
-    # |h|**2 per location through libm pow, as magnitude ** 2 in
-    # interference(); squaring by multiplication differs in the last bit
-    gains = np.float_power(H.magnitude, 2.0)
-    serving = H.serving[rows][:, None]
+    watts = np.zeros((len(keys), len(sizes)))
     split = cfg.total_power_w / np.array(sizes, dtype=float)
     # interference() of every beam at P/s, the same additions in id order
     term = np.empty_like(watts)
-    for j in range(1, H.beams + 1):
-        gain = gains[location, j - 1][:, None]
+    for j in range(H.beams):
+        # |h|**2 through libm pow, as magnitude ** 2 in interference();
+        # squaring by multiplication differs in the last bit
+        gain = np.float_power(H.magnitude[location, j], 2.0)[:, None]
         gain[serving == j] = 0.0
         watts += np.multiply(gain, split, out=term)
     for si, s in enumerate(sizes):
         # exactly 1.0 at s = B; 0 at s = 1 even where the total overflowed
         watts[:, si] = watts[:, si] * ((s - 1) / (H.beams - 1)) if s > 1 else 0.0
     watts.setflags(write=False)
-    return SweepResult(users=tuple((rows + 1).tolist()), sizes=tuple(sizes), watts=watts)
+    return SweepResult(users=rows + 1, sizes=tuple(sizes), watts=watts, pair=pair)
 
 
 PROFILE_HEADER = "beam,hour,type,demand_mbps,normalized"
@@ -227,11 +235,7 @@ def write_beam_class_csv(classes, path):
 
 
 def write_interference_csv(sweep, path):
-    users = np.array(sweep.users, dtype=np.int64)
-    sizes = np.array(sweep.sizes, dtype=np.int64)
-
-    def block(lo, hi):
-        user, size = np.divmod(np.arange(lo, hi), len(sizes))
-        return users[user], sizes[size], sweep.watts[user, size]
-
-    write_table(path, INTERFERENCE_HEADER, len(users) * len(sizes), block)
+    """One row per (user, size), through ioutil.write_by_location."""
+    line = "".join(f"{USER},{s},%.9g\n" for s in sweep.sizes)
+    write_by_location(path, INTERFERENCE_HEADER, sweep.users, sweep.pair, line,
+                      [sweep.watts], lambda pairs: (sweep.watts[pairs] + 0.0).ravel().tolist())

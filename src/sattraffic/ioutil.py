@@ -223,6 +223,31 @@ def write_table(path, header, n_rows, block, line=None):
             fh.write(format_rows(block(lo, min(lo + BLOCK_ROWS, n_rows)), line))
 
 
+# stands for the user number in a location's formatted lines
+USER = "@"
+
+
+def write_by_location(path, header, users, location, line, columns, values):
+    """Write a CSV header, then each user's lines: those of its location,
+    with its number users[i] in place of USER.
+
+    location[i] is user i's row of columns, (locations, lines) float arrays.
+    Per block of users, line, the % template of one location's lines, is
+    filled once per distinct location from values(rows), the values of the
+    ascending rows in template order. A non-finite value raises fmt_float's
+    ValueError for the first one in user order, then in columns' order.
+    """
+    step = max(1, BLOCK_ROWS // max(line.count("\n"), 1))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(users), step):
+            rows, inverse = np.unique(location[lo : lo + step], return_inverse=True)
+            check_finite([column[rows][inverse].ravel() for column in columns])
+            texts = ((line + "\0") * rows.size % tuple(values(rows))).split("\0")
+            fh.write("".join([texts[r].replace(USER, str(n))
+                              for n, r in zip(users[lo : lo + step], inverse.tolist())]))
+
+
 @contextmanager
 def open_input(source):
     """(fh, name) of an input given as a path or as an open text file.

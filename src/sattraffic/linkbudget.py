@@ -22,7 +22,7 @@ from .errors import BelowHorizonError, MismatchedBeamsError, UnknownUserError
 # slant_range is not called here; the benchmark tracer hooks it at this import site
 from .geo import ScenarioConfig, _path_loss_db, _slant_range, slant_range
 from . import ioutil
-from .ioutil import check_finite, format_rows, frozen, hold_columns, real, whole
+from .ioutil import USER, format_rows, frozen, hold_columns, real, whole, write_by_location
 
 _TWO_PI = 2.0 * math.pi
 
@@ -374,42 +374,24 @@ def interference(H, n, active, power):
 
 
 CHANNEL_HEADER = "user,beam,magnitude,phase_rad"
-# stands for the user number in a formatted channel row
-_USER = "@"
 
 
 def write_channel_csv(H, path):
-    """Long-format channel entries, one row per (user, beam), canonical floats.
+    """Long-format channel entries, one row per (user, beam), canonical floats,
+    through ioutil.write_by_location: a location's phase is formatted once
+    for all its beams, and an entry's magnitude is checked before its phase."""
+    line = "".join(f"{USER},{b},%.9g,%s\n" for b in range(1, H.beams + 1))
 
-    In each block of users the row of each distinct location is formatted
-    once, by one % over a template with the beam ids written in and the
-    location's phase formatted once; each user's text is its location's
-    with the user number put in. A non-finite value still raises for the
-    first one in user order, the magnitude of an entry before its phase.
-    """
-    beams = H.beams
-    n_users = H.n_users if beams else 0
-    step = max(1, ioutil.BLOCK_ROWS // max(beams, 1))
-    # the lines of one location's row, then the separator between rows
-    row = "".join(f"{_USER},{b},%.9g,%s\n" for b in range(1, beams + 1)) + "\0"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CHANNEL_HEADER + "\n")
-        for lo in range(0, n_users, step):
-            locations, inverse = np.unique(H.location[lo : lo + step],
-                                           return_inverse=True)
-            # fmt_float's form: adding 0.0 prints -0.0 as 0
-            magnitude = H.magnitude[locations] + 0.0
-            phase = H.phase_rad[locations]
-            # the block's values in user order, for the first non-finite one
-            check_finite([magnitude[inverse].ravel(), np.repeat(phase[inverse], beams)])
-            # each entry's magnitude, then its location's phase text
-            texts = format_rows((phase,)).split("\n")
-            values = chain.from_iterable(chain.from_iterable(
-                map(zip, magnitude.tolist(), map(repeat, texts))))
-            rows = ((row * locations.size) % tuple(values)).split("\0")
-            users = map(str, range(lo + 1, lo + inverse.size + 1))
-            fh.write("".join([rows[r].replace(_USER, user)
-                              for user, r in zip(users, inverse.tolist())]))
+    def values(rows):
+        # each entry's magnitude, then its location's phase text; fmt_float's
+        # form: adding 0.0 prints -0.0 as 0
+        phases = format_rows((H.phase_rad[rows],)).split("\n")
+        return chain.from_iterable(chain.from_iterable(
+            map(zip, (H.magnitude[rows] + 0.0).tolist(), map(repeat, phases))))
+
+    phase = np.broadcast_to(H.phase_rad[:, None], H.magnitude.shape)
+    write_by_location(path, CHANNEL_HEADER, range(1, H.n_users + 1), H.location, line,
+                      [H.magnitude, phase], values)
 
 
 _SUMMARY_USER = (

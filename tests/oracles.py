@@ -21,9 +21,13 @@ their nearest samples from a NearestSamples index and stand in for its
 blend only.
 
 The library's interference sweep reduces the exhaustive mean to a closed
-form. interference_sweep below is the plain version: it lists every set,
+form, computed once per distinct (location, serving beam) pair of the swept
+users. interference_sweep below is the plain version: it lists every set,
 adds each set's interference from the complex entries as interference()
 adds it from the magnitudes, and averages over the sets with math.fsum.
+per_user_sweep is the closed form the library computed before, one row per
+swept user, each beam's gain gathered per user. Both return a SweepResult
+whose user i takes row i.
 
 The library writes its CSV files a block of columns at a time. The row
 writers below format one value per call through fmt_float and give the
@@ -39,9 +43,11 @@ holds the channel as a ComplexChannel: one complex entry per user and beam,
 them once per distinct location, through geo's unchecked cores, and holds
 real magnitudes plus one phase per location.
 
-The library formats each distinct channel row once per block of users, and
-writes channel_summary.json's text with one template per user.
-write_channel_csv below formats every entry's magnitude and phase, and
+The library formats the lines of each distinct channel row, and of each
+distinct sweep pair, once per block of users, through
+ioutil.write_by_location, and writes channel_summary.json's text with one
+template per user. write_channel_csv below formats every entry's magnitude
+and phase, write_interference_csv every (user, size) value, and
 write_complex_channel_csv every complex entry's abs() and angle, the form in
 which the library wrote the channel when it held it complex; channel_summary
 returns the plain data that ioutil.canonical_json serializes.
@@ -249,7 +255,32 @@ def interference_sweep(H, cfg, sizes, users=None):
                     total += split * abs(entries[n - 1, j - 1]) ** 2
                 totals.append(total)
             watts[ui, si] = math.fsum(totals) / len(totals)
-    return SweepResult(users=tuple(users), sizes=tuple(sizes), watts=watts)
+    return SweepResult(users=users, sizes=tuple(sizes), watts=watts,
+                       pair=np.arange(len(users)))
+
+
+def per_user_sweep(H, cfg, sizes, users=None):
+    """The closed form for every swept user, one row each: |h|**2 through
+    libm pow per location, each beam's P/s * |h|**2 gathered per user and
+    added in id order, the serving beam's as 0, then scaled per size."""
+    if users is None:
+        users = range(1, H.n_users + 1)
+    rows = np.array([int(n) - 1 for n in users], dtype=np.int64)
+    sizes = [int(s) for s in sizes]
+    watts = np.zeros((len(rows), len(sizes)))
+    location = H.location[rows]
+    gains = np.float_power(H.magnitude, 2.0)
+    serving = H.serving[rows][:, None]
+    split = cfg.total_power_w / np.array(sizes, dtype=float)
+    term = np.empty_like(watts)
+    for j in range(1, H.beams + 1):
+        gain = gains[location, j - 1][:, None]
+        gain[serving == j] = 0.0
+        watts += np.multiply(gain, split, out=term)
+    for si, s in enumerate(sizes):
+        watts[:, si] = watts[:, si] * ((s - 1) / (H.beams - 1)) if s > 1 else 0.0
+    return SweepResult(users=rows + 1, sizes=tuple(sizes), watts=watts,
+                       pair=np.arange(len(rows)))
 
 
 def hourly_profiles(fss, aero_by_hour, maritime_by_hour, footprints, pattern):
@@ -707,7 +738,7 @@ def write_interference_csv(sweep, path):
     def rows():
         for ui, user in enumerate(sweep.users):
             for si, size in enumerate(sweep.sizes):
-                yield (str(user), str(size), fmt_float(sweep.watts[ui, si]))
+                yield (str(user), str(size), fmt_float(sweep.watts[sweep.pair[ui], si]))
 
     write_csv(path, INTERFERENCE_HEADER.split(","), rows())
 

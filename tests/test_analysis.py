@@ -358,7 +358,7 @@ class TestInterferenceSweep:
             [interference(H, n, set(range(1, 8)), cfg.total_power_w / 7)]
             for n in range(1, 6)
         ])
-        assert np.array_equal(ex.watts, full)
+        assert np.array_equal(ex.watts[ex.pair], full)
 
     def test_monte_carlo_tracks_exhaustive_within_three_se(self):
         H, cfg = sweep_scenario()
@@ -366,7 +366,8 @@ class TestInterferenceSweep:
         trials = 400
         rng = np.random.default_rng(7)
         ex = interference_sweep(H, cfg, sizes=sizes)
-        for ui, n in enumerate(ex.users):
+        watts = ex.watts[ex.pair]
+        for ui, n in enumerate(ex.users.tolist()):
             serving = int(H.serving[n - 1])
             others = [j for j in range(1, 8) if j != serving]
             for si, s in enumerate(sizes):
@@ -376,10 +377,10 @@ class TestInterferenceSweep:
                     for combo in combinations(others, s - 1)
                 ]
                 se = float(np.std(vals)) / math.sqrt(trials)
-                assert ex.watts[ui, si] == pytest.approx(float(np.mean(vals)), rel=1e-12)
+                assert watts[ui, si] == pytest.approx(float(np.mean(vals)), rel=1e-12)
                 # the mean over uniformly drawn sets estimates the exact mean
                 mc = np.mean(rng.choice(vals, size=trials))
-                assert abs(mc - ex.watts[ui, si]) <= 3.0 * se + 1e-15
+                assert abs(mc - watts[ui, si]) <= 3.0 * se + 1e-15
 
     def test_seed_determinism(self, monkeypatch):
         # the exact mean needs no seed: the sweep draws no random numbers
@@ -393,12 +394,13 @@ class TestInterferenceSweep:
         monkeypatch.setattr(np.random, "random", refuse)
         b = interference_sweep(H, cfg, sizes=[2, 4])
         assert a.watts.tobytes() == b.watts.tobytes()
+        assert np.array_equal(a.pair, b.pair)
 
     def test_users_subset(self):
         H, cfg = sweep_scenario()
         sweep = interference_sweep(H, cfg, sizes=[3], users=[2, 4])
-        assert sweep.users == (2, 4)
-        assert sweep.watts.shape == (2, 1)
+        assert sweep.users.tolist() == [2, 4]
+        assert sweep.watts[sweep.pair].shape == (2, 1)
 
     def test_validation(self):
         H, cfg = sweep_scenario()
@@ -432,9 +434,10 @@ class TestInterferenceSweep:
         H, cfg = sweep_scenario()
         sweep = interference_sweep(H, cfg, sizes=np.array([3]), users=np.array([2, 4]))
         want = interference_sweep(H, cfg, sizes=[3], users=[2, 4])
-        assert (sweep.users, sweep.sizes) == ((2, 4), (3,))
-        assert {type(v) for v in sweep.users + sweep.sizes} == {int}
+        assert (sweep.users.tolist(), sweep.sizes) == ([2, 4], (3,))
+        assert sweep.users.dtype == np.int64 and {type(v) for v in sweep.sizes} == {int}
         assert sweep.watts.tobytes() == want.watts.tobytes()
+        assert np.array_equal(sweep.pair, want.pair)
 
     def test_exhaustive_37_beams_matches_closed_form(self):
         rng = np.random.default_rng(37)
@@ -443,7 +446,8 @@ class TestInterferenceSweep:
                     rng.integers(1, beams + 1, size=n_users))
         cfg = ScenarioConfig()
         sweep = interference_sweep(H, cfg, sizes=[1, 18, 37])
-        for ui, n in enumerate(sweep.users):
+        watts = sweep.watts[sweep.pair]
+        for ui, n in enumerate(sweep.users.tolist()):
             serving = int(H.serving[n - 1])
             others = math.fsum(
                 H.magnitude[n - 1, j - 1] ** 2
@@ -451,11 +455,11 @@ class TestInterferenceSweep:
             )
             for si, s in enumerate(sweep.sizes):
                 want = cfg.total_power_w / s * (s - 1) / (beams - 1) * others
-                assert sweep.watts[ui, si] == pytest.approx(want, rel=1e-12, abs=0)
+                assert watts[ui, si] == pytest.approx(want, rel=1e-12, abs=0)
         full = [interference(H, n, set(range(1, 38)), cfg.total_power_w / 37)
-                for n in sweep.users]
-        assert np.array_equal(sweep.watts[:, 2], full)
-        assert not sweep.watts[:, 0].any()
+                for n in sweep.users.tolist()]
+        assert np.array_equal(watts[:, 2], full)
+        assert not watts[:, 0].any()
 
 
 def channel(magnitude, serving, location=None, phase_rad=None):
@@ -516,8 +520,8 @@ def test_exhaustive_matches_enumeration(data):
     cfg = ScenarioConfig()
     got = interference_sweep(H, cfg, sizes, users=users)
     want = oracles.interference_sweep(H, cfg, sizes, users=users)
-    assert (got.users, got.sizes) == (want.users, want.sizes)
-    assert got.watts == pytest.approx(want.watts, rel=1e-12, abs=0)
+    assert np.array_equal(got.users, want.users) and got.sizes == want.sizes
+    assert got.watts[got.pair] == pytest.approx(want.watts, rel=1e-12, abs=0)
 
 
 def exhaustive_per_user(H, cfg, sizes, users):
@@ -533,31 +537,45 @@ def exhaustive_per_user(H, cfg, sizes, users):
     return watts
 
 
+def assert_bit_matches_per_user(H, cfg, sizes, users):
+    """The sweep's rows, one per distinct (location, serving beam) pair of
+    the users, give each user the bits of the per-user sweep and of one
+    interference() call per (user, size)."""
+    got = interference_sweep(H, cfg, sizes, users=users)
+    numbers = range(1, H.n_users + 1) if users is None else users
+    assert got.users.tolist() == list(numbers) and got.sizes == tuple(sizes)
+    pairs = {(int(H.location[n - 1]), int(H.serving[n - 1])) for n in numbers}
+    assert got.watts.shape == (len(pairs), len(sizes))
+    want = oracles.per_user_sweep(H, cfg, sizes, users)
+    assert got.watts[got.pair].tobytes() == want.watts.tobytes()
+    assert want.watts.tobytes() == exhaustive_per_user(H, cfg, sizes, numbers).tobytes()
+
+
 @given(data=st.data())
 @settings(max_examples=150, deadline=None)
 def test_exhaustive_bit_matches_per_user_interference(data):
+    # users and sizes in any order, with repeats
     H = data.draw(channels(max_beams=12, max_users=6))
     sizes = data.draw(st.lists(st.integers(1, H.beams), min_size=1, max_size=8))
-    users = data.draw(st.lists(st.integers(1, H.n_users), min_size=1, max_size=8))
-    cfg = ScenarioConfig()
-    got = interference_sweep(H, cfg, sizes, users=users)
-    want = exhaustive_per_user(H, cfg, sizes, users)
-    assert got.watts.tobytes() == want.tobytes()
+    users = data.draw(st.one_of(
+        st.none(), st.lists(st.integers(1, H.n_users), min_size=1, max_size=8)))
+    assert_bit_matches_per_user(H, ScenarioConfig(), sizes, users)
 
 
 def test_exhaustive_37_beams_bit_matches_per_user_interference():
-    # 50 users at 20 locations
+    # 50 users at 20 locations, swept 80 times in any order, and every size
+    # from 37 down with three repeated
     rng = np.random.default_rng(3737)
     beams, n_users = 37, 50
     mags = 10.0 ** rng.uniform(-12.0, 3.0, size=(20, beams))
     H = channel(mags, rng.integers(1, beams + 1, size=n_users),
                 rng.integers(0, len(mags), size=n_users),
                 rng.uniform(0.0, 2 * math.pi, len(mags)))
-    cfg = ScenarioConfig()
-    sizes = list(range(beams, 0, -1))
-    users = list(range(n_users, 0, -1))
-    got = interference_sweep(H, cfg, sizes, users=users)
-    assert got.watts.tobytes() == exhaustive_per_user(H, cfg, sizes, users).tobytes()
+    sizes = [*range(beams, 0, -1), 18, 1, 37]
+    users = rng.integers(1, n_users + 1, size=80).tolist()
+    assert len(set(users)) < len(users)
+    assert_bit_matches_per_user(H, ScenarioConfig(), sizes, users)
+    assert_bit_matches_per_user(H, ScenarioConfig(), sizes, None)
 
 
 def test_exhaustive_squares_gains_as_interference_does():
@@ -571,7 +589,7 @@ def test_exhaustive_squares_gains_as_interference_does():
     cfg = ScenarioConfig()
     sizes = list(range(1, len(mags) + 2))
     got = interference_sweep(H, cfg, sizes)
-    assert got.watts.tobytes() == exhaustive_per_user(H, cfg, sizes, [1, 2]).tobytes()
+    assert got.watts[got.pair].tobytes() == exhaustive_per_user(H, cfg, sizes, [1, 2]).tobytes()
 
 
 class TestAnalysisCsv:

@@ -281,16 +281,32 @@ class TestWriters:
         assert_same_bytes(write_beam_class_csv, oracles.write_beam_class_csv, classes,
                           root, block)
 
-    @settings(max_examples=100, deadline=None)
-    @given(st.data(), st.lists(st.integers(1, 10**6), max_size=4, unique=True),
-           st.lists(st.integers(1, 40), min_size=1, max_size=4), BLOCKS)
-    def test_interference(self, root, data, users, sizes, block):
-        n = len(users) * len(sizes)
-        watts = data.draw(st.lists(VALUES, min_size=n, max_size=n))
-        sweep = SweepResult(users=tuple(users), sizes=tuple(sizes),
-                            watts=np.array(watts).reshape(len(users), len(sizes)))
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.integers(1, 4), st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           BLOCKS)
+    def test_interference(self, root, data, pairs, sizes, block):
+        # users in any order and repeated, sharing pairs inside a block of
+        # users and across block boundaries
+        watts = data.draw(st.lists(VALUES, min_size=pairs * len(sizes),
+                                   max_size=pairs * len(sizes)))
+        n = data.draw(st.integers(0, 12))
+        users = data.draw(st.lists(st.integers(1, 10**6), min_size=n, max_size=n))
+        pair = data.draw(st.lists(st.integers(0, pairs - 1), min_size=n, max_size=n))
+        sweep = SweepResult(users=users, sizes=sizes, pair=pair,
+                            watts=np.reshape(watts, (pairs, len(sizes))))
         assert_same_bytes(write_interference_csv, oracles.write_interference_csv, sweep,
                           root, block)
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 1 << 12])
+    def test_interference_first_non_finite_raises(self, root, block):
+        # the first bad value in user order raises, though the pair of a
+        # later one comes first in the rows
+        sweep = SweepResult(users=[3, 1, 2, 2], sizes=[2, 5], pair=[1, 2, 0, 2],
+                            watts=[[math.nan, 1.0], [1.0, 2.0], [1.0, math.inf]])
+        want = (ValueError, "non-finite value in output: inf")
+        with block_rows(block):
+            assert written(write_interference_csv, sweep, root / "new.csv") == want
+        assert written(oracles.write_interference_csv, sweep, root / "old.csv") == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.tuples(FINITE, FINITE), min_size=3, max_size=6),

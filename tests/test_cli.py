@@ -681,10 +681,15 @@ class TestInterferenceCommand:
         assert manifest["seed"] is None
         assert manifest["config"]["sizes"] == [2, 3, 4, 5]
 
-    def test_matches_enumeration_oracle(self, inputs, tmp_path):
+    # the second case sweeps users out of order and repeated, and repeats a size
+    @pytest.mark.parametrize("users,sizes,swept", [
+        ("1,2,3", "1..7", ([1, 2, 3], range(1, 8))),
+        ("5,2,5,1", "3,1,3", ([5, 2, 5, 1], [3, 1, 3])),
+    ], ids=["in_order", "repeated"])
+    def test_matches_enumeration_oracle(self, inputs, tmp_path, users, sizes, swept):
         rc = cli.main(
             ["interference", *demand_argv(inputs), "--hour", "9",
-             "--sizes", "1..7", "--users", "1,2,3", "--out-dir", str(tmp_path / "out")]
+             "--sizes", sizes, "--users", users, "--out-dir", str(tmp_path / "out")]
         )
         assert rc == 0
         pattern = parse_pattern(inputs["pattern"])
@@ -694,7 +699,7 @@ class TestInterferenceCommand:
         )
         cfg = ScenarioConfig()
         sweep = oracles.interference_sweep(
-            build_channel_matrix(T, pattern, cfg), cfg, range(1, 8), users=[1, 2, 3]
+            build_channel_matrix(T, pattern, cfg), cfg, swept[1], users=swept[0]
         )
         want = tmp_path / "want.csv"
         oracles.write_interference_csv(sweep, want)

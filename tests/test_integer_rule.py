@@ -20,7 +20,7 @@ import pytest
 
 import sattraffic
 from sattraffic import cli
-from sattraffic.analysis import interference_sweep
+from sattraffic.analysis import SweepResult, interference_sweep
 from sattraffic.errors import InvalidParamsError, UnknownUserError
 from sattraffic.geo import ScenarioConfig
 from sattraffic.geometry import Polygon
@@ -133,10 +133,16 @@ def channel(**columns):
     return ChannelMatrix(**{**given, **columns})
 
 
+def sweep(**columns):
+    given = dict(users=[1, 2], sizes=(2,), watts=np.zeros((1, 1)), pair=[0, 0])
+    return SweepResult(**{**given, **columns})
+
+
 # integer columns: (make(column), column whose first value that is not an
-# integer is a str or bool, message); a column numpy holds as bools, strings
-# or objects is read value by value through whole, as each scalar site reads
-# its value
+# integer is a str or bool, or a fraction or a value out of range, message);
+# a column numpy holds as bools, strings or objects is read value by value
+# through whole, as each scalar site reads its value; a SweepResult's sizes
+# go through whole one by one
 COLUMNS = {
     "TerminalBlock.type-bool": (lambda c: block(type=c), [True, True],
                                 "type must be an integer, got True"),
@@ -153,6 +159,18 @@ COLUMNS = {
     "ChannelMatrix.nearest_sample-bool": (lambda c: channel(nearest_sample=c),
                                           np.array([True, False]),
                                           "nearest_sample must be an integer >= 0, got True"),
+    "SweepResult.users-bool": (lambda c: sweep(users=c), (True, True),
+                               "users must be an integer >= 1, got True"),
+    "SweepResult.users-str": (lambda c: sweep(users=c), (1, "2"),
+                              "users must be an integer >= 1, got '2'"),
+    "SweepResult.users-zero": (lambda c: sweep(users=c), [1, 0],
+                               "users must be a finite number >= 1, got 0"),
+    "SweepResult.pair-fraction": (lambda c: sweep(pair=c), [0, 0.5],
+                                  "pair must hold whole numbers, got 0.5"),
+    "SweepResult.sizes-fraction": (lambda c: sweep(sizes=c), (2.5,),
+                                   "active-set size must be an integer >= 1, got 2.5"),
+    "SweepResult.sizes-str": (lambda c: sweep(sizes=c), ("2",),
+                              "active-set size must be an integer >= 1, got '2'"),
 }
 
 

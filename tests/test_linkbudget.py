@@ -633,7 +633,7 @@ def test_channel_stage_peak_memory_stays_below_half_a_per_user_matrix(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < users * 37 * np.dtype(complex).itemsize / 2
-    assert H.n_users == users and sweep.watts.shape == (users, 2)
+    assert H.n_users == users and sweep.watts[sweep.pair].shape == (users, 2)
 
 
 def test_channel_build_peak_memory_stays_below_four_times_its_magnitudes(tmp_path):

@@ -6,11 +6,13 @@ so where a vehicle-hour's records lie together, as the synthetic logs
 write them, the loaders' peak follows the vehicle-hours kept, not the rows
 read.
 Association holds the rows inside each footprint, not one mask per beam, so
-its peak per terminal does not grow with the beam count. The sweep adds
-every beam's terms into the array it returns through one scratch array of
-the same shape, so it holds little beyond two copies of its result. The
-simulate writers format and write one block of ioutil.BLOCK_ROWS rows (or
-lines of text) at a time, so their peaks do not grow with the user count.
+its peak per terminal does not grow with the beam count. The sweep works
+on the distinct (location, serving beam) pairs of its users and adds every
+beam's terms into the array it returns through one scratch array of the
+same shape, so its peak is two of its result, plus a few words per user. The
+simulate and interference writers format and write one block of
+ioutil.BLOCK_ROWS rows (or lines of text) at a time, so their peaks do not
+grow with the user count.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sattraffic.analysis import interference_sweep
+from sattraffic.analysis import interference_sweep, write_interference_csv
 from sattraffic.geo import ScenarioConfig
 from sattraffic.ingest import (
     AERO_HEADER,
@@ -113,10 +115,13 @@ def test_association_peak_stays_below_112_bytes_per_terminal(tmp_path):
     assert peak < 112 * n
 
 
-def test_sweep_peak_stays_below_three_times_its_result():
-    # 20,000 users at 50 locations over 37 beams, every size 1..37: the
-    # result is 5.9 MB; a second matrix of totals and a masked product per
-    # beam on top of it would put the peak above 4 times it
+def test_sweep_peak_stays_below_two_per_pair_matrices_and_64_bytes_per_user():
+    # 20,000 users at 1,850 (location, serving beam) pairs over 37 beams,
+    # every size 1..37: a (pairs, sizes) matrix is 0.55 MB. The sweep holds
+    # its result and one scratch array of that shape, and 43 bytes per user
+    # for the users' keys, their sort and the pair index; one row per user,
+    # as the sweep once held, puts the peak at 13.5 MB against this bound of
+    # 2.4 MB, and the pairs' squared gains held whole at 2.5 MB
     rng = np.random.default_rng(37)
     beams, locations, n = 37, 50, 20_000
     H = ChannelMatrix(
@@ -130,27 +135,32 @@ def test_sweep_peak_stays_below_three_times_its_result():
         nearest_sample=np.zeros(n, dtype=np.int64),
     )
     sweep, peak = peak_of(lambda: interference_sweep(H, ScenarioConfig(), range(1, beams + 1)))
-    assert sweep.watts.shape == (n, beams)
-    assert peak < 3 * sweep.watts.nbytes
+    pairs = np.unique(H.location * beams + H.serving).size
+    assert pairs == 1850 and sweep.watts.shape == (pairs, beams)
+    assert peak < 2 * pairs * beams * 8 + 64 * n
 
 
 # (output, writer, bound in bytes). On these matrices the peaks are 0.38,
 # 1.12 and 0.37 MiB (0.62, 1.05 and 0.37 MiB on the benchmark's M inputs);
 # with blocks of 1 << 14 rows they are 1.47, 1.93 and 1.48 MiB, and a summary
-# joined whole before it is written takes 1.86 MiB, and 3.73 for twice the users
+# joined whole before it is written takes 1.86 MiB, and 3.73 for twice the users.
+# interference.csv's peak is 0.23 MiB, and 0.74 MiB when each (user, size)
+# value went through a block of per-value columns
 WRITERS = (
-    ("channel.csv", lambda T, H, path: write_channel_csv(H, path), 1 << 20),
-    ("traffic.csv", lambda T, H, path: write_traffic_csv(T, path), 5 << 18),
-    ("channel_summary.json", lambda T, H, path: channel_summary(H, T.excluded, path),
+    ("channel.csv", lambda T, H, S, path: write_channel_csv(H, path), 1 << 20),
+    ("traffic.csv", lambda T, H, S, path: write_traffic_csv(T, path), 5 << 18),
+    ("channel_summary.json", lambda T, H, S, path: channel_summary(H, T.excluded, path),
      1 << 20),
+    ("interference.csv", lambda T, H, S, path: write_interference_csv(S, path), 1 << 19),
 )
 
 
 @pytest.fixture(scope="module")
 def matrices(tmp_path_factory):
     """Traffic and channel matrices of about 7,000 users on the 37-beam,
-    pitch-0.2 pattern of the benchmark's M inputs, and the same matrices
-    with every user given twice, at the same locations.
+    pitch-0.2 pattern of the benchmark's M inputs, with their sweep over
+    sizes 1..37, and the same matrices and sweep with every user given
+    twice, at the same locations.
 
     Like M's 6,803 users at 2,736 locations, runs of 1 to 4 neighbouring
     terminals share a location."""
@@ -178,18 +188,21 @@ def matrices(tmp_path_factory):
     T2 = twice(T, ("beam", "lat_deg", "lon_deg", "type", "demand_mbps", "row"))
     H2 = twice(H, ("location", "serving", "distance_m", "path_loss_db",
                    "interp_gain_db", "nearest_sample"))
-    return (T, H), (T2, H2)
+    sizes = range(1, 38)
+    return ((T, H, interference_sweep(H, ScenarioConfig(), sizes)),
+            (T2, H2, interference_sweep(H2, ScenarioConfig(), sizes)))
 
 
 @pytest.mark.parametrize("name,write,bound", WRITERS, ids=[w[0] for w in WRITERS])
 def test_output_stage_peak_is_one_block_whatever_the_user_count(
         matrices, tmp_path, name, write, bound):
-    (T, H), (T2, H2) = matrices
+    (T, H, S), (T2, H2, S2) = matrices
     assert 6_000 < H.n_users < 8_000 and H2.n_users == 2 * H.n_users
+    assert S2.watts.shape == S.watts.shape and S2.pair.size == 2 * S.pair.size
     path = tmp_path / name
-    write(T, H, path)  # imports what the writer imports on its first call
-    _, peak = peak_of(lambda: write(T, H, path))
-    _, peak2 = peak_of(lambda: write(T2, H2, path))
+    write(T, H, S, path)  # imports what the writer imports on its first call
+    _, peak = peak_of(lambda: write(T, H, S, path))
+    _, peak2 = peak_of(lambda: write(T2, H2, S2, path))
     assert peak < bound
     # a whole-text join or a block past the user count would double the peak
     assert peak2 < 1.25 * peak

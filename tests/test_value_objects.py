@@ -50,8 +50,8 @@ def block_arrays():
 GIVEN = {
     "ChannelMatrix": (ChannelMatrix, channel_arrays),
     "HourlyProfile": (HourlyProfile, lambda: [np.ones((2, 24, 3))]),
-    "SweepResult": (lambda watts: SweepResult((1, 2), (1, 2, 3), watts),
-                    lambda: [np.ones((2, 3))]),
+    "SweepResult": (lambda users, watts, pair: SweepResult(users, (1, 2, 3), watts, pair),
+                    lambda: [np.array([4, 2, 4]), np.ones((2, 3)), np.array([1, 0, 1])]),
     "BeamPattern": (BeamPattern, lambda: [*lat_lon(), np.full((3, 2), 40.0)]),
     "TrafficMatrix": (lambda *columns: TrafficMatrix(*columns, beams=3, excluded=0),
                       lambda: [np.array([1, 2, 3]), *block_arrays()]),
