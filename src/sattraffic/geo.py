@@ -1,7 +1,8 @@
 """Spherical-Earth geometry and free-space propagation.
 
 The Earth model is a sphere of configurable radius (mean radius by default).
-All public APIs take degrees; radians stay internal.
+All public APIs take degrees; radians stay internal. Each link formula has
+one unchecked array core, for the checked functions and the channel build.
 """
 
 import math
@@ -135,31 +136,37 @@ def slant_range(
     sat_lon_deg = real(sat_lon_deg, "sat_lon_deg")
     altitude_m = real(altitude_m, "altitude_m", **_POSITIVE)
     earth_radius_m = real(earth_radius_m, "earth_radius_m", **_POSITIVE)
-    return _slant_range(user.lat_deg, user.lon_deg, sat_lat_deg, sat_lon_deg,
-                        altitude_m, earth_radius_m)
+    t = _subsatellite_cos([user.lat_deg], [user.lon_deg], sat_lat_deg, sat_lon_deg)
+    return float(_slant_range(t, altitude_m, earth_radius_m)[0])
 
 
-def _slant_range(lat_deg, lon_deg, sat_lat_deg, sat_lon_deg, altitude_m, earth_radius_m):
-    """slant_range's arithmetic on floats it does not check: a GeoPoint's
-    latitude and longitude and ScenarioConfig's satellite values."""
+def _subsatellite_cos(lat_deg, lon_deg, sat_lat_deg, sat_lon_deg):
+    """Cosine, clamped to [-1, 1], of the central angle between each (lat, lon)
+    and the sub-satellite point, for a GeoPoint's or TrafficMatrix's checked
+    values and a checked satellite: slant_range's and the horizon check's core."""
+    sat_lat = math.radians(sat_lat_deg)
+    lat = np.radians(lat_deg)
+    t = (np.cos(np.radians(sat_lon_deg - np.asarray(lon_deg, dtype=float)))
+         * math.cos(sat_lat) * np.cos(lat) + math.sin(sat_lat) * np.sin(lat))
+    return np.clip(t, -1.0, 1.0, out=t)
+
+
+def _slant_range(cos, altitude_m, earth_radius_m):
+    """slant_range's law of cosines over an array of _subsatellite_cos, for
+    an altitude and radius it does not check."""
     q = earth_radius_m / (earth_radius_m + altitude_m)
-    t = (
-        math.cos(math.radians(sat_lon_deg - lon_deg))
-        * math.cos(math.radians(sat_lat_deg))
-        * math.cos(math.radians(lat_deg))
-        + math.sin(math.radians(sat_lat_deg)) * math.sin(math.radians(lat_deg))
-    )
-    t = max(-1.0, min(1.0, t))
-    return (earth_radius_m + altitude_m) * math.sqrt(1.0 + q * q - 2.0 * q * t)
+    return (earth_radius_m + altitude_m) * np.sqrt(1.0 + q * q - 2.0 * q * cos)
 
 
 def path_loss_db(distance_m: float, wavelength_m: float) -> float:
     """Free-space path loss 20*log10(4*pi*d/lambda) in dB."""
     distance_m = real(distance_m, "distance_m", **_POSITIVE)
     wavelength_m = real(wavelength_m, "wavelength_m", **_POSITIVE)
-    return _path_loss_db(distance_m, wavelength_m)
+    return float(_path_loss_db([distance_m], wavelength_m)[0])
 
 
 def _path_loss_db(distance_m, wavelength_m):
-    """path_loss_db's arithmetic on positive floats it does not check."""
-    return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength_m)
+    """path_loss_db over a 1-D array of unchecked positive distances; it maps
+    math.log10, whose last bit numpy's log10 does not always match."""
+    ratio = 4.0 * math.pi * np.asarray(distance_m, dtype=float) / wavelength_m
+    return 20.0 * np.fromiter(map(math.log10, ratio.tolist()), float, ratio.size)

@@ -108,12 +108,14 @@ def frozen(values, dtype, name, lo=None, hi=math.inf):
     cast would change (a fraction, NaN, an infinity or one past the int64
     range) raises ValueError naming the column. Given lo (FINITE for no
     bounds), every value, kept or copied, must be finite and in [lo, hi], or
-    real's ValueError names the column and the first value that is not."""
+    the same rule's ValueError names the column and the first value that is
+    not."""
     column = np.asarray(values)
     integer = np.issubdtype(dtype, np.integer)
+    rule = whole if integer else real
     if column.dtype.kind in "bSUO":
         for value in np.asarray(values, dtype=object).ravel().tolist():
-            (whole if integer else real)(value, name, -math.inf if lo is None else lo, hi)
+            rule(value, name, -math.inf if lo is None else lo, hi)
     if not (column.dtype == dtype and column.flags.owndata and column.flags.c_contiguous
             and not column.flags.writeable):
         if integer and column.dtype.kind == "f":
@@ -128,7 +130,7 @@ def frozen(values, dtype, name, lo=None, hi=math.inf):
         least, most = column.min(), column.max()  # no mask of the column's size
         if not (np.isfinite(least) and np.isfinite(most) and lo <= least and most <= hi):
             inside = np.isfinite(column) & (lo <= column) & (column <= hi)
-            real(column.flat[np.argmin(inside)].item(), name, lo, hi)
+            rule(column.flat[np.argmin(inside)].item(), name, lo, hi)
     return column
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import BelowHorizonError, MismatchedBeamsError, UnknownUserError
 # slant_range is not called here; the benchmark tracer hooks it at this import site
-from .geo import ScenarioConfig, _path_loss_db, _slant_range, slant_range
+from .geo import (ScenarioConfig, _path_loss_db, _slant_range, _subsatellite_cos,
+                  slant_range)
 from . import ioutil
 from .ioutil import USER, format_rows, frozen, hold_columns, real, whole, write_by_location
 
@@ -127,13 +128,11 @@ class NearestSamples:
         by_lat = np.argsort(grid_lat, kind="stable")
         band_lat = grid_lat[by_lat]
         band_rad = np.radians(band_lat)
-        # from at least the margin's width, 22 doublings reach the whole grid
+        # from at least the margin's width, 22 doublings reach 180 degrees, where
+        # the band holds every sample, both gaps are infinite and all settle
         half_width = max(_band_half_width(band_lat), math.degrees(_BAND_MARGIN))
         pending = np.argsort(lat, kind="stable")
         while pending.size:
-            if not half_width < 180.0:
-                self._scan(pending, np.arange(grid_lat.size), grid_lat, grid_lon, dk)
-                break
             unsettled = []
             for lo in range(0, pending.size, _BAND_ROWS):
                 rows = pending[lo : lo + _BAND_ROWS]
@@ -262,26 +261,16 @@ class ChannelMatrix:
         return whole(n, "user", 1, self.n_users, UnknownUserError) - 1
 
 
-def _subsatellite_cos(lat_deg, lon_deg, cfg):
-    """Cosine of the central angle between each (lat, lon) and the point
-    under the satellite, as geo's slant range computes it."""
-    sat_lat = math.radians(cfg.sat_lat_deg)
-    lat = np.radians(lat_deg)
-    return (np.cos(np.radians(cfg.sat_lon_deg - np.asarray(lon_deg, dtype=float)))
-            * math.cos(sat_lat) * np.cos(lat) + math.sin(sat_lat) * np.sin(lat))
-
-
-def _check_visible(index, cfg):
+def _check_visible(index, cos, cfg):
     """Refuse the first user, in row order, whose location does not see the
     satellite above the horizon. The free-space model needs a line of sight:
-    the cosine of the central angle to the sub-satellite point must exceed
-    q = R/(R+h), which is elevation above 0."""
+    cos, the cosine of each location's central angle to the sub-satellite
+    point, must exceed q = R/(R+h), which is elevation above 0."""
     q = cfg.earth_radius_m / (cfg.earth_radius_m + cfg.altitude_m)
-    t = _subsatellite_cos(index.lat_deg, index.lon_deg, cfg)
-    hidden = np.flatnonzero(~(t > q)[index.inverse])
+    hidden = np.flatnonzero(~(cos > q)[index.inverse])
     if hidden.size:
         i = index.inverse[hidden[0]]
-        c = min(1.0, max(-1.0, float(t[i])))
+        c = float(cos[i])
         elevation = math.degrees(math.atan2(c - q, math.sqrt(1.0 - c * c)))
         raise BelowHorizonError(
             f"user {hidden[0]} at ({index.lat_deg[i]}, {index.lon_deg[i]}) does not see the "
@@ -295,26 +284,26 @@ def build_channel_matrix(T, pattern, cfg=ScenarioConfig()):
     phase, the sub-wavelength remainder of the slant range in [0, 2*pi);
     then one magnitude per beam, 10^((gain - loss + rx_gain_db) / 20), from
     the dB gain of the nearest sample. Range, loss and phase are functions
-    of location, so they are computed once per distinct location of the
-    nearest-sample search, through geo's unchecked cores: ScenarioConfig
-    has checked the satellite, and the TrafficMatrix has bounded the
-    latitudes and wrapped the longitudes as a GeoPoint does. The
-    finished arrays are frozen and handed to the ChannelMatrix without a
-    copy. The per-user interpolated gain of the serving beam is carried
-    along as a diagnostic and does not enter the magnitudes.
+    of location, so each is one call of geo's unchecked array core on the
+    nearest-sample search's distinct locations, whose sub-satellite cosines
+    the horizon check reads too: ScenarioConfig has checked the satellite,
+    and the TrafficMatrix has bounded the latitudes and wrapped the
+    longitudes as a GeoPoint does. The finished arrays are frozen and handed
+    to the ChannelMatrix without a copy. The per-user interpolated gain of
+    the serving beam is carried along as a diagnostic and does not enter the
+    magnitudes.
     """
     if T.beams != pattern.beams:
         raise MismatchedBeamsError(
             f"traffic matrix has {T.beams} beams, pattern has {pattern.beams}"
         )
     lam = cfg.wavelength_m
-    sat = (cfg.sat_lat_deg, cfg.sat_lon_deg, cfg.altitude_m, cfg.earth_radius_m)
 
     index = NearestSamples(T.lat_deg, T.lon_deg, pattern.lat_deg, pattern.lon_deg)
-    _check_visible(index, cfg)
-    dist = np.array([_slant_range(lat, lon, *sat) for lat, lon in
-                     zip(index.lat_deg.tolist(), index.lon_deg.tolist())])
-    loss = np.array([_path_loss_db(d, lam) for d in dist.tolist()])
+    cos = _subsatellite_cos(index.lat_deg, index.lon_deg, cfg.sat_lat_deg, cfg.sat_lon_deg)
+    _check_visible(index, cos, cfg)
+    dist = _slant_range(cos, cfg.altitude_m, cfg.earth_radius_m)
+    loss = _path_loss_db(dist, lam)
     # np.fmod is exact, as math.fmod is, and the product and quotient are
     # rounded as Python's are
     phase = _TWO_PI * np.fmod(dist, lam) / lam

@@ -40,8 +40,10 @@ build_channel_matrix below computes the slant range, loss and phase once
 per user, through the public, checked slant_range and path_loss_db, and
 holds the channel as a ComplexChannel: one complex entry per user and beam,
 10^((gain - loss + rx_gain_db) / 20) * e^(i phase). The library computes
-them once per distinct location, through geo's unchecked cores, and holds
-real magnitudes plus one phase per location.
+them on the array of distinct locations, one call of each of geo's
+unchecked array cores, and holds real magnitudes plus one phase per
+location. slant_range_per_point below is the scalar arithmetic, in math,
+that geo ran once per point before its array cores.
 
 The library formats the lines of each distinct channel row, and of each
 distinct sweep pair, once per block of users, through
@@ -315,6 +317,20 @@ class ComplexChannel:
     @property
     def beams(self):
         return self.entries.shape[1]
+
+
+def slant_range_per_point(lat_deg, lon_deg, sat_lat_deg, sat_lon_deg, altitude_m,
+                          earth_radius_m):
+    """slant_range's law of cosines on one point, in math's scalar functions."""
+    q = earth_radius_m / (earth_radius_m + altitude_m)
+    t = (
+        math.cos(math.radians(sat_lon_deg - lon_deg))
+        * math.cos(math.radians(sat_lat_deg))
+        * math.cos(math.radians(lat_deg))
+        + math.sin(math.radians(sat_lat_deg)) * math.sin(math.radians(lat_deg))
+    )
+    t = max(-1.0, min(1.0, t))
+    return (earth_radius_m + altitude_m) * math.sqrt(1.0 + q * q - 2.0 * q * t)
 
 
 def build_channel_matrix(T, pattern, cfg):

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import slant_range_per_point
+
 from sattraffic.geo import (
     EARTH_RADIUS_M,
     GEO_ALTITUDE_M,
@@ -21,6 +23,7 @@ from sattraffic.geo import (
     GeoPoint,
     _path_loss_db,
     _slant_range,
+    _subsatellite_cos,
     ScenarioConfig,
     great_circle_distance,
     path_loss_db,
@@ -184,10 +187,12 @@ class TestSlantRange:
 # antimeridian, longitudes that wrap onto it, and the signed zeros
 CORE_POINTS = [(90.0, 0.0), (-90.0, 13.0), (0.0, 13.0), (0.0, 179.99999999999997),
                (12.5, -180.0), (-33.0, 180.0), (45.0, -179.99999999999997),
-               (-0.0, -0.0), (0.0, 193.0), (60.0, -540.0), (1e-300, 360.0)]
+               (-0.0, -0.0), (0.0, 193.0), (60.0, -540.0), (1e-300, 360.0),
+               (52.0, 179.5)]
 # (sat_lat_deg, sat_lon_deg, altitude_m, earth_radius_m)
 SATELLITES = [(0.0, 13.0, GEO_ALTITUDE_M, EARTH_RADIUS_M),
               (0.0, 179.5, GEO_ALTITUDE_M, EARTH_RADIUS_M),
+              (0.0, 180.0, GEO_ALTITUDE_M, EARTH_RADIUS_M),
               (-20.0, -180.0, 550e3, 6_378_137.0), (90.0, 0.0, 1.0, EARTH_RADIUS_M)]
 
 
@@ -195,22 +200,34 @@ def bits(x):
     return float(x).hex()
 
 
-class TestUncheckedCores:
-    """The channel build's cores run slant_range's and path_loss_db's
-    arithmetic on a location's latitude and its longitude wrapped as a
-    GeoPoint wraps it."""
+class TestArrayCores:
+    """geo's array cores, which the channel build calls once on its distinct
+    locations, give bit for bit the scalar arithmetic they replaced and the
+    checked scalar functions, on latitudes and longitudes wrapped as a
+    GeoPoint wraps them."""
 
     @pytest.mark.parametrize("sat", SATELLITES)
-    def test_cores_match_the_public_functions_bit_for_bit(self, sat):
+    def test_slant_range_matches_the_per_point_arithmetic(self, sat):
         rng = np.random.default_rng(23)
-        points = CORE_POINTS + list(zip(rng.uniform(-90.0, 90.0, 300).tolist(),
-                                        rng.uniform(-200.0, 200.0, 300).tolist()))
-        wrapped = wrap_lon([lon for _, lon in points]).tolist()
+        points = CORE_POINTS + [sat[:2]] + list(zip(rng.uniform(-90.0, 90.0, 2000).tolist(),
+                                                    rng.uniform(-200.0, 200.0, 2000).tolist()))
+        lat = [p[0] for p in points]
+        lon = wrap_lon([p[1] for p in points])
+        got = _slant_range(_subsatellite_cos(lat, lon, *sat[:2]), *sat[2:])
+        want = [slant_range_per_point(a, o, *sat) for a, o in zip(lat, lon.tolist())]
+        assert list(map(bits, got)) == list(map(bits, want))
+        assert list(map(bits, got)) == [bits(slant_range(GeoPoint(*p), *sat)) for p in points]
+
+    def test_path_loss_matches_the_checked_function(self):
+        rng = np.random.default_rng(29)
         lam = ScenarioConfig().wavelength_m
-        for (lat, lon), core_lon in zip(points, wrapped):
-            d = slant_range(GeoPoint(lat, lon), *sat)
-            assert bits(_slant_range(lat, core_lon, *sat)) == bits(d)
-            assert bits(_path_loss_db(d, lam)) == bits(path_loss_db(d, lam))
+        d = np.concatenate([rng.uniform(35.7e6, 41.8e6, 3000), np.logspace(-3, 9, 500),
+                            [GEO_ALTITUDE_M, lam / (4 * math.pi)]])
+        got = _path_loss_db(d, lam)
+        assert got.shape == d.shape
+        assert list(map(bits, got)) == [bits(path_loss_db(x, lam)) for x in d.tolist()]
+        assert list(map(bits, got)) == [bits(20.0 * math.log10(4.0 * math.pi * x / lam))
+                                        for x in d.tolist()]
 
 
 class TestPathLoss:

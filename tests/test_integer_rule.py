@@ -141,8 +141,9 @@ def sweep(**columns):
 # integer columns: (make(column), column whose first value that is not an
 # integer is a str or bool, or a fraction or a value out of range, message);
 # a column numpy holds as bools, strings or objects is read value by value
-# through whole, as each scalar site reads its value; a SweepResult's sizes
-# go through whole one by one
+# through whole, as each scalar site reads its value, and a value below the
+# column's bound is reported in whole's words; a SweepResult's sizes go
+# through whole one by one
 COLUMNS = {
     "TerminalBlock.type-bool": (lambda c: block(type=c), [True, True],
                                 "type must be an integer, got True"),
@@ -164,7 +165,7 @@ COLUMNS = {
     "SweepResult.users-str": (lambda c: sweep(users=c), (1, "2"),
                               "users must be an integer >= 1, got '2'"),
     "SweepResult.users-zero": (lambda c: sweep(users=c), [1, 0],
-                               "users must be a finite number >= 1, got 0"),
+                               "users must be an integer >= 1, got 0"),
     "SweepResult.pair-fraction": (lambda c: sweep(pair=c), [0, 0.5],
                                   "pair must hold whole numbers, got 0.5"),
     "SweepResult.sizes-fraction": (lambda c: sweep(sizes=c), (2.5,),

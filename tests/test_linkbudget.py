@@ -32,7 +32,7 @@ from sattraffic.ingest import (
     synth_population,
 )
 import sattraffic
-from sattraffic import cli, ioutil, linkbudget
+from sattraffic import cli, geo, ioutil, linkbudget
 from sattraffic.ioutil import fmt_float
 from sattraffic.linkbudget import (
     CHANNEL_HEADER,
@@ -393,7 +393,7 @@ class TestBuildChannelMatrix:
         # with R = c and h = 1 - c, both exact for c in [0.5, 1], q = R/(R+h)
         # is the cosine c of the user at 60N under a satellite at 0N 0E
         pattern = seven_beam_pattern(pitch=0.5)
-        c = float(linkbudget._subsatellite_cos([60.0], [0.0], ScenarioConfig(0.0, 0.0))[0])
+        c = float(geo._subsatellite_cos([60.0], [0.0], 0.0, 0.0)[0])
         cfg = ScenarioConfig(0.0, 0.0, altitude_m=1.0 - c, earth_radius_m=c)
         assert cfg.earth_radius_m / (cfg.earth_radius_m + cfg.altitude_m) == c
         build_channel_matrix(matrix_for(pattern, [(59.9, 0.0)]), pattern, cfg)

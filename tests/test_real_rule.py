@@ -3,7 +3,8 @@ number, never a bool or a str, finite and within the site's bounds,
 returned as a float.
 
 Every scalar site goes through ioutil.real, and every bounded column
-through ioutil.frozen's bounds. Each scalar site below is driven with the
+through ioutil.frozen's bounds, which word an integer column's refusal as
+ioutil.whole does. Each scalar site below is driven with the
 same values: numpy numbers are accepted as floats; bools, strings, None,
 NaN, infinities and out-of-bound numbers are refused with the site's error
 class and real's message. Each column site refuses a bad value whether the
@@ -282,7 +283,7 @@ COLUMNS = {
     "TrafficMatrix.demand_mbps": (lambda c: traffic(demand_mbps=c), [2.0, 10.0], float, INF,
                                   "demand_mbps must be a finite number >= 0, got inf"),
     "TrafficMatrix.row": (lambda c: traffic(row=c), [0, 1], np.int64, -3,
-                          "row must be a finite number >= 0, got -3"),
+                          "row must be an integer >= 0, got -3"),
     "BeamPattern.lat_deg": (lambda c: pattern(lat_deg=c), [50.0, 51.0], float, -90.5,
                             "lat_deg -90.5 outside [-90, 90]"),
     "BeamPattern.lon_deg": (lambda c: pattern(lon_deg=c), [5.0, 6.0], float, -INF,
@@ -297,7 +298,7 @@ COLUMNS = {
     "ChannelMatrix.serving": (lambda c: channel(serving=c), [1, 2], np.int64, 3,
                               "serving 3 outside [1, 2]"),
     "ChannelMatrix.nearest_sample": (lambda c: channel(nearest_sample=c), [0, 5], np.int64,
-                                     -4, "nearest_sample must be a finite number >= 0, got -4"),
+                                     -4, "nearest_sample must be an integer >= 0, got -4"),
 }
 
 
